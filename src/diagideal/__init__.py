@@ -39,7 +39,6 @@ from .ideals import (
 from .monomials import (
     GridMonomial,
     GridShape,
-    compare,
     monomial_from_triples,
     parse_monomial,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "parse_ideal",
     "GridMonomial",
     "GridShape",
-    "compare",
     "monomial_from_triples",
     "parse_monomial",
     "Polynomial",

@@ -30,7 +30,7 @@ DEFAULT_CAPS = Caps()
 _CAP_NAMES = {f.name for f in fields(Caps)}
 
 # Non-cap keys a caps file may set as run defaults (CLI flags still win).
-_EXTRA_KEYS = {"format", "seed", "char"}
+_EXTRA_KEYS = {"format", "char"}
 
 
 def parse_caps_text(text: str) -> tuple[Caps, dict]:

@@ -19,7 +19,7 @@ from typing import Any, IO
 
 from . import checks
 from .caps import Caps, DEFAULT_CAPS, load_caps_file
-from .errors import ChainOrderError, DiagIdealError, ResourceLimitError
+from .errors import ChainOrderError, DiagIdealError, FormatError, ResourceLimitError
 from .fields import make_field
 from .groebner import buchberger, initial_ideal, natural_window_generators
 from .ideals import MonomialIdeal, parse_ideal
@@ -41,7 +41,6 @@ EXIT_RESOURCE = 2
 @dataclass
 class RunConfig:
     format: str = "text"
-    seed: int = 7
     caps: Caps = field(default_factory=lambda: DEFAULT_CAPS)
     stream: IO[str] = sys.stdout
     force_brute: bool = False
@@ -143,8 +142,12 @@ def _ideal_argument(args: argparse.Namespace, config: RunConfig, shape: GridShap
         return window_product_ideal(shape, _chain_windows(args, config))
     if args.gens:
         return parse_ideal(shape, args.gens)
-    with open(args.gens_file, "r", encoding="utf-8") as handle:
-        return parse_ideal(shape, handle.read().strip())
+    try:
+        with open(args.gens_file, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read gens file {args.gens_file}: {exc}") from None
+    return parse_ideal(shape, text.strip())
 
 
 def cmd_diagonals(config: RunConfig, args: argparse.Namespace) -> int:
@@ -347,21 +350,16 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         chain = WindowChain(tuple(_parse_chain(args.chain)))
     characteristic = args.char if args.char is not None else 0
     all_ok = True
-    reports = checks.verify_reports(
+    for report in checks.verify_reports(
         args.target,
         shape=shape,
         window=window,
         chain=chain,
         caps=config.caps,
         characteristic=characteristic,
-    )
-    try:
-        for report in reports:
-            emit(config, report)
-            all_ok = all_ok and bool(report["ok"])
-    except ResourceLimitError as err:
-        emit(config, {"error": str(err), "ok": False})
-        return EXIT_RESOURCE
+    ):
+        emit(config, report)
+        all_ok = all_ok and bool(report["ok"])
     return EXIT_PASS if all_ok else EXIT_MISMATCH
 
 
@@ -384,8 +382,6 @@ def cmd_paper_replay(config: RunConfig, args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default=None,
                         help="output format (default text)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for sampled verification paths")
     parser.add_argument("--caps", default=None, metavar="FILE",
                         help="resource-limit config file (key = value lines)")
     parser.add_argument("--output", default=None, metavar="PATH",
@@ -503,13 +499,11 @@ def main(argv: list[str] | None = None) -> int:
     fmt = args.format or extras.get("format") or "text"
     if fmt not in ("text", "json"):
         parser.error(f"config file sets unknown format {fmt!r}")
-    seed = args.seed if args.seed is not None else int(extras.get("seed", 7))
     if getattr(args, "char", None) is None and "char" in extras:
         args.char = int(extras["char"])
     stream = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     config = RunConfig(
         format=fmt,
-        seed=seed,
         caps=caps,
         stream=stream,
         force_brute=bool(getattr(args, "force_brute", False)),

@@ -99,6 +99,12 @@ class PrimeField:
         return self.p
 
     def normalize(self, value) -> int:
+        """An integer or Fraction a/b as a residue: a * b^-1 mod p."""
+        if isinstance(value, Fraction):
+            den = value.denominator % self.p
+            if den == 0:
+                raise DomainError(f"{value} has no value mod {self.p}: denominator divisible by p")
+            return value.numerator * pow(den, -1, self.p) % self.p
         return int(value) % self.p
 
     @property

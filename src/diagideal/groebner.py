@@ -95,7 +95,7 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
             seen.add(g.terms)
             basis.append(g)
 
-    # Pair queue keyed by (lcm exponent vector, i, j); "done" holds pairs
+    # Pair queue keyed by (lcm key, i, j); "done" holds pairs
     # whose S-polynomial provably reduces to zero (processed or coprime).
     queue = []
     done = set()
@@ -104,7 +104,7 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
         lm_j = basis[j].leading_monomial
         for i in range(j):
             lcm = basis[i].leading_monomial.lcm(lm_j)
-            heappush(queue, (lcm.exps, i, j))
+            heappush(queue, (lcm.key, i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -112,11 +112,11 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
 
     reductions = 0
     while queue:
-        lcm_exps, i, j = heappop(queue)
+        lcm_key, i, j = heappop(queue)
         lm_i = basis[i].leading_monomial
         lm_j = basis[j].leading_monomial
         lcm = lm_i.lcm(lm_j)
-        if lcm.exps != lcm_exps:  # stale entry (cannot happen, but be safe)
+        if lcm.key != lcm_key:  # stale entry (cannot happen, but be safe)
             continue
         if lm_i.gcd(lm_j).is_unit:
             done.add((i, j))
@@ -156,7 +156,7 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
 
 def _reduce_basis(shape, field, basis) -> tuple:
     """Canonicalize: minimal lead terms, tails reduced, descending order."""
-    ordered = sorted(basis, key=lambda g: g.leading_monomial.exps)
+    ordered = sorted(basis, key=lambda g: g.leading_monomial.key)
     minimal = []
     for g in ordered:
         if not any(h.leading_monomial.divides(g.leading_monomial) for h in minimal):
@@ -173,7 +173,7 @@ def _reduce_basis(shape, field, basis) -> tuple:
                 changed = True
         if not changed:
             break
-    minimal.sort(key=lambda g: g.leading_monomial.exps, reverse=True)
+    minimal.sort(key=lambda g: g.leading_monomial.key, reverse=True)
     return tuple(minimal)
 
 

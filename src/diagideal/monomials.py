@@ -6,20 +6,25 @@ vectors read in that rank order, so x[1,1] beats any monomial avoiding it, and
 within one row an earlier column wins.  Every canonical listing in the package
 (ideal generators, Groebner bases, reports) is descending in this order.
 
-Exponent vectors are stored densely as tuples, which makes the comparison a
-plain tuple comparison.  Divisibility additionally uses a packed-integer form
-(8 bits per variable with a guard bit) so that the hot loops in minimalization
-and membership run on a couple of big-int operations.  Degrees stay below 64
-by construction, so 8-bit fields never overflow.
+A monomial is one packed integer, ``key``: one byte per variable, big-endian,
+x[1,1] in the most significant byte.  The top bit of every byte is a guard
+kept at zero, so each exponent lies in 0..127.  Integer order on keys is then
+the grid order, a product is an integer add, an exact quotient an integer
+subtract, and divisibility, gcd, lcm and colon are a few big-int operations
+on the guard bits.  An exponent above 127 is rejected where it enters: the
+constructor raises ``DomainError``, the text parsers ``FormatError``, and a
+product whose exponent would pass 127 raises ``DomainError``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import DomainError, FormatError, ShapeMismatchError
+
+MAX_EXPONENT = 127
 
 
 @dataclass(frozen=True)
@@ -50,36 +55,49 @@ class GridShape:
             for j in range(1, self.cols + 1):
                 yield (i, j)
 
-
-@lru_cache(maxsize=None)
-def _guard_mask(var_count: int) -> int:
-    mask = 0
-    for idx in range(var_count):
-        mask |= 0x80 << (8 * idx)
-    return mask
+    @cached_property
+    def _guard(self) -> int:
+        """The guard bit of every exponent byte."""
+        return int.from_bytes(b"\x80" * self.variable_count, "big")
 
 
 _FACTOR_RE = re.compile(r"^x\[(\d+),(\d+)\](?:\^(\d+))?$")
 
 
-class GridMonomial:
-    """An immutable monomial; ``exps`` is the dense row-major exponent tuple."""
+def _excess(a: int, b: int, guard: int) -> int:
+    """max(a - b, 0) in every byte of two packed keys.
 
-    __slots__ = ("shape", "exps", "_packed", "_hash")
+    (a | guard) - b holds 128 + a - b in each byte with no borrow between
+    bytes; its guard bit survives exactly where a >= b, and turning those
+    guard bits into 0x7F masks keeps a - b there and clears the rest.
+    """
+    d = (a | guard) - b
+    ge = d & guard
+    return d & (ge - (ge >> 7))
+
+
+class GridMonomial:
+    """An immutable monomial; ``key`` is its packed exponent vector."""
+
+    __slots__ = ("shape", "key")
 
     def __init__(self, shape: GridShape, exps: tuple):
         if len(exps) != shape.variable_count:
             raise DomainError("exponent tuple has wrong length for shape")
+        try:
+            packed = bytes(exps)
+        except (TypeError, ValueError):
+            packed = None
+        if packed is None or (packed and max(packed) > MAX_EXPONENT):
+            raise DomainError(f"exponents must be integers in 0..{MAX_EXPONENT}, got {tuple(exps)}")
         self.shape = shape
-        self.exps = exps
-        self._packed = None
-        self._hash = None
+        self.key = int.from_bytes(packed, "big")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def unit(cls, shape: GridShape) -> "GridMonomial":
-        return cls(shape, (0,) * shape.variable_count)
+        return _from_key(shape, 0)
 
     @classmethod
     def variable(cls, shape: GridShape, i: int, j: int) -> "GridMonomial":
@@ -98,6 +116,11 @@ class GridMonomial:
         return cls(shape, tuple(exps))
 
     # -- inspection ---------------------------------------------------
+
+    @property
+    def exps(self) -> tuple:
+        """The dense row-major exponent tuple."""
+        return tuple(self.key.to_bytes(self.shape.variable_count, "big"))
 
     @property
     def exponents(self) -> dict:
@@ -120,7 +143,7 @@ class GridMonomial:
 
     @property
     def is_unit(self) -> bool:
-        return not any(self.exps)
+        return not self.key
 
     @property
     def is_squarefree(self) -> bool:
@@ -138,83 +161,70 @@ class GridMonomial:
         n = self.shape.cols
         return [[idx // n + 1, idx % n + 1, e] for idx, e in enumerate(self.exps) if e]
 
-    # -- packed divisibility ------------------------------------------
-
-    def _pack(self) -> int:
-        packed = self._packed
-        if packed is None:
-            packed = 0
-            for idx, e in enumerate(self.exps):
-                if e:
-                    packed |= e << (8 * idx)
-            self._packed = packed
-        return packed
-
-    def divides(self, other: "GridMonomial") -> bool:
-        self._check_shape(other)
-        guard = _guard_mask(self.shape.variable_count)
-        return ((other._pack() | guard) - self._pack()) & guard == guard
-
     # -- arithmetic ----------------------------------------------------
 
     def _check_shape(self, other: "GridMonomial"):
-        if self.shape != other.shape:
+        if self.shape is not other.shape and self.shape != other.shape:
             raise ShapeMismatchError(
                 f"monomials on different grids: {self.shape} vs {other.shape}"
             )
 
+    def divides(self, other: "GridMonomial") -> bool:
+        self._check_shape(other)
+        guard = self.shape._guard
+        return ((other.key | guard) - self.key) & guard == guard
+
     def __mul__(self, other: "GridMonomial") -> "GridMonomial":
         self._check_shape(other)
-        return GridMonomial(self.shape, tuple(a + b for a, b in zip(self.exps, other.exps)))
+        key = self.key + other.key
+        if key & self.shape._guard:
+            raise DomainError(f"{self} * {other} has an exponent above {MAX_EXPONENT}")
+        return _from_key(self.shape, key)
 
     def __truediv__(self, other: "GridMonomial") -> "GridMonomial":
         """Exact division; raises DomainError when not divisible."""
         if not other.divides(self):
             raise DomainError(f"{other} does not divide {self}")
-        return GridMonomial(self.shape, tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return _from_key(self.shape, self.key - other.key)
 
     def gcd(self, other: "GridMonomial") -> "GridMonomial":
         self._check_shape(other)
-        return GridMonomial(self.shape, tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
+        return _from_key(self.shape, self.key - _excess(self.key, other.key, self.shape._guard))
 
     def lcm(self, other: "GridMonomial") -> "GridMonomial":
         self._check_shape(other)
-        return GridMonomial(self.shape, tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return _from_key(self.shape, other.key + _excess(self.key, other.key, self.shape._guard))
 
     def colon(self, other: "GridMonomial") -> "GridMonomial":
         """self / gcd(self, other): the generator of (<self> : other)."""
         self._check_shape(other)
-        return GridMonomial(self.shape, tuple(a - b if a > b else 0 for a, b in zip(self.exps, other.exps)))
+        return _from_key(self.shape, _excess(self.key, other.key, self.shape._guard))
 
     # -- ordering ------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, GridMonomial):
             return NotImplemented
-        return self.exps == other.exps and self.shape == other.shape
+        return self.key == other.key and self.shape == other.shape
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.shape.rows, self.shape.cols, self.exps))
-            self._hash = h
-        return h
+        return hash(self.key)
 
     def __lt__(self, other):
         self._check_shape(other)
-        return self.exps < other.exps
+        return self.key < other.key
 
     def __le__(self, other):
         self._check_shape(other)
-        return self.exps <= other.exps
+        return self.key <= other.key
 
     def __gt__(self, other):
         self._check_shape(other)
-        return self.exps > other.exps
+        return self.key > other.key
 
     def __ge__(self, other):
         self._check_shape(other)
-        return self.exps >= other.exps
+        return self.key >= other.key
 
     # -- text ------------------------------------------------------------
 
@@ -233,12 +243,12 @@ class GridMonomial:
         return f"GridMonomial({self.shape.rows}x{self.shape.cols}, {self})"
 
 
-def compare(a: GridMonomial, b: GridMonomial) -> int:
-    """-1, 0, or 1 for a < b, a == b, a > b in the grid order."""
-    a._check_shape(b)
-    if a.exps == b.exps:
-        return 0
-    return 1 if a.exps > b.exps else -1
+def _from_key(shape: GridShape, key: int) -> GridMonomial:
+    """A monomial from a key already known to be in range."""
+    mono = object.__new__(GridMonomial)
+    mono.shape = shape
+    mono.key = key
+    return mono
 
 
 def parse_monomial(shape: GridShape, text: str) -> GridMonomial:
@@ -261,7 +271,10 @@ def parse_monomial(shape: GridShape, text: str) -> GridMonomial:
         if not shape.contains(i, j):
             raise FormatError(f"variable x[{i},{j}] outside {shape.rows}x{shape.cols} grid")
         exps[(i - 1) * shape.cols + (j - 1)] += e
-    return GridMonomial(shape, tuple(exps))
+    try:
+        return GridMonomial(shape, tuple(exps))
+    except DomainError as exc:
+        raise FormatError(f"bad monomial {text!r}: {exc}") from None
 
 
 def monomial_from_triples(shape: GridShape, triples) -> GridMonomial:

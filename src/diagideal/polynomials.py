@@ -37,7 +37,7 @@ class Polynomial:
                 acc.pop(mono, None)
             else:
                 acc[mono] = c
-        ordered = tuple(sorted(acc.items(), key=lambda t: t[0].exps, reverse=True))
+        ordered = tuple(sorted(acc.items(), key=lambda t: t[0].key, reverse=True))
         return cls(shape, field, ordered)
 
     @classmethod
@@ -85,13 +85,13 @@ class Polynomial:
         while a < len(left) and b < len(right):
             ma, ca = left[a]
             mb, cb = right[b]
-            if ma.exps == mb.exps:
+            if ma.key == mb.key:
                 c = field.add(ca, cb)
                 if not field.is_zero(c):
                     merged.append((ma, c))
                 a += 1
                 b += 1
-            elif ma.exps > mb.exps:
+            elif ma.key > mb.key:
                 merged.append(left[a])
                 a += 1
             else:
@@ -134,7 +134,7 @@ class Polynomial:
                     acc.pop(m, None)
                 else:
                     acc[m] = c
-        ordered = tuple(sorted(acc.items(), key=lambda t: t[0].exps, reverse=True))
+        ordered = tuple(sorted(acc.items(), key=lambda t: t[0].key, reverse=True))
         return Polynomial(self.shape, field, ordered)
 
     def monic(self) -> "Polynomial":

@@ -204,7 +204,7 @@ def factor_into_windows(shape: GridShape, windows, monomial: GridMonomial):
     def search(idx: int, remaining: GridMonomial):
         if idx == len(window_list):
             return ()
-        key = (idx, remaining.exps)
+        key = (idx, remaining.key)
         if key in memo:
             return memo[key]
         found = None

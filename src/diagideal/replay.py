@@ -11,7 +11,6 @@ rendering shows up as a failed record.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterable
 
 from .errors import FormatError
 from .ideals import MonomialIdeal, parse_ideal
@@ -178,13 +177,6 @@ def replay_product() -> list[dict]:
     ]
 
 
-def _unsorted_product(shape: GridShape, windows: Iterable[Window]) -> MonomialIdeal:
-    product = MonomialIdeal.unit(shape)
-    for window in windows:
-        product = product * diagonal_ideal(shape, window)
-    return product
-
-
 def replay_colon_mismatch(name: str) -> list[dict]:
     case = load_case(name)
     assert case.shape is not None
@@ -195,7 +187,7 @@ def replay_colon_mismatch(name: str) -> list[dict]:
         cutoff = diagonals.index(case.prefix_through) + 1
     else:
         cutoff = case.prefix or 0
-    lhs = _unsorted_product(case.shape, case.windows)
+    lhs = window_product_ideal(case.shape, case.windows)
     if cutoff:
         lhs = lhs + MonomialIdeal.from_generators(case.shape, diagonals[:cutoff])
     brute = lhs.colon(case.colon_by)

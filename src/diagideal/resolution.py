@@ -94,26 +94,41 @@ class KoszulComplex:
     simplices on supp(b/g) over generators g dividing b.
     """
 
-    __slots__ = ("multidegree", "vertices", "facets", "_faces")
+    __slots__ = ("multidegree", "vertices", "facets")
 
     def __init__(self, multidegree: GridMonomial, vertices: tuple, facets: tuple):
         self.multidegree = multidegree
         self.vertices = vertices  # (row, col) labels, rank order
         self.facets = facets  # bitmasks over vertices, dominated ones removed
-        self._faces = None
+
+    def _faces_by_dimension(self, caps: Caps = DEFAULT_CAPS) -> dict:
+        """Face bitmasks per dimension (the empty face has dimension -1).
+
+        Raises ResourceLimitError as soon as the walk over the facets' subsets
+        finds more than ``caps.max_koszul_faces`` distinct faces.
+        """
+        by_dim = {}
+        total = 0
+        for facet in self.facets:
+            sub = facet
+            while True:
+                bucket = by_dim.setdefault(bin(sub).count("1") - 1, set())
+                if sub not in bucket:
+                    bucket.add(sub)
+                    total += 1
+                    if total > caps.max_koszul_faces:
+                        raise ResourceLimitError(
+                            f"divisor complex at {self.multidegree} exceeds "
+                            f"{caps.max_koszul_faces} faces",
+                            snapshot={"multidegree": str(self.multidegree)},
+                        )
+                if sub == 0:
+                    break
+                sub = (sub - 1) & facet
+        return by_dim
 
     def face_masks(self) -> set:
-        if self._faces is None:
-            faces = set()
-            for facet in self.facets:
-                sub = facet
-                while True:
-                    faces.add(sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & facet
-            self._faces = faces
-        return self._faces
+        return set().union(*self._faces_by_dimension().values())
 
     def faces(self) -> set:
         """Faces as frozensets of (row, col) labels (includes the empty face)."""
@@ -128,39 +143,35 @@ class KoszulComplex:
 
     def face_counts(self) -> dict:
         """Number of faces per dimension (the empty face has dimension -1)."""
-        counts = {}
-        for mask in self.face_masks():
-            d = bin(mask).count("1") - 1
-            counts[d] = counts.get(d, 0) + 1
-        return counts
+        return {d: len(masks) for d, masks in self._faces_by_dimension().items()}
 
-    def homology_dimensions(self, characteristic: int = 0) -> dict:
+    def homology_dimensions(self, characteristic: int = 0, caps: Caps = DEFAULT_CAPS) -> dict:
         """Reduced homology ranks per dimension over the given field."""
-        by_dim = {}
-        for mask in self.face_masks():
-            by_dim.setdefault(bin(mask).count("1") - 1, []).append(mask)
-        for masks in by_dim.values():
-            masks.sort()
-        return _homology_from_faces(by_dim, characteristic)
+        if len(self.facets) == 1:
+            # A full simplex: contractible unless it is just the empty face,
+            # which happens exactly when the multidegree is a minimal generator.
+            return {-1: 1} if self.facets[0] == 0 else {}
+        by_dim = self._faces_by_dimension(caps)
+        return _homology_from_faces(
+            {d: sorted(masks) for d, masks in by_dim.items()}, characteristic
+        )
 
 
 def koszul_complex(ideal: MonomialIdeal, multidegree: GridMonomial) -> KoszulComplex:
     if multidegree.shape != ideal.shape:
         raise DomainError("multidegree on wrong grid")
-    vertices = multidegree.support()
-    index = {v: k for k, v in enumerate(vertices)}
-    facets = []
     b = multidegree.exps
+    support = [idx for idx, e in enumerate(b) if e]
+    facets = []
     for g in ideal.gens:
         if g.divides(multidegree):
+            g_exps = g.exps
             mask = 0
-            for v, k in index.items():
-                i, j = v
-                if b[(i - 1) * ideal.shape.cols + (j - 1)] > g.exps[(i - 1) * ideal.shape.cols + (j - 1)]:
+            for k, idx in enumerate(support):
+                if b[idx] > g_exps[idx]:
                     mask |= 1 << k
             facets.append(mask)
-    facets = _drop_dominated(facets)
-    return KoszulComplex(multidegree, vertices, tuple(facets))
+    return KoszulComplex(multidegree, multidegree.support(), tuple(_drop_dominated(facets)))
 
 
 def _drop_dominated(facets) -> list:
@@ -249,13 +260,13 @@ def _candidate_multidegrees(ideal: MonomialIdeal, caps: Caps) -> list:
         g = gens[low.bit_length() - 1]
         value = base.lcm(g) if mask ^ low else g
         lcms[mask] = value
-        seen[value.exps] = value
+        seen[value.key] = value
         if len(seen) > caps.max_lcm_candidates:
             raise ResourceLimitError(
                 f"more than {caps.max_lcm_candidates} candidate multidegrees",
                 snapshot={"generators": r},
             )
-    return sorted(seen.values(), key=lambda m: (m.degree, m.exps))
+    return sorted(seen.values(), key=lambda m: (m.degree, m.key))
 
 
 def betti_table(
@@ -279,55 +290,10 @@ def betti_table(
     make_field(characteristic)  # validate up front
     entries = {}
     for b in _candidate_multidegrees(ideal, caps):
-        for d, h in _multidegree_homology(ideal, b, characteristic, caps).items():
+        for d, h in koszul_complex(ideal, b).homology_dimensions(characteristic, caps).items():
             key = (d + 1, b.degree)
             entries[key] = entries.get(key, 0) + h
     return BettiTable(characteristic, entries)
-
-
-def _multidegree_homology(
-    ideal: MonomialIdeal, b: GridMonomial, characteristic: int, caps: Caps
-) -> dict:
-    shape = ideal.shape
-    cols = shape.cols
-    b_exps = b.exps
-    support = [idx for idx, e in enumerate(b_exps) if e]
-    facets = []
-    for g in ideal.gens:
-        if g.divides(b):
-            mask = 0
-            g_exps = g.exps
-            for k, idx in enumerate(support):
-                if b_exps[idx] > g_exps[idx]:
-                    mask |= 1 << k
-            facets.append(mask)
-    facets = _drop_dominated(facets)
-    if not facets:
-        return {}
-    if len(facets) == 1:
-        # A full simplex: contractible unless it is just the empty face,
-        # which happens exactly when b is a minimal generator.
-        return {-1: 1} if facets[0] == 0 else {}
-    by_dim = {}
-    total = 0
-    for facet in facets:
-        sub = facet
-        while True:
-            d = bin(sub).count("1") - 1
-            bucket = by_dim.setdefault(d, set())
-            if sub not in bucket:
-                bucket.add(sub)
-                total += 1
-                if total > caps.max_koszul_faces:
-                    raise ResourceLimitError(
-                        f"divisor complex at {b} exceeds {caps.max_koszul_faces} faces",
-                        snapshot={"multidegree": str(b)},
-                    )
-            if sub == 0:
-                break
-            sub = (sub - 1) & facet
-    listed = {d: sorted(masks) for d, masks in by_dim.items()}
-    return _homology_from_faces(listed, characteristic)
 
 
 def mapping_cone_betti(ideal: MonomialIdeal) -> BettiTable:

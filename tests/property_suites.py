@@ -9,8 +9,9 @@ from __future__ import annotations
 import random
 from itertools import combinations_with_replacement
 
+from diagideal.errors import DomainError
 from diagideal.ideals import MonomialIdeal, minimal_generators
-from diagideal.monomials import GridMonomial, GridShape
+from diagideal.monomials import MAX_EXPONENT, GridMonomial, GridShape
 from diagideal.quotients import redistribute
 from diagideal.windows import (
     Window,
@@ -25,6 +26,7 @@ BUDGETS = {
     "colon_over_sum": 1500,
     "minimalize": 1500,
     "order_laws": 3000,
+    "packed_vs_dense": 4000,
     "redistribute": 1200,
 }
 
@@ -161,6 +163,112 @@ def order_law_suite(rng: random.Random, cases: int) -> int:
     return done
 
 
+# Dense exponent-tuple arithmetic: the oracle for the packed monomial keys.
+
+def dense_divides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def dense_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def dense_div(a: tuple, b: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def dense_gcd(a: tuple, b: tuple) -> tuple:
+    return tuple(min(x, y) for x, y in zip(a, b))
+
+
+def dense_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def dense_colon(a: tuple, b: tuple) -> tuple:
+    return tuple(x - y if x > y else 0 for x, y in zip(a, b))
+
+
+def dense_str(shape: GridShape, exps: tuple) -> str:
+    parts = []
+    for (i, j), e in zip(shape.variables(), exps):
+        if e:
+            parts.append(f"x[{i},{j}]" + (f"^{e}" if e > 1 else ""))
+    return "*".join(parts) or "1"
+
+
+_EXPONENT_PICKS = (0, 0, 0, 1, 2, 63, 64, 126, MAX_EXPONENT)
+
+
+def _random_exps(rng: random.Random, shape: GridShape) -> tuple:
+    return tuple(
+        rng.choice(_EXPONENT_PICKS) if rng.random() < 0.7 else rng.randint(0, MAX_EXPONENT)
+        for _ in range(shape.variable_count)
+    )
+
+
+def _raises_domain_error(action) -> bool:
+    try:
+        action()
+    except DomainError:
+        return True
+    return False
+
+
+def packed_vs_dense_suite(rng: random.Random, cases: int) -> int:
+    """Packed monomial keys agree with dense exponent tuples on divides,
+    *, /, gcd, lcm, colon, order, degree and text over the full exponent
+    range, and every way out of the range raises DomainError."""
+    done = 0
+    while done < cases:
+        shape = random_shape(rng)
+        ea = _random_exps(rng, shape)
+        if rng.random() < 0.4:
+            # a multiple of ea, so that divisibility and / get exercised
+            eb = tuple(rng.randint(x, MAX_EXPONENT) for x in ea)
+        else:
+            eb = _random_exps(rng, shape)
+        a = GridMonomial(shape, ea)
+        b = GridMonomial(shape, eb)
+        context = f"a={ea}, b={eb} on {shape}"
+
+        assert a.exps == ea and b.exps == eb, f"exps round trip broke: {context}"
+        assert a.degree == sum(ea), f"degree broke: {context}"
+        assert str(a) == dense_str(shape, ea), f"text broke: {context}"
+        assert a.divides(b) == dense_divides(ea, eb), f"divides broke: {context}"
+        assert b.divides(a) == dense_divides(eb, ea), f"divides broke: {context}"
+        assert (a < b, a == b, a > b) == (ea < eb, ea == eb, ea > eb), f"order broke: {context}"
+        assert a.gcd(b).exps == dense_gcd(ea, eb), f"gcd broke: {context}"
+        assert a.lcm(b).exps == dense_lcm(ea, eb), f"lcm broke: {context}"
+        assert a.colon(b).exps == dense_colon(ea, eb), f"colon broke: {context}"
+        assert b.colon(a).exps == dense_colon(eb, ea), f"colon broke: {context}"
+        done += 10
+
+        if dense_divides(ea, eb):
+            assert (b / a).exps == dense_div(eb, ea), f"division broke: {context}"
+        else:
+            assert _raises_domain_error(lambda: b / a), f"inexact division passed: {context}"
+        product = dense_mul(ea, eb)
+        if max(product) <= MAX_EXPONENT:
+            assert (a * b).exps == product, f"product broke: {context}"
+        else:
+            assert _raises_domain_error(lambda: a * b), f"product overflow passed: {context}"
+        # a cofactor whose product with a stays in range, often exactly at it
+        ec = tuple(rng.choice((0, MAX_EXPONENT - x, rng.randint(0, MAX_EXPONENT - x))) for x in ea)
+        c = GridMonomial(shape, ec)
+        assert (a * c).exps == dense_mul(ea, ec), f"product broke: {context}, c={ec}"
+        assert (a * c) / c == a, f"division broke: {context}, c={ec}"
+        done += 4
+
+        wide = list(ea)
+        wide[rng.randrange(len(wide))] = rng.randint(MAX_EXPONENT + 1, 300)
+        assert _raises_domain_error(lambda: GridMonomial(shape, tuple(wide))), (
+            f"exponent out of range accepted: {wide} on {shape}"
+        )
+        done += 1
+    return done
+
+
 def _sorted_chains_cache():
     cache: dict = {}
 
@@ -237,6 +345,7 @@ SUITES = {
     "colon_over_sum": colon_over_sum_suite,
     "minimalize": minimalize_suite,
     "order_laws": order_law_suite,
+    "packed_vs_dense": packed_vs_dense_suite,
     "redistribute": redistribute_suite,
 }
 

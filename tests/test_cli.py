@@ -292,9 +292,60 @@ def test_parse_caps_text_rejects_unknown_keys():
 
 
 def test_parse_caps_text_types():
-    caps, extras = parse_caps_text("max_spairs = 10\nseed = 5\nchar = 0\n")
+    caps, extras = parse_caps_text("max_spairs = 10\nformat = json\nchar = 0\n")
     assert caps.max_spairs == 10
-    assert extras == {"seed": "5", "char": "0"}
+    assert extras == {"format": "json", "char": "0"}
+    with pytest.raises(FormatError):
+        parse_caps_text("seed = 5\n")
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["paper-replay", "--seed", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_missing_gens_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "no-such-file.txt"
+    code, out = run_cli(
+        capsys, "reg", "--rows", "1", "--cols", "2", "--gens-file", str(missing),
+        "--format", "json",
+    )
+    assert code == 2
+    record = json.loads(out)
+    assert record["ok"] is False and "cannot read gens file" in record["error"]
+
+
+def test_exponent_above_bound_exits_two(tmp_path, capsys):
+    code, out = run_cli(
+        capsys, "reg", "--rows", "1", "--cols", "2", "--gens", "<x[1,1]^200>",
+        "--format", "json",
+    )
+    assert code == 2
+    record = json.loads(out)
+    assert record["ok"] is False and "0..127" in record["error"]
+    gens = tmp_path / "gens.txt"
+    gens.write_text("<x[1,1]^128, x[1,2]>\n")
+    code, out = run_cli(
+        capsys, "reg", "--rows", "1", "--cols", "2", "--gens-file", str(gens),
+        "--format", "json",
+    )
+    assert code == 2
+    assert json.loads(out)["ok"] is False
+
+
+def test_verify_cap_hit_reports_snapshot(tmp_path, capsys):
+    config = tmp_path / "caps.txt"
+    config.write_text("max_oracle_gens = 1\n")
+    code, out = run_cli(
+        capsys, "verify", "--target", "theorem", "--format", "json",
+        "--caps", str(config),
+    )
+    assert code == 2
+    record = json.loads(out.splitlines()[-1])
+    assert record["ok"] is False
+    assert record["snapshot"] == {"generators": 4}
 
 
 def test_bad_window_flag(capsys):

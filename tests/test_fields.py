@@ -6,6 +6,8 @@ import pytest
 
 from diagideal.errors import DomainError
 from diagideal.fields import PrimeField, RationalField, is_prime, make_field
+from diagideal.monomials import GridMonomial, GridShape
+from diagideal.polynomials import Polynomial
 
 
 def test_is_prime_small():
@@ -44,6 +46,26 @@ def test_prime_field_ops():
     assert field.is_zero(field.normalize(14))
     with pytest.raises(DomainError):
         field.invert(0)
+
+
+def test_prime_field_normalizes_fractions():
+    field = PrimeField(7)
+    assert field.normalize(Fraction(1, 2)) == 4
+    assert field.normalize(Fraction(-3, 5)) == field.mul(field.neg(3), field.invert(5))
+    assert field.normalize(Fraction(14, 3)) == 0
+    with pytest.raises(DomainError):
+        field.normalize(Fraction(1, 7))
+    with pytest.raises(DomainError):
+        field.normalize(Fraction(3, 14))
+
+
+def test_polynomial_constant_maps_fractions_into_prime_field():
+    shape = GridShape(1, 2)
+    half = Polynomial.constant(shape, PrimeField(7), Fraction(1, 2))
+    assert half.terms == ((GridMonomial.unit(shape), 4),)
+    assert Polynomial.constant(shape, PrimeField(7), Fraction(7, 2)).is_zero
+    with pytest.raises(DomainError):
+        Polynomial.constant(shape, PrimeField(7), Fraction(1, 14))
 
 
 def test_prime_field_validation():

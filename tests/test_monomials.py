@@ -3,10 +3,11 @@ from __future__ import annotations
 import pytest
 
 from diagideal.errors import DomainError, FormatError, ShapeMismatchError
+from diagideal.ideals import parse_ideal
 from diagideal.monomials import (
+    MAX_EXPONENT,
     GridMonomial,
     GridShape,
-    compare,
     monomial_from_triples,
     parse_monomial,
 )
@@ -87,8 +88,8 @@ def test_order_is_lex_on_row_major_ranks():
     # lex: any power of an earlier variable beats later variables
     assert x11 > x12 * x21 * x22
     assert x11 * x22 > x12 * x21
-    assert compare(x11, x11) == 0
-    assert compare(x12, x11) == -1
+    assert x11 == x11 and not x11 < x11
+    assert x12 < x11 and x12 != x11
 
 
 def test_cross_shape_comparison_rejected():
@@ -126,3 +127,49 @@ def test_support_and_squarefree():
     m = parse_monomial(shape, "x[1,1]*x[2,2]")
     assert m.is_squarefree and m.support() == ((1, 1), (2, 2))
     assert not (m * m).is_squarefree
+
+
+def test_exponent_bound_is_127():
+    shape = GridShape(1, 2)
+    top = GridMonomial(shape, (MAX_EXPONENT, 0))
+    assert MAX_EXPONENT == 127
+    assert top.exps == (127, 0) and top.degree == 127
+    assert top.divides(top)
+    assert str(top) == "x[1,1]^127"
+    for bad in ((128, 0), (0, 200), (-1, 0), (1.5, 0)):
+        with pytest.raises(DomainError):
+            GridMonomial(shape, bad)
+    with pytest.raises(DomainError):
+        GridMonomial.from_exponents(shape, {(1, 1): 100, (1, 2): 128})
+
+
+def test_product_past_the_bound_raises():
+    shape = GridShape(1, 2)
+    a = parse_monomial(shape, "x[1,1]^64*x[1,2]")
+    b = parse_monomial(shape, "x[1,1]^63")
+    assert (a * b).exps == (127, 1)
+    with pytest.raises(DomainError):
+        a * a
+
+
+def test_parse_rejects_exponent_above_bound():
+    shape = GridShape(1, 2)
+    assert parse_monomial(shape, "x[1,1]^100*x[1,1]^27").exps == (127, 0)
+    for bad in ("x[1,1]^128", "x[1,1]^200", "x[1,1]^100*x[1,1]^28", "x[1,2]^99999999999999999999"):
+        with pytest.raises(FormatError):
+            parse_monomial(shape, bad)
+    with pytest.raises(FormatError):
+        monomial_from_triples(shape, [[1, 1, 128]])
+    # An exponent past the 8-bit field must be refused, not wrapped into a
+    # wrong divisibility answer that leaves the ideal unminimized.
+    with pytest.raises(FormatError):
+        parse_ideal(shape, "<x[1,1]^200, x[1,1]^100>")
+    ideal = parse_ideal(shape, "<x[1,1]^127, x[1,1]^100>")
+    assert str(ideal) == "<x[1,1]^100>"
+
+
+def test_equal_keys_on_different_grids_differ():
+    a = parse_monomial(GridShape(2, 3), "x[1,2]^3*x[2,1]")
+    b = GridMonomial(GridShape(1, 6), a.exps)
+    assert a.exps == b.exps and hash(a) == hash(b)
+    assert a != b and len({a, b}) == 2

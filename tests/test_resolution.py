@@ -133,6 +133,16 @@ def test_generator_cap():
         betti_table(two_window_product_1x3() * two_window_product_1x3(), caps=small_cap)
 
 
+def test_face_cap_stops_the_homology_oracle():
+    shape = GridShape(1, 3)
+    ideal = parse_ideal(shape, "<x[1,1]*x[1,2], x[1,2]*x[1,3]>")
+    # the complex at the lcm has three faces: the empty face and two vertices
+    assert betti_table(ideal, caps=replace(DEFAULT_CAPS, max_koszul_faces=3)).totals() == {0: 2, 1: 1}
+    with pytest.raises(ResourceLimitError) as exc:
+        betti_table(ideal, caps=replace(DEFAULT_CAPS, max_koszul_faces=2))
+    assert exc.value.snapshot == {"multidegree": "x[1,1]*x[1,2]*x[1,3]"}
+
+
 def test_regularity_of_windows_equals_rows():
     for rows, cols, window in ((2, 4, (1, 4)), (2, 5, (2, 5)), (3, 6, (2, 6))):
         shape = GridShape(rows, cols)
