@@ -12,6 +12,7 @@ from .errors import (
     ChainOrderError,
     DiagIdealError,
     DomainError,
+    EngineError,
     FormatError,
     ResourceLimitError,
     SelectionError,
@@ -90,6 +91,7 @@ __all__ = [
     "ChainOrderError",
     "DiagIdealError",
     "DomainError",
+    "EngineError",
     "FormatError",
     "ResourceLimitError",
     "SelectionError",

@@ -4,8 +4,9 @@ Subcommands cover generation (diagonals, ideal-product), single
 computations (colon, betti, reg, groebner), verification sweeps
 (linquot-verify, verify, conjecture-scan), and the golden-data replay
 (paper-replay).  Exit codes: 0 pass, 1 mismatch, 2 resource or config
-error.  JSON output is one object per line, keys sorted, so identical
-invocations produce identical bytes (timing fields excepted).
+error, 141 (128 + SIGPIPE) when the reader of stdout goes away.  JSON
+output is one object per line, keys sorted, so identical invocations
+produce identical bytes (timing fields excepted).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .windows import Window, WindowChain, diagonal_ideal, enumerate_diagonals, w
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_RESOURCE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 
 @dataclass
@@ -523,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         # reader went away (e.g. piped into head); die quietly
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_MISMATCH
+        return EXIT_BROKEN_PIPE
     finally:
         if stream is not sys.stdout:
             stream.close()

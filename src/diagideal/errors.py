@@ -29,6 +29,11 @@ class FormatError(DiagIdealError):
     """Text or JSON input failed to parse."""
 
 
+class EngineError(DiagIdealError):
+    """An internal consistency check failed: a bug in the engine, not a
+    finding about the input."""
+
+
 class ResourceLimitError(DiagIdealError):
     """A configured resource cap was exceeded.
 

@@ -1,26 +1,29 @@
 """A small exact Buchberger engine and the initial-ideal conjecture check.
 
 Division always cancels the largest reducible term against the first eligible
-divisor in list order, so remainders are deterministic.  The S-pair queue
-pops the pair whose lcm is smallest in the grid order (ties broken by pair
-index); the coprime-lead and chain criteria prune pairs conservatively, and a
-post-hoc full S-polynomial check is available independent of the construction
-path.  The returned basis is the unique reduced one: monic, minimal, tails
-reduced, listed descending by leading monomial.
+divisor in list order, so remainders are deterministic.  S-pairs are pruned
+by the Gebauer-Moller update (Gebauer and Moller, J. Symbolic Comput. 6,
+1988), run on the packed lead keys: criteria M and F keep one new pair per
+minimal lcm and drop coprime ones, and criterion B drops old pairs that the
+new element makes redundant.  The queue pops the surviving pair whose lcm is
+smallest in the grid order, ties broken by pair index.  ``is_groebner_basis``
+is the unpruned all-pairs check, independent of the construction path.  The
+returned basis is the unique reduced one: monic, minimal, tails reduced,
+listed descending by leading monomial.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import combinations, product as iter_product
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, EngineError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
-from .monomials import GridShape
+from .monomials import GridShape, _excess
 from .polynomials import Polynomial
 from .windows import WindowChain, minor, window_product_ideal
 
@@ -95,44 +98,62 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
             seen.add(g.terms)
             basis.append(g)
 
-    # Pair queue keyed by (lcm key, i, j); "done" holds pairs
-    # whose S-polynomial provably reduces to zero (processed or coprime).
-    queue = []
-    done = set()
+    guard = shape._guard
+    leads = []  # packed lead key of each basis element
+    active = []  # indices new pairs are formed with: no later lead divides theirs
+    live = {}  # pending pair (i, j) -> packed lcm of its leads
+    queue = []  # heap of (lcm, i, j); pairs no longer in live are skipped
 
-    def push_pairs(j):
-        lm_j = basis[j].leading_monomial
-        for i in range(j):
-            lcm = basis[i].leading_monomial.lcm(lm_j)
-            heappush(queue, (lcm.key, i, j))
+    def divides(a: int, b: int) -> bool:
+        return ((b | guard) - a) & guard == guard
 
-    for j in range(len(basis)):
-        push_pairs(j)
-    heapify(queue)
+    def update(h: int) -> None:
+        """Gebauer-Moller: add basis[h], pruning new and old pairs."""
+        lh = basis[h].leading_monomial.key
+        leads.append(lh)
+        # Criteria M and F: one pair per lcm, in ascending lcm order; a pair
+        # goes when a kept lcm properly divides its own, and an lcm class
+        # goes whole when any of its pairs has coprime leads.
+        classes = {}
+        for g in active:
+            lg = leads[g]
+            lcm = lh + _excess(lg, lh, guard)
+            coprime = lcm == lh + lg
+            if lcm in classes:
+                classes[lcm][1] |= coprime
+            else:
+                classes[lcm] = [g, coprime]
+        minimal = []
+        fresh = []
+        for lcm in sorted(classes):
+            if any(divides(m, lcm) for m in minimal):
+                continue
+            minimal.append(lcm)
+            g, coprime = classes[lcm]
+            if not coprime:
+                fresh.append((lcm, g))
+        # Criterion B: an old pair goes when lm(h) divides its lcm and
+        # neither of its pairs with h has that same lcm.
+        for (i, j), lcm in list(live.items()):
+            if (
+                divides(lh, lcm)
+                and leads[i] + _excess(lh, leads[i], guard) != lcm
+                and leads[j] + _excess(lh, leads[j], guard) != lcm
+            ):
+                del live[i, j]
+        for lcm, g in fresh:
+            live[g, h] = lcm
+            heappush(queue, (lcm, g, h))
+        active[:] = [g for g in active if not divides(lh, leads[g])]
+        active.append(h)
+
+    for h in range(len(basis)):
+        update(h)
 
     reductions = 0
     while queue:
-        lcm_key, i, j = heappop(queue)
-        lm_i = basis[i].leading_monomial
-        lm_j = basis[j].leading_monomial
-        lcm = lm_i.lcm(lm_j)
-        if lcm.key != lcm_key:  # stale entry (cannot happen, but be safe)
-            continue
-        if lm_i.gcd(lm_j).is_unit:
-            done.add((i, j))
-            continue
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if not basis[k].leading_monomial.divides(lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
+        lcm, i, j = heappop(queue)
+        if live.pop((i, j), None) is None:
             continue
         if reductions >= caps.max_spairs:
             raise ResourceLimitError(
@@ -140,15 +161,14 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
                 snapshot={
                     "basis_size": len(basis),
                     "reductions": reductions,
-                    "pending": len(queue),
+                    "pending": len(live),
                 },
             )
         reductions += 1
         remainder = reduce(s_polynomial(basis[i], basis[j]), basis)
-        done.add((i, j))
         if not remainder.is_zero:
             basis.append(remainder.monic())
-            push_pairs(len(basis) - 1)
+            update(len(basis) - 1)
 
     reduced = _reduce_basis(shape, field, basis)
     return GroebnerBasis(shape, field, reduced, spairs_reduced=reductions)
@@ -256,7 +276,11 @@ def conjecture_check(
     # The diagonal product embeds in the initial ideal by construction; a
     # failure here would be an engine bug, not a mathematical finding.
     for g in diagonal_product.gens:
-        assert ini.contains(g)
+        if not ini.contains(g):
+            raise EngineError(
+                f"initial ideal misses diagonal generator {g}: the Groebner "
+                "engine is broken"
+            )
 
     natural_lms = {p.leading_monomial for p in naturals}
     covered = all(p.leading_monomial in natural_lms for p in basis.polys)

@@ -10,8 +10,11 @@ import random
 from itertools import combinations_with_replacement
 
 from diagideal.errors import DomainError
+from diagideal.fields import make_field
+from diagideal.groebner import buchberger, is_groebner_basis, reduce, s_polynomial
 from diagideal.ideals import MonomialIdeal, minimal_generators
 from diagideal.monomials import MAX_EXPONENT, GridMonomial, GridShape
+from diagideal.polynomials import Polynomial
 from diagideal.quotients import redistribute
 from diagideal.windows import (
     Window,
@@ -22,6 +25,7 @@ from diagideal.windows import (
 )
 
 BUDGETS = {
+    "buchberger_vs_all_pairs": 2000,
     "colon_membership": 3000,
     "colon_over_sum": 1500,
     "minimalize": 1500,
@@ -340,7 +344,109 @@ def redistribute_suite(rng: random.Random, cases: int) -> int:
     return done
 
 
+# Plain Buchberger with no pair criteria: the oracle for the pruned engine.
+
+def all_pairs_groebner(gens, max_nonzero: int = 24):
+    """Reduced Groebner basis from reducing every pair of the growing basis,
+    and the number of nonzero remainders met on the way; None once more
+    than ``max_nonzero`` remainders are nonzero, since every pair of a
+    large basis costs a reduction."""
+    basis = []
+    for g in gens:
+        g = g.monic()
+        if not g.is_zero and g not in basis:
+            basis.append(g)
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    nonzero = 0
+    while pairs:
+        # smallest lcm first keeps the basis small; no pair is ever skipped
+        i, j = min(pairs, key=lambda p: basis[p[0]].leading_monomial.lcm(
+            basis[p[1]].leading_monomial).key)
+        pairs.remove((i, j))
+        remainder = reduce(s_polynomial(basis[i], basis[j]), basis)
+        if not remainder.is_zero:
+            nonzero += 1
+            if nonzero > max_nonzero:
+                return None
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(remainder.monic())
+    # minimal: drop every element whose lead another lead divides (of equal
+    # leads keep the first), then one tail-reduction pass reaches the unique
+    # reduced basis because no lead moves
+    minimal = [
+        g for n, g in enumerate(basis)
+        if not any(
+            h.leading_monomial.divides(g.leading_monomial)
+            and (h.leading_monomial != g.leading_monomial or m < n)
+            for m, h in enumerate(basis) if m != n
+        )
+    ]
+    reduced = [
+        reduce(g, [h for h in minimal if h is not g]).monic() for g in minimal
+    ]
+    reduced.sort(key=lambda g: g.leading_monomial.key, reverse=True)
+    return tuple(reduced), nonzero
+
+
+_SMALL_SHAPES = (GridShape(1, 1), GridShape(1, 2), GridShape(1, 3), GridShape(1, 4), GridShape(2, 2))
+_GROEBNER_FIELDS = (make_field(0), make_field(7), make_field(32003))
+
+
+def _random_sparse_polynomial(rng: random.Random, shape: GridShape, field) -> Polynomial:
+    """1-3 terms of one degree in 1..3.  Homogeneous inputs keep every
+    exponent of the basis within its degree, far below the exponent bound."""
+    variables = list(shape.variables())
+    degree = rng.randint(1, 3)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        exps: dict = {}
+        for _ in range(degree):
+            v = rng.choice(variables)
+            exps[v] = exps.get(v, 0) + 1
+        coeff = rng.choice((-1, 1)) * rng.randint(1, 5)
+        terms.append((GridMonomial.from_exponents(shape, exps), coeff))
+    return Polynomial.from_terms(shape, field, terms)
+
+
+def buchberger_vs_all_pairs_suite(rng: random.Random, cases: int) -> int:
+    """The pruned Buchberger returns the same reduced basis as reducing
+    every pair, and that basis passes the unpruned S-pair check.  At least
+    a third of the draws must meet a nonzero remainder, so the pruning is
+    tested on inputs that grow their basis; at most one in a hundred may
+    outgrow the reference's remainder cap and be skipped."""
+    done = draws = growing = oversized = 0
+    while done < cases:
+        shape = rng.choice(_SMALL_SHAPES)
+        field = rng.choice(_GROEBNER_FIELDS)
+        gens = [_random_sparse_polynomial(rng, shape, field) for _ in range(rng.randint(2, 4))]
+        if all(g.is_zero for g in gens):
+            continue
+        draws += 1
+        oracle = all_pairs_groebner(gens)
+        if oracle is None:
+            oversized += 1
+            continue
+        reference, nonzero = oracle
+        got = buchberger(gens).polys
+        context = f"{[str(g) for g in gens]} over {field} on {shape}"
+        assert got == reference, (
+            f"pruned basis {[str(g) for g in got]} != all-pairs "
+            f"{[str(g) for g in reference]} for {context}"
+        )
+        assert is_groebner_basis(got), f"not a Groebner basis for {context}"
+        growing += nonzero > 0
+        done += 2
+    assert 3 * growing >= draws, (
+        f"only {growing} of {draws} draws met a nonzero remainder"
+    )
+    assert 100 * oversized <= draws, (
+        f"{oversized} of {draws} draws outgrew the all-pairs reference"
+    )
+    return done
+
+
 SUITES = {
+    "buchberger_vs_all_pairs": buchberger_vs_all_pairs_suite,
     "colon_membership": colon_membership_suite,
     "colon_over_sum": colon_over_sum_suite,
     "minimalize": minimalize_suite,

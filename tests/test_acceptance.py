@@ -159,7 +159,7 @@ def test_criterion_6_classical_groebner_anchor():
 
 def test_criterion_7_conjecture_scan():
     started = time.perf_counter()
-    verdicts = list(conjecture_scan(2, 5, 2, characteristic=32003))
+    verdicts = list(conjecture_scan(3, 6, 2, characteristic=32003))
     skipped = [v for v in verdicts if v.get("skipped")]
     false = [
         v for v in verdicts
@@ -174,8 +174,8 @@ def test_criterion_7_conjecture_scan():
         )
     ok = bool(verdicts) and not skipped and not false
     _finish(
-        7, "initial-ideal conjecture scan over 2x5 grids records a true "
-        "verdict on every instance",
+        7, "initial-ideal conjecture scan over every grid up to 3x6 with "
+        "up to two factors records a true verdict on every instance",
         started, 600.0, ok,
         detail=f"{len(verdicts)} verdicts, {len(skipped)} skipped, "
         f"{len(false)} false",
@@ -188,8 +188,8 @@ def test_criterion_8_property_suites():
     total = sum(counts.values())
     ok = total >= 10_000 and set(counts) == set(property_suites.BUDGETS)
     _finish(
-        8, "seeded property suites cover colon membership, distributivity, "
-        "minimalization, order laws, packed-vs-dense monomial arithmetic, "
-        "and redistribution invariants",
+        8, "seeded property suites cover pruned-vs-all-pairs Buchberger, "
+        "colon membership, distributivity, minimalization, order laws, "
+        "packed-vs-dense monomial arithmetic, and redistribution invariants",
         started, 120.0, ok, detail=f"{total} checks",
     )

@@ -6,7 +6,7 @@ import pytest
 
 from diagideal import checks
 from diagideal.caps import parse_caps_text
-from diagideal.cli import main
+from diagideal.cli import EXIT_BROKEN_PIPE, main
 from diagideal.errors import FormatError
 
 
@@ -355,14 +355,39 @@ def test_bad_window_flag(capsys):
     assert code == 2
 
 
+def test_conjecture_scan_engine_fault_exits_two(capsys, monkeypatch):
+    import diagideal.groebner as groebner
+
+    real = groebner.initial_ideal
+    monkeypatch.setattr(groebner, "initial_ideal", lambda basis: real(list(basis)[1:]))
+    code, out = run_cli(
+        capsys, "conjecture-scan", "--max-rows", "2", "--max-cols", "3",
+        "--max-factors", "1", "--format", "json",
+    )
+    assert code == 2
+    record = json.loads(out.splitlines()[-1])
+    assert record["ok"] is False and "engine" in record["error"]
+
+
 def test_broken_pipe_stays_quiet():
     import subprocess
     import sys
 
-    proc = subprocess.run(
-        f"{sys.executable} -m diagideal.cli verify --target all "
-        "--format json | head -1",
-        shell=True, capture_output=True, text=True,
+    # 8008 diagonals, ~350 kB: far more than a pipe buffer holds, so the
+    # writer is still writing when head exits and must see the broken pipe
+    writer = subprocess.Popen(
+        [sys.executable, "-m", "diagideal.cli", "diagonals",
+         "--rows", "6", "--cols", "16", "--window", "1,16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    assert proc.returncode == 0
-    assert "Traceback" not in proc.stderr
+    head = subprocess.Popen(
+        ["head", "-1"], stdin=writer.stdout, stdout=subprocess.PIPE, text=True
+    )
+    writer.stdout.close()
+    out, _ = head.communicate()
+    err = writer.stderr.read()
+    writer.stderr.close()
+    assert head.wait() == 0
+    assert out.splitlines() == ["x[1,1]*x[2,2]*x[3,3]*x[4,4]*x[5,5]*x[6,6]"]
+    assert writer.wait() == EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in err

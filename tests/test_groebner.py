@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+import diagideal.groebner as groebner
 from diagideal.caps import DEFAULT_CAPS
-from diagideal.errors import ResourceLimitError
+from diagideal.errors import DiagIdealError, EngineError, ResourceLimitError
 from diagideal.fields import make_field
 from diagideal.groebner import (
     GroebnerBasis,
@@ -20,6 +21,7 @@ from diagideal.groebner import (
 )
 from diagideal.monomials import GridShape, parse_monomial
 from diagideal.polynomials import Polynomial
+from diagideal.resolution import mapping_cone_betti
 from diagideal.windows import Window, WindowChain, diagonal_ideal, minor, window_product_ideal
 
 QQ = make_field(0)
@@ -138,6 +140,18 @@ def test_spair_cap_raises_with_snapshot():
     assert set(info.value.snapshot) == {"basis_size", "pending", "reductions"}
 
 
+@pytest.mark.parametrize("rows, cols, expected", [(2, 4, 8), (3, 5, 15), (3, 6, 45)])
+def test_pair_update_reduces_one_pair_per_first_syzygy(rows, cols, expected):
+    # The maximal minors are already a Groebner basis and their leads have
+    # linear quotients; the pair update keeps exactly one S-pair per
+    # minimal first syzygy of the diagonal ideal.
+    shape = GridShape(rows, cols)
+    gens = natural_window_generators(shape, WindowChain.of((1, cols)), GF)
+    basis = buchberger(gens)
+    first_betti = mapping_cone_betti(diagonal_ideal(shape, Window(1, cols))).totals()[1]
+    assert basis.spairs_reduced == first_betti == expected
+
+
 def test_natural_window_generators_products():
     shape = GridShape(2, 5)
     chain = WindowChain.of((1, 4), (2, 5))
@@ -158,6 +172,21 @@ def test_conjecture_check_verdict_fields():
     assert verdict["natural_gens_are_GB"] is True
     assert isinstance(verdict["spairs"], int)
     assert isinstance(verdict["millis"], int)
+
+
+def test_conjecture_check_raises_on_engine_fault(monkeypatch):
+    # an initial ideal missing a diagonal generator is an engine bug, and
+    # must not come out as a false verdict with a witness
+    shape = GridShape(2, 4)
+    real = groebner.initial_ideal
+
+    def drops_a_generator(basis):
+        return real(list(basis)[1:])
+
+    monkeypatch.setattr(groebner, "initial_ideal", drops_a_generator)
+    with pytest.raises(EngineError) as info:
+        conjecture_check(shape, WindowChain.of((1, 4)))
+    assert isinstance(info.value, DiagIdealError)
 
 
 def test_conjecture_check_squared_window():
