@@ -51,7 +51,6 @@ from .quotients import (
     circle_table,
     closed_form_colon,
     closed_form_product_colon,
-    factor_into_windows,
     quotient_chain,
     redistribute,
     verify_product_colons,
@@ -60,11 +59,10 @@ from .replay import run_paper_replay
 from .resolution import (
     BettiTable,
     KoszulComplex,
+    betti,
     betti_table,
-    has_linear_resolution,
     koszul_complex,
     mapping_cone_betti,
-    regularity,
 )
 from .windows import (
     ColumnSelection,
@@ -125,18 +123,16 @@ __all__ = [
     "circle_table",
     "closed_form_colon",
     "closed_form_product_colon",
-    "factor_into_windows",
     "quotient_chain",
     "redistribute",
     "verify_product_colons",
     "run_paper_replay",
     "BettiTable",
     "KoszulComplex",
+    "betti",
     "betti_table",
-    "has_linear_resolution",
     "koszul_complex",
     "mapping_cone_betti",
-    "regularity",
     "ColumnSelection",
     "MinorPolynomial",
     "Window",

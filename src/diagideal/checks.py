@@ -165,7 +165,7 @@ def theorem_report(
     colon_chain = quotient_chain(product)
     report["linear_quotients"] = colon_chain.certifies_linear_quotients
     if colon_chain.certifies_linear_quotients:
-        cone = mapping_cone_betti(product)
+        cone = mapping_cone_betti(colon_chain, characteristic)
         report["cone_agrees"] = cone.same_entries(table)
     else:
         report["cone_agrees"] = None

@@ -31,7 +31,7 @@ from .quotients import (
     quotient_chain,
 )
 from .replay import run_paper_replay
-from .resolution import betti_table, mapping_cone_betti
+from .resolution import betti, betti_table, mapping_cone_betti
 from .windows import Window, WindowChain, diagonal_ideal, enumerate_diagonals, window_product_ideal
 
 EXIT_PASS = 0
@@ -237,12 +237,10 @@ def cmd_linquot_verify(config: RunConfig, args: argparse.Namespace) -> int:
 def _betti_for(config: RunConfig, args: argparse.Namespace, ideal: MonomialIdeal):
     characteristic = args.char if args.char is not None else 0
     if args.oracle == "cone":
-        return mapping_cone_betti(ideal)
+        return mapping_cone_betti(quotient_chain(ideal), characteristic)
     if args.oracle == "homology":
-        return betti_table(ideal, characteristic=characteristic, caps=config.caps)
-    if quotient_chain(ideal).certifies_linear_quotients:
-        return mapping_cone_betti(ideal)
-    return betti_table(ideal, characteristic=characteristic, caps=config.caps)
+        return betti_table(ideal, characteristic, config.caps)
+    return betti(ideal, characteristic, config.caps)
 
 
 def cmd_betti(config: RunConfig, args: argparse.Namespace) -> int:

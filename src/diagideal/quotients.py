@@ -195,31 +195,6 @@ def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
     return outputs
 
 
-def factor_into_windows(shape: GridShape, windows, monomial: GridMonomial):
-    """Find diagonal monomials, one per window, whose product divides the
-    monomial.  Returns their selections, or None."""
-    window_list = list(windows)
-    memo = {}
-
-    def search(idx: int, remaining: GridMonomial):
-        if idx == len(window_list):
-            return ()
-        key = (idx, remaining.key)
-        if key in memo:
-            return memo[key]
-        found = None
-        for g in enumerate_diagonals(shape, window_list[idx]):
-            if g.divides(remaining):
-                tail = search(idx + 1, remaining / g)
-                if tail is not None:
-                    found = (selection_of(g),) + tail
-                    break
-        memo[key] = found
-        return found
-
-    return search(0, monomial)
-
-
 def verify_product_colons(
     shape: GridShape,
     chain: WindowChain,

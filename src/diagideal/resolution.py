@@ -9,7 +9,12 @@ boundary matrices; no floating point, no probabilistic shortcuts.
 
 When a generator order has linear quotients, the mapping cone gives the same
 table combinatorially: the generator whose colon has d variables contributes
-binomial(d, i) to the i-th Betti number, one degree step up per i.
+binomial(d, i) to the i-th Betti number, one degree step up per i.  That count
+reads the ideal's ``QuotientChain`` and is the same over every field.
+
+``betti`` is the one path from an ideal to its table: it builds the colon
+chain once and uses the cone when the chain certifies linear quotients, the
+homology oracle (``betti_table``) otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import DomainError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
 from .monomials import GridMonomial
-from .quotients import quotient_chain
+from .quotients import QuotientChain, quotient_chain
 
 
 class BettiTable:
@@ -94,12 +99,12 @@ class KoszulComplex:
     simplices on supp(b/g) over generators g dividing b.
     """
 
-    __slots__ = ("multidegree", "vertices", "facets")
+    __slots__ = ("multidegree", "facets")
 
-    def __init__(self, multidegree: GridMonomial, vertices: tuple, facets: tuple):
+    def __init__(self, multidegree: GridMonomial, facets: tuple):
         self.multidegree = multidegree
-        self.vertices = vertices  # (row, col) labels, rank order
-        self.facets = facets  # bitmasks over vertices, dominated ones removed
+        # bitmasks over the multidegree's support in rank order, dominated ones removed
+        self.facets = facets
 
     def _faces_by_dimension(self, caps: Caps = DEFAULT_CAPS) -> dict:
         """Face bitmasks per dimension (the empty face has dimension -1).
@@ -127,25 +132,7 @@ class KoszulComplex:
                 sub = (sub - 1) & facet
         return by_dim
 
-    def face_masks(self) -> set:
-        return set().union(*self._faces_by_dimension().values())
-
-    def faces(self) -> set:
-        """Faces as frozensets of (row, col) labels (includes the empty face)."""
-        labeled = set()
-        for mask in self.face_masks():
-            labeled.add(
-                frozenset(
-                    self.vertices[idx] for idx in range(len(self.vertices)) if mask >> idx & 1
-                )
-            )
-        return labeled
-
-    def face_counts(self) -> dict:
-        """Number of faces per dimension (the empty face has dimension -1)."""
-        return {d: len(masks) for d, masks in self._faces_by_dimension().items()}
-
-    def homology_dimensions(self, characteristic: int = 0, caps: Caps = DEFAULT_CAPS) -> dict:
+    def homology_dimensions(self, field, caps: Caps = DEFAULT_CAPS) -> dict:
         """Reduced homology ranks per dimension over the given field."""
         if len(self.facets) == 1:
             # A full simplex: contractible unless it is just the empty face,
@@ -153,7 +140,7 @@ class KoszulComplex:
             return {-1: 1} if self.facets[0] == 0 else {}
         by_dim = self._faces_by_dimension(caps)
         return _homology_from_faces(
-            {d: sorted(masks) for d, masks in by_dim.items()}, characteristic
+            {d: sorted(masks) for d, masks in by_dim.items()}, field
         )
 
 
@@ -171,7 +158,7 @@ def koszul_complex(ideal: MonomialIdeal, multidegree: GridMonomial) -> KoszulCom
                 if b[idx] > g_exps[idx]:
                     mask |= 1 << k
             facets.append(mask)
-    return KoszulComplex(multidegree, multidegree.support(), tuple(_drop_dominated(facets)))
+    return KoszulComplex(multidegree, tuple(_drop_dominated(facets)))
 
 
 def _drop_dominated(facets) -> list:
@@ -227,8 +214,7 @@ def _boundary_columns(lower_masks, upper_masks):
     return columns
 
 
-def _homology_from_faces(by_dim: dict, characteristic: int) -> dict:
-    field = make_field(characteristic)
+def _homology_from_faces(by_dim: dict, field) -> dict:
     if not by_dim:
         return {}
     dims = sorted(by_dim)
@@ -287,57 +273,43 @@ def betti_table(
             f"got {len(ideal.gens)}",
             snapshot={"generators": len(ideal.gens)},
         )
-    make_field(characteristic)  # validate up front
+    field = make_field(characteristic)
     entries = {}
     for b in _candidate_multidegrees(ideal, caps):
-        for d, h in koszul_complex(ideal, b).homology_dimensions(characteristic, caps).items():
+        for d, h in koszul_complex(ideal, b).homology_dimensions(field, caps).items():
             key = (d + 1, b.degree)
             entries[key] = entries.get(key, 0) + h
     return BettiTable(characteristic, entries)
 
 
-def mapping_cone_betti(ideal: MonomialIdeal) -> BettiTable:
-    """Betti table from the linear-quotients mapping cone.
+def mapping_cone_betti(chain: QuotientChain, characteristic: int = 0) -> BettiTable:
+    """Betti table from the linear-quotients mapping cone of ``chain.ideal``.
 
-    Requires the canonical generator order to certify linear quotients; the
-    u-th generator contributes binomial(d_u, i) in degree deg(f_u) + i, where
-    d_u counts the variables generating its colon step.
+    Requires the chain to certify linear quotients; the u-th generator
+    contributes binomial(d_u, i) in degree deg(f_u) + i, where d_u counts the
+    variables generating its colon step.  The count does not depend on the
+    field: ``characteristic`` is validated and labels the table.
     """
-    chain = quotient_chain(ideal)
+    make_field(characteristic)
     if not chain.certifies_linear_quotients:
         raise DomainError("generator order does not have linear quotients")
     entries = {}
-    for f, d in zip(ideal.gens, chain.variable_counts):
+    for f, d in zip(chain.ideal.gens, chain.variable_counts):
         for i in range(d + 1):
             key = (i, f.degree + i)
             entries[key] = entries.get(key, 0) + comb(d, i)
-    return BettiTable(0, entries)
+    return BettiTable(characteristic, entries)
 
 
-def regularity(ideal: MonomialIdeal, caps: Caps = DEFAULT_CAPS) -> int:
-    """Castelnuovo-Mumford regularity of the ideal (not the quotient ring).
+def betti(
+    ideal: MonomialIdeal, characteristic: int = 0, caps: Caps = DEFAULT_CAPS
+) -> BettiTable:
+    """Graded Betti table: the mapping cone when the canonical generator
+    order has linear quotients, the homology oracle otherwise.
 
-    Uses the mapping cone when linear quotients certify, otherwise the
-    homology oracle.
+    The colon chain is built once and handed to the cone.
     """
-    if ideal.is_zero:
-        raise DomainError("regularity of the zero ideal is undefined")
     chain = quotient_chain(ideal)
     if chain.certifies_linear_quotients:
-        return mapping_cone_betti(ideal).regularity
-    return betti_table(ideal, 0, caps).regularity
-
-
-def has_linear_resolution(ideal: MonomialIdeal, caps: Caps = DEFAULT_CAPS) -> bool:
-    """True when the regularity equals the common generator degree.
-
-    Only defined for ideals generated in a single degree.
-    """
-    if ideal.is_zero:
-        raise DomainError("linear resolution is undefined for the zero ideal")
-    degree = ideal.single_generation_degree()
-    if degree is None:
-        raise DomainError(
-            f"ideal generated in mixed degrees {ideal.generator_degrees()}"
-        )
-    return regularity(ideal, caps) == degree
+        return mapping_cone_betti(chain, characteristic)
+    return betti_table(ideal, characteristic, caps)

@@ -1,0 +1,80 @@
+from __future__ import annotations
+
+import diagideal
+
+# Removing or adding an export is a deliberate API change: edit this list
+# in the same change and name the export in CHANGES.md.
+PUBLIC_API = [
+    "BettiTable",
+    "Caps",
+    "ChainOrderError",
+    "CircleTable",
+    "ColumnSelection",
+    "DEFAULT_CAPS",
+    "DiagIdealError",
+    "DiagonalFactorization",
+    "DomainError",
+    "EngineError",
+    "FormatError",
+    "GridMonomial",
+    "GridShape",
+    "GroebnerBasis",
+    "KoszulComplex",
+    "MinorPolynomial",
+    "MonomialIdeal",
+    "Polynomial",
+    "PrimeField",
+    "QuotientChain",
+    "RationalField",
+    "ResourceLimitError",
+    "SelectionError",
+    "ShapeMismatchError",
+    "Window",
+    "WindowChain",
+    "WindowError",
+    "__version__",
+    "betti",
+    "betti_table",
+    "buchberger",
+    "circle_table",
+    "closed_form_colon",
+    "closed_form_product_colon",
+    "conjecture_check",
+    "diagonal_ideal",
+    "diagonal_monomial",
+    "enumerate_diagonals",
+    "ideal_from_json",
+    "ideal_from_json_obj",
+    "initial_ideal",
+    "is_groebner_basis",
+    "is_prime",
+    "iter_sorted_chains",
+    "iter_windows",
+    "koszul_complex",
+    "load_caps_file",
+    "make_field",
+    "mapping_cone_betti",
+    "minimal_generators",
+    "minor",
+    "monomial_from_triples",
+    "natural_window_generators",
+    "parse_caps_text",
+    "parse_ideal",
+    "parse_monomial",
+    "quotient_chain",
+    "redistribute",
+    "reduce",
+    "run_paper_replay",
+    "s_polynomial",
+    "selection_of",
+    "verify_product_colons",
+    "window_product_ideal",
+]
+
+
+def test_public_api_is_pinned():
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert len(set(diagideal.__all__)) == len(diagideal.__all__)
+    assert sorted(diagideal.__all__) == PUBLIC_API
+    for name in diagideal.__all__:
+        assert hasattr(diagideal, name), name

@@ -143,6 +143,18 @@ def test_betti_oracles_agree(capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("oracle", ["auto", "cone", "homology"])
+def test_every_oracle_honours_char(oracle, capsys):
+    source = ("--rows", "2", "--cols", "4", "--chain", "1,3:2,4", "--oracle", oracle)
+    code, out = run_cli(capsys, "betti", *source, "--char", "32003", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["char"] == 32003
+    for command in ("betti", "reg"):
+        code, out = run_cli(capsys, command, *source, "--char", "4", "--format", "json")
+        assert code == 2
+        assert "4 is not prime" in json.loads(out)["error"]
+
+
 def test_reg_from_gens_text(capsys):
     code, out = run_cli(
         capsys,
@@ -153,6 +165,13 @@ def test_reg_from_gens_text(capsys):
     assert code == 0
     assert "reg = 3" in out
     assert "linear resolution: no" in out
+    code, out = run_cli(
+        capsys,
+        "reg", "--rows", "1", "--cols", "3",
+        "--gens", "<x[1,1], x[1,2]*x[1,3]>", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"reg": 2, "degree": None, "linear": None}
 
 
 def test_reg_requires_exactly_one_source(capsys):

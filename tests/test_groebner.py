@@ -21,6 +21,7 @@ from diagideal.groebner import (
 )
 from diagideal.monomials import GridShape, parse_monomial
 from diagideal.polynomials import Polynomial
+from diagideal.quotients import quotient_chain
 from diagideal.resolution import mapping_cone_betti
 from diagideal.windows import Window, WindowChain, diagonal_ideal, minor, window_product_ideal
 
@@ -148,7 +149,7 @@ def test_pair_update_reduces_one_pair_per_first_syzygy(rows, cols, expected):
     shape = GridShape(rows, cols)
     gens = natural_window_generators(shape, WindowChain.of((1, cols)), GF)
     basis = buchberger(gens)
-    first_betti = mapping_cone_betti(diagonal_ideal(shape, Window(1, cols))).totals()[1]
+    first_betti = mapping_cone_betti(quotient_chain(diagonal_ideal(shape, Window(1, cols)))).totals()[1]
     assert basis.spairs_reduced == first_betti == expected
 
 

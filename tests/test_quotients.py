@@ -11,7 +11,6 @@ from diagideal.quotients import (
     circle_table,
     closed_form_colon,
     closed_form_product_colon,
-    factor_into_windows,
     quotient_chain,
     redistribute,
     verify_product_colons,
@@ -21,7 +20,6 @@ from diagideal.windows import (
     WindowChain,
     diagonal_ideal,
     enumerate_diagonals,
-    window_product_ideal,
 )
 
 SHAPE_3x8 = GridShape(3, 8)
@@ -168,25 +166,3 @@ def test_factorization_validates_windows():
     with pytest.raises(DomainError):
         bad = parse_monomial(shape, "x[1,1]^2*x[2,2]")
         DiagonalFactorization.for_chain(shape, chain, [bad, (2, 5)])
-
-
-def test_factor_into_windows_round_trip():
-    shape = GridShape(2, 6)
-    windows = [Window(1, 4), Window(2, 5), Window(3, 6)]
-    product = window_product_ideal(shape, windows)
-    for monomial in product.gens:
-        selections = factor_into_windows(shape, windows, monomial)
-        assert selections is not None
-        rebuilt = parse_monomial(shape, "1")
-        for window, sel in zip(windows, selections):
-            sel.check_against(shape, window=window)
-            from diagideal.windows import diagonal_monomial
-
-            rebuilt = rebuilt * diagonal_monomial(shape, sel)
-        assert rebuilt == monomial
-
-
-def test_factor_into_windows_returns_none_when_impossible():
-    shape = GridShape(2, 5)
-    stacked = parse_monomial(shape, "x[1,1]*x[2,1]")
-    assert factor_into_windows(shape, [Window(1, 4)], stacked) is None

@@ -4,17 +4,19 @@ from dataclasses import replace
 
 import pytest
 
+from diagideal import checks, cli, resolution
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.errors import DomainError, ResourceLimitError
+from diagideal.fields import make_field
 from diagideal.ideals import MonomialIdeal, parse_ideal
 from diagideal.monomials import GridShape, parse_monomial
+from diagideal.quotients import quotient_chain
 from diagideal.resolution import (
     BettiTable,
+    betti,
     betti_table,
-    has_linear_resolution,
     koszul_complex,
     mapping_cone_betti,
-    regularity,
 )
 from diagideal.windows import Window, WindowChain, diagonal_ideal, window_product_ideal
 
@@ -26,7 +28,7 @@ def two_window_product_1x3():
 
 def test_betti_of_two_window_product_both_oracles():
     ideal = two_window_product_1x3()
-    cone = mapping_cone_betti(ideal)
+    cone = mapping_cone_betti(quotient_chain(ideal))
     assert cone.totals() == {0: 4, 1: 4, 2: 1}
     assert cone.regularity == 2
     for char in (0, 2):
@@ -43,7 +45,7 @@ def test_betti_principal_ideal():
     assert table.totals() == {0: 1}
     assert table.beta(0, 2) == 1
     assert table.regularity == 2
-    cone = mapping_cone_betti(ideal)
+    cone = mapping_cone_betti(quotient_chain(ideal))
     assert cone.same_entries(table)
 
 
@@ -64,13 +66,13 @@ def test_betti_two_coprime_quadrics():
     assert table.beta(0, 2) == 2
     assert table.beta(1, 4) == 1
     assert table.regularity == 3
-    assert not has_linear_resolution(ideal)
+    assert betti(ideal).regularity == 3 != ideal.single_generation_degree()
 
 
 def test_window_ideal_cross_check():
     shape = GridShape(3, 8)
     ideal = diagonal_ideal(shape, Window(2, 6))
-    cone = mapping_cone_betti(ideal)
+    cone = mapping_cone_betti(quotient_chain(ideal))
     table = betti_table(ideal)
     assert cone.totals() == {0: 10, 1: 15, 2: 6}
     assert cone.same_entries(table)
@@ -82,7 +84,7 @@ def test_mapping_cone_requires_certificate():
     shape = GridShape(1, 4)
     ideal = parse_ideal(shape, "<x[1,1]*x[1,2], x[1,3]*x[1,4]>")
     with pytest.raises(DomainError):
-        mapping_cone_betti(ideal)
+        mapping_cone_betti(quotient_chain(ideal))
 
 
 def test_betti_table_json_shape():
@@ -147,37 +149,56 @@ def test_regularity_of_windows_equals_rows():
     for rows, cols, window in ((2, 4, (1, 4)), (2, 5, (2, 5)), (3, 6, (2, 6))):
         shape = GridShape(rows, cols)
         ideal = diagonal_ideal(shape, Window(*window))
-        assert regularity(ideal) == rows
-        assert has_linear_resolution(ideal)
+        assert betti(ideal).regularity == rows == ideal.single_generation_degree()
 
 
 def test_regularity_of_sorted_products():
     shape = GridShape(2, 5)
     product = window_product_ideal(shape, [Window(1, 3), Window(2, 5)])
-    assert regularity(product) == 4
-    assert has_linear_resolution(product)
+    assert betti(product).regularity == 4 == product.single_generation_degree()
 
 
-def test_has_linear_resolution_rejects_mixed_degrees():
-    shape = GridShape(1, 3)
-    mixed = parse_ideal(shape, "<x[1,1], x[1,2]*x[1,3]>")
-    with pytest.raises(DomainError):
-        has_linear_resolution(mixed)
+def test_one_colon_chain_per_ideal(monkeypatch, capsys):
+    calls = []
+
+    def counting(ideal):
+        calls.append(ideal)
+        return quotient_chain(ideal)
+
+    for module in (resolution, checks, cli):
+        monkeypatch.setattr(module, "quotient_chain", counting)
+    shape = GridShape(2, 4)
+    report = checks.theorem_report(shape, WindowChain.of((1, 3), (2, 4)))
+    assert report["linear_quotients"] and report["cone_agrees"]
+    assert len(calls) == 1
+    product = window_product_ideal(shape, [Window(1, 3), Window(2, 4)])
+    assert betti(product).regularity == 4
+    assert len(calls) == 2
+    for oracle in ("auto", "cone"):
+        assert cli.main(
+            ["betti", "--rows", "2", "--cols", "4", "--chain", "1,3:2,4", "--oracle", oracle]
+        ) == 0
+    assert len(calls) == 4
+    assert "reg = 4" in capsys.readouterr().out
 
 
 def test_koszul_complex_structure():
     ideal = two_window_product_1x3()
     shape = ideal.shape
     inside = parse_monomial(shape, "x[1,1]*x[1,2]*x[1,3]")
-    complex_ = koszul_complex(ideal, inside)
-    faces = complex_.faces()
-    # simplicial: subsets of faces are faces
-    for face in faces:
-        for vertex in face:
-            assert face - {vertex} in faces
-    assert frozenset() in faces
+    by_dim = koszul_complex(ideal, inside)._faces_by_dimension()
+    assert by_dim[-1] == {0}
+    # simplicial: dropping any vertex of a face leaves a face one dimension down
+    for d, faces in by_dim.items():
+        for face in faces:
+            assert bin(face).count("1") == d + 1
+            sub = face
+            while sub:
+                low = sub & -sub
+                assert face ^ low in by_dim[d - 1]
+                sub ^= low
     outside = parse_monomial(shape, "x[1,1]")
-    assert koszul_complex(ideal, outside).faces() == frozenset()
+    assert koszul_complex(ideal, outside)._faces_by_dimension() == {}
 
 
 def test_euler_characteristic_consistency():
@@ -190,11 +211,12 @@ def test_euler_characteristic_consistency():
     ]
     from diagideal.resolution import _candidate_multidegrees
 
+    field = make_field(0)
     for ideal in ideals:
         for b in _candidate_multidegrees(ideal, DEFAULT_CAPS):
             complex_ = koszul_complex(ideal, b)
-            counts = complex_.face_counts()
-            homology = complex_.homology_dimensions(0)
+            counts = {d: len(faces) for d, faces in complex_._faces_by_dimension().items()}
+            homology = complex_.homology_dimensions(field)
             lhs = sum((-1) ** d * c for d, c in counts.items())
             rhs = sum((-1) ** d * h for d, h in homology.items())
             assert lhs == rhs
