@@ -45,10 +45,7 @@ from .monomials import (
 )
 from .polynomials import Polynomial
 from .quotients import (
-    CircleTable,
-    DiagonalFactorization,
     QuotientChain,
-    circle_table,
     closed_form_colon,
     closed_form_product_colon,
     quotient_chain,
@@ -66,7 +63,6 @@ from .resolution import (
 )
 from .windows import (
     ColumnSelection,
-    MinorPolynomial,
     Window,
     WindowChain,
     diagonal_ideal,
@@ -117,10 +113,7 @@ __all__ = [
     "monomial_from_triples",
     "parse_monomial",
     "Polynomial",
-    "CircleTable",
-    "DiagonalFactorization",
     "QuotientChain",
-    "circle_table",
     "closed_form_colon",
     "closed_form_product_colon",
     "quotient_chain",
@@ -134,7 +127,6 @@ __all__ = [
     "koszul_complex",
     "mapping_cone_betti",
     "ColumnSelection",
-    "MinorPolynomial",
     "Window",
     "WindowChain",
     "diagonal_ideal",

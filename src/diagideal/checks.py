@@ -9,13 +9,12 @@ its inputs; sweeps yield reports in a fixed enumeration order.
 from __future__ import annotations
 
 import random
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import ResourceLimitError
 from .groebner import conjecture_check
-from .ideals import MonomialIdeal
 from .monomials import GridShape
 from .quotients import closed_form_colon, quotient_chain, verify_product_colons
 from .resolution import betti_table, mapping_cone_betti
@@ -77,12 +76,9 @@ def sweep_single_windows(
 
 
 def product_chain_report(
-    shape: GridShape,
-    chain: WindowChain,
-    caps: Caps = DEFAULT_CAPS,
-    exhaustive: bool = False,
+    shape: GridShape, chain: WindowChain, caps: Caps = DEFAULT_CAPS
 ) -> dict:
-    entries = verify_product_colons(shape, chain, caps=caps, exhaustive=exhaustive)
+    entries = verify_product_colons(shape, chain, caps=caps)
     rendered = [
         {
             "u": entry["u"],
@@ -99,13 +95,6 @@ def product_chain_report(
         "steps": rendered,
         "ok": all(entry["equal"] for entry in entries),
     }
-
-
-def _chain_gen_bound(shape: GridShape, chain: WindowChain) -> int:
-    bound = 1
-    for window in chain.windows:
-        bound *= comb(window.width, shape.rows)
-    return bound
 
 
 def sweep_product_chains(
@@ -125,14 +114,13 @@ def sample_product_chains(
     seed: int,
     max_rows: int = SWEEP_MAX_ROWS,
     max_cols: int = SWEEP_MAX_COLS,
-    gen_bound: int = SAMPLE_GEN_BOUND,
 ) -> list[tuple[GridShape, WindowChain]]:
     """Seeded sample of sorted chains whose product stays desk-sized."""
     pool = [
         (shape, chain)
         for shape in iter_shapes(max_rows, max_cols)
         for chain in iter_sorted_chains(shape, length)
-        if _chain_gen_bound(shape, chain) <= gen_bound
+        if prod(comb(w.width, shape.rows) for w in chain.windows) <= SAMPLE_GEN_BOUND
     ]
     if len(pool) <= count:
         return pool

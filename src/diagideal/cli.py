@@ -6,7 +6,10 @@ computations (colon, betti, reg, groebner), verification sweeps
 (paper-replay).  Exit codes: 0 pass, 1 mismatch, 2 resource or config
 error, 141 (128 + SIGPIPE) when the reader of stdout goes away.  JSON
 output is one object per line, keys sorted, so identical invocations
-produce identical bytes (timing fields excepted).
+produce identical bytes (timing fields excepted).  The window product is
+defined for windows in any order, so ideal-product, colon, betti and reg
+take unsorted chains (colon then has no closed form to compare); groebner
+and verify need a sorted chain.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class RunConfig:
     format: str = "text"
     caps: Caps = field(default_factory=lambda: DEFAULT_CAPS)
     stream: IO[str] = sys.stdout
-    force_brute: bool = False
 
 
 def emit(config: RunConfig, record: dict) -> None:
@@ -119,16 +121,17 @@ def _shape(args: argparse.Namespace) -> GridShape:
     return GridShape(args.rows, args.cols)
 
 
-def _chain_windows(args: argparse.Namespace, config: RunConfig) -> list[Window]:
+def _chain_windows(args: argparse.Namespace) -> list[Window]:
+    """The --chain windows in the order given; the window product is
+    defined for any order, so only commands with a closed form need them
+    sorted."""
     windows = _parse_chain(args.chain)
     if not windows:
         raise ChainOrderError("empty window chain")
-    if not config.force_brute:
-        WindowChain(tuple(windows))
     return windows
 
 
-def _ideal_argument(args: argparse.Namespace, config: RunConfig, shape: GridShape) -> MonomialIdeal:
+def _ideal_argument(args: argparse.Namespace, shape: GridShape) -> MonomialIdeal:
     given = [
         name
         for name in ("window", "chain", "gens", "gens_file")
@@ -141,7 +144,7 @@ def _ideal_argument(args: argparse.Namespace, config: RunConfig, shape: GridShap
     if args.window:
         return diagonal_ideal(shape, _parse_window(args.window))
     if args.chain:
-        return window_product_ideal(shape, _chain_windows(args, config))
+        return window_product_ideal(shape, _chain_windows(args))
     if args.gens:
         return parse_ideal(shape, args.gens)
     try:
@@ -170,7 +173,7 @@ def cmd_diagonals(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_ideal_product(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
-    windows = _chain_windows(args, config)
+    windows = _chain_windows(args)
     product = window_product_ideal(shape, windows)
     emit_values(
         config,
@@ -186,7 +189,7 @@ def cmd_ideal_product(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_colon(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
-    windows = _chain_windows(args, config)
+    windows = _chain_windows(args)
     diagonals = enumerate_diagonals(shape, windows[0])
     u = args.step
     if not 0 <= u < len(diagonals):
@@ -245,7 +248,7 @@ def _betti_for(config: RunConfig, args: argparse.Namespace, ideal: MonomialIdeal
 
 def cmd_betti(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
-    ideal = _ideal_argument(args, config, shape)
+    ideal = _ideal_argument(args, shape)
     table = _betti_for(config, args, ideal)
     if config.format == "json":
         emit(config, table.to_json_obj())
@@ -258,7 +261,7 @@ def cmd_betti(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_reg(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
-    ideal = _ideal_argument(args, config, shape)
+    ideal = _ideal_argument(args, shape)
     table = _betti_for(config, args, ideal)
     degree = ideal.single_generation_degree()
     record = {
@@ -279,15 +282,14 @@ def cmd_reg(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_groebner(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
-    windows = _chain_windows(args, config)
-    chain = WindowChain(tuple(windows))
+    chain = WindowChain(tuple(_chain_windows(args)))
     characteristic = args.char if args.char is not None else 32003
     generators = natural_window_generators(shape, chain, make_field(characteristic))
     basis = buchberger(generators, caps=config.caps)
     ini = initial_ideal(basis)
     record = {
         "shape": [shape.rows, shape.cols],
-        "chain": [[w.first, w.last] for w in windows],
+        "chain": [[w.first, w.last] for w in chain.windows],
         "char": characteristic,
         "generators": len(generators),
         "basis": [str(p) for p in basis.polys],
@@ -418,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_shape(p)
     p.add_argument("--chain", required=True, metavar="K1,L1:K2,L2")
-    p.add_argument("--force-brute", action="store_true",
-                   help="accept out-of-order chains")
     p.set_defaults(handler=cmd_ideal_product)
 
     p = sub.add_parser("colon", help="one colon step, brute force vs closed form")
@@ -428,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True, metavar="K1,L1:K2,L2")
     p.add_argument("--step", type=int, required=True, metavar="U",
                    help="0-based index of the divided generator")
-    p.add_argument("--force-brute", action="store_true",
-                   help="accept out-of-order chains; skips the closed form")
     p.set_defaults(handler=cmd_colon)
 
     p = sub.add_parser("linquot-verify",
@@ -445,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ideal_source(p)
     p.add_argument("--char", type=int, default=None)
     p.add_argument("--oracle", choices=("auto", "homology", "cone"), default="auto")
-    p.add_argument("--force-brute", action="store_true")
     p.set_defaults(handler=cmd_betti)
 
     p = sub.add_parser("reg", help="Castelnuovo-Mumford regularity")
@@ -454,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ideal_source(p)
     p.add_argument("--char", type=int, default=None)
     p.add_argument("--oracle", choices=("auto", "homology", "cone"), default="auto")
-    p.add_argument("--force-brute", action="store_true")
     p.set_defaults(handler=cmd_reg)
 
     p = sub.add_parser("groebner",
@@ -502,12 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "char", None) is None and "char" in extras:
         args.char = int(extras["char"])
     stream = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    config = RunConfig(
-        format=fmt,
-        caps=caps,
-        stream=stream,
-        force_brute=bool(getattr(args, "force_brute", False)),
-    )
+    config = RunConfig(format=fmt, caps=caps, stream=stream)
     try:
         return args.handler(config, args)
     except ResourceLimitError as err:

@@ -47,21 +47,21 @@ class MonomialIdeal:
 
     __slots__ = ("shape", "gens")
 
-    def __init__(self, shape: GridShape, gens: tuple, _trusted: bool = False):
+    def __init__(self, shape: GridShape, gens):
         self.shape = shape
-        self.gens = gens if _trusted else minimal_generators(shape, gens)
+        self.gens = minimal_generators(shape, gens)
 
     @classmethod
     def from_generators(cls, shape: GridShape, monomials) -> "MonomialIdeal":
-        return cls(shape, minimal_generators(shape, monomials), _trusted=True)
+        return cls(shape, monomials)
 
     @classmethod
     def zero(cls, shape: GridShape) -> "MonomialIdeal":
-        return cls(shape, (), _trusted=True)
+        return cls(shape, ())
 
     @classmethod
     def unit(cls, shape: GridShape) -> "MonomialIdeal":
-        return cls(shape, (GridMonomial.unit(shape),), _trusted=True)
+        return cls(shape, (GridMonomial.unit(shape),))
 
     # -- predicates ------------------------------------------------------
 

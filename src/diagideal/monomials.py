@@ -132,11 +132,6 @@ class GridMonomial:
             if e
         }
 
-    def exponent(self, i: int, j: int) -> int:
-        if not self.shape.contains(i, j):
-            raise DomainError(f"variable x[{i},{j}] outside grid")
-        return self.exps[(i - 1) * self.shape.cols + (j - 1)]
-
     @property
     def degree(self) -> int:
         return sum(self.exps)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .errors import DomainError, ShapeMismatchError
 from .monomials import GridMonomial, GridShape
-from .windows import MinorPolynomial
 
 
 class Polynomial:
@@ -39,12 +38,6 @@ class Polynomial:
                 acc[mono] = c
         ordered = tuple(sorted(acc.items(), key=lambda t: t[0].key, reverse=True))
         return cls(shape, field, ordered)
-
-    @classmethod
-    def from_minor(cls, minor: MinorPolynomial, field) -> "Polynomial":
-        return cls.from_terms(
-            minor.shape, field, ((mono, sign) for sign, mono in minor.terms)
-        )
 
     @classmethod
     def constant(cls, shape: GridShape, field, value) -> "Polynomial":

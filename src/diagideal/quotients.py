@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, EngineError, ResourceLimitError
 from .ideals import MonomialIdeal
 from .monomials import GridMonomial, GridShape
 from .windows import (
@@ -113,107 +113,61 @@ def closed_form_product_colon(
     return rest + closed_form_colon(shape, first, f)
 
 
-@dataclass(frozen=True)
-class DiagonalFactorization:
-    """One diagonal monomial per window of a chain."""
-
-    selections: tuple  # of ColumnSelection
-
-    @classmethod
-    def for_chain(cls, shape: GridShape, chain: WindowChain, factors) -> "DiagonalFactorization":
-        """Validate factors (selections or monomials) against the chain."""
-        chain.check_against(shape)
-        items = list(factors)
-        if len(items) != len(chain):
-            raise DomainError(
-                f"{len(items)} factors for {len(chain)} windows"
-            )
-        selections = []
-        for window, item in zip(chain.windows, items):
-            if isinstance(item, GridMonomial):
-                selection = selection_of(item)
-                if selection is None:
-                    raise DomainError(f"{item} is not a diagonal monomial")
-            elif isinstance(item, ColumnSelection):
-                selection = item
-            else:
-                selection = ColumnSelection(tuple(item))
-            selection.check_against(shape, window)
-            selections.append(selection)
-        return cls(tuple(selections))
-
-    def monomials(self, shape: GridShape) -> tuple:
-        return tuple(diagonal_monomial(shape, sel) for sel in self.selections)
-
-
-@dataclass(frozen=True)
-class CircleTable:
-    """Row-by-row sorted column positions of a factor list."""
-
-    rows: tuple  # rows[i-1] = sorted columns used in row i, one per factor
-
-
-def circle_table(shape: GridShape, factorization: DiagonalFactorization) -> CircleTable:
-    rows = []
-    for i in range(shape.rows):
-        rows.append(tuple(sorted(sel.cols[i] for sel in factorization.selections)))
-    return CircleTable(tuple(rows))
-
-
 def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
-    """Rebalance factors so the j-th output takes the j-th smallest column
-    in every row.
+    """Rebalance one diagonal monomial per window so the j-th output takes
+    the j-th smallest column in every row.
 
     The output monomials multiply to the same product, are again diagonal
     monomials, and the j-th lands in the j-th window of the sorted chain.
     """
-    factorization = (
-        factors
-        if isinstance(factors, DiagonalFactorization)
-        else DiagonalFactorization.for_chain(shape, chain, factors)
-    )
-    if len(factorization.selections) != len(chain):
-        raise DomainError("factor count does not match chain length")
-    table = circle_table(shape, factorization)
-    outputs = []
-    for j in range(len(chain)):
-        cols = tuple(table.rows[i][j] for i in range(shape.rows))
-        outputs.append(diagonal_monomial(shape, cols))
+    chain.check_against(shape)
+    factors = list(factors)
+    if len(factors) != len(chain):
+        raise DomainError(f"{len(factors)} factors for {len(chain)} windows")
+    selections = []
+    for window, g in zip(chain.windows, factors):
+        selection = selection_of(g) if isinstance(g, GridMonomial) else None
+        if selection is None:
+            raise DomainError(f"{g!r} is not a diagonal monomial")
+        selection.check_against(shape, window)
+        selections.append(selection)
+    rows = [sorted(sel.cols[i] for sel in selections) for i in range(shape.rows)]
+    outputs = [
+        diagonal_monomial(shape, tuple(row[j] for row in rows))
+        for j in range(len(chain))
+    ]
 
     # Unconditional guarantees of the construction.
     product = GridMonomial.unit(shape)
-    for g in factorization.monomials(shape):
+    for g in factors:
         product = product * g
     check = GridMonomial.unit(shape)
     for h in outputs:
         check = check * h
-    assert check == product
+    if check != product:
+        raise EngineError(f"redistribution changed the product {product} to {check}")
     for window, h in zip(chain.windows, outputs):
         sel = selection_of(h)
-        assert sel is not None
-        sel.check_against(shape, window)
+        if sel is None or not (window.first <= sel.cols[0] and sel.cols[-1] <= window.last):
+            raise EngineError(f"redistributed factor {h} is not a diagonal of window {window}")
     return outputs
 
 
 def verify_product_colons(
-    shape: GridShape,
-    chain: WindowChain,
-    caps: Caps = DEFAULT_CAPS,
-    exhaustive: bool = False,
+    shape: GridShape, chain: WindowChain, caps: Caps = DEFAULT_CAPS
 ) -> list:
     """Compare brute-force and closed-form colons for every prefix length.
 
     For u = 0..r-1 the brute colon of (product of all windows, first u
     diagonals of the first window) by diagonal u is computed from generators
     and compared with the closed form.  Returns one entry per u with both
-    ideals and the equality verdict.  ``exhaustive`` lifts the generator-count
-    cap on the window product.
+    ideals and the equality verdict.
     """
     if len(chain) < 2:
         raise DomainError("product colon verification needs at least two windows")
     chain.check_against(shape)
     full = window_product_ideal(shape, chain.windows)
-    if not exhaustive and len(full.gens) > caps.max_product_gens:
+    if len(full.gens) > caps.max_product_gens:
         raise ResourceLimitError(
             f"window product has {len(full.gens)} generators, cap is {caps.max_product_gens}",
             snapshot={"chain": str(chain), "gens": len(full.gens)},

@@ -14,9 +14,17 @@ from itertools import combinations, permutations
 from math import comb
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import ChainOrderError, DomainError, ResourceLimitError, SelectionError, WindowError
+from .errors import (
+    ChainOrderError,
+    DomainError,
+    EngineError,
+    ResourceLimitError,
+    SelectionError,
+    WindowError,
+)
 from .ideals import MonomialIdeal
 from .monomials import GridMonomial, GridShape
+from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
@@ -178,24 +186,12 @@ def window_product_ideal(shape: GridShape, windows) -> MonomialIdeal:
     return result
 
 
-@dataclass(frozen=True)
-class MinorPolynomial:
-    """Signed expansion of the maximal minor on the selected columns."""
-
-    shape: GridShape
-    selection: ColumnSelection
-    terms: tuple  # ((sign, GridMonomial), ...) descending by monomial
-
-    @property
-    def leading_monomial(self) -> GridMonomial:
-        return self.terms[0][1]
-
-
-def minor(shape: GridShape, cols, caps: Caps = DEFAULT_CAPS) -> MinorPolynomial:
+def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomial:
     """Permutation expansion of the m-by-m minor on the given columns.
 
     The expansion has m! signed terms; the cap keeps m small enough for that
-    to stay reasonable.  Under the grid order the diagonal term leads.
+    to stay reasonable.  Under the grid order the diagonal term leads
+    (Sturmfels and Zelevinsky, Adv. Math. 98, 1993).
     """
     selection = cols if isinstance(cols, ColumnSelection) else ColumnSelection(tuple(cols))
     selection.check_against(shape)
@@ -210,14 +206,16 @@ def minor(shape: GridShape, cols, caps: Caps = DEFAULT_CAPS) -> MinorPolynomial:
         inversions = sum(
             1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
         )
-        sign = -1 if inversions % 2 else 1
         mono = GridMonomial.from_exponents(
             shape, {(i + 1, selection.cols[perm[i]]): 1 for i in range(m)}
         )
-        terms.append((sign, mono))
-    terms.sort(key=lambda t: t[1], reverse=True)
-    result = MinorPolynomial(shape, selection, tuple(terms))
-    assert result.leading_monomial == diagonal_monomial(shape, selection)
+        terms.append((mono, -1 if inversions % 2 else 1))
+    result = Polynomial.from_terms(shape, field, terms)
+    if result.leading_monomial != diagonal_monomial(shape, selection):
+        raise EngineError(
+            f"minor on columns {selection} is not led by its diagonal: "
+            "the monomial order is broken"
+        )
     return result
 
 

@@ -8,11 +8,9 @@ PUBLIC_API = [
     "BettiTable",
     "Caps",
     "ChainOrderError",
-    "CircleTable",
     "ColumnSelection",
     "DEFAULT_CAPS",
     "DiagIdealError",
-    "DiagonalFactorization",
     "DomainError",
     "EngineError",
     "FormatError",
@@ -20,7 +18,6 @@ PUBLIC_API = [
     "GridShape",
     "GroebnerBasis",
     "KoszulComplex",
-    "MinorPolynomial",
     "MonomialIdeal",
     "Polynomial",
     "PrimeField",
@@ -36,7 +33,6 @@ PUBLIC_API = [
     "betti",
     "betti_table",
     "buchberger",
-    "circle_table",
     "closed_form_colon",
     "closed_form_product_colon",
     "conjecture_check",

@@ -58,22 +58,32 @@ def test_ideal_product(capsys):
     ]
 
 
-def test_unsorted_chain_rejected_without_force(capsys):
-    code, out = run_cli(
-        capsys,
-        "ideal-product", "--rows", "3", "--cols", "9", "--chain", "3,7:1,5",
-    )
-    assert code == 2
+def test_unsorted_chain_gives_sorted_output(capsys):
+    # The window product is defined for any order of windows.
+    for command in (
+        ("ideal-product",),
+        ("betti", "--format", "json"),
+        ("reg", "--format", "json"),
+    ):
+        outputs = []
+        for chain in ("3,7:1,5", "1,5:3,7"):
+            code, out = run_cli(
+                capsys, *command, "--rows", "3", "--cols", "9", "--chain", chain
+            )
+            assert code == 0, (command, chain, out)
+            outputs.append(out)
+        assert outputs[0] == outputs[1], command
 
 
-def test_unsorted_chain_allowed_with_force(capsys):
-    code, out = run_cli(
-        capsys,
-        "ideal-product", "--rows", "3", "--cols", "9", "--chain", "3,7:1,5",
-        "--force-brute",
-    )
-    assert code == 0
-    assert len(out.splitlines()) > 0
+def test_groebner_and_verify_reject_unsorted_chain(capsys):
+    for argv in (
+        ("groebner", "--rows", "2", "--cols", "5", "--chain", "2,5:1,4"),
+        ("verify", "--target", "lemma2", "--rows", "2", "--cols", "5",
+         "--chain", "2,5:1,4"),
+    ):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 2, argv
+        assert "sorted" in json.loads(out)["error"]
 
 
 def test_colon_step_agrees(capsys):
@@ -92,7 +102,7 @@ def test_colon_force_brute_skips_closed_form(capsys):
     code, out = run_cli(
         capsys,
         "colon", "--rows", "3", "--cols", "9", "--chain", "3,7:1,5",
-        "--step", "0", "--force-brute", "--format", "json",
+        "--step", "0", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -319,9 +329,14 @@ def test_parse_caps_text_types():
 
 
 def test_seed_flag_is_gone(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["paper-replay", "--seed", "3"])
-    assert exc.value.code == 2
+    for argv in (
+        ["paper-replay", "--seed", "3"],
+        ["ideal-product", "--rows", "3", "--cols", "9", "--chain", "3,7:1,5",
+         "--force-brute"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -389,15 +404,22 @@ def test_conjecture_scan_engine_fault_exits_two(capsys, monkeypatch):
 
 
 def test_broken_pipe_stays_quiet():
+    import os
     import subprocess
     import sys
 
+    import diagideal
+
+    # the writer imports the same package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(diagideal.__file__))
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     # 8008 diagonals, ~350 kB: far more than a pipe buffer holds, so the
     # writer is still writing when head exits and must see the broken pipe
     writer = subprocess.Popen(
         [sys.executable, "-m", "diagideal.cli", "diagonals",
          "--rows", "6", "--cols", "16", "--window", "1,16"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
     head = subprocess.Popen(
         ["head", "-1"], stdin=writer.stdout, stdout=subprocess.PIPE, text=True

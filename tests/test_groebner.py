@@ -36,12 +36,12 @@ def poly(shape, field, *pairs):
 
 
 def minors_of(shape, field, cols_list):
-    return [Polynomial.from_minor(minor(shape, cols), field) for cols in cols_list]
+    return [minor(shape, cols, field) for cols in cols_list]
 
 
 def test_reduce_by_self_is_zero():
     shape = GridShape(2, 3)
-    f = Polynomial.from_minor(minor(shape, (1, 2)), QQ)
+    f = minor(shape, (1, 2), QQ)
     assert reduce(f, [f]).is_zero
 
 
@@ -62,8 +62,8 @@ def test_reduce_strips_all_divisible_terms():
 
 def test_s_polynomial_cancels_leading_terms():
     shape = GridShape(2, 3)
-    f = Polynomial.from_minor(minor(shape, (1, 2)), QQ)
-    g = Polynomial.from_minor(minor(shape, (1, 3)), QQ)
+    f = minor(shape, (1, 2), QQ)
+    g = minor(shape, (1, 3), QQ)
     s = s_polynomial(f, g)
     lcm = f.leading_monomial.lcm(g.leading_monomial)
     assert s.is_zero or s.leading_monomial < lcm
@@ -130,6 +130,21 @@ def test_posthoc_check_rejects_incomplete_sets():
     gens = minors_of(shape, QQ, [(1, 2), (1, 3)])
     fake = GroebnerBasis(shape, QQ, tuple(g.monic() for g in gens))
     assert not is_groebner_basis(fake)
+
+
+def test_posthoc_check_skips_coprime_pairs():
+    # Lex reduction of the S-polynomials of the four coprime-lead pairs of
+    # this basis passes the exponent bound, though the basis stays <= 13.
+    shape = GridShape(2, 2)
+    gens = [
+        poly(shape, QQ, ("x[1,2]^2*x[2,1]", -3), ("x[1,2]*x[2,2]", -5), ("1", -2)),
+        poly(shape, QQ, ("x[1,1]*x[1,2]*x[2,2]", 1), ("x[2,1]*x[2,2]^2", 4)),
+        poly(shape, QQ, ("x[1,1]^2*x[2,1]", -4), ("x[1,1]*x[1,2]", -5), ("x[1,2]", -5)),
+    ]
+    basis = buchberger(gens)
+    assert len(basis) == 7
+    assert max(max(m.exps) for g in basis for m, _ in g.terms) == 13
+    assert is_groebner_basis(basis)
 
 
 def test_spair_cap_raises_with_snapshot():

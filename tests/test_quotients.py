@@ -2,13 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from diagideal.errors import DomainError, SelectionError
+import diagideal.quotients as quotients
+from diagideal.errors import DomainError, EngineError, SelectionError
 from diagideal.ideals import MonomialIdeal, parse_ideal
 from diagideal.monomials import GridShape, parse_monomial
 from diagideal.quotients import (
-    CircleTable,
-    DiagonalFactorization,
-    circle_table,
     closed_form_colon,
     closed_form_product_colon,
     quotient_chain,
@@ -149,20 +147,54 @@ def test_redistribute_swaps_out_of_order_columns():
     assert h1 * h2 == g1 * g2
 
 
-def test_circle_table_sorts_rows():
+def test_redistribute_sorts_each_row():
     shape = GridShape(2, 5)
     chain = WindowChain.of((1, 4), (2, 5))
-    fact = DiagonalFactorization.for_chain(shape, chain, [(3, 4), (2, 5)])
-    table = circle_table(shape, fact)
-    assert isinstance(table, CircleTable)
-    assert table.rows == ((2, 3), (4, 5))
+    g1 = parse_monomial(shape, "x[1,3]*x[2,4]")
+    g2 = parse_monomial(shape, "x[1,2]*x[2,5]")
+    # row 1 holds columns {3, 2}, row 2 holds {4, 5}; output j takes the
+    # j-th smallest of each
+    assert [str(h) for h in redistribute(shape, chain, [g1, g2])] == [
+        "x[1,2]*x[2,4]",
+        "x[1,3]*x[2,5]",
+    ]
 
 
-def test_factorization_validates_windows():
+def test_redistribute_validates_factors():
     shape = GridShape(2, 5)
     chain = WindowChain.of((1, 4), (2, 5))
+    inside = parse_monomial(shape, "x[1,2]*x[2,5]")
+    outside = parse_monomial(shape, "x[1,1]*x[2,4]")  # not in window (2,5)
     with pytest.raises(SelectionError):
-        DiagonalFactorization.for_chain(shape, chain, [(1, 3), (1, 4)])
+        redistribute(shape, chain, [parse_monomial(shape, "x[1,1]*x[2,3]"), outside])
     with pytest.raises(DomainError):
-        bad = parse_monomial(shape, "x[1,1]^2*x[2,2]")
-        DiagonalFactorization.for_chain(shape, chain, [bad, (2, 5)])
+        redistribute(shape, chain, [parse_monomial(shape, "x[1,1]^2*x[2,2]"), inside])
+    with pytest.raises(DomainError):
+        redistribute(shape, chain, [inside])
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        # diagonal and in their windows, but the product changed
+        ["x[1,2]*x[2,4]", "x[1,2]*x[2,4]"],
+        # the right product, but not diagonal monomials
+        ["x[1,2]*x[1,3]", "x[2,4]*x[2,5]"],
+        # the right product of diagonals, but the first is outside (1,4)
+        ["x[1,3]*x[2,5]", "x[1,2]*x[2,4]"],
+    ],
+    ids=["product", "diagonal", "window"],
+)
+def test_redistribute_raises_on_construction_fault(monkeypatch, outputs):
+    shape = GridShape(2, 5)
+    chain = WindowChain.of((1, 4), (2, 5))
+    factors = [
+        parse_monomial(shape, "x[1,3]*x[2,4]"),
+        parse_monomial(shape, "x[1,2]*x[2,5]"),
+    ]
+    built = iter(outputs)
+    monkeypatch.setattr(
+        quotients, "diagonal_monomial", lambda shape, cols: parse_monomial(shape, next(built))
+    )
+    with pytest.raises(EngineError):
+        redistribute(shape, chain, factors)

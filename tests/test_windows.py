@@ -6,13 +6,16 @@ from math import comb
 
 import pytest
 
+import diagideal.windows as windows
 from diagideal.errors import (
     ChainOrderError,
+    EngineError,
     ResourceLimitError,
     SelectionError,
     WindowError,
 )
-from diagideal.monomials import GridShape
+from diagideal.fields import make_field
+from diagideal.monomials import GridMonomial, GridShape
 from diagideal.windows import (
     ColumnSelection,
     Window,
@@ -26,6 +29,8 @@ from diagideal.windows import (
     selection_of,
     window_product_ideal,
 )
+
+QQ = make_field(0)
 
 
 def test_window_validation():
@@ -138,15 +143,15 @@ def test_minor_matches_laplace_on_integer_matrices():
         shape = GridShape(m, n)
         for _ in range(20):
             cols = tuple(sorted(rng.sample(range(1, n + 1), m)))
-            poly = minor(shape, cols)
+            poly = minor(shape, cols, QQ)
             values = {
                 (i, j): rng.randrange(-9, 10)
                 for i in range(1, m + 1)
                 for j in range(1, n + 1)
             }
             evaluated = 0
-            for sign, mono in poly.terms:
-                term = sign
+            for mono, coeff in poly.terms:
+                term = coeff
                 for (i, j), e in mono.exponents.items():
                     term *= values[(i, j)] ** e
                 evaluated += term
@@ -156,11 +161,12 @@ def test_minor_matches_laplace_on_integer_matrices():
 
 def test_minor_term_count_and_leading():
     shape = GridShape(3, 4)
-    poly = minor(shape, (1, 2, 4))
+    p = 32003
+    poly = minor(shape, (1, 2, 4), make_field(p))
     assert len(poly.terms) == 6
     assert str(poly.leading_monomial) == "x[1,1]*x[2,2]*x[3,4]"
-    signs = [s for s, _ in poly.terms]
-    assert signs.count(1) == 3 and signs.count(-1) == 3
+    coeffs = [c for _, c in poly.terms]
+    assert coeffs.count(1) == 3 and coeffs.count(p - 1) == 3
 
 
 def test_minor_cap():
@@ -171,7 +177,16 @@ def test_minor_cap():
 
     tiny = replace(DEFAULT_CAPS, max_minor_rows=2)
     with pytest.raises(ResourceLimitError):
-        minor(shape, (1, 2, 3), caps=tiny)
+        minor(shape, (1, 2, 3), QQ, caps=tiny)
+
+
+def test_minor_raises_when_the_diagonal_does_not_lead(monkeypatch):
+    shape = GridShape(2, 3)
+    monkeypatch.setattr(
+        windows, "diagonal_monomial", lambda shape, cols: GridMonomial.unit(shape)
+    )
+    with pytest.raises(EngineError):
+        minor(shape, (1, 3), QQ)
 
 
 def test_iter_windows():
