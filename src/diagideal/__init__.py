@@ -30,19 +30,8 @@ from .groebner import (
     reduce,
     s_polynomial,
 )
-from .ideals import (
-    MonomialIdeal,
-    ideal_from_json,
-    ideal_from_json_obj,
-    minimal_generators,
-    parse_ideal,
-)
-from .monomials import (
-    GridMonomial,
-    GridShape,
-    monomial_from_triples,
-    parse_monomial,
-)
+from .ideals import MonomialIdeal, minimal_generators, parse_ideal
+from .monomials import GridMonomial, GridShape, parse_monomial
 from .polynomials import Polynomial
 from .quotients import (
     QuotientChain,
@@ -104,13 +93,10 @@ __all__ = [
     "reduce",
     "s_polynomial",
     "MonomialIdeal",
-    "ideal_from_json",
-    "ideal_from_json_obj",
     "minimal_generators",
     "parse_ideal",
     "GridMonomial",
     "GridShape",
-    "monomial_from_triples",
     "parse_monomial",
     "Polynomial",
     "QuotientChain",

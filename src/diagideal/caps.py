@@ -1,8 +1,9 @@
 """Resource limits.
 
 Every cap is configuration, not a constant: the CLI accepts a key-value caps
-file and the library functions accept a ``Caps`` instance.  Exceeding a cap
-raises ``ResourceLimitError`` instead of producing a partial answer.
+file and the library functions accept a ``Caps`` instance.  A caps file sets
+caps only; every key must name a ``Caps`` field.  Exceeding a cap raises
+``ResourceLimitError`` instead of producing a partial answer.
 """
 
 from __future__ import annotations
@@ -29,14 +30,10 @@ DEFAULT_CAPS = Caps()
 
 _CAP_NAMES = {f.name for f in fields(Caps)}
 
-# Non-cap keys a caps file may set as run defaults (CLI flags still win).
-_EXTRA_KEYS = {"format", "char"}
 
-
-def parse_caps_text(text: str) -> tuple[Caps, dict]:
-    """Parse ``key = value`` lines into (Caps, extra run defaults)."""
+def parse_caps_text(text: str) -> Caps:
+    """Parse ``key = value`` lines into a ``Caps``."""
     values = {}
-    extras = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -46,22 +43,19 @@ def parse_caps_text(text: str) -> tuple[Caps, dict]:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key in _CAP_NAMES:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise FormatError(f"caps line {lineno}: {key} needs an integer, got {val!r}") from None
-        elif key in _EXTRA_KEYS:
-            extras[key] = val
-        else:
+        if key not in _CAP_NAMES:
             raise FormatError(f"caps line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = int(val)
+        except ValueError:
+            raise FormatError(f"caps line {lineno}: {key} needs an integer, got {val!r}") from None
     for key, num in values.items():
         if num < 1:
             raise FormatError(f"cap {key} must be positive, got {num}")
-    return replace(DEFAULT_CAPS, **values), extras
+    return replace(DEFAULT_CAPS, **values)
 
 
-def load_caps_file(path: str) -> tuple[Caps, dict]:
+def load_caps_file(path: str) -> Caps:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()

@@ -2,9 +2,10 @@
 
 Subcommands cover generation (diagonals, ideal-product), single
 computations (colon, betti, reg, groebner), verification sweeps
-(linquot-verify, verify, conjecture-scan), and the golden-data replay
-(paper-replay).  Exit codes: 0 pass, 1 mismatch, 2 resource or config
-error, 141 (128 + SIGPIPE) when the reader of stdout goes away.  JSON
+(verify, conjecture-scan), and the golden-data replay (paper-replay).
+Output format and characteristic are set by flags only; a --caps file
+sets resource limits only.  Exit codes: 0 pass, 1 mismatch, 2 resource or
+config error, 141 (128 + SIGPIPE) when the reader of stdout goes away.  JSON
 output is one object per line, keys sorted, so identical invocations
 produce identical bytes (timing fields excepted).  The window product is
 defined for windows in any order, so ideal-product, colon, betti and reg
@@ -18,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, IO
 
 from . import checks
@@ -46,7 +47,7 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed write
 @dataclass
 class RunConfig:
     format: str = "text"
-    caps: Caps = field(default_factory=lambda: DEFAULT_CAPS)
+    caps: Caps = DEFAULT_CAPS
     stream: IO[str] = sys.stdout
 
 
@@ -197,7 +198,7 @@ def cmd_colon(config: RunConfig, args: argparse.Namespace) -> int:
             f"step {u} out of range: window {windows[0]} has {len(diagonals)} diagonals"
         )
     f = diagonals[u]
-    prefix = MonomialIdeal.from_generators(shape, diagonals[:u])
+    prefix = MonomialIdeal(shape, diagonals[:u])
     if len(windows) == 1:
         brute = prefix.colon(f)
     else:
@@ -229,21 +230,12 @@ def cmd_colon(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def cmd_linquot_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    shape = _shape(args)
-    window = _parse_window(args.window)
-    report = checks.single_window_report(shape, window)
-    emit(config, report)
-    return EXIT_PASS if report["ok"] else EXIT_MISMATCH
-
-
 def _betti_for(config: RunConfig, args: argparse.Namespace, ideal: MonomialIdeal):
-    characteristic = args.char if args.char is not None else 0
     if args.oracle == "cone":
-        return mapping_cone_betti(quotient_chain(ideal), characteristic)
+        return mapping_cone_betti(quotient_chain(ideal), args.char)
     if args.oracle == "homology":
-        return betti_table(ideal, characteristic, config.caps)
-    return betti(ideal, characteristic, config.caps)
+        return betti_table(ideal, args.char, config.caps)
+    return betti(ideal, args.char, config.caps)
 
 
 def cmd_betti(config: RunConfig, args: argparse.Namespace) -> int:
@@ -283,14 +275,13 @@ def cmd_reg(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_groebner(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
     chain = WindowChain(tuple(_chain_windows(args)))
-    characteristic = args.char if args.char is not None else 32003
-    generators = natural_window_generators(shape, chain, make_field(characteristic))
+    generators = natural_window_generators(shape, chain, make_field(args.char))
     basis = buchberger(generators, caps=config.caps)
     ini = initial_ideal(basis)
     record = {
         "shape": [shape.rows, shape.cols],
         "chain": [[w.first, w.last] for w in chain.windows],
-        "char": characteristic,
+        "char": args.char,
         "generators": len(generators),
         "basis": [str(p) for p in basis.polys],
         "initial_ideal": [str(g) for g in ini.gens],
@@ -325,9 +316,8 @@ def cmd_conjecture_scan(config: RunConfig, args: argparse.Namespace) -> int:
             f"({caps.max_conjecture_rows},{caps.max_conjecture_cols},"
             f"{caps.max_conjecture_factors})"
         )
-    characteristic = args.char if args.char is not None else 32003
     for verdict in checks.conjecture_scan(
-        max_rows, max_cols, max_factors, characteristic=characteristic, caps=caps
+        max_rows, max_cols, max_factors, characteristic=args.char, caps=caps
     ):
         if config.format == "json":
             emit(config, verdict)
@@ -350,7 +340,6 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     chain = None
     if args.chain:
         chain = WindowChain(tuple(_parse_chain(args.chain)))
-    characteristic = args.char if args.char is not None else 0
     all_ok = True
     for report in checks.verify_reports(
         args.target,
@@ -358,7 +347,7 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         window=window,
         chain=chain,
         caps=config.caps,
-        characteristic=characteristic,
+        characteristic=args.char,
     ):
         emit(config, report)
         all_ok = all_ok and bool(report["ok"])
@@ -382,7 +371,7 @@ def cmd_paper_replay(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default=None,
+    parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
     parser.add_argument("--caps", default=None, metavar="FILE",
                         help="resource-limit config file (key = value lines)")
@@ -430,18 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="0-based index of the divided generator")
     p.set_defaults(handler=cmd_colon)
 
-    p = sub.add_parser("linquot-verify",
-                       help="check a window ideal has linear quotients")
-    _add_common(p)
-    _add_shape(p)
-    p.add_argument("--window", required=True, metavar="K,L")
-    p.set_defaults(handler=cmd_linquot_verify)
-
     p = sub.add_parser("betti", help="Betti table of a monomial ideal")
     _add_common(p)
     _add_shape(p)
     _add_ideal_source(p)
-    p.add_argument("--char", type=int, default=None)
+    p.add_argument("--char", type=int, default=0)
     p.add_argument("--oracle", choices=("auto", "homology", "cone"), default="auto")
     p.set_defaults(handler=cmd_betti)
 
@@ -449,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_shape(p)
     _add_ideal_source(p)
-    p.add_argument("--char", type=int, default=None)
+    p.add_argument("--char", type=int, default=0)
     p.add_argument("--oracle", choices=("auto", "homology", "cone"), default="auto")
     p.set_defaults(handler=cmd_reg)
 
@@ -458,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_shape(p)
     p.add_argument("--chain", required=True, metavar="K1,L1:K2,L2")
-    p.add_argument("--char", type=int, default=None, help="default 32003")
+    p.add_argument("--char", type=int, default=32003, help="default 32003")
     p.set_defaults(handler=cmd_groebner)
 
     p = sub.add_parser("conjecture-scan",
@@ -467,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rows", type=int, default=None)
     p.add_argument("--max-cols", type=int, default=None)
     p.add_argument("--max-factors", type=int, default=None)
-    p.add_argument("--char", type=int, default=None, help="default 32003")
+    p.add_argument("--char", type=int, default=32003, help="default 32003")
     p.set_defaults(handler=cmd_conjecture_scan)
 
     p = sub.add_parser("verify", help="run a verification target")
@@ -477,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shape(p, required=False)
     p.add_argument("--window", default=None, metavar="K,L")
     p.add_argument("--chain", default=None, metavar="K1,L1:K2,L2")
-    p.add_argument("--char", type=int, default=None)
+    p.add_argument("--char", type=int, default=0)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("paper-replay",
@@ -489,17 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    caps, extras = load_caps_file(args.caps) if args.caps else (DEFAULT_CAPS, {})
-    fmt = args.format or extras.get("format") or "text"
-    if fmt not in ("text", "json"):
-        parser.error(f"config file sets unknown format {fmt!r}")
-    if getattr(args, "char", None) is None and "char" in extras:
-        args.char = int(extras["char"])
+    args = build_parser().parse_args(argv)
     stream = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    config = RunConfig(format=fmt, caps=caps, stream=stream)
+    config = RunConfig(format=args.format, stream=stream)
     try:
+        if args.caps:
+            config.caps = load_caps_file(args.caps)
         return args.handler(config, args)
     except ResourceLimitError as err:
         emit(config, {"error": str(err), "snapshot": err.snapshot, "ok": False})

@@ -175,24 +175,22 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
 
 
 def _reduce_basis(shape, field, basis) -> tuple:
-    """Canonicalize: minimal lead terms, tails reduced, descending order."""
+    """Canonicalize: minimal lead terms, tails reduced, descending order.
+
+    No lead of a minimal basis divides another, so reduction never changes a
+    lead term.  Whether a polynomial is reduced depends only on the others'
+    leads, so one inter-reduction pass yields the reduced basis.
+    """
     ordered = sorted(basis, key=lambda g: g.leading_monomial.key)
     minimal = []
     for g in ordered:
         if not any(h.leading_monomial.divides(g.leading_monomial) for h in minimal):
             minimal.append(g)
-    while True:
-        changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            replacement = reduce(minimal[idx], others).monic()
-            if replacement.terms != minimal[idx].terms:
-                if replacement.is_zero:
-                    raise DomainError("minimal basis element reduced to zero")
-                minimal[idx] = replacement
-                changed = True
-        if not changed:
-            break
+    for idx in range(len(minimal)):
+        replacement = reduce(minimal[idx], minimal[:idx] + minimal[idx + 1 :]).monic()
+        if replacement.is_zero:
+            raise EngineError("minimal basis element reduced to zero")
+        minimal[idx] = replacement
     minimal.sort(key=lambda g: g.leading_monomial.key, reverse=True)
     return tuple(minimal)
 
@@ -221,7 +219,7 @@ def initial_ideal(basis) -> MonomialIdeal:
     if not polys:
         raise DomainError("initial ideal of an empty basis is undefined")
     shape = polys[0].shape
-    return MonomialIdeal.from_generators(shape, [g.leading_monomial for g in polys])
+    return MonomialIdeal(shape, [g.leading_monomial for g in polys])
 
 
 def natural_window_generators(shape: GridShape, chain: WindowChain, field) -> list:

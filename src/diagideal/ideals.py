@@ -8,10 +8,8 @@ generator-list identity.
 
 from __future__ import annotations
 
-import json
-
 from .errors import DomainError, FormatError, ShapeMismatchError
-from .monomials import GridMonomial, GridShape, monomial_from_triples, parse_monomial
+from .monomials import GridMonomial, GridShape, parse_monomial
 
 
 def minimal_generators(shape: GridShape, monomials) -> tuple:
@@ -19,9 +17,9 @@ def minimal_generators(shape: GridShape, monomials) -> tuple:
 
     Duplicates and multiples of other generators are dropped.  A divisor has
     strictly smaller degree (equal-degree divisibility means equality), so
-    candidates are filtered degree by degree against survivors.  Quadratic in
-    the worst case, which is fine at the few-thousand-generator scale the
-    caps allow.
+    candidates are filtered degree by degree against the survivors of lower
+    degree only.  Quadratic in the worst case, which is fine at the
+    few-thousand-generator scale the caps allow.
     """
     unique = set()
     for g in monomials:
@@ -35,9 +33,8 @@ def minimal_generators(shape: GridShape, monomials) -> tuple:
         by_degree.setdefault(g.degree, []).append(g)
     kept = []
     for degree in sorted(by_degree):
-        for g in sorted(by_degree[degree], reverse=True):
-            if not any(h.divides(g) for h in kept):
-                kept.append(g)
+        lower = tuple(kept)
+        kept.extend(g for g in by_degree[degree] if not any(h.divides(g) for h in lower))
     kept.sort(reverse=True)
     return tuple(kept)
 
@@ -50,10 +47,6 @@ class MonomialIdeal:
     def __init__(self, shape: GridShape, gens):
         self.shape = shape
         self.gens = minimal_generators(shape, gens)
-
-    @classmethod
-    def from_generators(cls, shape: GridShape, monomials) -> "MonomialIdeal":
-        return cls(shape, monomials)
 
     @classmethod
     def zero(cls, shape: GridShape) -> "MonomialIdeal":
@@ -100,18 +93,18 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_shape(other)
-        return MonomialIdeal.from_generators(self.shape, self.gens + other.gens)
+        return MonomialIdeal(self.shape, self.gens + other.gens)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_shape(other)
         products = [g * h for g in self.gens for h in other.gens]
-        return MonomialIdeal.from_generators(self.shape, products)
+        return MonomialIdeal(self.shape, products)
 
     def colon(self, f: GridMonomial) -> "MonomialIdeal":
         """(self : f), generated by g/gcd(g, f) over the generators g."""
         if f.shape != self.shape:
             raise ShapeMismatchError("colon divisor on wrong grid")
-        return MonomialIdeal.from_generators(self.shape, [g.colon(f) for g in self.gens])
+        return MonomialIdeal(self.shape, [g.colon(f) for g in self.gens])
 
     # -- identity ----------------------------------------------------------
 
@@ -129,22 +122,13 @@ class MonomialIdeal:
     def __iter__(self):
         return iter(self.gens)
 
-    # -- text / JSON ---------------------------------------------------------
+    # -- text ----------------------------------------------------------------
 
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.gens) + ">"
 
     def __repr__(self):
         return f"MonomialIdeal({self.shape.rows}x{self.shape.cols}, {self})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "shape": [self.shape.rows, self.shape.cols],
-            "gens": [g.to_triples() for g in self.gens],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
 def _split_generators(inner: str) -> list[str]:
@@ -174,23 +158,4 @@ def parse_ideal(shape: GridShape, text: str) -> MonomialIdeal:
     if not inner:
         return MonomialIdeal.zero(shape)
     gens = [parse_monomial(shape, part) for part in _split_generators(inner)]
-    return MonomialIdeal.from_generators(shape, gens)
-
-
-def ideal_from_json_obj(obj) -> MonomialIdeal:
-    try:
-        rows, cols = obj["shape"]
-        gen_triples = obj["gens"]
-    except (KeyError, TypeError, ValueError):
-        raise FormatError(f"bad ideal JSON object: {obj!r}") from None
-    shape = GridShape(rows, cols)
-    gens = [monomial_from_triples(shape, triples) for triples in gen_triples]
-    return MonomialIdeal.from_generators(shape, gens)
-
-
-def ideal_from_json(text: str) -> MonomialIdeal:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad ideal JSON: {exc}") from None
-    return ideal_from_json_obj(obj)
+    return MonomialIdeal(shape, gens)

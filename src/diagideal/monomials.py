@@ -151,11 +151,6 @@ class GridMonomial:
             (idx // n + 1, idx % n + 1) for idx, e in enumerate(self.exps) if e
         )
 
-    def to_triples(self) -> list:
-        """JSON form: [[row, col, exponent], ...] in rank order."""
-        n = self.shape.cols
-        return [[idx // n + 1, idx % n + 1, e] for idx, e in enumerate(self.exps) if e]
-
     # -- arithmetic ----------------------------------------------------
 
     def _check_shape(self, other: "GridMonomial"):
@@ -253,7 +248,7 @@ def parse_monomial(shape: GridShape, text: str) -> GridMonomial:
         raise FormatError("empty monomial text")
     if text == "1":
         return GridMonomial.unit(shape)
-    exps = [0] * shape.variable_count
+    mapping = {}
     for token in text.split("*"):
         token = token.strip()
         match = _FACTOR_RE.match(token)
@@ -263,24 +258,8 @@ def parse_monomial(shape: GridShape, text: str) -> GridMonomial:
         e = int(match.group(3)) if match.group(3) else 1
         if e < 1:
             raise FormatError(f"bad exponent in {token!r}")
-        if not shape.contains(i, j):
-            raise FormatError(f"variable x[{i},{j}] outside {shape.rows}x{shape.cols} grid")
-        exps[(i - 1) * shape.cols + (j - 1)] += e
-    try:
-        return GridMonomial(shape, tuple(exps))
-    except DomainError as exc:
-        raise FormatError(f"bad monomial {text!r}: {exc}") from None
-
-
-def monomial_from_triples(shape: GridShape, triples) -> GridMonomial:
-    """Inverse of ``GridMonomial.to_triples``."""
-    mapping = {}
-    for item in triples:
-        if len(item) != 3:
-            raise FormatError(f"bad exponent triple {item!r}")
-        i, j, e = item
         mapping[(i, j)] = mapping.get((i, j), 0) + e
     try:
         return GridMonomial.from_exponents(shape, mapping)
     except DomainError as exc:
-        raise FormatError(str(exc)) from None
+        raise FormatError(f"bad monomial {text!r}: {exc}") from None

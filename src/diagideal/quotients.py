@@ -54,7 +54,7 @@ def quotient_chain(ideal: MonomialIdeal) -> QuotientChain:
     for u in range(1, len(gens)):
         f = gens[u]
         steps.append(
-            MonomialIdeal.from_generators(ideal.shape, [g.colon(f) for g in gens[:u]])
+            MonomialIdeal(ideal.shape, [g.colon(f) for g in gens[:u]])
         )
     return QuotientChain(ideal, tuple(steps))
 
@@ -84,7 +84,7 @@ def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> Mono
     if selection is None:
         raise DomainError(f"{f} is not a diagonal monomial")
     selection.check_against(shape, window)
-    return MonomialIdeal.from_generators(shape, _gap_variables(shape, window, selection))
+    return MonomialIdeal(shape, _gap_variables(shape, window, selection))
 
 
 def closed_form_product_colon(
@@ -179,7 +179,7 @@ def verify_product_colons(
     for u, f in enumerate(diagonals):
         candidates = [g.colon(f) for g in full.gens]
         candidates.extend(p.colon(f) for p in prefix)
-        brute = MonomialIdeal.from_generators(shape, candidates)
+        brute = MonomialIdeal(shape, candidates)
         closed = rest + closed_form_colon(shape, chain.windows[0], f)
         entries.append({"u": u, "brute": brute, "closed": closed, "equal": brute == closed})
         prefix.append(f)

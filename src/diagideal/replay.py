@@ -107,6 +107,12 @@ class GoldenCase:
             else:
                 raise FormatError(f"{self.name}: unknown key {key!r}")
 
+    def require(self, *keys: str) -> None:
+        """Raise FormatError unless every named field was set by the file."""
+        missing = [key for key in keys if getattr(self, key) is None]
+        if missing:
+            raise FormatError(f"{self.name}: missing {', '.join(missing)}")
+
 
 def load_case(name: str) -> GoldenCase:
     return GoldenCase(name, golden_text(name))
@@ -118,7 +124,7 @@ def _record(name: str, ok: bool, expected: str, got: str) -> dict:
 
 def replay_window_quotients() -> list[dict]:
     case = load_case("window_2_6_quotients.txt")
-    assert case.shape is not None and case.generators is not None
+    case.require("shape", "generators")
     (window,) = case.windows
     records = []
     ideal = diagonal_ideal(case.shape, window)
@@ -147,7 +153,7 @@ def replay_window_quotients() -> list[dict]:
 
 def replay_redistribute() -> list[dict]:
     case = load_case("redistribute_6x16.txt")
-    assert case.shape is not None
+    case.require("shape")
     chain = WindowChain(tuple(case.windows))
     rebalanced = redistribute(case.shape, chain, case.factors)
     records = []
@@ -165,7 +171,7 @@ def replay_redistribute() -> list[dict]:
 
 def replay_product() -> list[dict]:
     case = load_case("product_1x3.txt")
-    assert case.shape is not None and case.product is not None
+    case.require("shape", "product")
     got = window_product_ideal(case.shape, case.windows)
     return [
         _record(
@@ -179,9 +185,9 @@ def replay_product() -> list[dict]:
 
 def replay_colon_mismatch(name: str) -> list[dict]:
     case = load_case(name)
-    assert case.shape is not None
-    assert case.colon_by is not None and case.claimed is not None
-    assert case.expect == "unequal"
+    case.require("shape", "colon_by", "claimed")
+    if case.expect != "unequal":
+        raise FormatError(f"{name}: expect must be 'unequal', got {case.expect!r}")
     diagonals = enumerate_diagonals(case.shape, case.windows[0])
     if case.prefix_through is not None:
         cutoff = diagonals.index(case.prefix_through) + 1
@@ -189,7 +195,7 @@ def replay_colon_mismatch(name: str) -> list[dict]:
         cutoff = case.prefix or 0
     lhs = window_product_ideal(case.shape, case.windows)
     if cutoff:
-        lhs = lhs + MonomialIdeal.from_generators(case.shape, diagonals[:cutoff])
+        lhs = lhs + MonomialIdeal(case.shape, diagonals[:cutoff])
     brute = lhs.colon(case.colon_by)
     label = f"{name.removesuffix('.txt')} stays unequal"
     return [

@@ -19,7 +19,6 @@ homology oracle (``betti_table``) otherwise.
 
 from __future__ import annotations
 
-import json
 from math import comb
 
 from .caps import DEFAULT_CAPS, Caps
@@ -82,9 +81,6 @@ class BettiTable:
             "rows": [{"i": i, "j": j, "beta": beta} for i, j, beta in self.cells],
             "reg": self.regularity,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     def __repr__(self):
         body = ", ".join(f"b[{i},{j}]={beta}" for i, j, beta in self.cells)

@@ -164,7 +164,8 @@ def enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
         diagonal_monomial(shape, cols)
         for cols in combinations(range(window.first, window.last + 1), shape.rows)
     )
-    assert list(diags) == sorted(diags, reverse=True)
+    if list(diags) != sorted(diags, reverse=True):
+        raise EngineError(f"diagonals of window {window} are not in descending grid order")
     return diags
 
 
@@ -172,9 +173,10 @@ def enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
 def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
     """The ideal generated by the window's diagonal monomials."""
     diags = enumerate_diagonals(shape, window)
-    ideal = MonomialIdeal.from_generators(shape, diags)
+    ideal = MonomialIdeal(shape, diags)
     # Diagonal monomials are pairwise non-dividing, so nothing may collapse.
-    assert len(ideal.gens) == comb(window.width, shape.rows)
+    if len(ideal.gens) != comb(window.width, shape.rows):
+        raise EngineError(f"diagonal ideal of window {window} lost generators to minimalization")
     return ideal
 
 

@@ -52,7 +52,7 @@ def random_monomial(rng: random.Random, shape: GridShape, max_vars: int = 4) -> 
 
 def random_ideal(rng: random.Random, shape: GridShape, max_gens: int = 6) -> MonomialIdeal:
     gens = [random_monomial(rng, shape) for _ in range(rng.randint(1, max_gens))]
-    return MonomialIdeal.from_generators(shape, gens)
+    return MonomialIdeal(shape, gens)
 
 
 def colon_membership_suite(rng: random.Random, cases: int) -> int:
@@ -126,7 +126,7 @@ def minimalize_suite(rng: random.Random, cases: int) -> int:
         )
         again = minimal_generators(shape, minimal)
         assert set(again) == set(minimal), f"not idempotent on {minimal}"
-        ideal = MonomialIdeal.from_generators(shape, minimal)
+        ideal = MonomialIdeal(shape, minimal)
         assert all(ideal.contains(m) for m in raw), (
             f"minimalization changed the ideal on {sorted(map(str, raw))}"
         )

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import diagideal
 
 # Removing or adding an export is a deliberate API change: edit this list
@@ -39,8 +42,6 @@ PUBLIC_API = [
     "diagonal_ideal",
     "diagonal_monomial",
     "enumerate_diagonals",
-    "ideal_from_json",
-    "ideal_from_json_obj",
     "initial_ideal",
     "is_groebner_basis",
     "is_prime",
@@ -52,7 +53,6 @@ PUBLIC_API = [
     "mapping_cone_betti",
     "minimal_generators",
     "minor",
-    "monomial_from_triples",
     "natural_window_generators",
     "parse_caps_text",
     "parse_ideal",
@@ -74,3 +74,12 @@ def test_public_api_is_pinned():
     assert sorted(diagideal.__all__) == PUBLIC_API
     for name in diagideal.__all__:
         assert hasattr(diagideal, name), name
+
+
+def test_no_assert_statements_in_the_package():
+    # `python -O` strips assert statements, so a real check must raise.
+    found = []
+    for path in sorted(Path(diagideal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

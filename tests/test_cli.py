@@ -117,12 +117,19 @@ def test_colon_step_out_of_range(capsys):
     assert code == 2
 
 
-def test_linquot_verify(capsys):
+def test_verify_lemma1_text(capsys):
     code, out = run_cli(
-        capsys, "linquot-verify", "--rows", "3", "--cols", "8", "--window", "2,6"
+        capsys, "verify", "--target", "lemma1", "--rows", "3", "--cols", "8", "--window", "2,6"
     )
     assert code == 0
     assert out.startswith("PASS")
+
+
+def test_linquot_verify_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["linquot-verify", "--rows", "3", "--cols", "8", "--window", "2,6"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_betti_json(capsys):
@@ -283,9 +290,9 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert all(json.loads(line)["ok"] for line in lines)
 
 
-def test_caps_file_sets_format_and_limits(tmp_path, capsys):
+def test_caps_file_sets_limits(tmp_path, capsys):
     config = tmp_path / "caps.txt"
-    config.write_text("format = json\nmax_conjecture_cols = 3\n")
+    config.write_text("max_conjecture_cols = 3\n")
     code, out = run_cli(
         capsys,
         "conjecture-scan", "--max-rows", "1", "--max-cols", "4",
@@ -296,23 +303,37 @@ def test_caps_file_sets_format_and_limits(tmp_path, capsys):
     code, out = run_cli(
         capsys,
         "conjecture-scan", "--max-rows", "1", "--max-cols", "3",
-        "--max-factors", "1", "--caps", str(config),
+        "--max-factors", "1", "--caps", str(config), "--format", "json",
     )
     assert code == 0
     for line in out.splitlines():
-        json.loads(line)  # format=json came from the config file
+        json.loads(line)
 
 
-def test_flag_overrides_caps_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "line",
+    ["format = json", "char = 0", "seed = 5", "max_spairs = x"],
+    ids=["format", "char", "seed", "not-an-integer"],
+)
+def test_caps_file_sets_caps_only(line, tmp_path, capsys):
     config = tmp_path / "caps.txt"
-    config.write_text("format = json\n")
+    config.write_text(f"max_spairs = 10\n{line}\n")
     code, out = run_cli(
         capsys,
         "diagonals", "--rows", "1", "--cols", "3", "--window", "1,2",
-        "--caps", str(config), "--format", "text",
+        "--caps", str(config), "--format", "json",
     )
-    assert code == 0
-    assert out.splitlines() == ["x[1,1]", "x[1,2]"]
+    assert code == 2
+    record = json.loads(out)
+    assert record["ok"] is False and "caps line 2" in record["error"]
+
+
+def test_missing_caps_file_exits_two(tmp_path, capsys):
+    code, out = run_cli(
+        capsys, "paper-replay", "--caps", str(tmp_path / "no-such-file.txt"),
+    )
+    assert code == 2
+    assert out.startswith("FAIL") and "cannot read caps file" in out
 
 
 def test_parse_caps_text_rejects_unknown_keys():
@@ -321,11 +342,11 @@ def test_parse_caps_text_rejects_unknown_keys():
 
 
 def test_parse_caps_text_types():
-    caps, extras = parse_caps_text("max_spairs = 10\nformat = json\nchar = 0\n")
-    assert caps.max_spairs == 10
-    assert extras == {"format": "json", "char": "0"}
-    with pytest.raises(FormatError):
-        parse_caps_text("seed = 5\n")
+    caps = parse_caps_text("max_spairs = 10\nmax_oracle_gens = 7\n")
+    assert caps.max_spairs == 10 and caps.max_oracle_gens == 7
+    for bad in ("format = json\n", "char = 0\n", "seed = 5\n"):
+        with pytest.raises(FormatError):
+            parse_caps_text(bad)
 
 
 def test_seed_flag_is_gone(capsys):

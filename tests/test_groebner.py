@@ -205,6 +205,15 @@ def test_conjecture_check_raises_on_engine_fault(monkeypatch):
     assert isinstance(info.value, DiagIdealError)
 
 
+def test_reduce_basis_raises_when_an_element_reduces_to_zero(monkeypatch):
+    # a minimal basis element reducing to zero is an engine fault
+    field = make_field(32003)
+    generators = natural_window_generators(GridShape(2, 3), WindowChain.of((1, 3)), field)
+    monkeypatch.setattr(groebner, "reduce", lambda f, basis: Polynomial(f.shape, f.field, ()))
+    with pytest.raises(EngineError):
+        buchberger(generators)
+
+
 def test_conjecture_check_squared_window():
     shape = GridShape(2, 3)
     verdict = conjecture_check(shape, WindowChain.of((1, 3), (1, 3)))

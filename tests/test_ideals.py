@@ -1,17 +1,15 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from diagideal.errors import DomainError, FormatError, ShapeMismatchError
 from diagideal.ideals import (
     MonomialIdeal,
-    ideal_from_json,
     minimal_generators,
     parse_ideal,
 )
 from diagideal.monomials import GridMonomial, GridShape, parse_monomial
+from diagideal.windows import iter_sorted_chains, window_product_ideal
 
 
 def gens(shape, *texts):
@@ -71,7 +69,7 @@ def test_zero_and_unit():
 
 def test_membership():
     shape = GridShape(1, 3)
-    ideal = MonomialIdeal.from_generators(shape, gens(shape, "x[1,1]*x[1,2]", "x[1,3]^2"))
+    ideal = MonomialIdeal(shape, gens(shape, "x[1,1]*x[1,2]", "x[1,3]^2"))
     assert ideal.contains(parse_monomial(shape, "x[1,1]*x[1,2]*x[1,3]"))
     assert ideal.contains(parse_monomial(shape, "x[1,3]^2"))
     assert not ideal.contains(parse_monomial(shape, "x[1,1]*x[1,3]"))
@@ -80,8 +78,8 @@ def test_membership():
 
 def test_sum_and_product():
     shape = GridShape(1, 3)
-    a = MonomialIdeal.from_generators(shape, gens(shape, "x[1,1]", "x[1,2]"))
-    b = MonomialIdeal.from_generators(shape, gens(shape, "x[1,2]", "x[1,3]"))
+    a = MonomialIdeal(shape, gens(shape, "x[1,1]", "x[1,2]"))
+    b = MonomialIdeal(shape, gens(shape, "x[1,2]", "x[1,3]"))
     total = a + b
     assert [str(m) for m in total.gens] == ["x[1,1]", "x[1,2]", "x[1,3]"]
     prod = a * b
@@ -100,7 +98,7 @@ def test_sum_and_product():
 
 def test_colon_hand_case():
     shape = GridShape(1, 3)
-    ideal = MonomialIdeal.from_generators(
+    ideal = MonomialIdeal(
         shape, gens(shape, "x[1,1]^2", "x[1,1]*x[1,2]", "x[1,3]^3")
     )
     f = parse_monomial(shape, "x[1,1]")
@@ -114,8 +112,8 @@ def test_colon_hand_case():
 
 def test_variable_generation_predicate():
     shape = GridShape(2, 2)
-    variables = MonomialIdeal.from_generators(shape, gens(shape, "x[1,1]", "x[2,2]"))
-    mixed = MonomialIdeal.from_generators(shape, gens(shape, "x[1,1]", "x[1,2]*x[2,1]"))
+    variables = MonomialIdeal(shape, gens(shape, "x[1,1]", "x[2,2]"))
+    mixed = MonomialIdeal(shape, gens(shape, "x[1,1]", "x[1,2]*x[2,1]"))
     assert variables.is_generated_by_variables
     assert not mixed.is_generated_by_variables
     assert MonomialIdeal.zero(shape).is_generated_by_variables
@@ -123,18 +121,18 @@ def test_variable_generation_predicate():
 
 def test_generation_degrees():
     shape = GridShape(1, 4)
-    equi = MonomialIdeal.from_generators(shape, gens(shape, "x[1,1]*x[1,2]", "x[1,3]*x[1,4]"))
+    equi = MonomialIdeal(shape, gens(shape, "x[1,1]*x[1,2]", "x[1,3]*x[1,4]"))
     assert equi.generator_degrees() == (2,)
     assert equi.single_generation_degree() == 2
-    mixed = MonomialIdeal.from_generators(shape, gens(shape, "x[1,1]", "x[1,3]*x[1,4]"))
+    mixed = MonomialIdeal(shape, gens(shape, "x[1,1]", "x[1,3]*x[1,4]"))
     assert mixed.generator_degrees() == (1, 2)
     assert mixed.single_generation_degree() is None
 
 
 def test_equality_and_hash_ignore_input_order():
     shape = GridShape(1, 3)
-    a = MonomialIdeal.from_generators(shape, gens(shape, "x[1,1]", "x[1,2]^2"))
-    b = MonomialIdeal.from_generators(shape, gens(shape, "x[1,2]^2", "x[1,1]", "x[1,1]*x[1,3]"))
+    a = MonomialIdeal(shape, gens(shape, "x[1,1]", "x[1,2]^2"))
+    b = MonomialIdeal(shape, gens(shape, "x[1,2]^2", "x[1,1]", "x[1,1]*x[1,3]"))
     assert a == b and hash(a) == hash(b)
 
 
@@ -145,16 +143,20 @@ def test_shape_mismatch_rejected():
         _ = a + b
 
 
-def test_json_round_trip():
-    shape = GridShape(2, 3)
-    ideal = MonomialIdeal.from_generators(
-        shape, gens(shape, "x[1,1]*x[2,2]", "x[1,2]*x[2,3]")
-    )
-    blob = ideal.to_json()
-    parsed = ideal_from_json(blob)
-    assert parsed == ideal
-    obj = json.loads(blob)
-    assert obj["shape"] == [2, 3]
+def test_text_round_trip():
+    for shape in (GridShape(1, 4), GridShape(2, 5)):
+        ideals = [MonomialIdeal.zero(shape), MonomialIdeal.unit(shape)]
+        for length in (1, 2):
+            ideals.extend(
+                window_product_ideal(shape, chain.windows)
+                for chain in iter_sorted_chains(shape, length)
+            )
+        for ideal in ideals:
+            parsed = parse_ideal(shape, str(ideal))
+            assert parsed == ideal
+            assert str(parsed) == str(ideal)
+    assert str(MonomialIdeal.zero(GridShape(1, 2))) == "<>"
+    assert str(MonomialIdeal.unit(GridShape(1, 2))) == "<1>"
 
 
 def test_parse_ideal_text():

@@ -8,7 +8,6 @@ from diagideal.monomials import (
     MAX_EXPONENT,
     GridMonomial,
     GridShape,
-    monomial_from_triples,
     parse_monomial,
 )
 
@@ -115,13 +114,6 @@ def test_parse_str_round_trip():
         assert str(parse_monomial(shape, text)) == text
 
 
-def test_triples_round_trip():
-    shape = GridShape(2, 3)
-    m = parse_monomial(shape, "x[1,2]^2*x[2,1]")
-    assert m.to_triples() == [[1, 2, 2], [2, 1, 1]]
-    assert monomial_from_triples(shape, m.to_triples()) == m
-
-
 def test_support_and_squarefree():
     shape = GridShape(2, 2)
     m = parse_monomial(shape, "x[1,1]*x[2,2]")
@@ -158,8 +150,6 @@ def test_parse_rejects_exponent_above_bound():
     for bad in ("x[1,1]^128", "x[1,1]^200", "x[1,1]^100*x[1,1]^28", "x[1,2]^99999999999999999999"):
         with pytest.raises(FormatError):
             parse_monomial(shape, bad)
-    with pytest.raises(FormatError):
-        monomial_from_triples(shape, [[1, 1, 128]])
     # An exponent past the 8-bit field must be refused, not wrapped into a
     # wrong divisibility answer that leaves the ideal unminimized.
     with pytest.raises(FormatError):

@@ -67,7 +67,7 @@ def test_closed_form_colon_rejects_non_diagonals():
 
 def test_quotient_chain_principal_and_zero():
     shape = GridShape(1, 2)
-    principal = MonomialIdeal.from_generators(shape, [parse_monomial(shape, "x[1,1]")])
+    principal = MonomialIdeal(shape, [parse_monomial(shape, "x[1,1]")])
     chain = quotient_chain(principal)
     assert chain.steps == ()
     assert chain.certifies_linear_quotients

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import pytest
+
+import diagideal.replay as replay
+from diagideal.errors import FormatError
 from diagideal.replay import (
     GOLDEN_FILES,
     golden_text,
@@ -57,3 +61,24 @@ def test_full_replay_names_unique_and_pass():
     assert all(r["ok"] for r in records)
     for record in records:
         assert set(record) == {"name", "ok", "expected", "got"}
+
+
+
+@pytest.mark.parametrize(
+    "replay_one, name, drop",
+    [
+        (replay_window_quotients, "window_2_6_quotients.txt", "generators"),
+        (replay_redistribute, "redistribute_6x16.txt", None),
+        (replay_product, "product_1x3.txt", "product"),
+        (lambda: replay_colon_mismatch("colon_mismatch_3x9.txt"), "colon_mismatch_3x9.txt", "claimed"),
+        (lambda: replay_colon_mismatch("colon_mismatch_3x9.txt"), "colon_mismatch_3x9.txt", "expect"),
+    ],
+)
+def test_replay_rejects_incomplete_golden_case(replay_one, name, drop, monkeypatch):
+    # drop one key's lines from the golden file, or empty it when drop is None
+    real = replay.golden_text
+    lines = real(name).splitlines() if drop else []
+    text = "\n".join(line for line in lines if not line.startswith(drop + " "))
+    monkeypatch.setattr(replay, "golden_text", lambda n: text if n == name else real(n))
+    with pytest.raises(FormatError):
+        replay_one()

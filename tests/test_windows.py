@@ -189,6 +189,31 @@ def test_minor_raises_when_the_diagonal_does_not_lead(monkeypatch):
         minor(shape, (1, 3), QQ)
 
 
+def test_enumerate_diagonals_raises_when_out_of_order(monkeypatch):
+    shape, window = GridShape(2, 5), Window(1, 4)
+    monkeypatch.setattr(
+        windows, "combinations", lambda cols, r: reversed(list(combinations(cols, r)))
+    )
+    windows.enumerate_diagonals.cache_clear()
+    try:
+        with pytest.raises(EngineError):
+            enumerate_diagonals(shape, window)
+    finally:
+        windows.enumerate_diagonals.cache_clear()
+
+
+def test_diagonal_ideal_raises_when_generators_collapse(monkeypatch):
+    shape, window = GridShape(2, 5), Window(1, 4)
+    real = windows.MonomialIdeal
+    monkeypatch.setattr(windows, "MonomialIdeal", lambda shape, gens: real(shape, gens[1:]))
+    windows.diagonal_ideal.cache_clear()
+    try:
+        with pytest.raises(EngineError):
+            diagonal_ideal(shape, window)
+    finally:
+        windows.diagonal_ideal.cache_clear()
+
+
 def test_iter_windows():
     shape = GridShape(3, 5)
     windows = list(iter_windows(shape))
