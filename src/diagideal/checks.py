@@ -247,26 +247,15 @@ def verify_reports(
     caps: Caps = DEFAULT_CAPS,
     characteristic: int = 0,
 ) -> Iterator[dict]:
-    """Reports for one `verify` target.  With an explicit instance the
-    target runs on it alone; otherwise a default desk-scale set runs."""
+    """Reports for one `verify` target: on the shape with the window or chain
+    the target reads, or, given no shape, on a default desk-scale set."""
     if target in ("lemma1", "all"):
-        if shape is not None and window is not None:
-            yield single_window_report(shape, window)
-        else:
-            yield from sweep_single_windows()
+        yield from [single_window_report(shape, window)] if shape else sweep_single_windows()
     if target in ("lemma2", "all"):
-        if shape is not None and chain is not None:
-            yield product_chain_report(shape, chain, caps=caps)
-        else:
-            for case_shape, case_chain in lemma2_default_cases():
-                yield product_chain_report(case_shape, case_chain, caps=caps)
+        for case in [(shape, chain)] if shape else lemma2_default_cases():
+            yield product_chain_report(*case, caps=caps)
     if target in ("theorem", "all"):
-        if shape is not None and chain is not None:
-            yield theorem_report(shape, chain, caps=caps, characteristic=characteristic)
-        else:
-            for case_shape, case_chain in theorem_default_cases():
-                yield theorem_report(
-                    case_shape, case_chain, caps=caps, characteristic=characteristic
-                )
+        for case in [(shape, chain)] if shape else theorem_default_cases():
+            yield theorem_report(*case, caps=caps, characteristic=characteristic)
     if target in ("remarks", "all"):
         yield from remarks_report()

@@ -301,24 +301,14 @@ def cmd_groebner(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_conjecture_scan(config: RunConfig, args: argparse.Namespace) -> int:
     caps = config.caps
-    max_rows = args.max_rows if args.max_rows is not None else caps.max_conjecture_rows
-    max_cols = args.max_cols if args.max_cols is not None else caps.max_conjecture_cols
-    max_factors = (
-        args.max_factors if args.max_factors is not None else caps.max_conjecture_factors
-    )
-    if (
-        max_rows > caps.max_conjecture_rows
-        or max_cols > caps.max_conjecture_cols
-        or max_factors > caps.max_conjecture_factors
-    ):
-        raise ResourceLimitError(
-            f"scan bounds ({max_rows},{max_cols},{max_factors}) exceed caps "
-            f"({caps.max_conjecture_rows},{caps.max_conjecture_cols},"
-            f"{caps.max_conjecture_factors})"
-        )
-    for verdict in checks.conjecture_scan(
-        max_rows, max_cols, max_factors, characteristic=args.char, caps=caps
-    ):
+    limits = (caps.max_conjecture_rows, caps.max_conjecture_cols, caps.max_conjecture_factors)
+    given = (args.max_rows, args.max_cols, args.max_factors)
+    bounds = tuple(limit if value is None else value for value, limit in zip(given, limits))
+    if min(bounds) < 1:
+        raise DiagIdealError(f"scan bounds {bounds} must be at least 1")
+    if any(value > limit for value, limit in zip(bounds, limits)):
+        raise ResourceLimitError(f"scan bounds {bounds} exceed caps {limits}")
+    for verdict in checks.conjecture_scan(*bounds, characteristic=args.char, caps=caps):
         if config.format == "json":
             emit(config, verdict)
             continue
@@ -334,12 +324,28 @@ def cmd_conjecture_scan(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
+# The flags that together give one instance of each verify target; with none
+# of them, verify runs the target's default set.
+_VERIFY_INSTANCE = {
+    "lemma1": {"rows", "cols", "window"},
+    "lemma2": {"rows", "cols", "chain"},
+    "theorem": {"rows", "cols", "chain"},
+    "remarks": set(),
+    "all": {"rows", "cols", "window", "chain"},
+}
+
+
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    shape = _shape(args) if args.rows and args.cols else None
+    needed = _VERIFY_INSTANCE[args.target]
+    given = {flag for flag in _VERIFY_INSTANCE["all"] if getattr(args, flag) is not None}
+    if given - needed:
+        raise DiagIdealError(f"--target {args.target} does not use --{min(given - needed)}")
+    if given and given != needed:
+        missing = ", --".join(sorted(needed - given))
+        raise DiagIdealError(f"--target {args.target} needs --{missing} as well")
+    shape = _shape(args) if given else None
     window = _parse_window(args.window) if args.window else None
-    chain = None
-    if args.chain:
-        chain = WindowChain(tuple(_parse_chain(args.chain)))
+    chain = WindowChain(tuple(_parse_chain(args.chain))) if args.chain else None
     all_ok = True
     for report in checks.verify_reports(
         args.target,
@@ -472,29 +478,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    stream = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    config = RunConfig(format=args.format, stream=stream)
+    config = RunConfig(format=args.format, stream=sys.stdout)
     try:
+        if args.output:
+            config.stream = open(args.output, "w", encoding="utf-8")
         if args.caps:
             config.caps = load_caps_file(args.caps)
         return args.handler(config, args)
     except ResourceLimitError as err:
         emit(config, {"error": str(err), "snapshot": err.snapshot, "ok": False})
         return EXIT_RESOURCE
-    except DiagIdealError as err:
-        emit(config, {"error": str(err), "ok": False})
-        return EXIT_RESOURCE
-    except ValueError as err:
-        emit(config, {"error": str(err), "ok": False})
-        return EXIT_RESOURCE
     except BrokenPipeError:
         # reader went away (e.g. piped into head); die quietly
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except (DiagIdealError, ValueError, OSError) as err:
+        # OSError: an --output path that cannot be opened
+        emit(config, {"error": str(err), "ok": False})
+        return EXIT_RESOURCE
     finally:
-        if stream is not sys.stdout:
-            stream.close()
+        if config.stream is not sys.stdout:
+            config.stream.close()
 
 
 if __name__ == "__main__":

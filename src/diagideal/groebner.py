@@ -23,24 +23,29 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
-from .monomials import GridShape, _excess
+from .monomials import GridShape, _divides, _lcm
 from .polynomials import Polynomial
 from .windows import WindowChain, minor, window_product_ideal
 
 
 def reduce(f: Polynomial, basis) -> Polynomial:
-    """Remainder of f on division by the basis list.
+    """Remainder of f on division by the basis list, which must share f's grid
+    and field.
 
     No remainder term is divisible by any basis leading monomial.
     """
+    basis = tuple(basis)
+    for g in basis:
+        f._check_compatible(g)
     divisors = [(g.leading_monomial, g) for g in basis if not g.is_zero]
+    shape = f.shape
     field = f.field
     remainder = []
     work = f
     while work.terms:
         head_m, head_c = work.terms[0]
         for lm, g in divisors:
-            if lm.divides(head_m):
+            if _divides(lm.key, head_m.key, shape):
                 factor = head_m / lm
                 scale = field.mul(head_c, field.invert(g.leading_coefficient))
                 work = work - g.times_term(factor, scale)
@@ -48,7 +53,7 @@ def reduce(f: Polynomial, basis) -> Polynomial:
         else:
             remainder.append((head_m, head_c))
             work = Polynomial(work.shape, field, work.terms[1:])
-    return Polynomial(f.shape, field, tuple(remainder))
+    return Polynomial(shape, field, tuple(remainder))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -98,14 +103,10 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
             seen.add(g.terms)
             basis.append(g)
 
-    guard = shape._guard
     leads = []  # packed lead key of each basis element
     active = []  # indices new pairs are formed with: no later lead divides theirs
     live = {}  # pending pair (i, j) -> packed lcm of its leads
     queue = []  # heap of (lcm, i, j); pairs no longer in live are skipped
-
-    def divides(a: int, b: int) -> bool:
-        return ((b | guard) - a) & guard == guard
 
     def update(h: int) -> None:
         """Gebauer-Moller: add basis[h], pruning new and old pairs."""
@@ -117,7 +118,7 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
         classes = {}
         for g in active:
             lg = leads[g]
-            lcm = lh + _excess(lg, lh, guard)
+            lcm = _lcm(lg, lh, shape)
             coprime = lcm == lh + lg
             if lcm in classes:
                 classes[lcm][1] |= coprime
@@ -126,7 +127,7 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
         minimal = []
         fresh = []
         for lcm in sorted(classes):
-            if any(divides(m, lcm) for m in minimal):
+            if any(_divides(m, lcm, shape) for m in minimal):
                 continue
             minimal.append(lcm)
             g, coprime = classes[lcm]
@@ -136,15 +137,15 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
         # neither of its pairs with h has that same lcm.
         for (i, j), lcm in list(live.items()):
             if (
-                divides(lh, lcm)
-                and leads[i] + _excess(lh, leads[i], guard) != lcm
-                and leads[j] + _excess(lh, leads[j], guard) != lcm
+                _divides(lh, lcm, shape)
+                and _lcm(lh, leads[i], shape) != lcm
+                and _lcm(lh, leads[j], shape) != lcm
             ):
                 del live[i, j]
         for lcm, g in fresh:
             live[g, h] = lcm
             heappush(queue, (lcm, g, h))
-        active[:] = [g for g in active if not divides(lh, leads[g])]
+        active[:] = [g for g in active if not _divides(lh, leads[g], shape)]
         active.append(h)
 
     for h in range(len(basis)):
@@ -181,10 +182,10 @@ def _reduce_basis(shape, field, basis) -> tuple:
     lead term.  Whether a polynomial is reduced depends only on the others'
     leads, so one inter-reduction pass yields the reduced basis.
     """
-    ordered = sorted(basis, key=lambda g: g.leading_monomial.key)
     minimal = []
-    for g in ordered:
-        if not any(h.leading_monomial.divides(g.leading_monomial) for h in minimal):
+    for g in sorted(basis, key=lambda g: g.leading_monomial.key):
+        lead = g.leading_monomial.key
+        if not any(_divides(h.leading_monomial.key, lead, shape) for h in minimal):
             minimal.append(g)
     for idx in range(len(minimal)):
         replacement = reduce(minimal[idx], minimal[:idx] + minimal[idx + 1 :]).monic()

@@ -9,7 +9,7 @@ generator-list identity.
 from __future__ import annotations
 
 from .errors import DomainError, FormatError, ShapeMismatchError
-from .monomials import GridMonomial, GridShape, parse_monomial
+from .monomials import GridMonomial, GridShape, _divides, parse_monomial
 
 
 def minimal_generators(shape: GridShape, monomials) -> tuple:
@@ -21,21 +21,21 @@ def minimal_generators(shape: GridShape, monomials) -> tuple:
     degree only.  Quadratic in the worst case, which is fine at the
     few-thousand-generator scale the caps allow.
     """
-    unique = set()
+    unique = {}
     for g in monomials:
         if not isinstance(g, GridMonomial):
             raise DomainError(f"not a monomial: {g!r}")
         if g.shape != shape:
             raise ShapeMismatchError(f"generator on wrong grid: {g!r}")
-        unique.add(g)
+        unique[g.key] = g
     by_degree = {}
-    for g in unique:
+    for g in unique.values():
         by_degree.setdefault(g.degree, []).append(g)
     kept = []
     for degree in sorted(by_degree):
-        lower = tuple(kept)
-        kept.extend(g for g in by_degree[degree] if not any(h.divides(g) for h in lower))
-    kept.sort(reverse=True)
+        lower = [h.key for h in kept]
+        kept += [g for g in by_degree[degree] if not any(_divides(h, g.key, shape) for h in lower)]
+    kept.sort(key=lambda g: g.key, reverse=True)
     return tuple(kept)
 
 
@@ -83,7 +83,7 @@ class MonomialIdeal:
         """Membership: some minimal generator divides the monomial."""
         if monomial.shape != self.shape:
             raise ShapeMismatchError("membership test on wrong grid")
-        return any(g.divides(monomial) for g in self.gens)
+        return any(_divides(g.key, monomial.key, self.shape) for g in self.gens)
 
     # -- algebra -----------------------------------------------------------
 

@@ -14,13 +14,17 @@ subtract, and divisibility, gcd, lcm and colon are a few big-int operations
 on the guard bits.  An exponent above 127 is rejected where it enters: the
 constructor raises ``DomainError``, the text parsers ``FormatError``, and a
 product whose exponent would pass 127 raises ``DomainError``.
+
+The key helpers ``_excess``, ``_divides`` and ``_lcm`` are the only code that
+knows the guard layout.  The public operators check both grids, then call them;
+loops over keys whose grid was checked where they entered call them directly.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 
 from .errors import DomainError, FormatError, ShapeMismatchError
 
@@ -76,6 +80,18 @@ def _excess(a: int, b: int, guard: int) -> int:
     return d & (ge - (ge >> 7))
 
 
+def _divides(a: int, b: int, shape: GridShape) -> bool:
+    """Does key a divide key b: is every byte of a at most b's?"""
+    guard = shape._guard
+    return ((b | guard) - a) & guard == guard
+
+
+def _lcm(a: int, b: int, shape: GridShape) -> int:
+    """The key of the lcm of keys a and b: the bytewise max."""
+    return b + _excess(a, b, shape._guard)
+
+
+@total_ordering
 class GridMonomial:
     """An immutable monomial; ``key`` is its packed exponent vector."""
 
@@ -161,8 +177,7 @@ class GridMonomial:
 
     def divides(self, other: "GridMonomial") -> bool:
         self._check_shape(other)
-        guard = self.shape._guard
-        return ((other.key | guard) - self.key) & guard == guard
+        return _divides(self.key, other.key, self.shape)
 
     def __mul__(self, other: "GridMonomial") -> "GridMonomial":
         self._check_shape(other)
@@ -183,7 +198,7 @@ class GridMonomial:
 
     def lcm(self, other: "GridMonomial") -> "GridMonomial":
         self._check_shape(other)
-        return _from_key(self.shape, other.key + _excess(self.key, other.key, self.shape._guard))
+        return _from_key(self.shape, _lcm(self.key, other.key, self.shape))
 
     def colon(self, other: "GridMonomial") -> "GridMonomial":
         """self / gcd(self, other): the generator of (<self> : other)."""
@@ -203,18 +218,6 @@ class GridMonomial:
     def __lt__(self, other):
         self._check_shape(other)
         return self.key < other.key
-
-    def __le__(self, other):
-        self._check_shape(other)
-        return self.key <= other.key
-
-    def __gt__(self, other):
-        self._check_shape(other)
-        return self.key > other.key
-
-    def __ge__(self, other):
-        self._check_shape(other)
-        return self.key >= other.key
 
     # -- text ------------------------------------------------------------
 

@@ -62,9 +62,9 @@ class Polynomial:
         return self.terms[0][1]
 
     def _check_compatible(self, other: "Polynomial"):
-        if self.shape != other.shape:
+        if self.shape is not other.shape and self.shape != other.shape:
             raise ShapeMismatchError("polynomials on different grids")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DomainError("polynomials over different fields")
 
     # -- arithmetic -----------------------------------------------------------

@@ -25,7 +25,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
-from .monomials import GridMonomial
+from .monomials import GridMonomial, _divides
 from .quotients import QuotientChain, quotient_chain
 
 
@@ -147,7 +147,7 @@ def koszul_complex(ideal: MonomialIdeal, multidegree: GridMonomial) -> KoszulCom
     support = [idx for idx, e in enumerate(b) if e]
     facets = []
     for g in ideal.gens:
-        if g.divides(multidegree):
+        if _divides(g.key, multidegree.key, ideal.shape):
             g_exps = g.exps
             mask = 0
             for k, idx in enumerate(support):

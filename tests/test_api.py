@@ -83,3 +83,20 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_monomials_knows_the_key_layout():
+    # The guard bits of a packed key are read in monomials.py alone; other
+    # modules go through its key helpers or the GridMonomial operators.
+    layout = {"_guard", "_excess"}
+    found = []
+    for path in sorted(Path(diagideal.__file__).parent.glob("*.py")):
+        if path.name == "monomials.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            found += [f"{path.name}:{node.lineno}:{name}" for name in sorted(names & layout)]
+    assert found == []

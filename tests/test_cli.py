@@ -290,6 +290,69 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert all(json.loads(line)["ok"] for line in lines)
 
 
+def test_unopenable_output_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out = run_cli(capsys, "paper-replay", "--format", "json", "--output", str(target))
+    assert code == 2
+    record = json.loads(out)
+    assert record["ok"] is False and "report.txt" in record["error"]
+    assert not target.exists()
+
+
+def verify_exit_code(capsys, monkeypatch, *flags):
+    def no_reports(*args, **kwargs):
+        raise AssertionError("verify ran despite its bad flags")
+
+    monkeypatch.setattr(checks, "verify_reports", no_reports)
+    code, out = run_cli(capsys, "verify", "--format", "json", *flags)
+    assert json.loads(out)["ok"] is False
+    return code
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--target", "lemma1", "--window", "2,6"),
+        ("--target", "theorem", "--chain", "1,3:2,4"),
+        ("--target", "lemma1", "--rows", "3", "--window", "2,6"),
+    ],
+)
+def test_verify_rejects_an_instance_without_its_grid(flags, capsys, monkeypatch):
+    assert verify_exit_code(capsys, monkeypatch, *flags) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--target", "lemma1", "--rows", "3", "--cols", "8"),
+        ("--target", "all", "--rows", "3", "--cols", "8", "--window", "2,6"),
+    ],
+)
+def test_verify_rejects_a_grid_without_its_instance(flags, capsys, monkeypatch):
+    assert verify_exit_code(capsys, monkeypatch, *flags) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--target", "theorem", "--rows", "2", "--cols", "4", "--window", "1,3"),
+        ("--target", "lemma1", "--rows", "3", "--cols", "8", "--window", "2,6",
+         "--chain", "2,6"),
+        ("--target", "remarks", "--rows", "2", "--cols", "4"),
+    ],
+)
+def test_verify_rejects_a_flag_its_target_does_not_read(flags, capsys, monkeypatch):
+    assert verify_exit_code(capsys, monkeypatch, *flags) == 2
+
+
+@pytest.mark.parametrize("bound", ["--max-rows", "--max-cols", "--max-factors"])
+def test_conjecture_scan_rejects_a_bound_below_one(bound, capsys):
+    code, out = run_cli(capsys, "conjecture-scan", "--format", "json", bound, "0")
+    assert code == 2
+    record = json.loads(out)
+    assert record["ok"] is False and "at least 1" in record["error"]
+
+
 def test_caps_file_sets_limits(tmp_path, capsys):
     config = tmp_path / "caps.txt"
     config.write_text("max_conjecture_cols = 3\n")

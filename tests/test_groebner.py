@@ -7,7 +7,7 @@ import pytest
 
 import diagideal.groebner as groebner
 from diagideal.caps import DEFAULT_CAPS
-from diagideal.errors import DiagIdealError, EngineError, ResourceLimitError
+from diagideal.errors import DiagIdealError, EngineError, ResourceLimitError, ShapeMismatchError
 from diagideal.fields import make_field
 from diagideal.groebner import (
     GroebnerBasis,
@@ -50,6 +50,15 @@ def test_reduce_leaves_irreducible_alone():
     g = poly(shape, QQ, ("x[1,1]*x[2,2]", 1), ("x[1,2]*x[2,1]", -1))
     target = poly(shape, QQ, ("x[1,2]*x[2,1]", 1))
     assert reduce(target, [g]) == target
+
+
+def test_reduce_rejects_a_basis_on_another_grid():
+    # x[2,3] on 2x3 divides no term of f, and a zero f has no term at all
+    g = poly(GridShape(2, 3), QQ, ("x[2,3]", 1))
+    shape = GridShape(2, 2)
+    for f in (poly(shape, QQ, ("x[1,1]", 1)), Polynomial.zero(shape, QQ)):
+        with pytest.raises(ShapeMismatchError):
+            reduce(f, [g])
 
 
 def test_reduce_strips_all_divisible_terms():

@@ -9,7 +9,13 @@ from diagideal.ideals import (
     parse_ideal,
 )
 from diagideal.monomials import GridMonomial, GridShape, parse_monomial
-from diagideal.windows import iter_sorted_chains, window_product_ideal
+from diagideal.resolution import koszul_complex
+from diagideal.windows import (
+    WindowChain,
+    enumerate_diagonals,
+    iter_sorted_chains,
+    window_product_ideal,
+)
 
 
 def gens(shape, *texts):
@@ -141,6 +147,30 @@ def test_shape_mismatch_rejected():
     b = MonomialIdeal.zero(GridShape(1, 3))
     with pytest.raises(ShapeMismatchError):
         _ = a + b
+
+
+def test_loops_behind_a_boundary_skip_shape_checks(monkeypatch):
+    # Generators and arguments are checked once where they enter; the
+    # divisibility loops behind that check run on packed keys alone.
+    shape = GridShape(3, 8)
+    chain = WindowChain.of((1, 5), (3, 7))
+    product = window_product_ideal(shape, chain.windows)
+    f = enumerate_diagonals(shape, chain.windows[0])[4]
+    candidates = [g.colon(f) for g in product.gens]
+    multidegree = product.gens[0].lcm(product.gens[-1])
+    calls = []
+    real = GridMonomial._check_shape
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(GridMonomial, "_check_shape", counting)
+    colon = minimal_generators(shape, candidates)
+    assert product.contains(multidegree) and not product.contains(f)
+    complex_ = koszul_complex(product, multidegree)
+    assert calls == []
+    assert len(colon) < len(candidates) and complex_.facets
 
 
 def test_text_round_trip():

@@ -94,10 +94,15 @@ def test_order_is_lex_on_row_major_ranks():
 def test_cross_shape_comparison_rejected():
     a = GridMonomial.unit(GridShape(2, 2))
     b = GridMonomial.unit(GridShape(2, 3))
-    with pytest.raises(ShapeMismatchError):
-        _ = a < b
-    with pytest.raises(ShapeMismatchError):
-        _ = a * b
+    for op in (
+        lambda: a < b,
+        lambda: a <= b,
+        lambda: a > b,
+        lambda: a >= b,
+        lambda: a * b,
+    ):
+        with pytest.raises(ShapeMismatchError):
+            op()
 
 
 def test_parse_rejects_garbage():
