@@ -4,39 +4,73 @@ An ideal is represented by its unique minimal generating set, listed in
 descending grid order.  The zero ideal has an empty list; the unit ideal is
 generated by 1.  All operations return canonical ideals, so equality is plain
 generator-list identity.
+
+Minimalization runs on packed keys: candidates are grouped by degree, one
+mask AND against the surviving variables drops their multiples, and only the
+survivors of degree two or more are scanned pairwise.  Products and colons
+build their candidates as keys from generators checked where they entered,
+so a candidate becomes a ``GridMonomial`` only if it survives.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, FormatError, ShapeMismatchError
-from .monomials import GridMonomial, GridShape, _divides, parse_monomial
+from .monomials import (
+    GridMonomial,
+    GridShape,
+    _colon,
+    _degree,
+    _divides,
+    _divisible_by_any,
+    _from_key,
+    _product,
+    _variable_mask,
+    parse_monomial,
+)
 
 
 def minimal_generators(shape: GridShape, monomials) -> tuple:
     """Minimal generating set of the ideal the monomials generate.
 
-    Duplicates and multiples of other generators are dropped.  A divisor has
-    strictly smaller degree (equal-degree divisibility means equality), so
-    candidates are filtered degree by degree against the survivors of lower
-    degree only.  Quadratic in the worst case, which is fine at the
-    few-thousand-generator scale the caps allow.
+    Each generator is checked to be a monomial on ``shape``; duplicates and
+    multiples of other generators are then dropped on the packed keys.  A
+    divisor has strictly smaller degree (equal-degree divisibility means
+    equality), so candidates are taken degree by degree: a single mask AND
+    drops the multiples of the variables among them, and the rest are
+    scanned against the survivors of degree two or more and lower degree.
+    Quadratic in the worst case, which is fine at the few-thousand-generator
+    scale the caps allow.
     """
-    unique = {}
+    keys = []
     for g in monomials:
         if not isinstance(g, GridMonomial):
             raise DomainError(f"not a monomial: {g!r}")
         if g.shape != shape:
             raise ShapeMismatchError(f"generator on wrong grid: {g!r}")
-        unique[g.key] = g
+        keys.append(g.key)
+    return _minimal_keys(shape, keys)
+
+
+def _minimal_keys(shape: GridShape, keys) -> tuple:
+    """``minimal_generators`` on keys already known to lie on ``shape``."""
     by_degree = {}
-    for g in unique.values():
-        by_degree.setdefault(g.degree, []).append(g)
+    for k in set(keys):
+        by_degree.setdefault(_degree(k, shape), []).append(k)
+    if 0 in by_degree:
+        # 1 divides every candidate, the variables included.
+        return (_from_key(shape, 0),)
+    variables = by_degree.pop(1, [])
+    mask = _variable_mask(variables)
     kept = []
     for degree in sorted(by_degree):
-        lower = [h.key for h in kept]
-        kept += [g for g in by_degree[degree] if not any(_divides(h, g.key, shape) for h in lower)]
-    kept.sort(key=lambda g: g.key, reverse=True)
-    return tuple(kept)
+        kept += [
+            k
+            for k in by_degree[degree]
+            if not k & mask and not _divisible_by_any(k, kept, shape)
+        ]
+    kept += variables
+    kept.sort(reverse=True)
+    return tuple(_from_key(shape, k) for k in kept)
 
 
 class MonomialIdeal:
@@ -47,6 +81,14 @@ class MonomialIdeal:
     def __init__(self, shape: GridShape, gens):
         self.shape = shape
         self.gens = minimal_generators(shape, gens)
+
+    @classmethod
+    def _from_keys(cls, shape: GridShape, keys) -> "MonomialIdeal":
+        """The ideal of candidate keys built from already checked monomials."""
+        ideal = object.__new__(cls)
+        ideal.shape = shape
+        ideal.gens = _minimal_keys(shape, keys)
+        return ideal
 
     @classmethod
     def zero(cls, shape: GridShape) -> "MonomialIdeal":
@@ -93,18 +135,21 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_shape(other)
-        return MonomialIdeal(self.shape, self.gens + other.gens)
+        return MonomialIdeal._from_keys(self.shape, [g.key for g in self.gens + other.gens])
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_shape(other)
-        products = [g * h for g in self.gens for h in other.gens]
-        return MonomialIdeal(self.shape, products)
+        shape = self.shape
+        right = [h.key for h in other.gens]
+        products = [_product(g.key, h, shape) for g in self.gens for h in right]
+        return MonomialIdeal._from_keys(shape, products)
 
     def colon(self, f: GridMonomial) -> "MonomialIdeal":
         """(self : f), generated by g/gcd(g, f) over the generators g."""
         if f.shape != self.shape:
             raise ShapeMismatchError("colon divisor on wrong grid")
-        return MonomialIdeal(self.shape, [g.colon(f) for g in self.gens])
+        shape = self.shape
+        return MonomialIdeal._from_keys(shape, [_colon(g.key, f.key, shape) for g in self.gens])
 
     # -- identity ----------------------------------------------------------
 

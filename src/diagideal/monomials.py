@@ -15,9 +15,13 @@ on the guard bits.  An exponent above 127 is rejected where it enters: the
 constructor raises ``DomainError``, the text parsers ``FormatError``, and a
 product whose exponent would pass 127 raises ``DomainError``.
 
-The key helpers ``_excess``, ``_divides`` and ``_lcm`` are the only code that
-knows the guard layout.  The public operators check both grids, then call them;
-loops over keys whose grid was checked where they entered call them directly.
+The key helpers are the only code that knows the byte layout: ``_excess``
+(bytewise max(a - b, 0)), ``_divides`` and ``_divisible_by_any`` (one key
+against a list of divisors), ``_lcm``, ``_colon``, ``_product`` (with its
+overflow check), ``_degree`` (the byte sum, no exponent tuple) and
+``_variable_mask`` (one AND tests divisibility by any of a set of variables).
+The public operators check both grids, then call them; loops over keys whose
+grid was checked where they entered call them directly.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class GridShape:
                 f"grid shape needs 1 <= rows <= cols, got {self.rows}x{self.cols}"
             )
 
-    @property
+    @cached_property
     def variable_count(self) -> int:
         return self.rows * self.cols
 
@@ -89,6 +93,49 @@ def _divides(a: int, b: int, shape: GridShape) -> bool:
 def _lcm(a: int, b: int, shape: GridShape) -> int:
     """The key of the lcm of keys a and b: the bytewise max."""
     return b + _excess(a, b, shape._guard)
+
+
+def _divisible_by_any(key: int, divisors, shape: GridShape) -> bool:
+    """Does some key in divisors divide key?  ``_divides`` over a list."""
+    guard = shape._guard
+    top = key | guard
+    for d in divisors:
+        if (top - d) & guard == guard:
+            return True
+    return False
+
+
+def _colon(a: int, b: int, shape: GridShape) -> int:
+    """The key of a / gcd(a, b), the generator of (<a> : b)."""
+    return _excess(a, b, shape._guard)
+
+
+def _product(a: int, b: int, shape: GridShape) -> int:
+    """The key of a * b; DomainError when an exponent would pass 127."""
+    key = a + b
+    if key & shape._guard:
+        raise DomainError(
+            f"{_from_key(shape, a)} * {_from_key(shape, b)} has an exponent above {MAX_EXPONENT}"
+        )
+    return key
+
+
+def _degree(key: int, shape: GridShape) -> int:
+    """The total degree of a key: the sum of its exponent bytes."""
+    return sum(key.to_bytes(shape.variable_count, "big"))
+
+
+def _variable_mask(keys) -> int:
+    """A mask that meets a key exactly when one of these variables divides it.
+
+    Each of ``keys`` is a single variable, one byte set to 1; the mask holds
+    every exponent bit of those bytes, so ``key & mask`` is nonzero exactly
+    when the key has a positive exponent at one of them.
+    """
+    support = 0
+    for v in keys:
+        support |= v
+    return support * MAX_EXPONENT
 
 
 @total_ordering
@@ -150,7 +197,7 @@ class GridMonomial:
 
     @property
     def degree(self) -> int:
-        return sum(self.exps)
+        return _degree(self.key, self.shape)
 
     @property
     def is_unit(self) -> bool:
@@ -181,10 +228,7 @@ class GridMonomial:
 
     def __mul__(self, other: "GridMonomial") -> "GridMonomial":
         self._check_shape(other)
-        key = self.key + other.key
-        if key & self.shape._guard:
-            raise DomainError(f"{self} * {other} has an exponent above {MAX_EXPONENT}")
-        return _from_key(self.shape, key)
+        return _from_key(self.shape, _product(self.key, other.key, self.shape))
 
     def __truediv__(self, other: "GridMonomial") -> "GridMonomial":
         """Exact division; raises DomainError when not divisible."""
@@ -203,7 +247,7 @@ class GridMonomial:
     def colon(self, other: "GridMonomial") -> "GridMonomial":
         """self / gcd(self, other): the generator of (<self> : other)."""
         self._check_shape(other)
-        return _from_key(self.shape, _excess(self.key, other.key, self.shape._guard))
+        return _from_key(self.shape, _colon(self.key, other.key, self.shape))
 
     # -- ordering ------------------------------------------------------
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError
 from .ideals import MonomialIdeal
-from .monomials import GridMonomial, GridShape
+from .monomials import GridMonomial, GridShape, _colon
 from .windows import (
     ColumnSelection,
     Window,
@@ -49,14 +49,13 @@ def quotient_chain(ideal: MonomialIdeal) -> QuotientChain:
     """Brute-force colon chain along the ideal's canonical generator order."""
     if ideal.is_zero:
         raise DomainError("quotient chain of the zero ideal is undefined")
-    gens = ideal.gens
-    steps = []
-    for u in range(1, len(gens)):
-        f = gens[u]
-        steps.append(
-            MonomialIdeal(ideal.shape, [g.colon(f) for g in gens[:u]])
-        )
-    return QuotientChain(ideal, tuple(steps))
+    shape = ideal.shape
+    keys = [g.key for g in ideal.gens]
+    steps = tuple(
+        MonomialIdeal._from_keys(shape, [_colon(g, keys[u], shape) for g in keys[:u]])
+        for u in range(1, len(keys))
+    )
+    return QuotientChain(ideal, steps)
 
 
 def _gap_variables(shape: GridShape, window: Window, selection: ColumnSelection):
@@ -174,13 +173,13 @@ def verify_product_colons(
         )
     rest = window_product_ideal(shape, chain.windows[1:])
     diagonals = enumerate_diagonals(shape, chain.windows[0])
+    # The product's generators and the diagonals are checked monomials, so
+    # the colon candidates are built and minimalized as keys.
+    keys = [g.key for g in full.gens]
     entries = []
-    prefix = []
     for u, f in enumerate(diagonals):
-        candidates = [g.colon(f) for g in full.gens]
-        candidates.extend(p.colon(f) for p in prefix)
-        brute = MonomialIdeal(shape, candidates)
+        brute = MonomialIdeal._from_keys(shape, [_colon(g, f.key, shape) for g in keys])
         closed = rest + closed_form_colon(shape, chain.windows[0], f)
         entries.append({"u": u, "brute": brute, "closed": closed, "equal": brute == closed})
-        prefix.append(f)
+        keys.append(f.key)
     return entries

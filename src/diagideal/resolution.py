@@ -25,7 +25,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
-from .monomials import GridMonomial, _divides
+from .monomials import GridMonomial, _degree, _divides, _from_key, _lcm
 from .quotients import QuotientChain, quotient_chain
 
 
@@ -231,24 +231,28 @@ def _homology_from_faces(by_dim: dict, field) -> dict:
 
 
 def _candidate_multidegrees(ideal: MonomialIdeal, caps: Caps) -> list:
-    gens = ideal.gens
-    r = len(gens)
-    lcms = [None] * (1 << r)
-    lcms[0] = GridMonomial.unit(ideal.shape)
-    seen = {}
+    """The distinct lcms of nonempty generator subsets, by degree then key.
+
+    The 2^r subset lcms are taken on keys; only the distinct ones become
+    monomials.
+    """
+    shape = ideal.shape
+    keys = [g.key for g in ideal.gens]
+    r = len(keys)
+    lcms = [0] * (1 << r)
+    seen = set()
     for mask in range(1, 1 << r):
         low = mask & -mask
-        base = lcms[mask ^ low]
-        g = gens[low.bit_length() - 1]
-        value = base.lcm(g) if mask ^ low else g
+        value = _lcm(lcms[mask ^ low], keys[low.bit_length() - 1], shape)
         lcms[mask] = value
-        seen[value.key] = value
+        seen.add(value)
         if len(seen) > caps.max_lcm_candidates:
             raise ResourceLimitError(
                 f"more than {caps.max_lcm_candidates} candidate multidegrees",
                 snapshot={"generators": r},
             )
-    return sorted(seen.values(), key=lambda m: (m.degree, m.key))
+    ordered = sorted(seen, key=lambda k: (_degree(k, shape), k))
+    return [_from_key(shape, k) for k in ordered]
 
 
 def betti_table(

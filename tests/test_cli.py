@@ -160,6 +160,34 @@ def test_betti_oracles_agree(capsys):
     assert outputs[0] == outputs[1]
 
 
+# The Stanley-Reisner ideal of the six-vertex real projective plane, with
+# x[1,1], x[1,2], x[1,3], x[2,1], x[2,2], x[2,3] as its vertices.
+RP2 = (
+    "<x[1,1]*x[1,2]*x[2,1], x[1,1]*x[1,2]*x[2,2], x[1,1]*x[1,3]*x[2,2], "
+    "x[1,1]*x[1,3]*x[2,3], x[1,1]*x[2,1]*x[2,3], x[1,2]*x[1,3]*x[2,1], "
+    "x[1,2]*x[1,3]*x[2,3], x[1,2]*x[2,2]*x[2,3], x[1,3]*x[2,1]*x[2,2], "
+    "x[2,1]*x[2,2]*x[2,3]>"
+)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 32003])
+def test_homology_oracle_sees_torsion_in_char_2(char, capsys):
+    # H_1(RP^2) has 2-torsion, so over GF(2) the resolution gains two
+    # Betti numbers in degree 6 and regularity 4; every other field agrees
+    # with the rationals.
+    code, out = run_cli(
+        capsys, "betti", "--rows", "2", "--cols", "3", "--oracle", "homology",
+        "--char", str(char), "--gens", RP2,
+    )
+    assert code == 0
+    expected = ["beta[0,3] = 10", "beta[1,4] = 15", "beta[2,5] = 6"]
+    if char == 2:
+        expected += ["beta[2,6] = 1", "beta[3,6] = 1", "reg = 4"]
+    else:
+        expected += ["reg = 3"]
+    assert out.splitlines() == expected
+
+
 @pytest.mark.parametrize("oracle", ["auto", "cone", "homology"])
 def test_every_oracle_honours_char(oracle, capsys):
     source = ("--rows", "2", "--cols", "4", "--chain", "1,3:2,4", "--oracle", oracle)

@@ -9,6 +9,7 @@ from diagideal.ideals import (
     parse_ideal,
 )
 from diagideal.monomials import GridMonomial, GridShape, parse_monomial
+from diagideal.quotients import quotient_chain, verify_product_colons
 from diagideal.resolution import koszul_complex
 from diagideal.windows import (
     WindowChain,
@@ -151,26 +152,61 @@ def test_shape_mismatch_rejected():
 
 def test_loops_behind_a_boundary_skip_shape_checks(monkeypatch):
     # Generators and arguments are checked once where they enter; the
-    # divisibility loops behind that check run on packed keys alone.
+    # divisibility loops behind that check run on packed keys alone, and
+    # colon and product candidates are keys until they survive.
     shape = GridShape(3, 8)
     chain = WindowChain.of((1, 5), (3, 7))
     product = window_product_ideal(shape, chain.windows)
     f = enumerate_diagonals(shape, chain.windows[0])[4]
     candidates = [g.colon(f) for g in product.gens]
     multidegree = product.gens[0].lcm(product.gens[-1])
-    calls = []
-    real = GridMonomial._check_shape
+    small = GridShape(2, 5)
+    two_windows = window_product_ideal(small, WindowChain.of((1, 4), (2, 5)).windows)
+    checks, colons = [], []
+    real_check, real_colon = GridMonomial._check_shape, GridMonomial.colon
 
-    def counting(self, other):
-        calls.append(other)
-        return real(self, other)
+    def counting_check(self, other):
+        checks.append(other)
+        return real_check(self, other)
 
-    monkeypatch.setattr(GridMonomial, "_check_shape", counting)
+    def counting_colon(self, other):
+        colons.append(other)
+        return real_colon(self, other)
+
+    monkeypatch.setattr(GridMonomial, "_check_shape", counting_check)
+    monkeypatch.setattr(GridMonomial, "colon", counting_colon)
     colon = minimal_generators(shape, candidates)
     assert product.contains(multidegree) and not product.contains(f)
     complex_ = koszul_complex(product, multidegree)
-    assert calls == []
+    entries = verify_product_colons(shape, chain)
+    steps = quotient_chain(two_windows).steps
+    assert product.colon(f).gens == colon
+    assert checks == [] and colons == []
     assert len(colon) < len(candidates) and complex_.facets
+    assert len(entries) == 10 and all(entry["equal"] for entry in entries)
+    assert len(steps) == len(two_windows.gens) - 1
+
+
+def test_variables_absorb_their_multiples():
+    # A variable divides every candidate with a positive exponent at it,
+    # whatever that exponent; the unit absorbs the variables too.
+    shape = GridShape(1, 3)
+    raw = gens(shape, "x[1,2]^2*x[1,3]", "x[1,1]^2", "x[1,2]", "x[1,2]^127", "x[1,1]^3*x[1,3]")
+    assert [str(m) for m in minimal_generators(shape, raw)] == ["x[1,1]^2", "x[1,2]"]
+    unit = gens(shape, "x[1,1]", "1", "x[1,2]*x[1,3]")
+    assert minimal_generators(shape, unit) == (GridMonomial.unit(shape),)
+    ideal = MonomialIdeal(shape, gens(shape, "x[1,1]", "x[1,2]^2"))
+    assert ideal.colon(parse_monomial(shape, "x[1,1]*x[1,3]")).is_unit
+    assert str(ideal.colon(parse_monomial(shape, "x[1,2]"))) == "<x[1,1], x[1,2]>"
+
+
+def test_ideal_product_past_the_bound_raises():
+    shape = GridShape(1, 2)
+    a = MonomialIdeal(shape, gens(shape, "x[1,1]^64", "x[1,2]"))
+    b = MonomialIdeal(shape, gens(shape, "x[1,1]^63"))
+    assert str(a * b) == "<x[1,1]^127, x[1,1]^63*x[1,2]>"
+    with pytest.raises(DomainError):
+        a * a
 
 
 def test_text_round_trip():

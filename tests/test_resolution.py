@@ -135,6 +135,37 @@ def test_generator_cap():
         betti_table(two_window_product_1x3() * two_window_product_1x3(), caps=small_cap)
 
 
+def test_candidate_multidegrees_are_the_subset_lcms():
+    from itertools import combinations
+
+    from diagideal.resolution import _candidate_multidegrees
+
+    ideals = [
+        two_window_product_1x3(),
+        diagonal_ideal(GridShape(2, 5), Window(1, 4)),
+        parse_ideal(GridShape(1, 3), "<x[1,1]^3, x[1,1]*x[1,2]^2, x[1,3]>"),
+        MonomialIdeal.unit(GridShape(1, 2)),
+    ]
+    for ideal in ideals:
+        subset_lcms = set()
+        for size in range(1, len(ideal.gens) + 1):
+            for subset in combinations(ideal.gens, size):
+                value = subset[0]
+                for g in subset[1:]:
+                    value = value.lcm(g)
+                subset_lcms.add(value)
+        found = _candidate_multidegrees(ideal, DEFAULT_CAPS)
+        assert set(found) == subset_lcms and len(found) == len(subset_lcms)
+        assert found == sorted(found, key=lambda m: (m.degree, m.key))
+
+
+def test_lcm_candidate_cap_reports_the_generator_count():
+    ideal = diagonal_ideal(GridShape(2, 5), Window(1, 4))  # 6 generators
+    with pytest.raises(ResourceLimitError) as exc:
+        betti_table(ideal, caps=replace(DEFAULT_CAPS, max_lcm_candidates=5))
+    assert exc.value.snapshot == {"generators": 6}
+
+
 def test_face_cap_stops_the_homology_oracle():
     shape = GridShape(1, 3)
     ideal = parse_ideal(shape, "<x[1,1]*x[1,2], x[1,2]*x[1,3]>")
