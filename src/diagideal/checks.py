@@ -42,6 +42,13 @@ def iter_shapes(max_rows: int, max_cols: int) -> Iterator[GridShape]:
             yield GridShape(rows, cols)
 
 
+def _rendered_step(u: int, brute, closed, equal: bool) -> dict:
+    """One colon step as text; equal ideals have identical generators, so
+    their text is rendered once."""
+    text = str(brute)
+    return {"u": u, "brute": text, "closed": text if equal else str(closed), "equal": equal}
+
+
 def single_window_report(shape: GridShape, window: Window) -> dict:
     """Diff the brute-force colon chain of one window ideal against the
     gap-variable closed form, step by step."""
@@ -53,9 +60,7 @@ def single_window_report(shape: GridShape, window: Window) -> dict:
         closed = closed_form_colon(shape, window, diagonals[u])
         equal = brute == closed
         all_equal = all_equal and equal
-        entries.append(
-            {"u": u, "brute": str(brute), "closed": str(closed), "equal": equal}
-        )
+        entries.append(_rendered_step(u, brute, closed, equal))
     certificate = chain.certifies_linear_quotients
     return {
         "check": "window-colon",
@@ -80,12 +85,7 @@ def product_chain_report(
 ) -> dict:
     entries = verify_product_colons(shape, chain, caps=caps)
     rendered = [
-        {
-            "u": entry["u"],
-            "brute": str(entry["brute"]),
-            "closed": str(entry["closed"]),
-            "equal": entry["equal"],
-        }
+        _rendered_step(entry["u"], entry["brute"], entry["closed"], entry["equal"])
         for entry in entries
     ]
     return {

@@ -1,15 +1,35 @@
 """A small exact Buchberger engine and the initial-ideal conjecture check.
 
-Division always cancels the largest reducible term against the first eligible
-divisor in list order, so remainders are deterministic.  S-pairs are pruned
-by the Gebauer-Moller update (Gebauer and Moller, J. Symbolic Comput. 6,
-1988), run on the packed lead keys: criteria M and F keep one new pair per
-minimal lcm and drop coprime ones, and criterion B drops old pairs that the
-new element makes redundant.  The queue pops the surviving pair whose lcm is
-smallest in the grid order, ties broken by pair index.  ``is_groebner_basis``
-is the unpruned all-pairs check, independent of the construction path.  The
-returned basis is the unique reduced one: monic, minimal, tails reduced,
-listed descending by leading monomial.
+All division runs through one kernel, ``_reduce``, on packed keys.  A basis'
+division data (lead keys, and each tail made monic, negated and held as
+(key, coefficient) pairs) is built once per basis, not once per division.
+The kernel always cancels the largest reducible term against the first
+divisor in list order whose lead divides it, so remainders are
+deterministic; the multiple is subtracted in one merge of the shifted tail
+into the ascending work list, and ``GridMonomial``s are built only for the
+remainder.  One product per step checks the whole shifted tail against the
+exponent bound, so a division that would pass 127 still raises
+``DomainError``.
+
+S-pairs are pruned by the Gebauer-Moller update (Gebauer and Moller, J.
+Symbolic Comput. 6, 1988), run on the packed lead keys: criteria M and F
+keep one new pair per minimal lcm and drop coprime ones, and criterion B
+drops old pairs that the new element makes redundant.  The queue pops the
+surviving pair whose lcm is smallest in the grid order, ties broken by pair
+index.  ``is_groebner_basis`` is the unpruned all-pairs check, independent
+of the construction path.  The returned basis is the unique reduced one:
+monic, minimal, tails reduced, listed descending by leading monomial.
+
+``conjecture_check`` first tries a linear-quotients certificate.  The leads
+of the natural generators are the diagonal product J, and J has linear
+quotients in its canonical order, so its first syzygies come from one pair
+per (j, x in V_j) (Herzog and Takayama, Manuscripta Math. 2002); once those
+S-polynomials reduce to zero the kept generators are a Groebner basis
+(Moller, Mora and Traverso, ISSAC 1992).  Its ``spairs`` is then the sum of
+the |V_j|, the first total Betti number of J.  Whenever the certificate
+cannot decide (a nonzero remainder, no linear quotients, or more pairs than
+``caps.max_spairs``) the check falls back to ``buchberger``, which gives
+false verdicts their witness and reports Gebauer-Moller's pair count.
 """
 
 from __future__ import annotations
@@ -23,9 +43,145 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
-from .monomials import GridShape, _divides, _lcm
+from .monomials import (
+    GridShape,
+    _colon,
+    _degree,
+    _divides,
+    _first_divisor,
+    _from_key,
+    _lcm,
+    _product,
+    _variable_mask,
+)
 from .polynomials import Polynomial
 from .windows import WindowChain, minor, window_product_ideal
+
+
+class _Basis:
+    """Division data of a basis list, built once per basis.
+
+    ``leads`` holds the lead key of each element in list order, the order
+    divisors are tried in.  ``rows[i]`` is (envelope, tail): the tail of the
+    i-th element made monic and negated, as (key, coeff) pairs descending,
+    and the bytewise max of those keys, so that one product checks a whole
+    shifted tail against the exponent bound.
+    """
+
+    __slots__ = ("shape", "field", "leads", "rows")
+
+    def __init__(self, shape: GridShape, field, polys=()):
+        self.shape = shape
+        self.field = field
+        self.leads = []
+        self.rows = []
+        for g in polys:
+            self.append(g)
+
+    def append(self, g: Polynomial) -> None:
+        """Add a nonzero element checked to share the basis' grid and field."""
+        shape, field = self.shape, self.field
+        (lead, lead_coeff), *rest = g.terms
+        inv = field.invert(lead_coeff)
+        envelope = 0
+        tail = []
+        for m, c in rest:
+            envelope = _lcm(envelope, m.key, shape)
+            tail.append((m.key, field.neg(field.mul(c, inv))))
+        self.leads.append(lead.key)
+        self.rows.append((envelope, tuple(tail)))
+
+    def replace(self, idx: int, g: Polynomial) -> None:
+        """Put g, with the same lead, in place of element idx."""
+        self.append(g)
+        self.leads[idx] = self.leads.pop()
+        self.rows[idx] = self.rows.pop()
+
+    def without(self, idx: int) -> "_Basis":
+        """The same basis with element idx left out."""
+        other = _Basis(self.shape, self.field)
+        other.leads = self.leads[:idx] + self.leads[idx + 1 :]
+        other.rows = self.rows[:idx] + self.rows[idx + 1 :]
+        return other
+
+
+def _ascending(f: Polynomial):
+    """The keys and coefficients of f, smallest term first."""
+    return [m.key for m, _ in reversed(f.terms)], [c for _, c in reversed(f.terms)]
+
+
+def _polynomial(shape: GridShape, field, pairs) -> Polynomial:
+    """A polynomial from descending (key, coeff) pairs."""
+    return Polynomial(shape, field, tuple((_from_key(shape, k), c) for k, c in pairs))
+
+
+def _add_multiple(keys, coeffs, c, q: int, row, basis: _Basis):
+    """Ascending keys and coeffs plus c * x^q * tail, in one merge on keys.
+
+    DomainError when a shifted key would pass the exponent bound.
+    """
+    envelope, tail = row
+    shape = basis.shape
+    try:
+        _product(envelope, q, shape)
+    except DomainError:
+        for k, _ in tail:
+            _product(k, q, shape)  # raises, naming the first term that overflows
+        raise
+    field = basis.field
+    mul, add, is_zero = field.mul, field.add, field.is_zero
+    merged_keys, merged_coeffs = [], []
+    a, n = 0, len(keys)
+    for k, tc in reversed(tail):
+        k += q
+        while a < n and keys[a] < k:
+            merged_keys.append(keys[a])
+            merged_coeffs.append(coeffs[a])
+            a += 1
+        if a < n and keys[a] == k:
+            s = add(coeffs[a], mul(c, tc))
+            a += 1
+            if is_zero(s):
+                continue
+        else:
+            s = mul(c, tc)
+        merged_keys.append(k)
+        merged_coeffs.append(s)
+    merged_keys += keys[a:]
+    merged_coeffs += coeffs[a:]
+    return merged_keys, merged_coeffs
+
+
+def _reduce(keys, coeffs, basis: _Basis) -> list:
+    """The division kernel: the remainder, as descending (key, coeff) pairs,
+    of the polynomial held in ascending ``keys`` and ``coeffs`` on division
+    by the basis.
+
+    The largest term is cancelled against the first element, in list order,
+    whose lead divides it; a term no lead divides goes to the remainder.
+    """
+    shape, leads, rows = basis.shape, basis.leads, basis.rows
+    remainder = []
+    while keys:
+        key = keys.pop()
+        c = coeffs.pop()
+        i = _first_divisor(key, leads, shape)
+        if i < 0:
+            remainder.append((key, c))
+        else:
+            keys, coeffs = _add_multiple(keys, coeffs, c, key - leads[i], rows[i], basis)
+    return remainder
+
+
+def _s_pair(basis: _Basis, i: int, j: int):
+    """``s_polynomial`` of elements i and j, as ascending keys and coeffs."""
+    field = basis.field
+    lead_i, lead_j = basis.leads[i], basis.leads[j]
+    lcm = _lcm(lead_i, lead_j, basis.shape)
+    # x^q * (element i, monic) without its lead, then minus x^q' * (element j,
+    # monic) without its lead: the two leads cancel at the lcm.
+    keys, coeffs = _add_multiple([], [], field.neg(field.one), lcm - lead_i, basis.rows[i], basis)
+    return _add_multiple(keys, coeffs, field.one, lcm - lead_j, basis.rows[j], basis)
 
 
 def reduce(f: Polynomial, basis) -> Polynomial:
@@ -37,34 +193,17 @@ def reduce(f: Polynomial, basis) -> Polynomial:
     basis = tuple(basis)
     for g in basis:
         f._check_compatible(g)
-    divisors = [(g.leading_monomial, g) for g in basis if not g.is_zero]
-    shape = f.shape
-    field = f.field
-    remainder = []
-    work = f
-    while work.terms:
-        head_m, head_c = work.terms[0]
-        for lm, g in divisors:
-            if _divides(lm.key, head_m.key, shape):
-                factor = head_m / lm
-                scale = field.mul(head_c, field.invert(g.leading_coefficient))
-                work = work - g.times_term(factor, scale)
-                break
-        else:
-            remainder.append((head_m, head_c))
-            work = Polynomial(work.shape, field, work.terms[1:])
-    return Polynomial(shape, field, tuple(remainder))
+    divisors = _Basis(f.shape, f.field, [g for g in basis if not g.is_zero])
+    return _polynomial(f.shape, f.field, _reduce(*_ascending(f), divisors))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The classical S-polynomial, with both lead terms scaled to the lcm."""
     if f.is_zero or g.is_zero:
         raise DomainError("S-polynomial of the zero polynomial is undefined")
-    field = f.field
-    lcm = f.leading_monomial.lcm(g.leading_monomial)
-    left = f.times_term(lcm / f.leading_monomial, field.invert(f.leading_coefficient))
-    right = g.times_term(lcm / g.leading_monomial, field.invert(g.leading_coefficient))
-    return left - right
+    f._check_compatible(g)
+    keys, coeffs = _s_pair(_Basis(f.shape, f.field, (f, g)), 0, 1)
+    return _polynomial(f.shape, f.field, zip(reversed(keys), reversed(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -102,16 +241,16 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
         if g.terms not in seen:
             seen.add(g.terms)
             basis.append(g)
+    divisors = _Basis(shape, field, basis)
 
-    leads = []  # packed lead key of each basis element
+    leads = divisors.leads  # packed lead key of each basis element
     active = []  # indices new pairs are formed with: no later lead divides theirs
     live = {}  # pending pair (i, j) -> packed lcm of its leads
     queue = []  # heap of (lcm, i, j); pairs no longer in live are skipped
 
     def update(h: int) -> None:
         """Gebauer-Moller: add basis[h], pruning new and old pairs."""
-        lh = basis[h].leading_monomial.key
-        leads.append(lh)
+        lh = leads[h]
         # Criteria M and F: one pair per lcm, in ascending lcm order; a pair
         # goes when a kept lcm properly divides its own, and an lcm class
         # goes whole when any of its pairs has coprime leads.
@@ -166,9 +305,11 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
                 },
             )
         reductions += 1
-        remainder = reduce(s_polynomial(basis[i], basis[j]), basis)
-        if not remainder.is_zero:
-            basis.append(remainder.monic())
+        remainder = _reduce(*_s_pair(divisors, i, j), divisors)
+        if remainder:
+            g = _polynomial(shape, field, remainder).monic()
+            basis.append(g)
+            divisors.append(g)
             update(len(basis) - 1)
 
     reduced = _reduce_basis(shape, field, basis)
@@ -187,11 +328,13 @@ def _reduce_basis(shape, field, basis) -> tuple:
         lead = g.leading_monomial.key
         if not any(_divides(h.leading_monomial.key, lead, shape) for h in minimal):
             minimal.append(g)
-    for idx in range(len(minimal)):
-        replacement = reduce(minimal[idx], minimal[:idx] + minimal[idx + 1 :]).monic()
-        if replacement.is_zero:
+    divisors = _Basis(shape, field, minimal)
+    for idx, g in enumerate(minimal):
+        remainder = _reduce(*_ascending(g), divisors.without(idx))
+        if not remainder:
             raise EngineError("minimal basis element reduced to zero")
-        minimal[idx] = replacement
+        minimal[idx] = _polynomial(shape, field, remainder).monic()
+        divisors.replace(idx, minimal[idx])
     minimal.sort(key=lambda g: g.leading_monomial.key, reverse=True)
     return tuple(minimal)
 
@@ -206,10 +349,17 @@ def is_groebner_basis(basis) -> bool:
     exponent bound on a basis whose own exponents stay far below it.
     """
     polys = [g for g in basis if not g.is_zero]
-    for f, g in combinations(polys, 2):
-        if f.leading_monomial.gcd(g.leading_monomial).is_unit:
+    if not polys:
+        return True
+    for g in polys:
+        g._check_compatible(polys[0])
+    shape = polys[0].shape
+    divisors = _Basis(shape, polys[0].field, polys)
+    leads = divisors.leads
+    for i, j in combinations(range(len(polys)), 2):
+        if _lcm(leads[i], leads[j], shape) == leads[i] + leads[j]:
             continue
-        if not reduce(s_polynomial(f, g), polys).is_zero:
+        if _reduce(*_s_pair(divisors, i, j), divisors):
             return False
     return True
 
@@ -246,6 +396,58 @@ def natural_window_generators(shape: GridShape, chain: WindowChain, field) -> li
     return products
 
 
+def _certificate(naturals, product: MonomialIdeal, caps: Caps):
+    """The kept natural generators, one monic per lead in the product's
+    canonical order, and the number of S-pairs reduced, when the
+    linear-quotients certificate shows they form a Groebner basis; None
+    when it cannot decide.
+
+    For each generator m_j of the product, V_j is the set of colons
+    m_k : m_j, k < j, that are single variables; each records its first k.
+    When every other colon is divisible by a variable of V_j the product has
+    linear quotients, and its first syzygies are generated by the pairs
+    (k, j) so recorded (Herzog and Takayama, Manuscripta Math. 2002).  Then
+    the kept set is a Groebner basis once those S-polynomials reduce to zero
+    over it (Moller, Mora and Traverso, ISSAC 1992), and the other naturals
+    lie in its ideal once they reduce to zero too.
+    """
+    shape = product.shape
+    kept = {}
+    duplicates = []
+    for g in naturals:
+        g = g.monic()
+        if kept.setdefault(g.leading_monomial.key, g) is not g:
+            duplicates.append(g)
+    keys = [m.key for m in product.gens]
+    if sorted(kept, reverse=True) != keys:
+        raise EngineError(
+            "natural generator leads differ from the diagonal product: the "
+            "Groebner engine is broken"
+        )
+    pairs = []
+    for j, key in enumerate(keys):
+        colons = [_colon(k, key, shape) for k in keys[:j]]
+        first = {}
+        for k, c in enumerate(colons):
+            if c not in first and _degree(c, shape) == 1:
+                first[c] = k
+        mask = _variable_mask(first)
+        if any(not c & mask for c in colons):
+            return None
+        pairs += [(k, j) for k in first.values()]
+    if len(pairs) > caps.max_spairs:
+        return None
+    polys = [kept[k] for k in keys]
+    divisors = _Basis(shape, polys[0].field, polys)
+    for k, j in pairs:
+        if _reduce(*_s_pair(divisors, k, j), divisors):
+            return None
+    for g in duplicates:
+        if _reduce(*_ascending(g), divisors):
+            return None
+    return polys, len(pairs)
+
+
 def conjecture_check(
     shape: GridShape,
     chain: WindowChain,
@@ -274,9 +476,14 @@ def conjecture_check(
     field = make_field(characteristic)
     start = time.perf_counter()
     naturals = natural_window_generators(shape, chain, field)
-    basis = buchberger(naturals, caps)
-    ini = initial_ideal(basis.polys)
     diagonal_product = window_product_ideal(shape, chain.windows)
+    certified = _certificate(naturals, diagonal_product, caps)
+    if certified is None:
+        basis = buchberger(naturals, caps)
+        polys, spairs = basis.polys, basis.spairs_reduced
+    else:
+        polys, spairs = certified
+    ini = initial_ideal(polys)
 
     # The diagonal product embeds in the initial ideal by construction; a
     # failure here would be an engine bug, not a mathematical finding.
@@ -288,7 +495,7 @@ def conjecture_check(
             )
 
     natural_lms = {p.leading_monomial for p in naturals}
-    covered = all(p.leading_monomial in natural_lms for p in basis.polys)
+    covered = all(p.leading_monomial in natural_lms for p in polys)
     equal = ini == diagonal_product
     millis = int((time.perf_counter() - start) * 1000)
     verdict = {
@@ -297,12 +504,12 @@ def conjecture_check(
         "char": characteristic,
         "ini_equals_J": equal,
         "natural_gens_are_GB": covered,
-        "spairs": basis.spairs_reduced,
+        "spairs": spairs,
         "millis": millis,
     }
     if not equal:
         witness = next(
-            p for p in basis.polys if not diagonal_product.contains(p.leading_monomial)
+            p for p in polys if not diagonal_product.contains(p.leading_monomial)
         )
         verdict["witness"] = str(witness)
     return verdict

@@ -21,7 +21,7 @@ from .monomials import (
     _colon,
     _degree,
     _divides,
-    _divisible_by_any,
+    _first_divisor,
     _from_key,
     _product,
     _variable_mask,
@@ -66,7 +66,7 @@ def _minimal_keys(shape: GridShape, keys) -> tuple:
         kept += [
             k
             for k in by_degree[degree]
-            if not k & mask and not _divisible_by_any(k, kept, shape)
+            if not k & mask and _first_divisor(k, kept, shape) < 0
         ]
     kept += variables
     kept.sort(reverse=True)

@@ -16,7 +16,7 @@ constructor raises ``DomainError``, the text parsers ``FormatError``, and a
 product whose exponent would pass 127 raises ``DomainError``.
 
 The key helpers are the only code that knows the byte layout: ``_excess``
-(bytewise max(a - b, 0)), ``_divides`` and ``_divisible_by_any`` (one key
+(bytewise max(a - b, 0)), ``_divides`` and ``_first_divisor`` (one key
 against a list of divisors), ``_lcm``, ``_colon``, ``_product`` (with its
 overflow check), ``_degree`` (the byte sum, no exponent tuple) and
 ``_variable_mask`` (one AND tests divisibility by any of a set of variables).
@@ -95,14 +95,18 @@ def _lcm(a: int, b: int, shape: GridShape) -> int:
     return b + _excess(a, b, shape._guard)
 
 
-def _divisible_by_any(key: int, divisors, shape: GridShape) -> bool:
-    """Does some key in divisors divide key?  ``_divides`` over a list."""
+def _first_divisor(key: int, divisors, shape: GridShape) -> int:
+    """Index of the first key in the list divisors that divides key, or -1.
+
+    ``_divides`` over a list.  An equal key earlier in the list would have
+    divided first, so ``index`` finds the dividing one.
+    """
     guard = shape._guard
     top = key | guard
     for d in divisors:
         if (top - d) & guard == guard:
-            return True
-    return False
+            return divisors.index(d)
+    return -1
 
 
 def _colon(a: int, b: int, shape: GridShape) -> int:

@@ -2,13 +2,15 @@
 
 Terms are kept sorted descending in the grid order, so the leading term is
 always terms[0].  Addition merges two sorted lists; multiplying by a single
-term preserves the order, which keeps division loops cheap.
+term preserves the order, which keeps division loops cheap.  Products
+multiply the packed keys of terms checked where they entered, and still
+raise ``DomainError`` when an exponent would pass 127.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, ShapeMismatchError
-from .monomials import GridMonomial, GridShape
+from .monomials import GridMonomial, GridShape, _from_key, _product
 
 
 class Polynomial:
@@ -105,30 +107,39 @@ class Polynomial:
 
     def times_term(self, mono: GridMonomial, coeff) -> "Polynomial":
         """Multiply by a single term; descending order is preserved."""
+        shape = self.shape
+        if mono.shape is not shape and mono.shape != shape:
+            raise ShapeMismatchError("term monomial on wrong grid")
         field = self.field
         coeff = field.normalize(coeff)
         if field.is_zero(coeff):
-            return Polynomial.zero(self.shape, field)
+            return Polynomial.zero(shape, field)
+        q = mono.key
         return Polynomial(
-            self.shape,
+            shape,
             field,
-            tuple((m * mono, field.mul(c, coeff)) for m, c in self.terms),
+            tuple(
+                (_from_key(shape, _product(m.key, q, shape)), field.mul(c, coeff))
+                for m, c in self.terms
+            ),
         )
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
+        shape = self.shape
         field = self.field
+        right = [(m.key, c) for m, c in other.terms]
         acc = {}
         for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                m = ma * mb
-                c = field.add(acc.get(m, field.zero), field.mul(ca, cb))
+            for kb, cb in right:
+                k = _product(ma.key, kb, shape)
+                c = field.add(acc.get(k, field.zero), field.mul(ca, cb))
                 if field.is_zero(c):
-                    acc.pop(m, None)
+                    acc.pop(k, None)
                 else:
-                    acc[m] = c
-        ordered = tuple(sorted(acc.items(), key=lambda t: t[0].key, reverse=True))
-        return Polynomial(self.shape, field, ordered)
+                    acc[k] = c
+        ordered = sorted(acc.items(), reverse=True)
+        return Polynomial(shape, field, tuple((_from_key(shape, k), c) for k, c in ordered))
 
     def monic(self) -> "Polynomial":
         if self.is_zero:

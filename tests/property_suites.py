@@ -7,11 +7,22 @@ are what test_properties.py and the acceptance gate run.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
-from diagideal.errors import DomainError
+from diagideal import groebner
+from diagideal.caps import DEFAULT_CAPS
+from diagideal.checks import iter_shapes
+from diagideal.errors import DomainError, ResourceLimitError
 from diagideal.fields import make_field
-from diagideal.groebner import buchberger, is_groebner_basis, reduce, s_polynomial
+from diagideal.groebner import (
+    buchberger,
+    initial_ideal,
+    is_groebner_basis,
+    natural_window_generators,
+    reduce,
+    s_polynomial,
+)
 from diagideal.ideals import MonomialIdeal, minimal_generators
 from diagideal.monomials import MAX_EXPONENT, GridMonomial, GridShape
 from diagideal.polynomials import Polynomial
@@ -20,12 +31,15 @@ from diagideal.windows import (
     Window,
     WindowChain,
     enumerate_diagonals,
+    iter_sorted_chains,
     iter_windows,
     selection_of,
+    window_product_ideal,
 )
 
 BUDGETS = {
     "buchberger_vs_all_pairs": 2000,
+    "certificate_vs_buchberger": 150,
     "colon_membership": 3000,
     "colon_over_sum": 1500,
     "minimalize": 1500,
@@ -445,8 +459,73 @@ def buchberger_vs_all_pairs_suite(rng: random.Random, cases: int) -> int:
     return done
 
 
+# Sorted chains of at most two windows up to 3x5, and a Buchberger S-pair
+# cap under which all but a few of the perturbed inputs finish.
+_CERTIFICATE_CHAINS = [
+    (shape, chain)
+    for shape in iter_shapes(3, 5)
+    for length in (1, 2)
+    for chain in iter_sorted_chains(shape, length)
+]
+_CERTIFICATE_FIELDS = (make_field(7), make_field(32003), make_field(0))
+_ORACLE_CAPS = replace(DEFAULT_CAPS, max_spairs=300)
+
+
+def _lower_term(rng: random.Random, shape: GridShape, field, lead: GridMonomial) -> Polynomial:
+    """A random term below the lead, of degree at most the lead's."""
+    variables = list(shape.variables())
+    while True:
+        exps: dict = {}
+        for _ in range(rng.randint(0, lead.degree)):
+            v = rng.choice(variables)
+            exps[v] = exps.get(v, 0) + 1
+        mono = GridMonomial.from_exponents(shape, exps)
+        if mono < lead:
+            return Polynomial.from_terms(shape, field, [(mono, rng.randint(1, 6))])
+
+
+def certificate_vs_buchberger_suite(rng: random.Random, cases: int) -> int:
+    """The linear-quotients certificate certifies a set of natural window
+    generators exactly when the initial ideal of its reduced basis is the
+    diagonal product.  Half the draws add a term below the lead to one
+    generator, which may stop the set from being a Groebner basis.  Over
+    measured runs of 150 draws about two thirds certified and a quarter to
+    two fifths did not, so each outcome must reach a fixed share; at most
+    one draw in twenty may outgrow the oracle's S-pair cap and be skipped
+    (at most 3% did)."""
+    done = draws = certified = oversized = 0
+    while done < cases:
+        shape, chain = rng.choice(_CERTIFICATE_CHAINS)
+        field = rng.choice(_CERTIFICATE_FIELDS)
+        polys = natural_window_generators(shape, chain, field)
+        if rng.random() < 0.5:
+            k = rng.randrange(len(polys))
+            polys[k] = polys[k] + _lower_term(rng, shape, field, polys[k].leading_monomial)
+        draws += 1
+        product = window_product_ideal(shape, chain.windows)
+        try:
+            truth = initial_ideal(buchberger(polys, _ORACLE_CAPS).polys) == product
+        except ResourceLimitError:
+            oversized += 1
+            continue
+        claim = groebner._certificate(polys, product, DEFAULT_CAPS) is not None
+        assert claim == truth, (
+            f"certificate says {claim}, Buchberger says {truth} for "
+            f"{[str(g) for g in polys]} over {field} on {shape}"
+        )
+        certified += claim
+        done += 1
+    assert 5 * certified >= 2 * draws, f"only {certified} of {draws} draws certified"
+    assert 6 * (done - certified) >= draws, (
+        f"only {done - certified} of {draws} draws failed the certificate"
+    )
+    assert 20 * oversized <= draws, f"{oversized} of {draws} draws outgrew the S-pair cap"
+    return done
+
+
 SUITES = {
     "buchberger_vs_all_pairs": buchberger_vs_all_pairs_suite,
+    "certificate_vs_buchberger": certificate_vs_buchberger_suite,
     "colon_membership": colon_membership_suite,
     "colon_over_sum": colon_over_sum_suite,
     "minimalize": minimalize_suite,

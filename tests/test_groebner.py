@@ -7,7 +7,13 @@ import pytest
 
 import diagideal.groebner as groebner
 from diagideal.caps import DEFAULT_CAPS
-from diagideal.errors import DiagIdealError, EngineError, ResourceLimitError, ShapeMismatchError
+from diagideal.errors import (
+    DiagIdealError,
+    DomainError,
+    EngineError,
+    ResourceLimitError,
+    ShapeMismatchError,
+)
 from diagideal.fields import make_field
 from diagideal.groebner import (
     GroebnerBasis,
@@ -214,13 +220,102 @@ def test_conjecture_check_raises_on_engine_fault(monkeypatch):
     assert isinstance(info.value, DiagIdealError)
 
 
+def test_certificate_raises_when_natural_leads_miss_the_product(monkeypatch):
+    # the natural generators lead with every diagonal product by
+    # construction, so a missing lead is an engine bug
+    shape = GridShape(2, 4)
+    real = groebner.natural_window_generators
+    monkeypatch.setattr(groebner, "natural_window_generators", lambda *args: real(*args)[1:])
+    with pytest.raises(EngineError):
+        conjecture_check(shape, WindowChain.of((1, 4)))
+
+
 def test_reduce_basis_raises_when_an_element_reduces_to_zero(monkeypatch):
     # a minimal basis element reducing to zero is an engine fault
     field = make_field(32003)
     generators = natural_window_generators(GridShape(2, 3), WindowChain.of((1, 3)), field)
-    monkeypatch.setattr(groebner, "reduce", lambda f, basis: Polynomial(f.shape, f.field, ()))
+    monkeypatch.setattr(groebner, "_reduce", lambda keys, coeffs, basis: [])
     with pytest.raises(EngineError):
         buchberger(generators)
+
+
+def test_reduce_keeps_the_exponent_bound():
+    # Each division by g trades x[1,1] for x[1,2]^2, so reducing the
+    # S-polynomial -x[1,1]^63*x[1,2]^2 - x[1,2] would reach x[1,2]^128.
+    shape = GridShape(1, 2)
+    g = poly(shape, QQ, ("x[1,1]", 1), ("x[1,2]^2", -1))
+    h = poly(shape, QQ, ("x[1,1]^64", 1), ("x[1,2]", 1))
+    s = s_polynomial(g, h)
+    assert max(max(m.exps) for m, _ in s.terms) == 63
+    with pytest.raises(DomainError):
+        reduce(s, [g, h])
+    with pytest.raises(DomainError):
+        is_groebner_basis([g, h])
+
+
+@pytest.mark.parametrize(
+    "rows, cols, bounds",
+    [(1, 3, ((1, 2), (2, 3))), (2, 4, ((1, 4),)), (2, 5, ((1, 4), (2, 5))), (3, 5, ((1, 5), (1, 5)))],
+)
+def test_certificate_spairs_is_the_first_betti_number(rows, cols, bounds, monkeypatch):
+    # Under the certificate spairs counts one S-pair per variable of each
+    # linear quotient V_j, which is the first total Betti number of J.
+    shape = GridShape(rows, cols)
+    chain = WindowChain.of(*bounds)
+    colons = quotient_chain(window_product_ideal(shape, chain.windows))
+    assert colons.certifies_linear_quotients
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the certificate fell back to buchberger")
+
+    monkeypatch.setattr(groebner, "buchberger", no_fallback)
+    verdict = conjecture_check(shape, chain)
+    assert verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
+    first_betti = mapping_cone_betti(colons).totals()[1]
+    assert verdict["spairs"] == sum(colons.variable_counts) == first_betti
+
+
+def test_conjecture_check_falls_back_when_the_certificate_fails(monkeypatch):
+    # A term below the lead of one minor keeps every lead but breaks the
+    # Groebner basis: the certificate cannot decide and buchberger, with its
+    # Gebauer-Moller pair count, gives the false verdict and its witness.
+    shape = GridShape(2, 3)
+    chain = WindowChain.of((1, 3))
+    product = window_product_ideal(shape, chain.windows)
+    real = groebner.natural_window_generators
+    naturals = real(shape, chain, GF)
+    naturals[2] = naturals[2] + poly(shape, GF, ("x[2,1]", 1))
+    assert groebner._certificate(naturals, product, DEFAULT_CAPS) is None
+
+    monkeypatch.setattr(groebner, "natural_window_generators", lambda *args: list(naturals))
+    verdict = conjecture_check(shape, chain)
+    basis = buchberger(naturals)
+    ini = initial_ideal(basis)
+    witness = next(p for p in basis if not product.contains(p.leading_monomial))
+    del verdict["millis"]
+    assert verdict == {
+        "shape": [2, 3],
+        "chain": [[1, 3]],
+        "char": 32003,
+        "ini_equals_J": False,
+        "natural_gens_are_GB": False,
+        "spairs": basis.spairs_reduced,
+        "witness": str(witness),
+    }
+    assert ini != product
+
+    # Where the certificate would decide, a forced fallback keeps the verdict
+    # and reports Gebauer-Moller's count, which here exceeds the Betti number.
+    monkeypatch.setattr(groebner, "natural_window_generators", real)
+    shape, chain = GridShape(2, 6), WindowChain.of((1, 3), (1, 4))
+    certified = conjecture_check(shape, chain)
+    monkeypatch.setattr(groebner, "_certificate", lambda *args: None)
+    fallback = conjecture_check(shape, chain)
+    assert fallback["spairs"] == buchberger(real(shape, chain, GF)).spairs_reduced == 25
+    assert certified["spairs"] == 24
+    for verdict in (certified, fallback):
+        del verdict["millis"], verdict["spairs"]
+    assert fallback == certified
 
 
 def test_conjecture_check_squared_window():
