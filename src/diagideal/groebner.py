@@ -45,14 +45,14 @@ from .fields import make_field
 from .ideals import MonomialIdeal
 from .monomials import (
     GridShape,
-    _colon,
-    _degree,
+    _colons,
     _divides,
     _first_divisor,
     _from_key,
     _lcm,
     _product,
     _variable_mask,
+    _variables,
 )
 from .polynomials import Polynomial
 from .windows import WindowChain, minor, window_product_ideal
@@ -426,15 +426,12 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
         )
     pairs = []
     for j, key in enumerate(keys):
-        colons = [_colon(k, key, shape) for k in keys[:j]]
-        first = {}
-        for k, c in enumerate(colons):
-            if c not in first and _degree(c, shape) == 1:
-                first[c] = k
-        mask = _variable_mask(first)
+        colons = _colons(keys[:j], key, shape)
+        variables = dict.fromkeys(_variables(colons, shape))
+        mask = _variable_mask(variables)
         if any(not c & mask for c in colons):
             return None
-        pairs += [(k, j) for k in first.values()]
+        pairs += [(colons.index(v), j) for v in variables]
     if len(pairs) > caps.max_spairs:
         return None
     polys = [kept[k] for k in keys]

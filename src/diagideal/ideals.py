@@ -5,11 +5,13 @@ descending grid order.  The zero ideal has an empty list; the unit ideal is
 generated by 1.  All operations return canonical ideals, so equality is plain
 generator-list identity.
 
-Minimalization runs on packed keys: candidates are grouped by degree, one
-mask AND against the surviving variables drops their multiples, and only the
-survivors of degree two or more are scanned pairwise.  Products and colons
-build their candidates as keys from generators checked where they entered,
-so a candidate becomes a ``GridMonomial`` only if it survives.
+Minimalization runs on packed keys, mask first: the variables among the
+candidates are picked out by a bit test (``_variables``), one mask AND
+against them drops their multiples before any degree is taken, and only the
+survivors are grouped by degree and scanned against the lower degrees kept.
+Products and colons build their candidates as keys (``_product``,
+``_colons``) from generators checked where they entered, so a candidate
+becomes a ``GridMonomial`` only if it survives.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from .errors import DomainError, FormatError, ShapeMismatchError
 from .monomials import (
     GridMonomial,
     GridShape,
-    _colon,
+    _colons,
     _degree,
     _divides,
     _first_divisor,
     _from_key,
     _product,
     _variable_mask,
+    _variables,
     parse_monomial,
 )
 
@@ -33,11 +36,12 @@ def minimal_generators(shape: GridShape, monomials) -> tuple:
     """Minimal generating set of the ideal the monomials generate.
 
     Each generator is checked to be a monomial on ``shape``; duplicates and
-    multiples of other generators are then dropped on the packed keys.  A
-    divisor has strictly smaller degree (equal-degree divisibility means
-    equality), so candidates are taken degree by degree: a single mask AND
-    drops the multiples of the variables among them, and the rest are
-    scanned against the survivors of degree two or more and lower degree.
+    multiples of other generators are then dropped on the packed keys.  The
+    variables among them are found by a bit test, and a single mask AND
+    drops their multiples before any degree is computed.  A divisor has
+    strictly smaller degree (equal-degree divisibility means equality), so
+    the survivors are taken degree by degree: the lowest degree is kept
+    whole, and each later one is scanned against the keys kept below it.
     Quadratic in the worst case, which is fine at the few-thousand-generator
     scale the caps allow.
     """
@@ -53,21 +57,22 @@ def minimal_generators(shape: GridShape, monomials) -> tuple:
 
 def _minimal_keys(shape: GridShape, keys) -> tuple:
     """``minimal_generators`` on keys already known to lie on ``shape``."""
-    by_degree = {}
-    for k in set(keys):
-        by_degree.setdefault(_degree(k, shape), []).append(k)
-    if 0 in by_degree:
+    keys = set(keys)
+    if 0 in keys:
         # 1 divides every candidate, the variables included.
         return (_from_key(shape, 0),)
-    variables = by_degree.pop(1, [])
+    variables = _variables(keys, shape)
     mask = _variable_mask(variables)
-    kept = []
-    for degree in sorted(by_degree):
-        kept += [
-            k
-            for k in by_degree[degree]
-            if not k & mask and _first_divisor(k, kept, shape) < 0
-        ]
+    by_degree = {}
+    for k in keys:
+        if not k & mask:
+            by_degree.setdefault(_degree(k, shape), []).append(k)
+    degrees = sorted(by_degree)
+    # Distinct keys of one degree never divide each other, and no variable
+    # divides what is left, so the lowest degree is kept whole.
+    kept = by_degree[degrees[0]] if degrees else []
+    for degree in degrees[1:]:
+        kept += [k for k in by_degree[degree] if _first_divisor(k, kept, shape) < 0]
     kept += variables
     kept.sort(reverse=True)
     return tuple(_from_key(shape, k) for k in kept)
@@ -149,7 +154,7 @@ class MonomialIdeal:
         if f.shape != self.shape:
             raise ShapeMismatchError("colon divisor on wrong grid")
         shape = self.shape
-        return MonomialIdeal._from_keys(shape, [_colon(g.key, f.key, shape) for g in self.gens])
+        return MonomialIdeal._from_keys(shape, _colons([g.key for g in self.gens], f.key, shape))
 
     # -- identity ----------------------------------------------------------
 

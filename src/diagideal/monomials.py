@@ -17,8 +17,10 @@ product whose exponent would pass 127 raises ``DomainError``.
 
 The key helpers are the only code that knows the byte layout: ``_excess``
 (bytewise max(a - b, 0)), ``_divides`` and ``_first_divisor`` (one key
-against a list of divisors), ``_lcm``, ``_colon``, ``_product`` (with its
-overflow check), ``_degree`` (the byte sum, no exponent tuple) and
+against a list of divisors), ``_lcm``, ``_colon`` and ``_colons`` (one key's
+colon of every key in a list, in one loop), ``_product`` (with its overflow
+check), ``_degree`` (the byte sum, no exponent tuple), ``_variables`` (the
+keys that are single variables, by a bit test rather than a degree) and
 ``_variable_mask`` (one AND tests divisibility by any of a set of variables).
 The public operators check both grids, then call them; loops over keys whose
 grid was checked where they entered call them directly.
@@ -68,6 +70,11 @@ class GridShape:
         """The guard bit of every exponent byte."""
         return int.from_bytes(b"\x80" * self.variable_count, "big")
 
+    @cached_property
+    def _names(self) -> tuple:
+        """The text name ``x[i,j]`` of every variable, in rank order."""
+        return tuple(f"x[{i},{j}]" for i, j in self.variables())
+
 
 _FACTOR_RE = re.compile(r"^x\[(\d+),(\d+)\](?:\^(\d+))?$")
 
@@ -114,6 +121,18 @@ def _colon(a: int, b: int, shape: GridShape) -> int:
     return _excess(a, b, shape._guard)
 
 
+def _colons(keys, f: int, shape: GridShape) -> list:
+    """``_colon(k, f)`` for every key k of keys: ``_excess`` inlined, with
+    the guard bound once."""
+    guard = shape._guard
+    colons = []
+    for k in keys:
+        d = (k | guard) - f
+        ge = d & guard
+        colons.append(d & (ge - (ge >> 7)))
+    return colons
+
+
 def _product(a: int, b: int, shape: GridShape) -> int:
     """The key of a * b; DomainError when an exponent would pass 127."""
     key = a + b
@@ -127,6 +146,16 @@ def _product(a: int, b: int, shape: GridShape) -> int:
 def _degree(key: int, shape: GridShape) -> int:
     """The total degree of a key: the sum of its exponent bytes."""
     return sum(key.to_bytes(shape.variable_count, "big"))
+
+
+def _variables(keys, shape: GridShape) -> list:
+    """The keys that are single variables, in the order given.
+
+    A variable's key has one bit set, and that bit is the low bit of its
+    byte; a power such as x^2 or x^64 is one bit elsewhere in the byte.
+    """
+    ones = shape._guard >> 7
+    return [k for k in keys if k & ones and not k & (k - 1)]
 
 
 def _variable_mask(keys) -> int:
@@ -270,15 +299,15 @@ class GridMonomial:
     # -- text ------------------------------------------------------------
 
     def __str__(self):
-        if self.is_unit:
+        if not self.key:
             return "1"
-        n = self.shape.cols
-        parts = []
-        for idx, e in enumerate(self.exps):
-            if e:
-                i, j = idx // n + 1, idx % n + 1
-                parts.append(f"x[{i},{j}]" + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts)
+        shape = self.shape
+        names = shape._names
+        return "*".join(
+            names[idx] if e == 1 else f"{names[idx]}^{e}"
+            for idx, e in enumerate(self.key.to_bytes(shape.variable_count, "big"))
+            if e
+        )
 
     def __repr__(self):
         return f"GridMonomial({self.shape.rows}x{self.shape.cols}, {self})"

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError
 from .ideals import MonomialIdeal
-from .monomials import GridMonomial, GridShape, _colon
+from .monomials import GridMonomial, GridShape, _colons
 from .windows import (
     ColumnSelection,
     Window,
     WindowChain,
+    diagonal_ideal,
     diagonal_monomial,
     enumerate_diagonals,
     selection_of,
@@ -52,7 +53,7 @@ def quotient_chain(ideal: MonomialIdeal) -> QuotientChain:
     shape = ideal.shape
     keys = [g.key for g in ideal.gens]
     steps = tuple(
-        MonomialIdeal._from_keys(shape, [_colon(g, keys[u], shape) for g in keys[:u]])
+        MonomialIdeal._from_keys(shape, _colons(keys[:u], keys[u], shape))
         for u in range(1, len(keys))
     )
     return QuotientChain(ideal, steps)
@@ -165,21 +166,22 @@ def verify_product_colons(
     if len(chain) < 2:
         raise DomainError("product colon verification needs at least two windows")
     chain.check_against(shape)
-    full = window_product_ideal(shape, chain.windows)
+    first = chain.windows[0]
+    rest = window_product_ideal(shape, chain.windows[1:])
+    full = diagonal_ideal(shape, first) * rest
     if len(full.gens) > caps.max_product_gens:
         raise ResourceLimitError(
             f"window product has {len(full.gens)} generators, cap is {caps.max_product_gens}",
             snapshot={"chain": str(chain), "gens": len(full.gens)},
         )
-    rest = window_product_ideal(shape, chain.windows[1:])
-    diagonals = enumerate_diagonals(shape, chain.windows[0])
+    diagonals = enumerate_diagonals(shape, first)
     # The product's generators and the diagonals are checked monomials, so
     # the colon candidates are built and minimalized as keys.
     keys = [g.key for g in full.gens]
     entries = []
     for u, f in enumerate(diagonals):
-        brute = MonomialIdeal._from_keys(shape, [_colon(g, f.key, shape) for g in keys])
-        closed = rest + closed_form_colon(shape, chain.windows[0], f)
+        brute = MonomialIdeal._from_keys(shape, _colons(keys, f.key, shape))
+        closed = rest + closed_form_colon(shape, first, f)
         entries.append({"u": u, "brute": brute, "closed": closed, "equal": brute == closed})
         keys.append(f.key)
     return entries

@@ -182,8 +182,11 @@ def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
 
 def window_product_ideal(shape: GridShape, windows) -> MonomialIdeal:
     """Product of the diagonal ideals of the given windows (unit if empty)."""
-    result = MonomialIdeal.unit(shape)
-    for w in windows:
+    windows = tuple(windows)
+    if not windows:
+        return MonomialIdeal.unit(shape)
+    result = diagonal_ideal(shape, windows[0])
+    for w in windows[1:]:
         result = result * diagonal_ideal(shape, w)
     return result
 

@@ -130,6 +130,17 @@ def minimalize_suite(rng: random.Random, cases: int) -> int:
         # salt with guaranteed multiples so the filter has work to do
         for _ in range(rng.randint(0, 3)):
             raw.append(rng.choice(raw) * random_monomial(rng, shape, max_vars=2))
+        # and sometimes with single-variable powers up to the exponent
+        # bound, a few times another variable: one-bit keys that are not
+        # variables, and their multiples
+        if rng.random() < 0.4:
+            variables = list(shape.variables())
+            for _ in range(rng.randint(1, 3)):
+                v, w = rng.choice(variables), rng.choice(variables)
+                power = {v: rng.choice((1, 2, 64, MAX_EXPONENT, rng.randint(1, MAX_EXPONENT)))}
+                raw.append(GridMonomial.from_exponents(shape, power))
+                if w != v and rng.random() < 0.5:
+                    raw.append(GridMonomial.from_exponents(shape, {**power, w: 1}))
         minimal = minimal_generators(shape, raw)
         expected = _naive_minimal(m for m in raw if not m.is_unit or len(raw) == 1)
         if any(m.is_unit for m in raw):

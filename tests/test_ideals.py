@@ -62,6 +62,35 @@ def test_minimal_generators_matches_naive_filter():
     assert list(minimal_generators(shape, kept)) == list(kept)
 
 
+def test_minimalization_mixes_variables_powers_duplicates_and_degrees():
+    # Variables and their high powers, a duplicate, a lowest surviving
+    # degree with no variable in it, and multiples at degrees 3, 4 and 5.
+    shape = GridShape(2, 4)
+    texts = (
+        "x[1,1]", "x[2,4]",
+        "x[1,1]^2", "x[2,4]^127", "x[1,3]^2", "x[1,3]^64*x[2,1]", "x[1,1]*x[2,3]",
+        "x[1,2]*x[2,3]", "x[1,2]*x[2,3]", "x[1,2]*x[2,2]",
+        "x[1,4]*x[2,1]*x[2,2]", "x[1,4]^2*x[2,1]^2",
+        "x[1,2]*x[2,2]*x[2,3]", "x[1,2]^2*x[2,2]^2", "x[1,2]*x[1,3]^2*x[2,3]^2",
+        "x[1,4]*x[2,1]*x[2,2]*x[2,3]^2",
+    )
+
+    def naive(pool):
+        return sorted(
+            {m for m in pool if not any(o != m and o.divides(m) for o in pool)}, reverse=True
+        )
+
+    pool = gens(shape, *texts)
+    kept = minimal_generators(shape, pool)
+    assert list(kept) == naive(pool)
+    assert [str(m) for m in kept] == [
+        "x[1,1]", "x[1,2]*x[2,2]", "x[1,2]*x[2,3]", "x[1,3]^2",
+        "x[1,4]^2*x[2,1]^2", "x[1,4]*x[2,1]*x[2,2]", "x[2,4]",
+    ]
+    no_variables = [m for m in pool if m.degree > 1]
+    assert list(minimal_generators(shape, no_variables)) == naive(no_variables)
+
+
 def test_zero_and_unit():
     shape = GridShape(1, 2)
     zero = MonomialIdeal.zero(shape)

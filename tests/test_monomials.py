@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from diagideal.errors import DomainError, FormatError, ShapeMismatchError
@@ -8,6 +10,10 @@ from diagideal.monomials import (
     MAX_EXPONENT,
     GridMonomial,
     GridShape,
+    _colon,
+    _colons,
+    _degree,
+    _variables,
     parse_monomial,
 )
 
@@ -168,3 +174,40 @@ def test_equal_keys_on_different_grids_differ():
     b = GridMonomial(GridShape(1, 6), a.exps)
     assert a.exps == b.exps and hash(a) == hash(b)
     assert a != b and len({a, b}) == 2
+
+
+def test_variables_keeps_exactly_the_degree_one_keys():
+    shape = GridShape(3, 8)
+    keep = ["x[1,1]", "x[2,4]", "x[3,8]"]
+    drop = ["x[1,1]^2", "x[2,4]^64", "x[3,8]^127", "x[1,2]*x[2,3]", "1"]
+    keys = [parse_monomial(shape, t).key for t in keep + drop]
+    # x^2 and x^64 are single bits too, but not the low bit of their byte.
+    assert [bin(k).count("1") for k in keys[3:5]] == [1, 1]
+    assert _variables(keys, shape) == keys[:3]
+    assert _variables(keys[::-1], shape) == keys[:3][::-1]
+    tiny = GridShape(1, 1)
+    tiny_keys = [parse_monomial(tiny, t).key for t in ("x[1,1]^2", "1", "x[1,1]", "x[1,1]^127")]
+    assert _variables(tiny_keys, tiny) == [1]
+    rng = random.Random(11)
+    picks = (0, 0, 0, 0, 1, 2, 64, MAX_EXPONENT)
+    sample = [
+        GridMonomial(shape, tuple(rng.choice(picks) for _ in range(24))).key for _ in range(200)
+    ] + [GridMonomial.variable(shape, i, j).key for i, j in shape.variables()]
+    assert _variables(sample, shape) == [k for k in sample if _degree(k, shape) == 1]
+
+
+def test_colons_is_colon_over_a_list():
+    rng = random.Random(12)
+    picks = (0, 0, 1, 2, 63, 64, 126, MAX_EXPONENT)
+    for shape in (GridShape(1, 1), GridShape(2, 5), GridShape(3, 8)):
+        n = shape.variable_count
+        dense = [tuple(rng.choice(picks) for _ in range(n)) for _ in range(40)]
+        keys = [GridMonomial(shape, e).key for e in dense]
+        for ef in dense[:5] + [(0,) * n, (MAX_EXPONENT,) * n]:
+            f = GridMonomial(shape, ef).key
+            colons = _colons(keys, f, shape)
+            assert colons == [_colon(k, f, shape) for k in keys]
+            assert colons == [
+                GridMonomial(shape, tuple(max(a - b, 0) for a, b in zip(e, ef))).key for e in dense
+            ]
+        assert _colons([], keys[0], shape) == []

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import diagideal.quotients as quotients
-from diagideal.errors import DomainError, EngineError, SelectionError
+from diagideal.caps import DEFAULT_CAPS
+from diagideal.errors import DomainError, EngineError, ResourceLimitError, SelectionError
 from diagideal.ideals import MonomialIdeal, parse_ideal
 from diagideal.monomials import GridShape, parse_monomial
 from diagideal.quotients import (
@@ -18,6 +21,7 @@ from diagideal.windows import (
     WindowChain,
     diagonal_ideal,
     enumerate_diagonals,
+    window_product_ideal,
 )
 
 SHAPE_3x8 = GridShape(3, 8)
@@ -120,6 +124,17 @@ def test_verify_product_colons_square_chain():
     entries = verify_product_colons(SHAPE_3x8, WindowChain.of((2, 6), (2, 6)))
     assert len(entries) == 10
     assert all(entry["equal"] for entry in entries)
+
+
+def test_verify_product_colons_cap():
+    shape = GridShape(2, 5)
+    chain = WindowChain.of((1, 4), (2, 5))
+    gens = len(window_product_ideal(shape, chain.windows))
+    with pytest.raises(ResourceLimitError, match=f"has {gens} generators, cap is {gens - 1}") as info:
+        verify_product_colons(shape, chain, replace(DEFAULT_CAPS, max_product_gens=gens - 1))
+    assert info.value.snapshot == {"chain": "1,4:2,5", "gens": gens}
+    entries = verify_product_colons(shape, chain, replace(DEFAULT_CAPS, max_product_gens=gens))
+    assert len(entries) == 6
 
 
 def test_redistribute_single_factor_is_identity():

@@ -15,6 +15,7 @@ from diagideal.errors import (
     WindowError,
 )
 from diagideal.fields import make_field
+from diagideal.ideals import MonomialIdeal
 from diagideal.monomials import GridMonomial, GridShape
 from diagideal.windows import (
     ColumnSelection,
@@ -117,6 +118,13 @@ def test_window_product_ideal():
     product = window_product_ideal(shape, [Window(1, 2), Window(2, 3)])
     assert str(product) == "<x[1,1]*x[1,2], x[1,1]*x[1,3], x[1,2]^2, x[1,2]*x[1,3]>"
     assert window_product_ideal(shape, []).is_unit
+
+
+def test_window_product_ideal_of_no_window_or_one():
+    shape = GridShape(2, 5)
+    assert window_product_ideal(shape, ()) == MonomialIdeal.unit(shape)
+    for window in iter_windows(shape):
+        assert window_product_ideal(shape, [window]) == diagonal_ideal(shape, window)
 
 
 def laplace_det(entries):
