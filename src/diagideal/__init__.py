@@ -44,10 +44,8 @@ from .quotients import (
 from .replay import run_paper_replay
 from .resolution import (
     BettiTable,
-    KoszulComplex,
     betti,
     betti_table,
-    koszul_complex,
     mapping_cone_betti,
 )
 from .windows import (
@@ -107,10 +105,8 @@ __all__ = [
     "verify_product_colons",
     "run_paper_replay",
     "BettiTable",
-    "KoszulComplex",
     "betti",
     "betti_table",
-    "koszul_complex",
     "mapping_cone_betti",
     "ColumnSelection",
     "Window",

@@ -29,11 +29,7 @@ from .fields import make_field
 from .groebner import buchberger, initial_ideal, natural_window_generators
 from .ideals import MonomialIdeal, parse_ideal
 from .monomials import GridShape
-from .quotients import (
-    closed_form_colon,
-    closed_form_product_colon,
-    quotient_chain,
-)
+from .quotients import closed_form_colon, closed_form_product_colon
 from .replay import run_paper_replay
 from .resolution import betti, betti_table, mapping_cone_betti
 from .windows import Window, WindowChain, diagonal_ideal, enumerate_diagonals, window_product_ideal
@@ -232,7 +228,7 @@ def cmd_colon(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _betti_for(config: RunConfig, args: argparse.Namespace, ideal: MonomialIdeal):
     if args.oracle == "cone":
-        return mapping_cone_betti(quotient_chain(ideal), args.char)
+        return mapping_cone_betti(ideal, args.char)
     if args.oracle == "homology":
         return betti_table(ideal, args.char, config.caps)
     return betti(ideal, args.char, config.caps)

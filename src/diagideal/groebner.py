@@ -23,13 +23,14 @@ monic, minimal, tails reduced, listed descending by leading monomial.
 ``conjecture_check`` first tries a linear-quotients certificate.  The leads
 of the natural generators are the diagonal product J, and J has linear
 quotients in its canonical order, so its first syzygies come from one pair
-per (j, x in V_j) (Herzog and Takayama, Manuscripta Math. 2002); once those
-S-polynomials reduce to zero the kept generators are a Groebner basis
-(Moller, Mora and Traverso, ISSAC 1992).  Its ``spairs`` is then the sum of
-the |V_j|, the first total Betti number of J.  Whenever the certificate
-cannot decide (a nonzero remainder, no linear quotients, or more pairs than
-``caps.max_spairs``) the check falls back to ``buchberger``, which gives
-false verdicts their witness and reports Gebauer-Moller's pair count.
+per (j, x in V_j) (Herzog and Takayama, Manuscripta Math. 2002).  The pairs
+are read off ``quotients._linear_quotients``, the V_j walk the mapping cone
+also reads.  Once those S-polynomials reduce to zero the kept generators are
+a Groebner basis (Moller, Mora and Traverso, ISSAC 1992).  Its ``spairs`` is
+then the sum of the |V_j|, the first total Betti number of J.  Whenever the
+certificate cannot decide (a nonzero remainder, no linear quotients, or more
+pairs than ``caps.max_spairs``) the check falls back to ``buchberger``, which
+gives false verdicts their witness and reports Gebauer-Moller's pair count.
 """
 
 from __future__ import annotations
@@ -45,16 +46,14 @@ from .fields import make_field
 from .ideals import MonomialIdeal
 from .monomials import (
     GridShape,
-    _colons,
     _divides,
     _first_divisor,
     _from_key,
     _lcm,
     _product,
-    _variable_mask,
-    _variables,
 )
 from .polynomials import Polynomial
+from .quotients import _linear_quotients
 from .windows import WindowChain, minor, window_product_ideal
 
 
@@ -402,11 +401,11 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     linear-quotients certificate shows they form a Groebner basis; None
     when it cannot decide.
 
-    For each generator m_j of the product, V_j is the set of colons
-    m_k : m_j, k < j, that are single variables; each records its first k.
-    When every other colon is divisible by a variable of V_j the product has
-    linear quotients, and its first syzygies are generated by the pairs
-    (k, j) so recorded (Herzog and Takayama, Manuscripta Math. 2002).  Then
+    The product's V_j walk (``quotients._linear_quotients``) records, per
+    generator m_j, each single-variable colon m_k : m_j with its first k.
+    When the product has linear quotients, its first syzygies are generated
+    by the pairs (k, j) so recorded (Herzog and Takayama, Manuscripta Math.
+    2002).  Then
     the kept set is a Groebner basis once those S-polynomials reduce to zero
     over it (Moller, Mora and Traverso, ISSAC 1992), and the other naturals
     lie in its ideal once they reduce to zero too.
@@ -424,14 +423,10 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
             "natural generator leads differ from the diagonal product: the "
             "Groebner engine is broken"
         )
-    pairs = []
-    for j, key in enumerate(keys):
-        colons = _colons(keys[:j], key, shape)
-        variables = dict.fromkeys(_variables(colons, shape))
-        mask = _variable_mask(variables)
-        if any(not c & mask for c in colons):
-            return None
-        pairs += [(colons.index(v), j) for v in variables]
+    walk = _linear_quotients(keys, shape)
+    if walk is None:
+        return None
+    pairs = [(k, j) for j, firsts in enumerate(walk) for k in firsts.values()]
     if len(pairs) > caps.max_spairs:
         return None
     polys = [kept[k] for k in keys]

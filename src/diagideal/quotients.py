@@ -1,5 +1,11 @@
 """Colon structure of diagonal ideals: quotient chains, closed forms, circles.
 
+``_linear_quotients`` is the one walk that decides whether a generator
+order has linear quotients; the Groebner certificate and the mapping cone
+both read it.  ``quotient_chain`` builds the same colons as minimalized
+ideals, one per step: ``verify --target lemma1`` prints them, and tests hold
+the walk to them.
+
 The exact brute-force colon of a monomial prefix is compared against two
 closed forms: for a single window the colon of the earlier diagonals is
 generated by the variables sitting in the column gaps of the divisor, with the
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError
 from .ideals import MonomialIdeal
-from .monomials import GridMonomial, GridShape, _colons
+from .monomials import GridMonomial, GridShape, _colons, _variable_mask, _variables
 from .windows import (
     ColumnSelection,
     Window,
@@ -57,6 +63,26 @@ def quotient_chain(ideal: MonomialIdeal) -> QuotientChain:
         for u in range(1, len(keys))
     )
     return QuotientChain(ideal, steps)
+
+
+def _linear_quotients(keys, shape: GridShape):
+    """The V_j walk of a generator order on packed keys, or None when the
+    order lacks linear quotients.
+
+    For each j, V_j is the set of colons keys[k] : keys[j], k < j, that are
+    single variables; the j-th entry maps each to its first k, in first-seen
+    order.  The order has linear quotients exactly when every other colon is
+    divisible by a variable of its V_j.
+    """
+    walk = []
+    for j, key in enumerate(keys):
+        colons = _colons(keys[:j], key, shape)
+        variables = dict.fromkeys(_variables(colons, shape))
+        mask = _variable_mask(variables)
+        if any(not c & mask for c in colons):
+            return None
+        walk.append({v: colons.index(v) for v in variables})
+    return walk
 
 
 def _gap_variables(shape: GridShape, window: Window, selection: ColumnSelection):

@@ -9,12 +9,12 @@ boundary matrices; no floating point, no probabilistic shortcuts.
 
 When a generator order has linear quotients, the mapping cone gives the same
 table combinatorially: the generator whose colon has d variables contributes
-binomial(d, i) to the i-th Betti number, one degree step up per i.  That count
-reads the ideal's ``QuotientChain`` and is the same over every field.
+binomial(d, i) to the i-th Betti number, one degree step up per i.  The d come
+from the V_j walk (``quotients._linear_quotients``), and the count is the same
+over every field.
 
-``betti`` is the one path from an ideal to its table: it builds the colon
-chain once and uses the cone when the chain certifies linear quotients, the
-homology oracle (``betti_table``) otherwise.
+``betti`` is the one path from an ideal to its table: the cone when the walk
+finds linear quotients, the homology oracle (``betti_table``) otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import DomainError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
 from .monomials import GridMonomial, _degree, _divides, _from_key, _lcm
-from .quotients import QuotientChain, quotient_chain
+from .quotients import _linear_quotients
 
 
 class BettiTable:
@@ -87,82 +87,79 @@ class BettiTable:
         return f"BettiTable(char {self.characteristic}: {body})"
 
 
-class KoszulComplex:
-    """Squarefree divisor complex of an ideal at one multidegree.
+def _divisor_complex(ideal: MonomialIdeal, b: GridMonomial) -> tuple:
+    """Facets of the squarefree divisor complex of an ideal at multidegree b.
 
-    Faces are the variable subsets s of the multidegree's support with
-    multidegree/s still inside the ideal; they form the union of the full
-    simplices on supp(b/g) over generators g dividing b.
+    Faces are the variable subsets s of b's support with b/s still inside
+    the ideal; they form the union of the full simplices on supp(b/g) over
+    generators g dividing b.  Facets are bitmasks over b's support in rank
+    order, dominated ones removed.
     """
-
-    __slots__ = ("multidegree", "facets")
-
-    def __init__(self, multidegree: GridMonomial, facets: tuple):
-        self.multidegree = multidegree
-        # bitmasks over the multidegree's support in rank order, dominated ones removed
-        self.facets = facets
-
-    def _faces_by_dimension(self, caps: Caps = DEFAULT_CAPS) -> dict:
-        """Face bitmasks per dimension (the empty face has dimension -1).
-
-        Raises ResourceLimitError as soon as the walk over the facets' subsets
-        finds more than ``caps.max_koszul_faces`` distinct faces.
-        """
-        by_dim = {}
-        total = 0
-        for facet in self.facets:
-            sub = facet
-            while True:
-                bucket = by_dim.setdefault(bin(sub).count("1") - 1, set())
-                if sub not in bucket:
-                    bucket.add(sub)
-                    total += 1
-                    if total > caps.max_koszul_faces:
-                        raise ResourceLimitError(
-                            f"divisor complex at {self.multidegree} exceeds "
-                            f"{caps.max_koszul_faces} faces",
-                            snapshot={"multidegree": str(self.multidegree)},
-                        )
-                if sub == 0:
-                    break
-                sub = (sub - 1) & facet
-        return by_dim
-
-    def homology_dimensions(self, field, caps: Caps = DEFAULT_CAPS) -> dict:
-        """Reduced homology ranks per dimension over the given field."""
-        if len(self.facets) == 1:
-            # A full simplex: contractible unless it is just the empty face,
-            # which happens exactly when the multidegree is a minimal generator.
-            return {-1: 1} if self.facets[0] == 0 else {}
-        by_dim = self._faces_by_dimension(caps)
-        return _homology_from_faces(
-            {d: sorted(masks) for d, masks in by_dim.items()}, field
-        )
-
-
-def koszul_complex(ideal: MonomialIdeal, multidegree: GridMonomial) -> KoszulComplex:
-    if multidegree.shape != ideal.shape:
-        raise DomainError("multidegree on wrong grid")
-    b = multidegree.exps
-    support = [idx for idx, e in enumerate(b) if e]
-    facets = []
+    exps = b.exps
+    support = [idx for idx, e in enumerate(exps) if e]
+    facets = set()
     for g in ideal.gens:
-        if _divides(g.key, multidegree.key, ideal.shape):
+        if _divides(g.key, b.key, ideal.shape):
             g_exps = g.exps
             mask = 0
             for k, idx in enumerate(support):
-                if b[idx] > g_exps[idx]:
+                if exps[idx] > g_exps[idx]:
                     mask |= 1 << k
-            facets.append(mask)
-    return KoszulComplex(multidegree, tuple(_drop_dominated(facets)))
-
-
-def _drop_dominated(facets) -> list:
+            facets.add(mask)
     kept = []
-    for f in sorted(set(facets), key=lambda m: bin(m).count("1"), reverse=True):
+    for f in sorted(facets, key=lambda m: bin(m).count("1"), reverse=True):
         if not any(f & k == f for k in kept):
             kept.append(f)
-    return kept
+    return tuple(kept)
+
+
+def _faces_by_dimension(facets, b: GridMonomial, caps: Caps = DEFAULT_CAPS) -> dict:
+    """Face bitmasks per dimension (the empty face has dimension -1).
+
+    Raises ResourceLimitError as soon as the walk over the facets' subsets
+    finds more than ``caps.max_koszul_faces`` distinct faces.
+    """
+    by_dim = {}
+    total = 0
+    for facet in facets:
+        sub = facet
+        while True:
+            bucket = by_dim.setdefault(bin(sub).count("1") - 1, set())
+            if sub not in bucket:
+                bucket.add(sub)
+                total += 1
+                if total > caps.max_koszul_faces:
+                    raise ResourceLimitError(
+                        f"divisor complex at {b} exceeds {caps.max_koszul_faces} faces",
+                        snapshot={"multidegree": str(b)},
+                    )
+            if sub == 0:
+                break
+            sub = (sub - 1) & facet
+    return by_dim
+
+
+def _reduced_homology(
+    ideal: MonomialIdeal, b: GridMonomial, field, caps: Caps = DEFAULT_CAPS
+) -> dict:
+    """Reduced homology ranks per dimension of the divisor complex at b."""
+    facets = _divisor_complex(ideal, b)
+    if len(facets) == 1:
+        # A full simplex: contractible unless it is just the empty face,
+        # which happens exactly when b is a minimal generator.
+        return {-1: 1} if facets[0] == 0 else {}
+    by_dim = {d: sorted(masks) for d, masks in _faces_by_dimension(facets, b, caps).items()}
+    ranks = {
+        d: _rank_of_columns(_boundary_columns(by_dim[d - 1], by_dim[d]), field)
+        for d in by_dim
+        if d - 1 in by_dim
+    }
+    homology = {}
+    for d in sorted(by_dim):
+        h = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        if h:
+            homology[d] = h
+    return homology
 
 
 def _rank_of_columns(columns, field) -> int:
@@ -210,46 +207,21 @@ def _boundary_columns(lower_masks, upper_masks):
     return columns
 
 
-def _homology_from_faces(by_dim: dict, field) -> dict:
-    if not by_dim:
-        return {}
-    dims = sorted(by_dim)
-    ranks = {}
-    for d in dims:
-        if d - 1 in by_dim:
-            ranks[d] = _rank_of_columns(
-                _boundary_columns(by_dim[d - 1], by_dim[d]), field
-            )
-        else:
-            ranks[d] = 0
-    homology = {}
-    for d in dims:
-        h = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        if h:
-            homology[d] = h
-    return homology
-
-
 def _candidate_multidegrees(ideal: MonomialIdeal, caps: Caps) -> list:
     """The distinct lcms of nonempty generator subsets, by degree then key.
 
-    The 2^r subset lcms are taken on keys; only the distinct ones become
-    monomials.
+    The lcms are closed up one generator at a time on keys, so memory stays
+    bounded by the cap; only the distinct ones become monomials.
     """
     shape = ideal.shape
-    keys = [g.key for g in ideal.gens]
-    r = len(keys)
-    lcms = [0] * (1 << r)
     seen = set()
-    for mask in range(1, 1 << r):
-        low = mask & -mask
-        value = _lcm(lcms[mask ^ low], keys[low.bit_length() - 1], shape)
-        lcms[mask] = value
-        seen.add(value)
+    for g in ideal.gens:
+        seen |= {_lcm(s, g.key, shape) for s in seen}
+        seen.add(g.key)
         if len(seen) > caps.max_lcm_candidates:
             raise ResourceLimitError(
                 f"more than {caps.max_lcm_candidates} candidate multidegrees",
-                snapshot={"generators": r},
+                snapshot={"generators": len(ideal.gens)},
             )
     ordered = sorted(seen, key=lambda k: (_degree(k, shape), k))
     return [_from_key(shape, k) for k in ordered]
@@ -276,40 +248,49 @@ def betti_table(
     field = make_field(characteristic)
     entries = {}
     for b in _candidate_multidegrees(ideal, caps):
-        for d, h in koszul_complex(ideal, b).homology_dimensions(field, caps).items():
+        for d, h in _reduced_homology(ideal, b, field, caps).items():
             key = (d + 1, b.degree)
             entries[key] = entries.get(key, 0) + h
     return BettiTable(characteristic, entries)
 
 
-def mapping_cone_betti(chain: QuotientChain, characteristic: int = 0) -> BettiTable:
-    """Betti table from the linear-quotients mapping cone of ``chain.ideal``.
+def _cone(ideal: MonomialIdeal, characteristic: int):
+    """The mapping-cone table of the ideal's canonical generator order, or
+    None when that order lacks linear quotients.
 
-    Requires the chain to certify linear quotients; the u-th generator
-    contributes binomial(d_u, i) in degree deg(f_u) + i, where d_u counts the
-    variables generating its colon step.  The count does not depend on the
-    field: ``characteristic`` is validated and labels the table.
+    Generator j contributes binomial(|V_j|, i) in degree deg + i, with V_j
+    from the ideal's one V_j walk.  The count does not depend on the field:
+    ``characteristic`` is validated and labels the table.
     """
     make_field(characteristic)
-    if not chain.certifies_linear_quotients:
-        raise DomainError("generator order does not have linear quotients")
+    if ideal.is_zero:
+        raise DomainError("quotient chain of the zero ideal is undefined")
+    walk = _linear_quotients([g.key for g in ideal.gens], ideal.shape)
+    if walk is None:
+        return None
     entries = {}
-    for f, d in zip(chain.ideal.gens, chain.variable_counts):
+    for f, firsts in zip(ideal.gens, walk):
+        d = len(firsts)
         for i in range(d + 1):
             key = (i, f.degree + i)
             entries[key] = entries.get(key, 0) + comb(d, i)
     return BettiTable(characteristic, entries)
 
 
+def mapping_cone_betti(ideal: MonomialIdeal, characteristic: int = 0) -> BettiTable:
+    """Betti table from the linear-quotients mapping cone of the ideal.
+
+    Requires the canonical generator order to have linear quotients.
+    """
+    cone = _cone(ideal, characteristic)
+    if cone is None:
+        raise DomainError("generator order does not have linear quotients")
+    return cone
+
+
 def betti(
     ideal: MonomialIdeal, characteristic: int = 0, caps: Caps = DEFAULT_CAPS
 ) -> BettiTable:
     """Graded Betti table: the mapping cone when the canonical generator
-    order has linear quotients, the homology oracle otherwise.
-
-    The colon chain is built once and handed to the cone.
-    """
-    chain = quotient_chain(ideal)
-    if chain.certifies_linear_quotients:
-        return mapping_cone_betti(chain, characteristic)
-    return betti_table(ideal, characteristic, caps)
+    order has linear quotients, the homology oracle otherwise."""
+    return _cone(ideal, characteristic) or betti_table(ideal, characteristic, caps)

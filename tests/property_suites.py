@@ -10,7 +10,7 @@ import random
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
-from diagideal import groebner
+from diagideal import groebner, quotients
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.checks import iter_shapes
 from diagideal.errors import DomainError, ResourceLimitError
@@ -26,7 +26,7 @@ from diagideal.groebner import (
 from diagideal.ideals import MonomialIdeal, minimal_generators
 from diagideal.monomials import MAX_EXPONENT, GridMonomial, GridShape
 from diagideal.polynomials import Polynomial
-from diagideal.quotients import redistribute
+from diagideal.quotients import quotient_chain, redistribute
 from diagideal.windows import (
     Window,
     WindowChain,
@@ -42,6 +42,7 @@ BUDGETS = {
     "certificate_vs_buchberger": 150,
     "colon_membership": 3000,
     "colon_over_sum": 1500,
+    "linear_quotients_vs_chain": 1500,
     "minimalize": 1500,
     "order_laws": 3000,
     "packed_vs_dense": 4000,
@@ -534,11 +535,40 @@ def certificate_vs_buchberger_suite(rng: random.Random, cases: int) -> int:
     return done
 
 
+def linear_quotients_vs_chain_suite(rng: random.Random, cases: int) -> int:
+    """The V_j walk finds linear quotients exactly when the brute colon chain
+    certifies them, and then each V_j is the minimal generators of its chain
+    step, each variable with the first k whose colon it is.  Four draws in five are random ideals of up to 8 generators, of
+    which about a fifth lack linear quotients, so at least a tenth of the
+    draws must; the rest are window products up to 3x5."""
+    failed = 0
+    for _ in range(cases):
+        if rng.random() < 0.2:
+            shape, chain = rng.choice(_CERTIFICATE_CHAINS)
+            ideal = window_product_ideal(shape, chain.windows)
+        else:
+            ideal = random_ideal(rng, random_shape(rng), max_gens=8)
+        colons = quotient_chain(ideal)
+        walk = quotients._linear_quotients([g.key for g in ideal.gens], ideal.shape)
+        assert (walk is None) == (not colons.certifies_linear_quotients), str(ideal)
+        if walk is None:
+            failed += 1
+            continue
+        assert walk[0] == {}
+        for j, step in enumerate(colons.steps, start=1):
+            assert sorted(walk[j], reverse=True) == [g.key for g in step.gens], (str(ideal), j)
+            colons_j = [g.colon(ideal.gens[j]).key for g in ideal.gens[:j]]
+            assert all(colons_j.index(v) == k for v, k in walk[j].items()), (str(ideal), j)
+    assert 10 * failed >= cases, f"only {failed} of {cases} draws lacked linear quotients"
+    return cases
+
+
 SUITES = {
     "buchberger_vs_all_pairs": buchberger_vs_all_pairs_suite,
     "certificate_vs_buchberger": certificate_vs_buchberger_suite,
     "colon_membership": colon_membership_suite,
     "colon_over_sum": colon_over_sum_suite,
+    "linear_quotients_vs_chain": linear_quotients_vs_chain_suite,
     "minimalize": minimalize_suite,
     "order_laws": order_law_suite,
     "packed_vs_dense": packed_vs_dense_suite,

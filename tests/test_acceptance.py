@@ -189,7 +189,8 @@ def test_criterion_8_property_suites():
     ok = total >= 10_000 and set(counts) == set(property_suites.BUDGETS)
     _finish(
         8, "seeded property suites cover pruned-vs-all-pairs Buchberger, "
-        "certificate-vs-Buchberger initial ideals, colon membership, distributivity, minimalization, order laws, "
+        "certificate-vs-Buchberger initial ideals, colon membership, distributivity, "
+        "key-walk-vs-colon-chain linear quotients, minimalization, order laws, "
         "packed-vs-dense monomial arithmetic, and redistribution invariants",
         started, 120.0, ok, detail=f"{total} checks",
     )

@@ -20,7 +20,6 @@ PUBLIC_API = [
     "GridMonomial",
     "GridShape",
     "GroebnerBasis",
-    "KoszulComplex",
     "MonomialIdeal",
     "Polynomial",
     "PrimeField",
@@ -47,7 +46,6 @@ PUBLIC_API = [
     "is_prime",
     "iter_sorted_chains",
     "iter_windows",
-    "koszul_complex",
     "load_caps_file",
     "make_field",
     "mapping_cone_betti",

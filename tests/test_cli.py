@@ -494,6 +494,20 @@ def test_verify_cap_hit_reports_snapshot(tmp_path, capsys):
     assert record["snapshot"] == {"generators": 4}
 
 
+def test_lcm_candidates_cap_before_any_table(tmp_path, capsys):
+    # 64 generators: a table of all 2^64 subset lcms cannot be allocated, so
+    # the candidate cap must stop the closure long before that.
+    config = tmp_path / "caps.txt"
+    config.write_text("max_oracle_gens = 64\n")
+    gens = ", ".join(f"x[{i},{j}]" for i in range(1, 9) for j in range(1, 9))
+    code, out = run_cli(
+        capsys, "betti", "--rows", "8", "--cols", "8", "--gens", f"<{gens}>",
+        "--oracle", "homology", "--caps", str(config),
+    )
+    assert code == 2
+    assert "more than 4096 candidate multidegrees" in out
+
+
 def test_bad_window_flag(capsys):
     code, _ = run_cli(
         capsys, "diagonals", "--rows", "1", "--cols", "3", "--window", "12"

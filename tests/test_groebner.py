@@ -179,7 +179,7 @@ def test_pair_update_reduces_one_pair_per_first_syzygy(rows, cols, expected):
     shape = GridShape(rows, cols)
     gens = natural_window_generators(shape, WindowChain.of((1, cols)), GF)
     basis = buchberger(gens)
-    first_betti = mapping_cone_betti(quotient_chain(diagonal_ideal(shape, Window(1, cols)))).totals()[1]
+    first_betti = mapping_cone_betti(diagonal_ideal(shape, Window(1, cols))).totals()[1]
     assert basis.spairs_reduced == first_betti == expected
 
 
@@ -262,7 +262,8 @@ def test_certificate_spairs_is_the_first_betti_number(rows, cols, bounds, monkey
     # linear quotient V_j, which is the first total Betti number of J.
     shape = GridShape(rows, cols)
     chain = WindowChain.of(*bounds)
-    colons = quotient_chain(window_product_ideal(shape, chain.windows))
+    product = window_product_ideal(shape, chain.windows)
+    colons = quotient_chain(product)
     assert colons.certifies_linear_quotients
 
     def no_fallback(*args, **kwargs):
@@ -271,7 +272,7 @@ def test_certificate_spairs_is_the_first_betti_number(rows, cols, bounds, monkey
     monkeypatch.setattr(groebner, "buchberger", no_fallback)
     verdict = conjecture_check(shape, chain)
     assert verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
-    first_betti = mapping_cone_betti(colons).totals()[1]
+    first_betti = mapping_cone_betti(product).totals()[1]
     assert verdict["spairs"] == sum(colons.variable_counts) == first_betti
 
 

@@ -10,7 +10,7 @@ from diagideal.ideals import (
 )
 from diagideal.monomials import GridMonomial, GridShape, parse_monomial
 from diagideal.quotients import quotient_chain, verify_product_colons
-from diagideal.resolution import koszul_complex
+from diagideal.resolution import _divisor_complex
 from diagideal.windows import (
     WindowChain,
     enumerate_diagonals,
@@ -206,12 +206,12 @@ def test_loops_behind_a_boundary_skip_shape_checks(monkeypatch):
     monkeypatch.setattr(GridMonomial, "colon", counting_colon)
     colon = minimal_generators(shape, candidates)
     assert product.contains(multidegree) and not product.contains(f)
-    complex_ = koszul_complex(product, multidegree)
+    facets = _divisor_complex(product, multidegree)
     entries = verify_product_colons(shape, chain)
     steps = quotient_chain(two_windows).steps
     assert product.colon(f).gens == colon
     assert checks == [] and colons == []
-    assert len(colon) < len(candidates) and complex_.facets
+    assert len(colon) < len(candidates) and facets
     assert len(entries) == 10 and all(entry["equal"] for entry in entries)
     assert len(steps) == len(two_windows.gens) - 1
 

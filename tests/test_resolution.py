@@ -1,21 +1,24 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import ModuleType
 
 import pytest
 
-from diagideal import checks, cli, resolution
+import diagideal
+from diagideal import checks, cli, groebner, resolution
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.errors import DomainError, ResourceLimitError
 from diagideal.fields import make_field
 from diagideal.ideals import MonomialIdeal, parse_ideal
 from diagideal.monomials import GridShape, parse_monomial
-from diagideal.quotients import quotient_chain
 from diagideal.resolution import (
     BettiTable,
+    _divisor_complex,
+    _faces_by_dimension,
+    _reduced_homology,
     betti,
     betti_table,
-    koszul_complex,
     mapping_cone_betti,
 )
 from diagideal.windows import Window, WindowChain, diagonal_ideal, window_product_ideal
@@ -28,7 +31,7 @@ def two_window_product_1x3():
 
 def test_betti_of_two_window_product_both_oracles():
     ideal = two_window_product_1x3()
-    cone = mapping_cone_betti(quotient_chain(ideal))
+    cone = mapping_cone_betti(ideal)
     assert cone.totals() == {0: 4, 1: 4, 2: 1}
     assert cone.regularity == 2
     for char in (0, 2):
@@ -45,7 +48,7 @@ def test_betti_principal_ideal():
     assert table.totals() == {0: 1}
     assert table.beta(0, 2) == 1
     assert table.regularity == 2
-    cone = mapping_cone_betti(quotient_chain(ideal))
+    cone = mapping_cone_betti(ideal)
     assert cone.same_entries(table)
 
 
@@ -72,7 +75,7 @@ def test_betti_two_coprime_quadrics():
 def test_window_ideal_cross_check():
     shape = GridShape(3, 8)
     ideal = diagonal_ideal(shape, Window(2, 6))
-    cone = mapping_cone_betti(quotient_chain(ideal))
+    cone = mapping_cone_betti(ideal)
     table = betti_table(ideal)
     assert cone.totals() == {0: 10, 1: 15, 2: 6}
     assert cone.same_entries(table)
@@ -80,11 +83,17 @@ def test_window_ideal_cross_check():
     assert table.projective_dimension == 2
 
 
-def test_mapping_cone_requires_certificate():
+def test_mapping_cone_requires_certificate(capsys):
     shape = GridShape(1, 4)
     ideal = parse_ideal(shape, "<x[1,1]*x[1,2], x[1,3]*x[1,4]>")
     with pytest.raises(DomainError):
-        mapping_cone_betti(quotient_chain(ideal))
+        mapping_cone_betti(ideal)
+    zero = MonomialIdeal.zero(shape)
+    for compute in (mapping_cone_betti, betti):
+        with pytest.raises(DomainError):
+            compute(zero)
+    assert cli.main(["betti", "--rows", "1", "--cols", "4", "--gens", "<>"]) == 2
+    capsys.readouterr()
 
 
 def test_betti_table_json_shape():
@@ -189,15 +198,27 @@ def test_regularity_of_sorted_products():
     assert betti(product).regularity == 4 == product.single_generation_degree()
 
 
-def test_one_colon_chain_per_ideal(monkeypatch, capsys):
+def test_one_walk_per_ideal(monkeypatch, capsys):
+    # theorem_report, betti and the CLI's auto and cone oracles each decide
+    # linear quotients by one V_j walk; none builds the brute colon chain.
     calls = []
+    real_walk = resolution._linear_quotients
 
-    def counting(ideal):
-        calls.append(ideal)
-        return quotient_chain(ideal)
+    def counting(keys, shape):
+        calls.append(len(keys))
+        return real_walk(keys, shape)
 
-    for module in (resolution, checks, cli):
-        monkeypatch.setattr(module, "quotient_chain", counting)
+    def no_chain(ideal):
+        raise AssertionError("the brute colon chain was built")
+
+    modules = [m for m in vars(diagideal).values() if isinstance(m, ModuleType)]
+    walkers = [m for m in modules if hasattr(m, "_linear_quotients")]
+    assert {resolution, groebner} <= set(walkers)
+    for module in walkers:
+        monkeypatch.setattr(module, "_linear_quotients", counting)
+    for module in modules:
+        if hasattr(module, "quotient_chain"):
+            monkeypatch.setattr(module, "quotient_chain", no_chain)
     shape = GridShape(2, 4)
     report = checks.theorem_report(shape, WindowChain.of((1, 3), (2, 4)))
     assert report["linear_quotients"] and report["cone_agrees"]
@@ -217,7 +238,7 @@ def test_koszul_complex_structure():
     ideal = two_window_product_1x3()
     shape = ideal.shape
     inside = parse_monomial(shape, "x[1,1]*x[1,2]*x[1,3]")
-    by_dim = koszul_complex(ideal, inside)._faces_by_dimension()
+    by_dim = _faces_by_dimension(_divisor_complex(ideal, inside), inside)
     assert by_dim[-1] == {0}
     # simplicial: dropping any vertex of a face leaves a face one dimension down
     for d, faces in by_dim.items():
@@ -229,7 +250,7 @@ def test_koszul_complex_structure():
                 assert face ^ low in by_dim[d - 1]
                 sub ^= low
     outside = parse_monomial(shape, "x[1,1]")
-    assert koszul_complex(ideal, outside)._faces_by_dimension() == {}
+    assert _faces_by_dimension(_divisor_complex(ideal, outside), outside) == {}
 
 
 def test_euler_characteristic_consistency():
@@ -245,9 +266,9 @@ def test_euler_characteristic_consistency():
     field = make_field(0)
     for ideal in ideals:
         for b in _candidate_multidegrees(ideal, DEFAULT_CAPS):
-            complex_ = koszul_complex(ideal, b)
-            counts = {d: len(faces) for d, faces in complex_._faces_by_dimension().items()}
-            homology = complex_.homology_dimensions(field)
+            faces = _faces_by_dimension(_divisor_complex(ideal, b), b)
+            counts = {d: len(masks) for d, masks in faces.items()}
+            homology = _reduced_homology(ideal, b, field)
             lhs = sum((-1) ** d * c for d, c in counts.items())
             rhs = sum((-1) ** d * h for d, h in homology.items())
             assert lhs == rhs
