@@ -127,8 +127,8 @@ def _add_multiple(keys, coeffs, c, q: int, row, basis: _Basis):
         for k, _ in tail:
             _product(k, q, shape)  # raises, naming the first term that overflows
         raise
-    field = basis.field
-    mul, add, is_zero = field.mul, field.add, field.is_zero
+    # Fractions and residues both take + and *; residues then reduce mod p.
+    p = basis.field.characteristic
     merged_keys, merged_coeffs = [], []
     a, n = 0, len(keys)
     for k, tc in reversed(tail):
@@ -137,13 +137,14 @@ def _add_multiple(keys, coeffs, c, q: int, row, basis: _Basis):
             merged_keys.append(keys[a])
             merged_coeffs.append(coeffs[a])
             a += 1
+        s = c * tc
         if a < n and keys[a] == k:
-            s = add(coeffs[a], mul(c, tc))
+            s += coeffs[a]
             a += 1
-            if is_zero(s):
-                continue
-        else:
-            s = mul(c, tc)
+        if p:
+            s %= p
+        if not s:
+            continue
         merged_keys.append(k)
         merged_coeffs.append(s)
     merged_keys += keys[a:]
@@ -373,25 +374,32 @@ def initial_ideal(basis) -> MonomialIdeal:
 
 
 def natural_window_generators(shape: GridShape, chain: WindowChain, field) -> list:
-    """Products of one maximal minor per window, deduplicated."""
+    """Products of one maximal minor per window, one per column multiset.
+
+    Maximal minors on distinct column sets are pairwise non-associate
+    irreducibles, so by unique factorization two products agree up to a
+    scalar exactly when their multisets of column sets agree.  A combination
+    whose multiset came earlier is skipped before it is multiplied.
+    """
     chain.check_against(shape)
-    per_window = []
-    for w in chain.windows:
-        minors = [
-            minor(shape, cols, field)
+    per_window = [
+        [
+            (cols, minor(shape, cols, field))
             for cols in combinations(range(w.first, w.last + 1), shape.rows)
         ]
-        per_window.append(minors)
+        for w in chain.windows
+    ]
     products = []
     seen = set()
     for combo in iter_product(*per_window):
-        poly = combo[0]
-        for factor in combo[1:]:
+        multiset = tuple(sorted(cols for cols, _ in combo))
+        if multiset in seen:
+            continue
+        seen.add(multiset)
+        poly = combo[0][1]
+        for _, factor in combo[1:]:
             poly = poly * factor
-        key = poly.monic().terms
-        if key not in seen:
-            seen.add(key)
-            products.append(poly)
+        products.append(poly)
     return products
 
 
@@ -479,8 +487,10 @@ def conjecture_check(
 
     # The diagonal product embeds in the initial ideal by construction; a
     # failure here would be an engine bug, not a mathematical finding.
+    # Most generators of J are leads themselves; only the rest need a scan.
+    leads = {g.key for g in ini.gens}
     for g in diagonal_product.gens:
-        if not ini.contains(g):
+        if g.key not in leads and not ini.contains(g):
             raise EngineError(
                 f"initial ideal misses diagonal generator {g}: the Groebner "
                 "engine is broken"

@@ -142,7 +142,7 @@ class Polynomial:
         return Polynomial(shape, field, tuple((_from_key(shape, k), c) for k, c in ordered))
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
+        if self.is_zero or self.terms[0][1] == 1:
             return self
         inv = self.field.invert(self.leading_coefficient)
         return Polynomial(

@@ -264,7 +264,7 @@ def _cone(ideal: MonomialIdeal, characteristic: int):
     """
     make_field(characteristic)
     if ideal.is_zero:
-        raise DomainError("quotient chain of the zero ideal is undefined")
+        raise DomainError("Betti table of the zero ideal is undefined")
     walk = _linear_quotients([g.key for g in ideal.gens], ideal.shape)
     if walk is None:
         return None

@@ -195,8 +195,9 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
     """Permutation expansion of the m-by-m minor on the given columns.
 
     The expansion has m! signed terms; the cap keeps m small enough for that
-    to stay reasonable.  Under the grid order the diagonal term leads
-    (Sturmfels and Zelevinsky, Adv. Math. 98, 1993).
+    to stay reasonable.  Each (shape, columns, field) is expanded once per
+    process and the immutable result shared.  Under the grid order the
+    diagonal term leads (Sturmfels and Zelevinsky, Adv. Math. 98, 1993).
     """
     selection = cols if isinstance(cols, ColumnSelection) else ColumnSelection(tuple(cols))
     selection.check_against(shape)
@@ -206,22 +207,29 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
             f"minor expansion capped at {caps.max_minor_rows} rows, got {m}",
             snapshot={"rows": m},
         )
-    terms = []
-    for perm in permutations(range(m)):
-        inversions = sum(
-            1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
-        )
-        mono = GridMonomial.from_exponents(
-            shape, {(i + 1, selection.cols[perm[i]]): 1 for i in range(m)}
-        )
-        terms.append((mono, -1 if inversions % 2 else 1))
-    result = Polynomial.from_terms(shape, field, terms)
+    result = _minor(shape, selection.cols, field)
     if result.leading_monomial != diagonal_monomial(shape, selection):
         raise EngineError(
             f"minor on columns {selection} is not led by its diagonal: "
             "the monomial order is broken"
         )
     return result
+
+
+@lru_cache(maxsize=None)
+def _minor(shape: GridShape, cols: tuple, field) -> Polynomial:
+    """The expansion behind ``minor``, on checked columns."""
+    m = shape.rows
+    terms = []
+    for perm in permutations(range(m)):
+        inversions = sum(
+            1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
+        )
+        mono = GridMonomial.from_exponents(
+            shape, {(i + 1, cols[perm[i]]): 1 for i in range(m)}
+        )
+        terms.append((mono, -1 if inversions % 2 else 1))
+    return Polynomial.from_terms(shape, field, terms)
 
 
 def iter_windows(shape: GridShape):

@@ -228,6 +228,18 @@ def test_reg_requires_exactly_one_source(capsys):
     assert code == 2
 
 
+def test_zero_ideal_gives_one_message_under_every_oracle(capsys):
+    for command in ("betti", "reg"):
+        for oracle in ("auto", "cone", "homology"):
+            code, out = run_cli(
+                capsys,
+                command, "--rows", "2", "--cols", "3", "--gens", "<>",
+                "--oracle", oracle, "--format", "json",
+            )
+            assert code == 2, (command, oracle)
+            assert json.loads(out)["error"] == "Betti table of the zero ideal is undefined"
+
+
 def test_groebner_classical_anchor(capsys):
     code, out = run_cli(
         capsys,

@@ -68,6 +68,16 @@ def test_polynomial_constant_maps_fractions_into_prime_field():
         Polynomial.constant(shape, PrimeField(7), Fraction(1, 14))
 
 
+def test_monic_returns_self_when_already_monic():
+    shape = GridShape(1, 2)
+    x, y = GridMonomial.variable(shape, 1, 1), GridMonomial.variable(shape, 1, 2)
+    for field, scaled in ((RationalField(), Fraction(3, 2)), (PrimeField(7), 5)):
+        f = Polynomial.from_terms(shape, field, [(x, 1), (y, 3)])
+        assert f.monic() is f
+        g = Polynomial.from_terms(shape, field, [(x, 2), (y, 3)])
+        assert g.monic().terms == ((x, 1), (y, scaled))
+
+
 def test_prime_field_validation():
     with pytest.raises(DomainError):
         PrimeField(1)

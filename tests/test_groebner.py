@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations, product as iter_product
 
 import pytest
 
 import diagideal.groebner as groebner
+import diagideal.windows as windows
 from diagideal.caps import DEFAULT_CAPS
+from diagideal.checks import conjecture_scan, iter_shapes
 from diagideal.errors import (
     DiagIdealError,
     DomainError,
@@ -29,7 +33,14 @@ from diagideal.monomials import GridShape, parse_monomial
 from diagideal.polynomials import Polynomial
 from diagideal.quotients import quotient_chain
 from diagideal.resolution import mapping_cone_betti
-from diagideal.windows import Window, WindowChain, diagonal_ideal, minor, window_product_ideal
+from diagideal.windows import (
+    Window,
+    WindowChain,
+    diagonal_ideal,
+    iter_sorted_chains,
+    minor,
+    window_product_ideal,
+)
 
 QQ = make_field(0)
 GF = make_field(32003)
@@ -191,6 +202,85 @@ def test_natural_window_generators_products():
     leads = {p.leading_monomial for p in gens}
     product = window_product_ideal(shape, chain.windows)
     assert {g for g in product.gens} <= leads
+
+
+def brute_naturals(shape, chain, field):
+    """One product per combination of minors, deduplicated on monic terms."""
+    per_window = [
+        [minor(shape, cols, field) for cols in combinations(range(w.first, w.last + 1), shape.rows)]
+        for w in chain.windows
+    ]
+    products = []
+    seen = set()
+    for combo in iter_product(*per_window):
+        poly = combo[0]
+        for factor in combo[1:]:
+            poly = poly * factor
+        key = poly.monic().terms
+        if key not in seen:
+            seen.add(key)
+            products.append(poly)
+    return products
+
+
+def test_natural_window_generators_match_brute_products():
+    # Skipping a repeated column multiset before multiplying keeps the list,
+    # its order and every term.  All chains of at most two windows on four
+    # grids at three chars, and the three-window chains of 2x5 over GF(2).
+    cases = [
+        (GridShape(rows, cols), length, char)
+        for rows, cols in ((2, 5), (2, 6), (3, 5), (3, 6))
+        for length in (1, 2)
+        for char in (0, 2, 32003)
+    ]
+    cases.append((GridShape(2, 5), 3, 2))
+    for shape, length, char in cases:
+        field = make_field(char)
+        for chain in iter_sorted_chains(shape, length):
+            got = natural_window_generators(shape, chain, field)
+            want = brute_naturals(shape, chain, field)
+            assert [g.terms for g in got] == [w.terms for w in want], (shape, chain, char)
+            assert all(g.field == field for g in got)
+
+
+def test_each_minor_is_expanded_once(monkeypatch):
+    # The scan asks for the same minors chain after chain; each
+    # (shape, columns, field) is expanded once and shared after that.
+    calls = []
+    real_minor = groebner.minor
+
+    def counting(shape, cols, field, caps=DEFAULT_CAPS):
+        calls.append((shape, tuple(cols), field))
+        return real_minor(shape, cols, field, caps)
+
+    monkeypatch.setattr(groebner, "minor", counting)
+    windows._minor.cache_clear()
+    assert all(v["ini_equals_J"] for v in conjecture_scan(2, 5, 2))
+    expected = {
+        (shape, cols, GF)
+        for shape in iter_shapes(2, 5)
+        if shape.cols > 1
+        for cols in combinations(range(1, shape.cols + 1), shape.rows)
+    }
+    assert set(calls) == expected and len(calls) > 2 * len(expected)
+    info = windows._minor.cache_info()
+    assert info.misses == info.currsize == len(expected)
+    assert info.hits == len(calls) - len(expected)
+
+
+def test_minor_cache_is_keyed_by_field():
+    shape, chain = GridShape(2, 4), WindowChain.of((1, 3), (2, 4))
+    seven = make_field(7)
+    assert minor(shape, (1, 3), seven) is minor(shape, (1, 3), make_field(7))
+    assert minor(shape, (1, 3), seven) is not minor(shape, (1, 3), QQ)
+    rational = natural_window_generators(shape, chain, QQ)
+    residues = natural_window_generators(shape, chain, seven)
+    assert len(rational) == len(residues) == 9
+    for f, g in zip(rational, residues):
+        assert f.field == QQ and g.field == seven
+        assert all(isinstance(c, Fraction) for _, c in f.terms)
+        assert all(type(c) is int for _, c in g.terms)
+        assert g.terms == tuple((m, c % 7) for m, c in f.terms)
 
 
 def test_conjecture_check_verdict_fields():
