@@ -8,7 +8,9 @@ generator-list identity.
 Minimalization runs on packed keys, mask first: the variables among the
 candidates are picked out by a bit test (``_variables``), one mask AND
 against them drops their multiples before any degree is taken, and only the
-survivors are grouped by degree and scanned against the lower degrees kept.
+survivors are grouped by degree (``_by_degree``, one modulo per key when
+the degrees are small) and filtered against the lower degrees kept, one
+``_undivided`` call per degree.
 Products and colons build their candidates as keys (``_product``,
 ``_colons``) from generators checked where they entered, so a candidate
 becomes a ``GridMonomial`` only if it survives.
@@ -20,12 +22,12 @@ from .errors import DomainError, FormatError, ShapeMismatchError
 from .monomials import (
     GridMonomial,
     GridShape,
+    _by_degree,
     _colons,
-    _degree,
     _divides,
-    _first_divisor,
     _from_key,
     _product,
+    _undivided,
     _variable_mask,
     _variables,
     parse_monomial,
@@ -63,16 +65,13 @@ def _minimal_keys(shape: GridShape, keys) -> tuple:
         return (_from_key(shape, 0),)
     variables = _variables(keys, shape)
     mask = _variable_mask(variables)
-    by_degree = {}
-    for k in keys:
-        if not k & mask:
-            by_degree.setdefault(_degree(k, shape), []).append(k)
+    by_degree = _by_degree([k for k in keys if not k & mask], shape)
     degrees = sorted(by_degree)
     # Distinct keys of one degree never divide each other, and no variable
     # divides what is left, so the lowest degree is kept whole.
     kept = by_degree[degrees[0]] if degrees else []
     for degree in degrees[1:]:
-        kept += [k for k in by_degree[degree] if _first_divisor(k, kept, shape) < 0]
+        kept += _undivided(by_degree[degree], kept, shape)
     kept += variables
     kept.sort(reverse=True)
     return tuple(_from_key(shape, k) for k in kept)

@@ -17,11 +17,14 @@ product whose exponent would pass 127 raises ``DomainError``.
 
 The key helpers are the only code that knows the byte layout: ``_excess``
 (bytewise max(a - b, 0)), ``_divides`` and ``_first_divisor`` (one key
-against a list of divisors), ``_lcm``, ``_colon`` and ``_colons`` (one key's
-colon of every key in a list, in one loop), ``_product`` (with its overflow
-check), ``_degree`` (the byte sum, no exponent tuple), ``_variables`` (the
-keys that are single variables, by a bit test rather than a degree) and
-``_variable_mask`` (one AND tests divisibility by any of a set of variables).
+against a list of divisors), ``_undivided`` (the keys of a list that no key
+of another list divides, in one loop), ``_lcm``, ``_colon`` and ``_colons``
+(one key's colon of every key in a list, in one loop), ``_product`` (with
+its overflow check), ``_degree`` (the byte sum, no exponent tuple),
+``_by_degree`` (keys grouped by degree, by one modulo where the degrees are
+small), ``_variables`` (the keys that are single variables, by a bit test
+rather than a degree) and ``_variable_mask`` (one AND tests divisibility by
+any of a set of variables).
 The public operators check both grids, then call them; loops over keys whose
 grid was checked where they entered call them directly.
 """
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property, reduce, total_ordering
+from operator import or_
 
 from .errors import DomainError, FormatError, ShapeMismatchError
 
@@ -116,6 +120,24 @@ def _first_divisor(key: int, divisors, shape: GridShape) -> int:
     return -1
 
 
+def _undivided(keys, divisors, shape: GridShape) -> list:
+    """The keys of keys that no key of the list divisors divides, in order.
+
+    ``_first_divisor(k, divisors) < 0`` for every k, with the guard bound
+    once and no index taken.
+    """
+    guard = shape._guard
+    kept = []
+    for k in keys:
+        top = k | guard
+        for d in divisors:
+            if (top - d) & guard == guard:
+                break
+        else:
+            kept.append(k)
+    return kept
+
+
 def _colon(a: int, b: int, shape: GridShape) -> int:
     """The key of a / gcd(a, b), the generator of (<a> : b)."""
     return _excess(a, b, shape._guard)
@@ -146,6 +168,25 @@ def _product(a: int, b: int, shape: GridShape) -> int:
 def _degree(key: int, shape: GridShape) -> int:
     """The total degree of a key: the sum of its exponent bytes."""
     return sum(key.to_bytes(shape.variable_count, "big"))
+
+
+def _by_degree(keys, shape: GridShape) -> dict:
+    """The keys grouped by total degree: {degree: keys of it, in order}.
+
+    256 is 1 modulo 255, so a key is congruent to its byte sum modulo 255.
+    When the bytewise OR of all the keys sums below 255, every key's byte
+    sum does too, and ``k % 255`` is its degree; otherwise each degree is
+    taken by ``_degree``.
+    """
+    union = reduce(or_, keys, 0)
+    if _degree(union, shape) < 255:
+        degrees = [k % 255 for k in keys]
+    else:
+        degrees = [_degree(k, shape) for k in keys]
+    groups = {}
+    for degree, k in zip(degrees, keys):
+        groups.setdefault(degree, []).append(k)
+    return groups
 
 
 def _variables(keys, shape: GridShape) -> list:

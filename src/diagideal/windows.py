@@ -197,7 +197,8 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
     The expansion has m! signed terms; the cap keeps m small enough for that
     to stay reasonable.  Each (shape, columns, field) is expanded once per
     process and the immutable result shared.  Under the grid order the
-    diagonal term leads (Sturmfels and Zelevinsky, Adv. Math. 98, 1993).
+    diagonal term leads (Sturmfels and Zelevinsky, Adv. Math. 98, 1993);
+    that is checked once per expansion, and ``EngineError`` raised if not.
     """
     selection = cols if isinstance(cols, ColumnSelection) else ColumnSelection(tuple(cols))
     selection.check_against(shape)
@@ -207,18 +208,14 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
             f"minor expansion capped at {caps.max_minor_rows} rows, got {m}",
             snapshot={"rows": m},
         )
-    result = _minor(shape, selection.cols, field)
-    if result.leading_monomial != diagonal_monomial(shape, selection):
-        raise EngineError(
-            f"minor on columns {selection} is not led by its diagonal: "
-            "the monomial order is broken"
-        )
-    return result
+    return _minor(shape, selection.cols, field)
 
 
 @lru_cache(maxsize=None)
 def _minor(shape: GridShape, cols: tuple, field) -> Polynomial:
-    """The expansion behind ``minor``, on checked columns."""
+    """The expansion behind ``minor``, on checked columns, with its
+    diagonal-lead check.  A raise is not cached, so a broken order raises
+    on every call."""
     m = shape.rows
     terms = []
     for perm in permutations(range(m)):
@@ -229,7 +226,13 @@ def _minor(shape: GridShape, cols: tuple, field) -> Polynomial:
             shape, {(i + 1, cols[perm[i]]): 1 for i in range(m)}
         )
         terms.append((mono, -1 if inversions % 2 else 1))
-    return Polynomial.from_terms(shape, field, terms)
+    result = Polynomial.from_terms(shape, field, terms)
+    if result.leading_monomial != diagonal_monomial(shape, cols):
+        raise EngineError(
+            f"minor on columns {ColumnSelection(cols)} is not led by its diagonal: "
+            "the monomial order is broken"
+        )
+    return result
 
 
 def iter_windows(shape: GridShape):

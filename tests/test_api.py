@@ -84,9 +84,10 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_only_monomials_knows_the_key_layout():
-    # The guard bits of a packed key are read in monomials.py alone; other
-    # modules go through its key helpers or the GridMonomial operators.
-    layout = {"_guard", "_excess"}
+    # The guard bits and bytes of a packed key are read in monomials.py
+    # alone; other modules go through its key helpers or the GridMonomial
+    # operators.  255 is the modulus of the byte-sum degree (256 = 1 mod 255).
+    layout = {"_guard", "_excess", "to_bytes", "from_bytes", "255"}
     found = []
     for path in sorted(Path(diagideal.__file__).parent.glob("*.py")):
         if path.name == "monomials.py":
@@ -96,5 +97,7 @@ def test_only_monomials_knows_the_key_layout():
             names = {getattr(node, "id", None), getattr(node, "attr", None)}
             if isinstance(node, ast.ImportFrom):
                 names |= {alias.name for alias in node.names}
+            if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 255:
+                names.add("255")
             found += [f"{path.name}:{node.lineno}:{name}" for name in sorted(names & layout)]
     assert found == []

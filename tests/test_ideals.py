@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import random
+from functools import reduce
+from operator import or_
+
 import pytest
+
+import diagideal.monomials as monomials
 
 from diagideal.errors import DomainError, FormatError, ShapeMismatchError
 from diagideal.ideals import (
@@ -8,7 +14,7 @@ from diagideal.ideals import (
     minimal_generators,
     parse_ideal,
 )
-from diagideal.monomials import GridMonomial, GridShape, parse_monomial
+from diagideal.monomials import GridMonomial, GridShape, _by_degree, _degree, parse_monomial
 from diagideal.quotients import quotient_chain, verify_product_colons
 from diagideal.resolution import _divisor_complex
 from diagideal.windows import (
@@ -89,6 +95,101 @@ def test_minimalization_mixes_variables_powers_duplicates_and_degrees():
     ]
     no_variables = [m for m in pool if m.degree > 1]
     assert list(minimal_generators(shape, no_variables)) == naive(no_variables)
+
+
+# Exponent ceilings whose bytes are all low bits (2^j - 1), so every key
+# under a ceiling ORs into it, and the pool's OR is the ceiling itself.
+MODULO_CEILINGS = [
+    (GridShape(1, 2), (127, 127)),
+    (GridShape(2, 4), (127, 63, 31, 15, 15, 3, 0, 0)),
+    (GridShape(3, 8), (0,) * 10 + (63, 63, 63, 63) + (1,) * 2 + (0,) * 8),
+]
+FALLBACK_CEILINGS = [
+    (GridShape(1, 3), (127, 127, 1)),
+    (GridShape(2, 4), (127, 1, 127, 0, 3, 0, 0, 7)),
+    (GridShape(3, 8), (127,) * 24),
+]
+
+
+def _pools(ceilings, seed):
+    """Seeded pools of non-variable keys under each ceiling, the ceiling
+    included, with small exponents favoured so that divisibility is common."""
+    rng = random.Random(seed)
+    for shape, ceiling in ceilings:
+        for _ in range(4):
+            pool = [GridMonomial(shape, ceiling)]
+            while len(pool) < 60:
+                exps = tuple(
+                    min(c, rng.choice((0, 0, 1, 1, 2, 3, c))) if c else 0 for c in ceiling
+                )
+                if sum(exps) > 1:
+                    pool.append(GridMonomial(shape, exps))
+            rng.shuffle(pool)
+            yield shape, pool
+
+
+def _degree_255_pools():
+    """Pools holding x[1,1]^127*x[1,2]^127*x[1,3], of degree 255, which is
+    0 modulo 255: divided by a lower key in the first, minimal in the
+    second, next to a degree-256 key (1 modulo 255) that a quadric divides."""
+    shape = GridShape(2, 3)
+    top = "x[1,1]^127*x[1,2]^127*x[1,3]"
+    yield shape, gens(shape, top, "x[1,1]^2*x[1,3]", "x[1,2]*x[2,1]", "x[2,2]^3")
+    yield shape, gens(
+        shape, top, "x[1,1]^127*x[1,2]^127*x[2,1]*x[2,2]", "x[1,2]*x[2,1]", "x[2,2]^3", "x[1,3]^2"
+    )
+
+
+def _naive_minimal(pool):
+    return sorted({m for m in pool if not any(o != m and o.divides(m) for o in pool)}, reverse=True)
+
+
+def _or_degree(shape, pool):
+    return _degree(reduce(or_, (m.key for m in pool)), shape)
+
+
+def test_minimalization_matches_naive_filter_on_both_degree_branches():
+    modulo = list(_pools(MODULO_CEILINGS, 21))
+    fallback = list(_pools(FALLBACK_CEILINGS, 22))
+    awkward = list(_degree_255_pools())
+    assert all(_or_degree(shape, pool) == 254 for shape, pool in modulo)
+    assert all(_or_degree(shape, pool) >= 255 for shape, pool in fallback + awkward)
+    for shape, pool in modulo + fallback + awkward:
+        kept = list(minimal_generators(shape, pool))
+        assert kept == _naive_minimal(pool), (shape, [str(m) for m in pool])
+        assert len(kept) < len(set(pool))
+    shape, pool = awkward[0]
+    assert pool[0].degree == 255 and pool[0] not in minimal_generators(shape, pool)
+    shape, pool = awkward[1]
+    assert pool[0] in minimal_generators(shape, pool)
+
+
+def test_by_degree_groups_by_degree_on_both_branches(monkeypatch):
+    degree_calls = []
+    real = monomials._degree
+
+    def counting(key, shape):
+        degree_calls.append(key)
+        return real(key, shape)
+
+    monkeypatch.setattr(monomials, "_degree", counting)
+    modulo = list(_pools(MODULO_CEILINGS, 21))
+    fallback = list(_pools(FALLBACK_CEILINGS, 22)) + list(_degree_255_pools())
+    for taken, pools in ((False, modulo), (True, fallback)):
+        for shape, pool in pools:
+            keys = [m.key for m in pool]
+            degree_calls.clear()
+            groups = _by_degree(keys, shape)
+            # The OR's degree picks the branch; only the fallback takes
+            # the degree of every key.
+            assert len(degree_calls) == (1 + len(keys) if taken else 1)
+            assert sorted(k for group in groups.values() for k in group) == sorted(keys)
+            for degree, group in groups.items():
+                assert all(real(k, shape) == degree for k in group)
+                assert group == [k for k in keys if k in group]
+    shape, pool = next(_degree_255_pools())
+    assert pool[0].key in _by_degree([m.key for m in pool], shape)[255]
+    assert _by_degree([], shape) == {}
 
 
 def test_zero_and_unit():

@@ -6,6 +6,7 @@ import pytest
 
 import diagideal.quotients as quotients
 from diagideal.caps import DEFAULT_CAPS
+from diagideal.checks import iter_shapes
 from diagideal.errors import DomainError, EngineError, ResourceLimitError, SelectionError
 from diagideal.ideals import MonomialIdeal, parse_ideal
 from diagideal.monomials import GridShape, parse_monomial
@@ -21,6 +22,7 @@ from diagideal.windows import (
     WindowChain,
     diagonal_ideal,
     enumerate_diagonals,
+    iter_sorted_chains,
     window_product_ideal,
 )
 
@@ -124,6 +126,26 @@ def test_verify_product_colons_square_chain():
     entries = verify_product_colons(SHAPE_3x8, WindowChain.of((2, 6), (2, 6)))
     assert len(entries) == 10
     assert all(entry["equal"] for entry in entries)
+
+
+def test_verify_product_colons_closed_form_is_the_public_one():
+    # verify_product_colons joins cached gap-variable keys to the rest
+    # product's keys; each step must equal closed_form_product_colon.
+    cases = [
+        (shape, chain)
+        for shape in iter_shapes(3, 6)
+        for chain in iter_sorted_chains(shape, 2)
+    ] + [(GridShape(2, 5), chain) for chain in iter_sorted_chains(GridShape(2, 5), 3)]
+    steps = 0
+    for shape, chain in cases:
+        diagonals = enumerate_diagonals(shape, chain.windows[0])
+        entries = verify_product_colons(shape, chain)
+        assert len(entries) == len(diagonals)
+        for entry, f in zip(entries, diagonals):
+            u = entry["u"]
+            assert entry["closed"] == closed_form_product_colon(shape, chain, f, u), (shape, chain, u)
+            steps += 1
+    assert steps > 1000
 
 
 def test_verify_product_colons_cap():

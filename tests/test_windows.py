@@ -193,8 +193,16 @@ def test_minor_raises_when_the_diagonal_does_not_lead(monkeypatch):
     monkeypatch.setattr(
         windows, "diagonal_monomial", lambda shape, cols: GridMonomial.unit(shape)
     )
-    with pytest.raises(EngineError):
-        minor(shape, (1, 3), QQ)
+    # The lead is checked inside the cached expansion, so start it cold.
+    windows._minor.cache_clear()
+    try:
+        with pytest.raises(EngineError):
+            minor(shape, (1, 3), QQ)
+        # A raise is not cached: the next call checks again.
+        with pytest.raises(EngineError):
+            minor(shape, (1, 3), QQ)
+    finally:
+        windows._minor.cache_clear()
 
 
 def test_enumerate_diagonals_raises_when_out_of_order(monkeypatch):
