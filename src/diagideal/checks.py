@@ -16,13 +16,12 @@ from .caps import Caps, DEFAULT_CAPS
 from .errors import ResourceLimitError
 from .groebner import conjecture_check
 from .monomials import GridShape
-from .quotients import closed_form_colon, quotient_chain, verify_product_colons
+from .quotients import _colon_steps, verify_product_colons
+from .replay import replay_colon_mismatch
 from .resolution import _cone, betti_table
 from .windows import (
     Window,
     WindowChain,
-    diagonal_ideal,
-    enumerate_diagonals,
     iter_sorted_chains,
     iter_windows,
     window_product_ideal,
@@ -51,17 +50,15 @@ def _rendered_step(u: int, brute, closed, equal: bool) -> dict:
 
 def single_window_report(shape: GridShape, window: Window) -> dict:
     """Diff the brute-force colon chain of one window ideal against the
-    gap-variable closed form, step by step."""
-    diagonals = enumerate_diagonals(shape, window)
-    chain = quotient_chain(diagonal_ideal(shape, window))
+    gap-variable closed form, step by step from the second diagonal."""
     entries = []
-    all_equal = True
-    for u, brute in enumerate(chain.steps, start=1):
-        closed = closed_form_colon(shape, window, diagonals[u])
-        equal = brute == closed
-        all_equal = all_equal and equal
-        entries.append(_rendered_step(u, brute, closed, equal))
-    certificate = chain.certifies_linear_quotients
+    all_equal = certificate = True
+    for u, brute, closed in _colon_steps(shape, window):
+        if u:
+            equal = brute == closed
+            all_equal = all_equal and equal
+            certificate = certificate and brute.is_generated_by_variables
+            entries.append(_rendered_step(u, brute, closed, equal))
     return {
         "check": "window-colon",
         "shape": [shape.rows, shape.cols],
@@ -160,8 +157,6 @@ def theorem_report(
 def remarks_report() -> list[dict]:
     """Reproduce the two negative controls: out-of-order window products
     whose colons must differ from the naive closed form."""
-    from .replay import replay_colon_mismatch
-
     records = []
     for name in ("colon_mismatch_3x9.txt", "colon_mismatch_3x8.txt"):
         for record in replay_colon_mismatch(name):

@@ -373,7 +373,9 @@ def initial_ideal(basis) -> MonomialIdeal:
     return MonomialIdeal(shape, [g.leading_monomial for g in polys])
 
 
-def natural_window_generators(shape: GridShape, chain: WindowChain, field) -> list:
+def natural_window_generators(
+    shape: GridShape, chain: WindowChain, field, caps: Caps = DEFAULT_CAPS
+) -> list:
     """Products of one maximal minor per window, one per column multiset.
 
     Maximal minors on distinct column sets are pairwise non-associate
@@ -384,7 +386,7 @@ def natural_window_generators(shape: GridShape, chain: WindowChain, field) -> li
     chain.check_against(shape)
     per_window = [
         [
-            (cols, minor(shape, cols, field))
+            (cols, minor(shape, cols, field, caps))
             for cols in combinations(range(w.first, w.last + 1), shape.rows)
         ]
         for w in chain.windows
@@ -475,7 +477,7 @@ def conjecture_check(
         )
     field = make_field(characteristic)
     start = time.perf_counter()
-    naturals = natural_window_generators(shape, chain, field)
+    naturals = natural_window_generators(shape, chain, field, caps)
     diagonal_product = window_product_ideal(shape, chain.windows)
     certified = _certificate(naturals, diagonal_product, caps)
     if certified is None:

@@ -3,29 +3,30 @@
 ``_linear_quotients`` is the one walk that decides whether a generator
 order has linear quotients; the Groebner certificate and the mapping cone
 both read it.  ``quotient_chain`` builds the same colons as minimalized
-ideals, one per step: ``verify --target lemma1`` prints them, and tests hold
-the walk to them.
+ideals; it is the brute oracle the walk is tested against.
 
-The exact brute-force colon of a monomial prefix is compared against two
-closed forms: for a single window the colon of the earlier diagonals is
-generated by the variables sitting in the column gaps of the divisor, with the
-column before the window acting as the sentinel gap floor; for a sorted chain
-of windows the same variables appear next to the product of the remaining
-windows' diagonal ideals.  The circle redistribution rebalances a factor per
-window by sorting column positions row by row.
+Every brute colon is one ``_colons`` pass, minimalized once
+(``_brute_colon``); ``_colon_steps`` runs it along a window's diagonals
+beside the closed form.  For a single window the colon of the earlier
+diagonals is generated by the variables in the column gaps of the divisor,
+the column before the window acting as the sentinel gap floor; for a sorted
+chain the same variables join the product of the remaining windows'
+diagonal ideals.  Their keys come from one cached table per window,
+``_gap_keys``.  The circle redistribution rebalances a factor per window by
+sorting column positions row by row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, EngineError, ResourceLimitError
+from .errors import DomainError, EngineError, ResourceLimitError, ShapeMismatchError
 from .ideals import MonomialIdeal
 from .monomials import GridMonomial, GridShape, _colons, _variable_mask, _variables
 from .windows import (
-    ColumnSelection,
     Window,
     WindowChain,
     diagonal_ideal,
@@ -59,11 +60,13 @@ def quotient_chain(ideal: MonomialIdeal) -> QuotientChain:
         raise DomainError("quotient chain of the zero ideal is undefined")
     shape = ideal.shape
     keys = [g.key for g in ideal.gens]
-    steps = tuple(
-        MonomialIdeal._from_keys(shape, _colons(keys[:u], keys[u], shape))
-        for u in range(1, len(keys))
-    )
+    steps = tuple(_brute_colon(shape, keys[:u], keys[u]) for u in range(1, len(keys)))
     return QuotientChain(ideal, steps)
+
+
+def _brute_colon(shape: GridShape, keys, f: int) -> MonomialIdeal:
+    """(<keys> : f): one ``_colons`` pass, minimalized once."""
+    return MonomialIdeal._from_keys(shape, _colons(keys, f, shape))
 
 
 def _linear_quotients(keys, shape: GridShape):
@@ -86,28 +89,38 @@ def _linear_quotients(keys, shape: GridShape):
     return walk
 
 
-def _gap_variables(shape: GridShape, window: Window, selection: ColumnSelection):
-    """Variables x[i,b] with b strictly between consecutive selected columns.
-
-    The floor for row 1 is the column just before the window.
-    """
-    variables = []
-    prev = window.first - 1
-    for i, c in enumerate(selection.cols, start=1):
-        for b in range(prev + 1, c):
-            variables.append(GridMonomial.variable(shape, i, b))
-        prev = c
-    return variables
-
-
 @lru_cache(maxsize=None)
-def _window_gap_keys(shape: GridShape, window: Window) -> tuple:
-    """The keys of the gap variables of each diagonal of the window, in the
-    order of ``enumerate_diagonals``."""
-    return tuple(
-        tuple(v.key for v in _gap_variables(shape, window, selection_of(f)))
-        for f in enumerate_diagonals(shape, window)
-    )
+def _gap_keys(shape: GridShape, window: Window) -> MappingProxyType:
+    """{diagonal key: keys of its gap variables} over the window's diagonals.
+
+    The gap variables are the x[i,b] with b strictly between consecutive
+    selected columns; the floor for row 1 is the column just before the
+    window.
+    """
+    table = {}
+    for f in enumerate_diagonals(shape, window):
+        gaps = []
+        prev = window.first - 1
+        for i, c in enumerate(selection_of(f).cols, start=1):
+            gaps += [GridMonomial.variable(shape, i, b).key for b in range(prev + 1, c)]
+            prev = c
+        table[f.key] = tuple(gaps)
+    return MappingProxyType(table)
+
+
+def _colon_steps(shape: GridShape, window: Window, keys=(), rest_keys=()):
+    """For each diagonal f_u of the window, in order, yield (u, brute, closed).
+
+    brute is (<keys, f_0..f_{u-1}> : f_u) by ``_brute_colon``; closed joins
+    rest_keys to the gap keys of f_u.  With no keys and no rest this is the
+    single-window closed form, otherwise the product one.
+    """
+    gaps = _gap_keys(shape, window)
+    keys = list(keys)
+    for u, f in enumerate(enumerate_diagonals(shape, window)):
+        closed = MonomialIdeal._from_keys(shape, rest_keys + gaps[f.key])
+        yield u, _brute_colon(shape, keys, f.key), closed
+        keys.append(f.key)
 
 
 def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> MonomialIdeal:
@@ -117,11 +130,13 @@ def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> Mono
     window's top diagonal monomial.
     """
     window.check_against(shape)
-    selection = selection_of(f)
+    selection = selection_of(f) if isinstance(f, GridMonomial) else None
     if selection is None:
         raise DomainError(f"{f} is not a diagonal monomial")
+    if f.shape != shape:
+        raise ShapeMismatchError(f"diagonal {f} is not on the {shape.rows}x{shape.cols} grid")
     selection.check_against(shape, window)
-    return MonomialIdeal(shape, _gap_variables(shape, window, selection))
+    return MonomialIdeal._from_keys(shape, _gap_keys(shape, window)[f.key])
 
 
 def closed_form_product_colon(
@@ -147,7 +162,8 @@ def closed_form_product_colon(
             f"{f} is not diagonal #{prefix_index} of window {first}"
         )
     rest = window_product_ideal(shape, chain.windows[1:])
-    return rest + closed_form_colon(shape, first, f)
+    gaps = _gap_keys(shape, first)[f.key]
+    return MonomialIdeal._from_keys(shape, [g.key for g in rest.gens] + list(gaps))
 
 
 def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
@@ -196,12 +212,11 @@ def verify_product_colons(
     """Compare brute-force and closed-form colons for every prefix length.
 
     For u = 0..r-1 the brute colon of (product of all windows, first u
-    diagonals of the first window) by diagonal u is computed from every
-    generator and minimalized, and compared with the closed form: the
-    remaining windows' product joined with the gap variables of diagonal u,
-    whose keys are derived once per (shape, window) by ``_gap_variables``.
-    The result is that of ``closed_form_product_colon``.  Returns one entry
-    per u with both ideals and the equality verdict.
+    diagonals of the first window) by diagonal u is compared with the closed
+    form of ``closed_form_product_colon``: the remaining windows' product
+    joined with the gap variables of diagonal u.  Both come from
+    ``_colon_steps``.  Returns one entry per u with both ideals and the
+    equality verdict.
     """
     if len(chain) < 2:
         raise DomainError("product colon verification needs at least two windows")
@@ -214,16 +229,9 @@ def verify_product_colons(
             f"window product has {len(full.gens)} generators, cap is {caps.max_product_gens}",
             snapshot={"chain": str(chain), "gens": len(full.gens)},
         )
-    diagonals = enumerate_diagonals(shape, first)
-    gap_keys = _window_gap_keys(shape, first)
-    # The product's generators, the diagonals and the gap variables are
-    # checked monomials, so both colons are built and minimalized as keys.
     keys = [g.key for g in full.gens]
     rest_keys = tuple(g.key for g in rest.gens)
-    entries = []
-    for u, f in enumerate(diagonals):
-        brute = MonomialIdeal._from_keys(shape, _colons(keys, f.key, shape))
-        closed = MonomialIdeal._from_keys(shape, rest_keys + gap_keys[u])
-        entries.append({"u": u, "brute": brute, "closed": closed, "equal": brute == closed})
-        keys.append(f.key)
-    return entries
+    return [
+        {"u": u, "brute": brute, "closed": closed, "equal": brute == closed}
+        for u, brute, closed in _colon_steps(shape, first, keys, rest_keys)
+    ]

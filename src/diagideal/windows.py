@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
 from .caps import DEFAULT_CAPS, Caps
@@ -254,8 +254,6 @@ def iter_sorted_chains(shape: GridShape, length: int):
     if length < 1:
         raise DomainError("chain length must be >= 1")
     windows = list(iter_windows(shape))
-    from itertools import combinations_with_replacement
-
     for combo in combinations_with_replacement(windows, length):
         lasts = [w.last for w in combo]
         if lasts == sorted(lasts):

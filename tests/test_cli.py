@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from diagideal import checks
-from diagideal.caps import parse_caps_text
+from diagideal.caps import Caps, parse_caps_text
 from diagideal.cli import EXIT_BROKEN_PIPE, main
 from diagideal.errors import FormatError
 
@@ -504,6 +505,62 @@ def test_verify_cap_hit_reports_snapshot(tmp_path, capsys):
     record = json.loads(out.splitlines()[-1])
     assert record["ok"] is False
     assert record["snapshot"] == {"generators": 4}
+
+
+def test_minor_rows_cap_reaches_groebner_and_conjecture_scan(tmp_path, capsys):
+    config = tmp_path / "caps.txt"
+    config.write_text("max_minor_rows = 1\n")
+    code, out = run_cli(
+        capsys, "groebner", "--rows", "2", "--cols", "2", "--chain", "1,2",
+        "--format", "json", "--caps", str(config),
+    )
+    assert code == 2
+    record = json.loads(out)
+    assert record["ok"] is False and record["snapshot"] == {"rows": 2}
+    code, out = run_cli(
+        capsys, "conjecture-scan", "--max-rows", "2", "--max-cols", "2",
+        "--max-factors", "1", "--format", "json", "--caps", str(config),
+    )
+    assert code == 0
+    verdicts = [json.loads(line) for line in out.splitlines()]
+    assert [v["shape"] for v in verdicts] == [[1, 2], [2, 2]]
+    assert "skipped" not in verdicts[0]
+    assert verdicts[1]["skipped"] and "capped at 1 rows" in verdicts[1]["error"]
+
+
+_HOMOLOGY_RUN = ("betti", "--oracle", "homology", "--rows", "2", "--cols", "3", "--window", "1,3")
+
+# One small run per cap that the cap stops when set to 1.
+_CAP_RUNS = {
+    "max_minor_rows": ("groebner", "--rows", "2", "--cols", "2", "--chain", "1,2"),
+    "max_product_gens": (
+        "verify", "--target", "lemma2", "--rows", "2", "--cols", "4", "--chain", "1,3:2,4",
+    ),
+    "max_oracle_gens": _HOMOLOGY_RUN,
+    "max_lcm_candidates": _HOMOLOGY_RUN,
+    "max_koszul_faces": _HOMOLOGY_RUN,
+    "max_spairs": ("groebner", "--rows", "2", "--cols", "4", "--chain", "1,4"),
+    "max_conjecture_rows": (
+        "conjecture-scan", "--max-rows", "2", "--max-cols", "2", "--max-factors", "1",
+    ),
+    "max_conjecture_cols": (
+        "conjecture-scan", "--max-rows", "1", "--max-cols", "2", "--max-factors", "1",
+    ),
+    "max_conjecture_factors": (
+        "conjecture-scan", "--max-rows", "1", "--max-cols", "2", "--max-factors", "2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Caps)])
+def test_every_cap_set_to_one_stops_a_small_run(name, tmp_path, capsys):
+    argv = _CAP_RUNS[name]
+    assert run_cli(capsys, *argv)[0] == 0
+    config = tmp_path / "caps.txt"
+    config.write_text(f"{name} = 1\n")
+    code, out = run_cli(capsys, *argv, "--format", "json", "--caps", str(config))
+    assert code == 2
+    assert json.loads(out.splitlines()[-1])["ok"] is False
 
 
 def test_lcm_candidates_cap_before_any_table(tmp_path, capsys):

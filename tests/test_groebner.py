@@ -182,6 +182,18 @@ def test_spair_cap_raises_with_snapshot():
     assert set(info.value.snapshot) == {"basis_size", "pending", "reductions"}
 
 
+def test_minor_rows_cap_reaches_the_minor_expansion():
+    shape = GridShape(3, 4)
+    chain = WindowChain.of((1, 4))
+    two_rows = replace(DEFAULT_CAPS, max_minor_rows=2)
+    with pytest.raises(ResourceLimitError) as info:
+        natural_window_generators(shape, chain, GF, two_rows)
+    assert info.value.snapshot == {"rows": 3}
+    with pytest.raises(ResourceLimitError, match="capped at 2 rows, got 3"):
+        conjecture_check(shape, chain, caps=two_rows)
+    assert conjecture_check(shape, chain, caps=replace(DEFAULT_CAPS, max_minor_rows=3))["ini_equals_J"]
+
+
 @pytest.mark.parametrize("rows, cols, expected", [(2, 4, 8), (3, 5, 15), (3, 6, 45)])
 def test_pair_update_reduces_one_pair_per_first_syzygy(rows, cols, expected):
     # The maximal minors are already a Groebner basis and their leads have

@@ -6,10 +6,16 @@ import pytest
 
 import diagideal.quotients as quotients
 from diagideal.caps import DEFAULT_CAPS
-from diagideal.checks import iter_shapes
-from diagideal.errors import DomainError, EngineError, ResourceLimitError, SelectionError
+from diagideal.checks import iter_shapes, single_window_report
+from diagideal.errors import (
+    DomainError,
+    EngineError,
+    ResourceLimitError,
+    SelectionError,
+    ShapeMismatchError,
+)
 from diagideal.ideals import MonomialIdeal, parse_ideal
-from diagideal.monomials import GridShape, parse_monomial
+from diagideal.monomials import GridMonomial, GridShape, parse_monomial
 from diagideal.quotients import (
     closed_form_colon,
     closed_form_product_colon,
@@ -23,6 +29,8 @@ from diagideal.windows import (
     diagonal_ideal,
     enumerate_diagonals,
     iter_sorted_chains,
+    iter_windows,
+    selection_of,
     window_product_ideal,
 )
 
@@ -66,9 +74,50 @@ def test_closed_form_colon_rejects_non_diagonals():
     f = parse_monomial(SHAPE_3x8, "x[1,2]*x[2,3]*x[3,4]")
     with pytest.raises(DomainError):
         closed_form_colon(SHAPE_3x8, WINDOW_2_6, f * f)
+    with pytest.raises(DomainError):
+        closed_form_colon(SHAPE_3x8, WINDOW_2_6, "x[1,2]*x[2,3]*x[3,4]")
     outside = parse_monomial(SHAPE_3x8, "x[1,1]*x[2,3]*x[3,4]")
     with pytest.raises((DomainError, SelectionError)):
         closed_form_colon(SHAPE_3x8, WINDOW_2_6, outside)
+
+
+def test_closed_form_colon_rejects_a_diagonal_of_another_grid():
+    # x[1,1]*x[2,3] is a diagonal of window (1,4) by its columns, but on 2x6.
+    f = parse_monomial(GridShape(2, 6), "x[1,1]*x[2,3]")
+    with pytest.raises(ShapeMismatchError):
+        closed_form_colon(GridShape(2, 5), Window(1, 4), f)
+
+
+def _gap_variables(shape, window, f):
+    """Reference gap variables of the diagonal f, built from checked
+    monomials: x[i,b] with b strictly between consecutive selected columns,
+    the column before the window flooring row 1."""
+    variables = []
+    prev = window.first - 1
+    for i, c in enumerate(selection_of(f).cols, start=1):
+        variables += [GridMonomial.variable(shape, i, b) for b in range(prev + 1, c)]
+        prev = c
+    return MonomialIdeal(shape, variables)
+
+
+def test_single_window_steps_match_the_brute_chain_and_closed_forms():
+    windows = 0
+    for shape in iter_shapes(3, 8):
+        for window in iter_windows(shape):
+            diagonals = enumerate_diagonals(shape, window)
+            chain = quotient_chain(diagonal_ideal(shape, window))
+            report = single_window_report(shape, window)
+            assert [step["u"] for step in report["steps"]] == list(range(1, len(diagonals)))
+            assert [step["brute"] for step in report["steps"]] == [str(s) for s in chain.steps]
+            for f in diagonals:
+                closed = closed_form_colon(shape, window, f)
+                assert closed == _gap_variables(shape, window, f), (shape, window, f)
+            assert [step["closed"] for step in report["steps"]] == [
+                str(closed_form_colon(shape, window, f)) for f in diagonals[1:]
+            ]
+            assert report["linear_quotients"] == chain.certifies_linear_quotients
+            windows += 1
+    assert windows > 100
 
 
 def test_quotient_chain_principal_and_zero():
