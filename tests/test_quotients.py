@@ -109,12 +109,9 @@ def test_single_window_steps_match_the_brute_chain_and_closed_forms():
             report = single_window_report(shape, window)
             assert [step["u"] for step in report["steps"]] == list(range(1, len(diagonals)))
             assert [step["brute"] for step in report["steps"]] == [str(s) for s in chain.steps]
-            for f in diagonals:
-                closed = closed_form_colon(shape, window, f)
-                assert closed == _gap_variables(shape, window, f), (shape, window, f)
-            assert [step["closed"] for step in report["steps"]] == [
-                str(closed_form_colon(shape, window, f)) for f in diagonals[1:]
-            ]
+            closed = [closed_form_colon(shape, window, f) for f in diagonals]
+            assert closed == [_gap_variables(shape, window, f) for f in diagonals], (shape, window)
+            assert [step["closed"] for step in report["steps"]] == [str(c) for c in closed[1:]]
             assert report["linear_quotients"] == chain.certifies_linear_quotients
             windows += 1
     assert windows > 100
