@@ -334,8 +334,8 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         missing = ", --".join(sorted(needed - given))
         raise DiagIdealError(f"--target {args.target} needs --{missing} as well")
     shape = _shape(args) if given else None
-    window = _parse_window(args.window) if args.window else None
-    chain = WindowChain(tuple(_parse_chain(args.chain))) if args.chain else None
+    window = _parse_window(args.window) if args.window is not None else None
+    chain = WindowChain(tuple(_chain_windows(args))) if args.chain is not None else None
     all_ok = True
     for report in checks.verify_reports(
         args.target,
@@ -470,9 +470,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = RunConfig(format=args.format, stream=sys.stdout)
     try:
-        if args.output:
+        if args.output is not None:
             config.stream = open(args.output, "w", encoding="utf-8")
-        if args.caps:
+        if args.caps is not None:
             config.caps = load_caps_file(args.caps)
         return args.handler(config, args)
     except ResourceLimitError as err:

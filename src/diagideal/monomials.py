@@ -19,12 +19,12 @@ The key helpers are the only code that knows the byte layout: ``_excess``
 (bytewise max(a - b, 0)), ``_divides`` and ``_first_divisor`` (one key
 against a list of divisors), ``_undivided`` (the keys of a list that no key
 of another list divides, in one loop), ``_lcm``, ``_colon`` and ``_colons``
-(one key's colon of every key in a list, in one loop), ``_product`` (with
-its overflow check), ``_degree`` (the byte sum, no exponent tuple),
-``_by_degree`` (keys grouped by degree, by one modulo where the degrees are
-small), ``_variables`` (the keys that are single variables, by a bit test
-rather than a degree) and ``_variable_mask`` (one AND tests divisibility by
-any of a set of variables).
+(one key's colon of every key in a list, in one loop), ``_radical`` (the
+squarefree key of a key's support), ``_product`` (with its overflow check),
+``_degree`` (the byte sum, no exponent tuple), ``_by_degree`` (keys grouped
+by degree, by one modulo where the degrees are small), ``_variables`` (the
+keys that are single variables, by a bit test rather than a degree) and
+``_variable_mask`` (one AND tests divisibility by any of a set of variables).
 The public operators check both grids, then call them; loops over keys whose
 grid was checked where they entered call them directly.
 """
@@ -153,6 +153,16 @@ def _colons(keys, f: int, shape: GridShape) -> list:
         ge = d & guard
         colons.append(d & (ge - (ge >> 7)))
     return colons
+
+
+def _radical(key: int, shape: GridShape) -> int:
+    """The squarefree key of a key's support: 1 in every nonzero byte.
+
+    (key | guard) - 1 keeps a byte's guard bit exactly where its exponent is
+    at least 1; shifted down by 7, those guard bits are the 1s.
+    """
+    guard = shape._guard
+    return (((key | guard) - (guard >> 7)) & guard) >> 7
 
 
 def _product(a: int, b: int, shape: GridShape) -> int:

@@ -4,8 +4,10 @@ The homology oracle reads Betti numbers off reduced homology of the monomial
 ideal's squarefree divisor complexes: for each candidate multidegree b (an lcm
 of a generator subset) the complex holds the squarefree monomials s with b/s
 in the ideal, and beta_{i,b} is the rank of reduced homology in dimension i-1
-over the chosen field.  Ranks come from exact Gaussian elimination on sparse
-boundary matrices; no floating point, no probabilistic shortcuts.
+over the chosen field.  Multidegrees are packed keys and faces squarefree
+keys; a monomial is built only to name b in the face-cap error.  Ranks come
+from exact Gaussian elimination on sparse boundary matrices; no floating
+point, no probabilistic shortcuts.
 
 When a generator order has linear quotients, the mapping cone gives the same
 table combinatorially: the generator whose colon has d variables contributes
@@ -25,7 +27,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
-from .monomials import GridMonomial, _degree, _divides, _from_key, _lcm
+from .monomials import _degree, _divides, _from_key, _lcm, _radical
 from .quotients import _linear_quotients
 
 
@@ -87,68 +89,50 @@ class BettiTable:
         return f"BettiTable(char {self.characteristic}: {body})"
 
 
-def _divisor_complex(ideal: MonomialIdeal, b: GridMonomial) -> tuple:
-    """Facets of the squarefree divisor complex of an ideal at multidegree b.
+def _divisor_complex(ideal: MonomialIdeal, b: int, caps: Caps = DEFAULT_CAPS):
+    """Faces of the squarefree divisor complex of an ideal at the multidegree
+    key b, as sorted squarefree keys per dimension (the empty face has
+    dimension -1); None when the complex is a full simplex on at least one
+    vertex, which is contractible.
 
-    Faces are the variable subsets s of b's support with b/s still inside
-    the ideal; they form the union of the full simplices on supp(b/g) over
-    generators g dividing b.  Facets are bitmasks over b's support in rank
-    order, dominated ones removed.
+    Faces are the squarefree s dividing b with b/s still inside the ideal:
+    the union of the full simplices on supp(b/g) over generators g dividing
+    b.  Larger facets are walked first, and a facet that is already a face
+    is skipped.  Raises ResourceLimitError as soon as the walk finds more than
+    ``caps.max_koszul_faces`` faces.
     """
-    exps = b.exps
-    support = [idx for idx, e in enumerate(exps) if e]
-    facets = set()
-    for g in ideal.gens:
-        if _divides(g.key, b.key, ideal.shape):
-            g_exps = g.exps
-            mask = 0
-            for k, idx in enumerate(support):
-                if exps[idx] > g_exps[idx]:
-                    mask |= 1 << k
-            facets.add(mask)
-    kept = []
-    for f in sorted(facets, key=lambda m: bin(m).count("1"), reverse=True):
-        if not any(f & k == f for k in kept):
-            kept.append(f)
-    return tuple(kept)
-
-
-def _faces_by_dimension(facets, b: GridMonomial, caps: Caps = DEFAULT_CAPS) -> dict:
-    """Face bitmasks per dimension (the empty face has dimension -1).
-
-    Raises ResourceLimitError as soon as the walk over the facets' subsets
-    finds more than ``caps.max_koszul_faces`` distinct faces.
-    """
-    by_dim = {}
-    total = 0
+    shape = ideal.shape
+    facets = {_radical(b - g.key, shape) for g in ideal.gens if _divides(g.key, b, shape)}
+    facets = sorted(facets, key=int.bit_count, reverse=True)
+    if facets and facets[0] and all(f & facets[0] == f for f in facets):
+        return None
+    faces = set()
     for facet in facets:
+        if facet in faces:  # inside a larger facet, so all its subsets are too
+            continue
         sub = facet
         while True:
-            bucket = by_dim.setdefault(bin(sub).count("1") - 1, set())
-            if sub not in bucket:
-                bucket.add(sub)
-                total += 1
-                if total > caps.max_koszul_faces:
-                    raise ResourceLimitError(
-                        f"divisor complex at {b} exceeds {caps.max_koszul_faces} faces",
-                        snapshot={"multidegree": str(b)},
-                    )
-            if sub == 0:
+            faces.add(sub)
+            if len(faces) > caps.max_koszul_faces:
+                text = str(_from_key(shape, b))
+                raise ResourceLimitError(
+                    f"divisor complex at {text} exceeds {caps.max_koszul_faces} faces",
+                    snapshot={"multidegree": text},
+                )
+            if not sub:
                 break
             sub = (sub - 1) & facet
+    by_dim = {}
+    for face in sorted(faces):
+        by_dim.setdefault(face.bit_count() - 1, []).append(face)
     return by_dim
 
 
-def _reduced_homology(
-    ideal: MonomialIdeal, b: GridMonomial, field, caps: Caps = DEFAULT_CAPS
-) -> dict:
+def _reduced_homology(ideal: MonomialIdeal, b: int, field, caps: Caps = DEFAULT_CAPS) -> dict:
     """Reduced homology ranks per dimension of the divisor complex at b."""
-    facets = _divisor_complex(ideal, b)
-    if len(facets) == 1:
-        # A full simplex: contractible unless it is just the empty face,
-        # which happens exactly when b is a minimal generator.
-        return {-1: 1} if facets[0] == 0 else {}
-    by_dim = {d: sorted(masks) for d, masks in _faces_by_dimension(facets, b, caps).items()}
+    by_dim = _divisor_complex(ideal, b, caps)
+    if by_dim is None:
+        return {}
     ranks = {
         d: _rank_of_columns(_boundary_columns(by_dim[d - 1], by_dim[d]), field)
         for d in by_dim
@@ -208,10 +192,10 @@ def _boundary_columns(lower_masks, upper_masks):
 
 
 def _candidate_multidegrees(ideal: MonomialIdeal, caps: Caps) -> list:
-    """The distinct lcms of nonempty generator subsets, by degree then key.
+    """The distinct lcm keys of nonempty generator subsets, by degree then key.
 
-    The lcms are closed up one generator at a time on keys, so memory stays
-    bounded by the cap; only the distinct ones become monomials.
+    The lcms are closed up one generator at a time, so memory stays bounded
+    by the cap.
     """
     shape = ideal.shape
     seen = set()
@@ -223,8 +207,7 @@ def _candidate_multidegrees(ideal: MonomialIdeal, caps: Caps) -> list:
                 f"more than {caps.max_lcm_candidates} candidate multidegrees",
                 snapshot={"generators": len(ideal.gens)},
             )
-    ordered = sorted(seen, key=lambda k: (_degree(k, shape), k))
-    return [_from_key(shape, k) for k in ordered]
+    return sorted(seen, key=lambda k: (_degree(k, shape), k))
 
 
 def betti_table(
@@ -248,8 +231,9 @@ def betti_table(
     field = make_field(characteristic)
     entries = {}
     for b in _candidate_multidegrees(ideal, caps):
+        degree = _degree(b, ideal.shape)
         for d, h in _reduced_homology(ideal, b, field, caps).items():
-            key = (d + 1, b.degree)
+            key = (d + 1, degree)
             entries[key] = entries.get(key, 0) + h
     return BettiTable(characteristic, entries)
 

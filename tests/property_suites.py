@@ -10,7 +10,7 @@ import random
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
-from diagideal import groebner, quotients
+from diagideal import groebner, quotients, resolution
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.checks import iter_shapes
 from diagideal.errors import DomainError, ResourceLimitError
@@ -24,7 +24,7 @@ from diagideal.groebner import (
     s_polynomial,
 )
 from diagideal.ideals import MonomialIdeal, minimal_generators
-from diagideal.monomials import MAX_EXPONENT, GridMonomial, GridShape
+from diagideal.monomials import MAX_EXPONENT, GridMonomial, GridShape, _from_key, _radical
 from diagideal.polynomials import Polynomial
 from diagideal.quotients import quotient_chain, redistribute
 from diagideal.windows import (
@@ -42,6 +42,7 @@ BUDGETS = {
     "certificate_vs_buchberger": 150,
     "colon_membership": 3000,
     "colon_over_sum": 1500,
+    "homology_vs_taylor": 150,
     "linear_quotients_vs_chain": 1500,
     "minimalize": 1500,
     "order_laws": 3000,
@@ -219,6 +220,10 @@ def dense_colon(a: tuple, b: tuple) -> tuple:
     return tuple(x - y if x > y else 0 for x, y in zip(a, b))
 
 
+def dense_radical(a: tuple) -> tuple:
+    return tuple(min(x, 1) for x in a)
+
+
 def dense_str(shape: GridShape, exps: tuple) -> str:
     parts = []
     for (i, j), e in zip(shape.variables(), exps):
@@ -247,8 +252,8 @@ def _raises_domain_error(action) -> bool:
 
 def packed_vs_dense_suite(rng: random.Random, cases: int) -> int:
     """Packed monomial keys agree with dense exponent tuples on divides,
-    *, /, gcd, lcm, colon, order, degree and text over the full exponent
-    range, and every way out of the range raises DomainError."""
+    *, /, gcd, lcm, colon, radical, order, degree and text over the full
+    exponent range, and every way out of the range raises DomainError."""
     done = 0
     while done < cases:
         shape = random_shape(rng)
@@ -272,6 +277,8 @@ def packed_vs_dense_suite(rng: random.Random, cases: int) -> int:
         assert a.lcm(b).exps == dense_lcm(ea, eb), f"lcm broke: {context}"
         assert a.colon(b).exps == dense_colon(ea, eb), f"colon broke: {context}"
         assert b.colon(a).exps == dense_colon(eb, ea), f"colon broke: {context}"
+        radical = _from_key(shape, _radical(a.key, shape))
+        assert radical.exps == dense_radical(ea), f"radical broke: {context}"
         done += 10
 
         if dense_divides(ea, eb):
@@ -563,11 +570,61 @@ def linear_quotients_vs_chain_suite(rng: random.Random, cases: int) -> int:
     return cases
 
 
+def _taylor_euler(ideal: MonomialIdeal) -> dict:
+    """Sum of (-1)^(|s|+1) over the nonempty generator subsets s, per degree
+    of lcm(s): the graded Euler characteristic of the Taylor resolution."""
+    gens = ideal.gens
+    lcms = [None] * (1 << len(gens))
+    euler = {}
+    for mask in range(1, len(lcms)):
+        low = mask & -mask
+        g = gens[low.bit_length() - 1]
+        lcms[mask] = g if mask == low else lcms[mask ^ low].lcm(g)
+        degree = lcms[mask].degree
+        euler[degree] = euler.get(degree, 0) + (1 if mask.bit_count() % 2 else -1)
+    return {j: e for j, e in euler.items() if e}
+
+
+def homology_vs_taylor_suite(rng: random.Random, cases: int) -> int:
+    """The homology oracle's table has the Taylor resolution's graded Euler
+    characteristic, sum_i (-1)^i beta_{i,j}, in every degree j, and equals
+    the mapping cone's table whenever the canonical order has linear
+    quotients.  Each draw is 2 to 7 monomials of one or two variables, with
+    exponents 1 or 2, on a grid up to 3x4, at char 0, 2 or 32003.  Over
+    measured runs of 150 draws a quarter to a half had linear quotients
+    after minimalization, so each outcome must reach a fifth."""
+    linear = 0
+    for _ in range(cases):
+        rows = rng.randint(1, 3)
+        shape = GridShape(rows, rng.randint(rows, 4))
+        variables = list(shape.variables())
+        gens = []
+        for _ in range(rng.randint(2, 7)):
+            support = rng.sample(variables, rng.randint(1, min(2, len(variables))))
+            gens.append(GridMonomial.from_exponents(shape, {v: rng.randint(1, 2) for v in support}))
+        ideal = MonomialIdeal(shape, gens)
+        char = rng.choice((0, 2, 32003))
+        table = resolution.betti_table(ideal, char)
+        euler = {}
+        for i, j, beta in table.cells:
+            euler[j] = euler.get(j, 0) + (-1) ** i * beta
+        context = f"{ideal} at char {char}: {table!r}"
+        assert {j: e for j, e in euler.items() if e} == _taylor_euler(ideal), context
+        cone = resolution._cone(ideal, char)
+        if cone is not None:
+            assert cone == table, f"cone {cone!r} for {context}"
+            linear += 1
+    assert 5 * linear >= cases, f"only {linear} of {cases} draws had linear quotients"
+    assert 5 * (cases - linear) >= cases, f"only {cases - linear} of {cases} draws lacked them"
+    return cases
+
+
 SUITES = {
     "buchberger_vs_all_pairs": buchberger_vs_all_pairs_suite,
     "certificate_vs_buchberger": certificate_vs_buchberger_suite,
     "colon_membership": colon_membership_suite,
     "colon_over_sum": colon_over_sum_suite,
+    "homology_vs_taylor": homology_vs_taylor_suite,
     "linear_quotients_vs_chain": linear_quotients_vs_chain_suite,
     "minimalize": minimalize_suite,
     "order_laws": order_law_suite,

@@ -190,6 +190,7 @@ def test_criterion_8_property_suites():
     _finish(
         8, "seeded property suites cover pruned-vs-all-pairs Buchberger, "
         "certificate-vs-Buchberger initial ideals, colon membership, distributivity, "
+        "homology-vs-Taylor Euler characteristics and mapping cones, "
         "key-walk-vs-colon-chain linear quotients, minimalization, order laws, "
         "packed-vs-dense monomial arithmetic, and redistribution invariants",
         started, 120.0, ok, detail=f"{total} checks",

@@ -386,6 +386,24 @@ def test_verify_rejects_a_flag_its_target_does_not_read(flags, capsys, monkeypat
     assert verify_exit_code(capsys, monkeypatch, *flags) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--target", "lemma1", "--rows", "3", "--cols", "8", "--window", ""),
+        ("--target", "theorem", "--rows", "2", "--cols", "4", "--chain", ""),
+        ("--target", "lemma2", "--rows", "2", "--cols", "4", "--chain", ":"),
+        ("--target", "remarks", "--caps", ""),
+        ("--target", "remarks", "--output", ""),
+    ],
+    ids=["window", "chain", "chain-of-colons", "caps", "output"],
+)
+def test_verify_rejects_an_empty_flag_value(flags, capsys, monkeypatch):
+    # An empty value is given, so it is parsed and rejected with a typed
+    # error, never skipped as if the flag were absent.
+    assert verify_exit_code(capsys, monkeypatch, *flags) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bound", ["--max-rows", "--max-cols", "--max-factors"])
 def test_conjecture_scan_rejects_a_bound_below_one(bound, capsys):
     code, out = run_cli(capsys, "conjecture-scan", "--format", "json", bound, "0")

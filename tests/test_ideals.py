@@ -307,12 +307,12 @@ def test_loops_behind_a_boundary_skip_shape_checks(monkeypatch):
     monkeypatch.setattr(GridMonomial, "colon", counting_colon)
     colon = minimal_generators(shape, candidates)
     assert product.contains(multidegree) and not product.contains(f)
-    facets = _divisor_complex(product, multidegree)
+    faces = _divisor_complex(product, multidegree.key)
     entries = verify_product_colons(shape, chain)
     steps = quotient_chain(two_windows).steps
     assert product.colon(f).gens == colon
     assert checks == [] and colons == []
-    assert len(colon) < len(candidates) and facets
+    assert len(colon) < len(candidates) and faces
     assert len(entries) == 10 and all(entry["equal"] for entry in entries)
     assert len(steps) == len(two_windows.gens) - 1
 

@@ -13,6 +13,7 @@ from diagideal.monomials import (
     _colon,
     _colons,
     _degree,
+    _radical,
     _variables,
     parse_monomial,
 )
@@ -194,6 +195,20 @@ def test_variables_keeps_exactly_the_degree_one_keys():
         GridMonomial(shape, tuple(rng.choice(picks) for _ in range(24))).key for _ in range(200)
     ] + [GridMonomial.variable(shape, i, j).key for i, j in shape.variables()]
     assert _variables(sample, shape) == [k for k in sample if _degree(k, shape) == 1]
+
+
+def test_radical_is_the_squarefree_support():
+    # Every exponent pattern of 0, 1 and 127 on a 1x4 grid, and the edges on
+    # larger grids: each nonzero byte becomes 1, each zero byte stays 0.
+    from itertools import product
+
+    cases = [(GridShape(1, 4), e) for e in product((0, 1, MAX_EXPONENT), repeat=4)]
+    for shape in (GridShape(1, 1), GridShape(3, 8)):
+        n = shape.variable_count
+        cases += [(shape, (0,) * n), (shape, (1,) * n), (shape, (MAX_EXPONENT,) * n)]
+    for shape, exps in cases:
+        radical = GridMonomial(shape, tuple(min(e, 1) for e in exps)).key
+        assert _radical(GridMonomial(shape, exps).key, shape) == radical, exps
 
 
 def test_colons_is_colon_over_a_list():
