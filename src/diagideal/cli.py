@@ -132,17 +132,17 @@ def _ideal_argument(args: argparse.Namespace, shape: GridShape) -> MonomialIdeal
     given = [
         name
         for name in ("window", "chain", "gens", "gens_file")
-        if getattr(args, name, None)
+        if getattr(args, name, None) is not None
     ]
     if len(given) != 1:
         raise DiagIdealError(
             "provide exactly one of --window, --chain, --gens, --gens-file"
         )
-    if args.window:
+    if args.window is not None:
         return diagonal_ideal(shape, _parse_window(args.window))
-    if args.chain:
+    if args.chain is not None:
         return window_product_ideal(shape, _chain_windows(args))
-    if args.gens:
+    if args.gens is not None:
         return parse_ideal(shape, args.gens)
     try:
         with open(args.gens_file, "r", encoding="utf-8") as handle:

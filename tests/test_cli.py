@@ -404,6 +404,25 @@ def test_verify_rejects_an_empty_flag_value(flags, capsys, monkeypatch):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--window", ""),
+        ("--chain", ""),
+        ("--gens", ""),
+        ("--gens-file", ""),
+        ("--chain", "1,3:2,4", "--window", ""),
+        ("--chain", "1,3:2,4", "--gens", ""),
+        ("--chain", "1,3:2,4", "--gens-file", ""),
+    ],
+)
+def test_betti_rejects_an_empty_ideal_source(flags, capsys):
+    # An empty source counts as given: it is parsed and rejected, or clashes
+    # with the other source, and is never skipped in favour of it.
+    code, out = run_cli(capsys, "betti", "--rows", "2", "--cols", "4", "--format", "json", *flags)
+    assert code == 2 and json.loads(out)["ok"] is False
+
+
 @pytest.mark.parametrize("bound", ["--max-rows", "--max-cols", "--max-factors"])
 def test_conjecture_scan_rejects_a_bound_below_one(bound, capsys):
     code, out = run_cli(capsys, "conjecture-scan", "--format", "json", bound, "0")

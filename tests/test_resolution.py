@@ -255,8 +255,8 @@ def test_koszul_complex_structure():
     outside = parse_monomial(shape, "x[1,1]")
     assert _divisor_complex(ideal, outside.key) == {}
     # one generator x[1,1] below x[1,1]*x[1,2]*x[1,3]: a full simplex, not walked
-    cone = parse_ideal(shape, "<x[1,1], x[1,2]^2*x[1,3]>")
-    assert _divisor_complex(cone, inside.key) is None
+    simplex = parse_ideal(shape, "<x[1,1], x[1,2]^2*x[1,3]>")
+    assert _divisor_complex(simplex, inside.key) is None
 
 
 def test_euler_characteristic_consistency():
