@@ -1,15 +1,15 @@
 """A small exact Buchberger engine and the initial-ideal conjecture check.
 
-All division runs through one kernel, ``_reduce``, on packed keys.  A basis'
-division data (lead keys, and each tail made monic, negated and held as
+This module holds the pair logic; the term merge it divides with is
+``polynomials._add_multiple``, the one that ``Polynomial``'s sums run.  All
+division runs through ``_reduce``, on packed keys.  A basis' division data
+(lead keys, and each tail made monic, negated and held as a merge row of
 (key, coefficient) pairs) is built once per basis, not once per division.
 The kernel always cancels the largest reducible term against the first
 divisor in list order whose lead divides it, so remainders are
 deterministic; the multiple is subtracted in one merge of the shifted tail
 into the ascending work list, and ``GridMonomial``s are built only for the
-remainder.  One product per step checks the whole shifted tail against the
-exponent bound, so a division that would pass 127 still raises
-``DomainError``.
+remainder.  A division that would pass exponent 127 raises ``DomainError``.
 
 S-pairs are pruned by the Gebauer-Moller update (Gebauer and Moller, J.
 Symbolic Comput. 6, 1988), run on the packed lead keys: criteria M and F
@@ -44,15 +44,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
-from .monomials import (
-    GridShape,
-    _divides,
-    _first_divisor,
-    _from_key,
-    _lcm,
-    _product,
-)
-from .polynomials import Polynomial
+from .monomials import GridShape, _divides, _first_divisor, _lcm
+from .polynomials import Polynomial, _add_multiple, _ascending, _polynomial, _row
 from .quotients import _linear_quotients
 from .windows import WindowChain, minor, window_product_ideal
 
@@ -61,10 +54,8 @@ class _Basis:
     """Division data of a basis list, built once per basis.
 
     ``leads`` holds the lead key of each element in list order, the order
-    divisors are tried in.  ``rows[i]`` is (envelope, tail): the tail of the
-    i-th element made monic and negated, as (key, coeff) pairs descending,
-    and the bytewise max of those keys, so that one product checks a whole
-    shifted tail against the exponent bound.
+    divisors are tried in.  ``rows[i]`` is the merge row (``polynomials._row``)
+    of the tail of the i-th element made monic and negated.
     """
 
     __slots__ = ("shape", "field", "leads", "rows")
@@ -82,19 +73,8 @@ class _Basis:
         shape, field = self.shape, self.field
         (lead, lead_coeff), *rest = g.terms
         inv = field.invert(lead_coeff)
-        envelope = 0
-        tail = []
-        for m, c in rest:
-            envelope = _lcm(envelope, m.key, shape)
-            tail.append((m.key, field.neg(field.mul(c, inv))))
         self.leads.append(lead.key)
-        self.rows.append((envelope, tuple(tail)))
-
-    def replace(self, idx: int, g: Polynomial) -> None:
-        """Put g, with the same lead, in place of element idx."""
-        self.append(g)
-        self.leads[idx] = self.leads.pop()
-        self.rows[idx] = self.rows.pop()
+        self.rows.append(_row(shape, ((m.key, field.neg(field.mul(c, inv))) for m, c in rest)))
 
     def without(self, idx: int) -> "_Basis":
         """The same basis with element idx left out."""
@@ -102,54 +82,6 @@ class _Basis:
         other.leads = self.leads[:idx] + self.leads[idx + 1 :]
         other.rows = self.rows[:idx] + self.rows[idx + 1 :]
         return other
-
-
-def _ascending(f: Polynomial):
-    """The keys and coefficients of f, smallest term first."""
-    return [m.key for m, _ in reversed(f.terms)], [c for _, c in reversed(f.terms)]
-
-
-def _polynomial(shape: GridShape, field, pairs) -> Polynomial:
-    """A polynomial from descending (key, coeff) pairs."""
-    return Polynomial(shape, field, tuple((_from_key(shape, k), c) for k, c in pairs))
-
-
-def _add_multiple(keys, coeffs, c, q: int, row, basis: _Basis):
-    """Ascending keys and coeffs plus c * x^q * tail, in one merge on keys.
-
-    DomainError when a shifted key would pass the exponent bound.
-    """
-    envelope, tail = row
-    shape = basis.shape
-    try:
-        _product(envelope, q, shape)
-    except DomainError:
-        for k, _ in tail:
-            _product(k, q, shape)  # raises, naming the first term that overflows
-        raise
-    # Fractions and residues both take + and *; residues then reduce mod p.
-    p = basis.field.characteristic
-    merged_keys, merged_coeffs = [], []
-    a, n = 0, len(keys)
-    for k, tc in reversed(tail):
-        k += q
-        while a < n and keys[a] < k:
-            merged_keys.append(keys[a])
-            merged_coeffs.append(coeffs[a])
-            a += 1
-        s = c * tc
-        if a < n and keys[a] == k:
-            s += coeffs[a]
-            a += 1
-        if p:
-            s %= p
-        if not s:
-            continue
-        merged_keys.append(k)
-        merged_coeffs.append(s)
-    merged_keys += keys[a:]
-    merged_coeffs += coeffs[a:]
-    return merged_keys, merged_coeffs
 
 
 def _reduce(keys, coeffs, basis: _Basis) -> list:
@@ -161,6 +93,7 @@ def _reduce(keys, coeffs, basis: _Basis) -> list:
     whose lead divides it; a term no lead divides goes to the remainder.
     """
     shape, leads, rows = basis.shape, basis.leads, basis.rows
+    p = basis.field.characteristic
     remainder = []
     while keys:
         key = keys.pop()
@@ -169,19 +102,20 @@ def _reduce(keys, coeffs, basis: _Basis) -> list:
         if i < 0:
             remainder.append((key, c))
         else:
-            keys, coeffs = _add_multiple(keys, coeffs, c, key - leads[i], rows[i], basis)
+            keys, coeffs = _add_multiple(keys, coeffs, c, key - leads[i], rows[i], shape, p)
     return remainder
 
 
 def _s_pair(basis: _Basis, i: int, j: int):
     """``s_polynomial`` of elements i and j, as ascending keys and coeffs."""
-    field = basis.field
+    shape, field = basis.shape, basis.field
+    p = field.characteristic
     lead_i, lead_j = basis.leads[i], basis.leads[j]
-    lcm = _lcm(lead_i, lead_j, basis.shape)
+    lcm = _lcm(lead_i, lead_j, shape)
     # x^q * (element i, monic) without its lead, then minus x^q' * (element j,
     # monic) without its lead: the two leads cancel at the lcm.
-    keys, coeffs = _add_multiple([], [], field.neg(field.one), lcm - lead_i, basis.rows[i], basis)
-    return _add_multiple(keys, coeffs, field.one, lcm - lead_j, basis.rows[j], basis)
+    keys, coeffs = _add_multiple([], [], field.neg(field.one), lcm - lead_i, basis.rows[i], shape, p)
+    return _add_multiple(keys, coeffs, field.one, lcm - lead_j, basis.rows[j], shape, p)
 
 
 def reduce(f: Polynomial, basis) -> Polynomial:
@@ -320,8 +254,12 @@ def _reduce_basis(shape, field, basis) -> tuple:
     """Canonicalize: minimal lead terms, tails reduced, descending order.
 
     No lead of a minimal basis divides another, so reduction never changes a
-    lead term.  Whether a polynomial is reduced depends only on the others'
-    leads, so one inter-reduction pass yields the reduced basis.
+    lead term.  Each element is reduced against the others as they stand,
+    unreduced: the remainder keeps its lead, and no other term of it lies
+    in the initial ideal.  The monic element of the ideal with a given lead
+    and no other term in the initial ideal is unique (the difference of two
+    would be an element with no term there, hence zero), so the remainders,
+    made monic, are the reduced basis whichever divisors produced them.
     """
     minimal = []
     for g in sorted(basis, key=lambda g: g.leading_monomial.key):
@@ -329,14 +267,14 @@ def _reduce_basis(shape, field, basis) -> tuple:
         if not any(_divides(h.leading_monomial.key, lead, shape) for h in minimal):
             minimal.append(g)
     divisors = _Basis(shape, field, minimal)
+    reduced = []
     for idx, g in enumerate(minimal):
         remainder = _reduce(*_ascending(g), divisors.without(idx))
         if not remainder:
             raise EngineError("minimal basis element reduced to zero")
-        minimal[idx] = _polynomial(shape, field, remainder).monic()
-        divisors.replace(idx, minimal[idx])
-    minimal.sort(key=lambda g: g.leading_monomial.key, reverse=True)
-    return tuple(minimal)
+        reduced.append(_polynomial(shape, field, remainder).monic())
+    reduced.sort(key=lambda g: g.leading_monomial.key, reverse=True)
+    return tuple(reduced)
 
 
 def is_groebner_basis(basis) -> bool:

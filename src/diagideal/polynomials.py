@@ -1,16 +1,77 @@
-"""Polynomials over a coefficient field with grid-monomial terms.
+"""Polynomials over a coefficient field, and the term-list kernel that the
+Groebner division shares.
 
 Terms are kept sorted descending in the grid order, so the leading term is
-always terms[0].  Addition merges two sorted lists; multiplying by a single
-term preserves the order, which keeps division loops cheap.  Products
-multiply the packed keys of terms checked where they entered, and still
-raise ``DomainError`` when an exponent would pass 127.
+always terms[0].  Every sum is one merge, ``_add_multiple``, of ascending
+packed keys and coefficients with c * x^q times a row of (key, coeff)
+pairs, in plain ``+``, ``*`` and ``% p``: ``Polynomial._plus`` runs it for
+``+``, ``-``, negation, ``times_term`` and ``monic``, and
+``groebner._reduce`` for each division step.  A shift past exponent 127
+raises ``DomainError`` naming the first term, in descending order, that
+overflows.  Products accumulate packed keys in a dict.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, ShapeMismatchError
-from .monomials import GridMonomial, GridShape, _from_key, _product
+from .monomials import GridMonomial, GridShape, _from_key, _lcm, _product
+
+
+def _row(shape: GridShape, pairs) -> tuple:
+    """A merge row: descending (key, coeff) pairs and the bytewise max of
+    their keys, so that one product checks a whole shifted row."""
+    pairs = tuple(pairs)
+    envelope = 0
+    for k, _ in pairs:
+        envelope = _lcm(envelope, k, shape)
+    return envelope, pairs
+
+
+def _ascending(f: "Polynomial"):
+    """The keys and coefficients of f, smallest term first."""
+    return [m.key for m, _ in reversed(f.terms)], [c for _, c in reversed(f.terms)]
+
+
+def _polynomial(shape: GridShape, field, pairs) -> "Polynomial":
+    """A polynomial from descending (key, coeff) pairs."""
+    return Polynomial(shape, field, tuple((_from_key(shape, k), c) for k, c in pairs))
+
+
+def _add_multiple(keys, coeffs, c, q: int, row, shape: GridShape, p: int):
+    """Ascending keys and coeffs plus c * x^q * row, in one merge on keys;
+    p is the field's characteristic.
+
+    DomainError when a shifted key would pass the exponent bound.
+    """
+    envelope, pairs = row
+    try:
+        _product(envelope, q, shape)
+    except DomainError:
+        for k, _ in pairs:
+            _product(k, q, shape)  # raises, naming the first term that overflows
+        raise
+    # Fractions and residues both take + and *; residues then reduce mod p.
+    merged_keys, merged_coeffs = [], []
+    a, n = 0, len(keys)
+    for k, tc in reversed(pairs):
+        k += q
+        while a < n and keys[a] < k:
+            merged_keys.append(keys[a])
+            merged_coeffs.append(coeffs[a])
+            a += 1
+        s = c * tc
+        if a < n and keys[a] == k:
+            s += coeffs[a]
+            a += 1
+        if p:
+            s %= p
+        if not s:
+            continue
+        merged_keys.append(k)
+        merged_coeffs.append(s)
+    merged_keys += keys[a:]
+    merged_coeffs += coeffs[a:]
+    return merged_keys, merged_coeffs
 
 
 class Polynomial:
@@ -71,58 +132,33 @@ class Polynomial:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _plus(self, c, q: int, other: "Polynomial") -> "Polynomial":
+        """self + c * x^q * other, for a coefficient c of the field and a
+        key q.  A zero c adds nothing, so it checks no exponent."""
         self._check_compatible(other)
-        field = self.field
-        left, right = self.terms, other.terms
-        merged = []
-        a = b = 0
-        while a < len(left) and b < len(right):
-            ma, ca = left[a]
-            mb, cb = right[b]
-            if ma.key == mb.key:
-                c = field.add(ca, cb)
-                if not field.is_zero(c):
-                    merged.append((ma, c))
-                a += 1
-                b += 1
-            elif ma.key > mb.key:
-                merged.append(left[a])
-                a += 1
-            else:
-                merged.append(right[b])
-                b += 1
-        merged.extend(left[a:])
-        merged.extend(right[b:])
-        return Polynomial(self.shape, field, tuple(merged))
+        if not c:
+            return self
+        shape, field = self.shape, self.field
+        row = _row(shape, ((m.key, d) for m, d in other.terms))
+        keys, coeffs = _add_multiple(*_ascending(self), c, q, row, shape, field.characteristic)
+        return _polynomial(shape, field, zip(reversed(keys), reversed(coeffs)))
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(self.field.one, 0, other)
 
     def __neg__(self) -> "Polynomial":
-        field = self.field
-        return Polynomial(
-            self.shape, field, tuple((m, field.neg(c)) for m, c in self.terms)
-        )
+        zero = Polynomial.zero(self.shape, self.field)
+        return zero._plus(self.field.neg(self.field.one), 0, self)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(self.field.neg(self.field.one), 0, other)
 
     def times_term(self, mono: GridMonomial, coeff) -> "Polynomial":
         """Multiply by a single term; descending order is preserved."""
-        shape = self.shape
-        if mono.shape is not shape and mono.shape != shape:
+        if mono.shape is not self.shape and mono.shape != self.shape:
             raise ShapeMismatchError("term monomial on wrong grid")
-        field = self.field
-        coeff = field.normalize(coeff)
-        if field.is_zero(coeff):
-            return Polynomial.zero(shape, field)
-        q = mono.key
-        return Polynomial(
-            shape,
-            field,
-            tuple(
-                (_from_key(shape, _product(m.key, q, shape)), field.mul(c, coeff))
-                for m, c in self.terms
-            ),
-        )
+        zero = Polynomial.zero(self.shape, self.field)
+        return zero._plus(self.field.normalize(coeff), mono.key, self)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
@@ -145,11 +181,7 @@ class Polynomial:
         if self.is_zero or self.terms[0][1] == 1:
             return self
         inv = self.field.invert(self.leading_coefficient)
-        return Polynomial(
-            self.shape,
-            self.field,
-            tuple((m, self.field.mul(c, inv)) for m, c in self.terms),
-        )
+        return Polynomial.zero(self.shape, self.field)._plus(inv, 0, self)
 
     # -- identity / text ----------------------------------------------------
 

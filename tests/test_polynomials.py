@@ -1,0 +1,80 @@
+"""Polynomial operators against an independent dict accumulation.
+
+``Polynomial.from_terms`` sums terms in a dict with the field's own
+methods; the operators under test run the sorted-key merge
+``polynomials._add_multiple``.  Both must give the same canonical terms.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from diagideal.errors import DomainError
+from diagideal.fields import make_field
+from diagideal.monomials import GridMonomial, GridShape
+from diagideal.polynomials import Polynomial
+from property_suites import _SMALL_SHAPES, _random_sparse_polynomial
+
+CASES_PER_CHAR = 300
+
+
+def _random_multiplier(rng: random.Random, shape: GridShape, field):
+    exps = {}
+    for _ in range(rng.randint(0, 3)):
+        v = rng.choice(list(shape.variables()))
+        exps[v] = exps.get(v, 0) + 1
+    coeff = rng.randint(-9, 9)
+    if field.characteristic == 0 and rng.random() < 0.5:
+        coeff = Fraction(coeff, rng.randint(1, 9))
+    return GridMonomial.from_exponents(shape, exps), coeff
+
+
+def _inverse(field, c):
+    if field.characteristic:
+        return pow(c, -1, field.characteristic)
+    return 1 / Fraction(c)
+
+
+@pytest.mark.parametrize("char", [0, 7, 32003])
+def test_operators_match_dict_accumulation(char):
+    field = make_field(char)
+    rng = random.Random(f"polynomial-operators/{char}")
+    for _ in range(CASES_PER_CHAR):
+        shape = rng.choice(_SMALL_SHAPES)
+        f = _random_sparse_polynomial(rng, shape, field)
+        g = _random_sparse_polynomial(rng, shape, field)
+        if rng.random() < 0.3:
+            # Overlapping terms with some sums cancelling to zero.
+            g = Polynomial.from_terms(shape, field, g.terms + tuple((m, -c) for m, c in f.terms[1:]))
+        mono, coeff = _random_multiplier(rng, shape, field)
+
+        def oracle(pairs):
+            return Polynomial.from_terms(shape, field, pairs).terms
+
+        assert (f + g).terms == oracle(f.terms + g.terms)
+        assert (f - g).terms == oracle(f.terms + tuple((m, -c) for m, c in g.terms))
+        assert (f - f).is_zero
+        assert (-f).terms == oracle((m, -c) for m, c in f.terms)
+        assert f.times_term(mono, coeff).terms == oracle((m * mono, c * coeff) for m, c in f.terms)
+        inv = _inverse(field, f.leading_coefficient) if f.terms else 1
+        assert f.monic().terms == oracle((m, c * inv) for m, c in f.terms)
+        assert (f * g).terms == oracle((a * b, c * d) for a, c in f.terms for b, d in g.terms)
+
+
+def test_times_term_overflow_names_the_first_overflowing_term():
+    shape = GridShape(1, 3)
+    x11, x12, x13 = (GridMonomial.variable(shape, 1, j) for j in (1, 2, 3))
+    f = Polynomial.from_terms(
+        shape, make_field(7), [(x11 * x11, 1), (x11 * x12, 2), (x12 * x12, 3), (x13, 4)]
+    )
+    mono = GridMonomial.from_exponents(shape, {(1, 2): 127})
+    with pytest.raises(DomainError) as err:
+        f.times_term(mono, 5)
+    assert str(err.value) == "x[1,1]*x[1,2] * x[1,2]^127 has an exponent above 127"
+    # A zero coefficient adds no term, so no exponent is checked.
+    assert f.times_term(mono, 7).is_zero
+    with pytest.raises(DomainError) as err:
+        f.times_term(GridMonomial.from_exponents(shape, {(1, 3): 127}), 1)
+    assert str(err.value) == "x[1,3] * x[1,3]^127 has an exponent above 127"
