@@ -41,24 +41,38 @@ def iter_shapes(max_rows: int, max_cols: int) -> Iterator[GridShape]:
             yield GridShape(rows, cols)
 
 
-def _rendered_step(u: int, brute, closed, equal: bool) -> dict:
+def _ideal_text(ideal, texts: dict) -> str:
+    """``str(ideal)``, each generator's text taken from or added to texts,
+    so a generator repeated across steps is rendered once."""
+    parts = []
+    for g in ideal.gens:
+        text = texts.get(g.key)
+        if text is None:
+            text = texts[g.key] = str(g)
+        parts.append(text)
+    return "<" + ", ".join(parts) + ">"
+
+
+def _rendered_step(u: int, brute, closed, equal: bool, texts: dict) -> dict:
     """One colon step as text; equal ideals have identical generators, so
     their text is rendered once."""
-    text = str(brute)
-    return {"u": u, "brute": text, "closed": text if equal else str(closed), "equal": equal}
+    text = _ideal_text(brute, texts)
+    closed_text = text if equal else _ideal_text(closed, texts)
+    return {"u": u, "brute": text, "closed": closed_text, "equal": equal}
 
 
 def single_window_report(shape: GridShape, window: Window) -> dict:
     """Diff the brute-force colon chain of one window ideal against the
     gap-variable closed form, step by step from the second diagonal."""
     entries = []
+    texts = {}
     all_equal = certificate = True
     for u, brute, closed in _colon_steps(shape, window):
         if u:
             equal = brute == closed
             all_equal = all_equal and equal
             certificate = certificate and brute.is_generated_by_variables
-            entries.append(_rendered_step(u, brute, closed, equal))
+            entries.append(_rendered_step(u, brute, closed, equal, texts))
     return {
         "check": "window-colon",
         "shape": [shape.rows, shape.cols],
@@ -81,8 +95,9 @@ def product_chain_report(
     shape: GridShape, chain: WindowChain, caps: Caps = DEFAULT_CAPS
 ) -> dict:
     entries = verify_product_colons(shape, chain, caps=caps)
+    texts = {}
     rendered = [
-        _rendered_step(entry["u"], entry["brute"], entry["closed"], entry["equal"])
+        _rendered_step(entry["u"], entry["brute"], entry["closed"], entry["equal"], texts)
         for entry in entries
     ]
     return {

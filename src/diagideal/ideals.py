@@ -125,15 +125,22 @@ class MonomialIdeal:
         degrees = self.generator_degrees()
         return degrees[0] if len(degrees) == 1 else None
 
+    def _check_monomial(self, monomial: GridMonomial, where: str):
+        if not isinstance(monomial, GridMonomial):
+            raise DomainError(f"not a monomial: {monomial!r}")
+        if monomial.shape != self.shape:
+            raise ShapeMismatchError(f"{where} on wrong grid")
+
     def contains(self, monomial: GridMonomial) -> bool:
         """Membership: some minimal generator divides the monomial."""
-        if monomial.shape != self.shape:
-            raise ShapeMismatchError("membership test on wrong grid")
+        self._check_monomial(monomial, "membership test")
         return any(_divides(g.key, monomial.key, self.shape) for g in self.gens)
 
     # -- algebra -----------------------------------------------------------
 
     def _check_shape(self, other: "MonomialIdeal"):
+        if not isinstance(other, MonomialIdeal):
+            raise DomainError(f"not a monomial ideal: {other!r}")
         if self.shape != other.shape:
             raise ShapeMismatchError("ideals on different grids")
 
@@ -150,8 +157,7 @@ class MonomialIdeal:
 
     def colon(self, f: GridMonomial) -> "MonomialIdeal":
         """(self : f), generated by g/gcd(g, f) over the generators g."""
-        if f.shape != self.shape:
-            raise ShapeMismatchError("colon divisor on wrong grid")
+        self._check_monomial(f, "colon divisor")
         shape = self.shape
         return MonomialIdeal._from_keys(shape, _colons([g.key for g in self.gens], f.key, shape))
 

@@ -124,14 +124,19 @@ def _undivided(keys, divisors, shape: GridShape) -> list:
     """The keys of keys that no key of the list divisors divides, in order.
 
     ``_first_divisor(k, divisors) < 0`` for every k, with the guard bound
-    once and no index taken.
+    once and no index taken.  Neighbouring keys often share a divisor, so
+    the one that divided the last divided key is tried first.
     """
     guard = shape._guard
     kept = []
+    last = guard  # divides nothing: (k | guard) - guard = k has no guard bit
     for k in keys:
         top = k | guard
+        if (top - last) & guard == guard:
+            continue
         for d in divisors:
             if (top - d) & guard == guard:
+                last = d
                 break
         else:
             kept.append(k)
@@ -301,6 +306,8 @@ class GridMonomial:
     # -- arithmetic ----------------------------------------------------
 
     def _check_shape(self, other: "GridMonomial"):
+        if not isinstance(other, GridMonomial):
+            raise DomainError(f"not a monomial: {other!r}")
         if self.shape is not other.shape and self.shape != other.shape:
             raise ShapeMismatchError(
                 f"monomials on different grids: {self.shape} vs {other.shape}"
@@ -316,7 +323,8 @@ class GridMonomial:
 
     def __truediv__(self, other: "GridMonomial") -> "GridMonomial":
         """Exact division; raises DomainError when not divisible."""
-        if not other.divides(self):
+        self._check_shape(other)
+        if not _divides(other.key, self.key, self.shape):
             raise DomainError(f"{other} does not divide {self}")
         return _from_key(self.shape, self.key - other.key)
 

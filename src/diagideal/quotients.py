@@ -5,15 +5,20 @@ order has linear quotients; the Groebner certificate and the mapping cone
 both read it.  ``quotient_chain`` builds the same colons as minimalized
 ideals; it is the brute oracle the walk is tested against.
 
-Every brute colon is one ``_colons`` pass, minimalized once
-(``_brute_colon``); ``_colon_steps`` runs it along a window's diagonals
-beside the closed form.  For a single window the colon of the earlier
-diagonals is generated by the variables in the column gaps of the divisor,
-the column before the window acting as the sentinel gap floor; for a sorted
-chain the same variables join the product of the remaining windows'
-diagonal ideals.  Their keys come from one cached table per window,
-``_gap_keys``.  The circle redistribution rebalances a factor per window by
-sorting column positions row by row.
+A brute colon is one ``_colons`` pass, minimalized once (``_brute_colon``,
+behind ``quotient_chain``, the CLI and the replay).  ``_colon_steps`` walks
+a window's diagonals beside the closed form and decides each step by the
+colon's definition (``_is_colon``): every k : f lies in the closed ideal,
+and g * f in the divided ideal for every closed generator g.  Equal
+ideals have one minimal generating set, so a step that passes reports the
+closed ideal as its brute colon; only a step that fails builds and
+minimalizes ``_brute_colon``'s.  For a single window the colon of the
+earlier diagonals is generated by the variables in the column gaps of the
+divisor, the column before the window acting as the sentinel gap floor; for
+a sorted chain the same variables join the product of the remaining
+windows' diagonal ideals.  Their keys come from one cached table per
+window, ``_gap_keys``.  The circle redistribution rebalances a factor per
+window by sorting column positions row by row.
 """
 
 from __future__ import annotations
@@ -25,7 +30,16 @@ from types import MappingProxyType
 from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError, ShapeMismatchError
 from .ideals import MonomialIdeal
-from .monomials import GridMonomial, GridShape, _colons, _variable_mask, _variables
+from .monomials import (
+    GridMonomial,
+    GridShape,
+    _colons,
+    _product,
+    _radical,
+    _undivided,
+    _variable_mask,
+    _variables,
+)
 from .windows import (
     Window,
     WindowChain,
@@ -108,19 +122,58 @@ def _gap_keys(shape: GridShape, window: Window) -> MappingProxyType:
     return MappingProxyType(table)
 
 
+def _is_colon(shape: GridShape, closed: MonomialIdeal, f: int, prefix, keys, members) -> bool:
+    """Is closed the colon (<prefix, keys> : f)?  members is the set of all
+    keys of prefix and keys.
+
+    By the definition of a colon, the two are equal exactly when
+    - forward: k : f lies in closed for every k of prefix and keys.  A
+      variable of closed that does not divide f divides k : f exactly when
+      it divides k, so one mask AND passes the keys that meet those free
+      variables; the other colons are looked up among closed's generators,
+      then scanned against the generators that are not free variables,
+      since none of those can divide them;
+    - reverse: g * f lies in <prefix, keys> for every generator g of
+      closed: looked up in members, then scanned against prefix, then keys.
+    """
+    gens = [g.key for g in closed.gens]
+    support = _radical(f, shape)
+    free = [v for v in _variables(gens, shape) if not v & support]
+    mask = _variable_mask(free)
+    lookup = set(gens)
+    # Ascending, the divisor of a colon came up sooner in a profile of
+    # the colon-products workload.
+    others = [g for g in reversed(gens) if g not in free]
+    pending = [k for k in prefix + keys if not k & mask]
+    colons = [c for c in _colons(pending, f, shape) if c not in lookup]
+    if _undivided(colons, others, shape):
+        return False
+    products = [h for h in (_product(g, f, shape) for g in gens) if h not in members]
+    return not _undivided(_undivided(products, prefix, shape), keys, shape)
+
+
 def _colon_steps(shape: GridShape, window: Window, keys=(), rest_keys=()):
     """For each diagonal f_u of the window, in order, yield (u, brute, closed).
 
-    brute is (<keys, f_0..f_{u-1}> : f_u) by ``_brute_colon``; closed joins
-    rest_keys to the gap keys of f_u.  With no keys and no rest this is the
-    single-window closed form, otherwise the product one.
+    closed joins rest_keys to the gap keys of f_u; brute is
+    (<keys, f_0..f_{u-1}> : f_u).  When ``_is_colon`` finds the two equal,
+    brute is closed itself, since equal ideals have one minimal generating
+    set; otherwise it is ``_brute_colon``'s.  With no keys and no rest this
+    is the single-window closed form, otherwise the product one.
     """
     gaps = _gap_keys(shape, window)
     keys = list(keys)
+    members = set(keys)
+    prefix = []
     for u, f in enumerate(enumerate_diagonals(shape, window)):
         closed = MonomialIdeal._from_keys(shape, rest_keys + gaps[f.key])
-        yield u, _brute_colon(shape, keys, f.key), closed
-        keys.append(f.key)
+        if _is_colon(shape, closed, f.key, prefix, keys, members):
+            brute = closed
+        else:
+            brute = _brute_colon(shape, prefix + keys, f.key)
+        yield u, brute, closed
+        prefix.append(f.key)
+        members.add(f.key)
 
 
 def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> MonomialIdeal:

@@ -317,6 +317,42 @@ def test_loops_behind_a_boundary_skip_shape_checks(monkeypatch):
     assert len(steps) == len(two_windows.gens) - 1
 
 
+_SHAPE_2x3 = GridShape(2, 3)
+_MONOMIAL = parse_monomial(_SHAPE_2x3, "x[1,1]*x[2,2]")
+_IDEAL = MonomialIdeal(_SHAPE_2x3, [_MONOMIAL])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _IDEAL.colon("x[1,1]"),
+        lambda: _IDEAL.contains(3),
+        lambda: _IDEAL + 3,
+        lambda: _IDEAL * 3,
+        lambda: _IDEAL + _MONOMIAL,
+        lambda: _MONOMIAL.divides(3),
+        lambda: _MONOMIAL / 3,
+        lambda: _MONOMIAL * 3,
+        lambda: _MONOMIAL.gcd("x[1,1]"),
+        lambda: _MONOMIAL.lcm(None),
+        lambda: _MONOMIAL.colon(_IDEAL),
+        lambda: _MONOMIAL < 3,
+    ],
+    ids=[
+        "ideal-colon", "ideal-contains", "ideal-add", "ideal-mul", "ideal-add-monomial",
+        "divides", "truediv", "mul", "gcd", "lcm", "monomial-colon", "lt",
+    ],
+)
+def test_wrong_type_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_wrong_type_equality_is_false():
+    assert (_MONOMIAL == 3) is False and (_IDEAL == "<x[1,1]*x[2,2]>") is False
+    assert _MONOMIAL != _IDEAL and _IDEAL != _MONOMIAL
+
+
 def test_variables_absorb_their_multiples():
     # A variable divides every candidate with a positive exponent at it,
     # whatever that exponent; the unit absorbs the variables too.

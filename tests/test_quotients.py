@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
 import diagideal.quotients as quotients
 from diagideal.caps import DEFAULT_CAPS
-from diagideal.checks import iter_shapes, single_window_report
+from diagideal.checks import iter_shapes, product_chain_report, single_window_report
 from diagideal.errors import (
     DomainError,
     EngineError,
@@ -115,6 +117,158 @@ def test_single_window_steps_match_the_brute_chain_and_closed_forms():
             assert report["linear_quotients"] == chain.certifies_linear_quotients
             windows += 1
     assert windows > 100
+
+
+def _step_colons(shape, window, keys=(), rest_keys=()):
+    """(steps of ``_colon_steps``, the brute colon of each by ``_brute_colon``)."""
+    steps = list(quotients._colon_steps(shape, window, keys, rest_keys))
+    diagonals = [f.key for f in enumerate_diagonals(shape, window)]
+    brute = [
+        quotients._brute_colon(shape, list(keys) + diagonals[:u], f)
+        for u, f in enumerate(diagonals)
+    ]
+    return steps, brute
+
+
+def test_colon_steps_brute_is_the_brute_colon():
+    # Each step's brute is decided from the colon's definition and is the
+    # closed ideal when they agree; it must be the minimalized brute colon.
+    cases = [(shape, chain) for shape in iter_shapes(3, 6) for chain in iter_sorted_chains(shape, 2)]
+    cases += [(GridShape(2, 5), chain) for chain in iter_sorted_chains(GridShape(2, 5), 3)]
+    checked = 0
+    for shape, chain in cases:
+        rest = window_product_ideal(shape, chain.windows[1:])
+        keys = [g.key for g in window_product_ideal(shape, chain.windows).gens]
+        rest_keys = tuple(g.key for g in rest.gens)
+        steps, brute = _step_colons(shape, chain.windows[0], keys, rest_keys)
+        assert [b for _, b, _ in steps] == brute, (shape, chain)
+        checked += len(steps)
+    for shape in iter_shapes(3, 8):
+        for window in iter_windows(shape):
+            steps, brute = _step_colons(shape, window)
+            assert [b for _, b, _ in steps] == brute, (shape, window)
+            checked += len(steps)
+    assert checked > 3000
+
+
+def _patched_gaps(monkeypatch, shape, window, u, change):
+    """Make ``_gap_keys`` return change(gaps) for diagonal u of the window."""
+    real = quotients._gap_keys
+    target = enumerate_diagonals(shape, window)[u].key
+
+    def gap_keys(shape_, window_):
+        table = real(shape_, window_)
+        if (shape_, window_) != (shape, window):
+            return table
+        return MappingProxyType({**table, target: change(table[target])})
+
+    monkeypatch.setattr(quotients, "_gap_keys", gap_keys)
+
+
+# (report, shape, chain, u): a single window and a product chain, at a step
+# whose closed form has at least two gap variables.
+WRONG_CLOSED_CASES = [
+    ("window", GridShape(3, 8), WindowChain.of((2, 6)), 4),
+    ("product", GridShape(3, 8), WindowChain.of((2, 6), (2, 6)), 4),
+    ("product", GridShape(2, 5), WindowChain.of((1, 4), (2, 5)), 5),
+]
+
+
+def _report(kind, shape, chain):
+    if kind == "window":
+        return single_window_report(shape, chain.windows[0])
+    return product_chain_report(shape, chain)
+
+
+def _brute_step(kind, shape, chain, u):
+    window = chain.windows[0]
+    keys = [] if kind == "window" else [g.key for g in window_product_ideal(shape, chain.windows).gens]
+    diagonals = [f.key for f in enumerate_diagonals(shape, window)]
+    return quotients._brute_colon(shape, keys + diagonals[:u], diagonals[u])
+
+
+@pytest.mark.parametrize("change", ["drop", "extra"])
+@pytest.mark.parametrize("kind,shape,chain,u", WRONG_CLOSED_CASES)
+def test_a_wrong_closed_form_falls_back_to_the_brute_colon(monkeypatch, change, kind, shape, chain, u):
+    window = chain.windows[0]
+    brute = _brute_step(kind, shape, chain, u)
+    gaps = quotients._gap_keys(shape, window)[enumerate_diagonals(shape, window)[u].key]
+    assert len(gaps) >= 2
+    if change == "drop":
+        # The closed form lacks a variable of the colon: only the forward
+        # check sees it.
+        _patched_gaps(monkeypatch, shape, window, u, lambda keys: keys[1:])
+    else:
+        # One more variable, outside the colon: only the reverse check sees it.
+        extra = next(
+            v
+            for v in (GridMonomial.variable(shape, i, j) for i, j in shape.variables())
+            if not brute.contains(v)
+        )
+        _patched_gaps(monkeypatch, shape, window, u, lambda keys: keys + (extra.key,))
+    report = _report(kind, shape, chain)
+    step = next(step for step in report["steps"] if step["u"] == u)
+    assert step["equal"] is False
+    assert step["brute"] == str(brute)
+    assert step["closed"] != step["brute"]
+    assert report["ok"] is False
+    others = [s for s in report["steps"] if s["u"] != u]
+    assert all(s["equal"] for s in others)
+
+
+def _random_key(rng, shape, top=3):
+    return GridMonomial(shape, tuple(rng.choice((0, 0, 1, top)) for _ in range(shape.variable_count))).key
+
+
+def test_is_colon_decides_equality_with_the_brute_colon():
+    # Random ideals, divisors and candidate closed ideals: the true colon,
+    # the colon with a generator dropped, with a variable or a random
+    # monomial added, or a random ideal.  _is_colon must say equal exactly
+    # when the minimalized brute colon is the candidate.
+    rng = random.Random(20)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        shape = rng.choice((GridShape(1, 2), GridShape(1, 3), GridShape(2, 2), GridShape(2, 3)))
+        ideal = [_random_key(rng, shape) for _ in range(rng.randint(0, 5))]
+        split = rng.randint(0, len(ideal))
+        prefix, keys = ideal[:split], ideal[split:]
+        f = _random_key(rng, shape)
+        colon = quotients._brute_colon(shape, ideal, f)
+        gens = [g.key for g in colon.gens]
+        variable = GridMonomial.variable(shape, *rng.choice(list(shape.variables()))).key
+        candidates = [
+            gens,
+            gens[1:],
+            gens + [variable],
+            gens + [_random_key(rng, shape, top=1)],
+            [_random_key(rng, shape) for _ in range(rng.randint(0, 3))],
+        ]
+        for candidate in candidates:
+            closed = MonomialIdeal._from_keys(shape, candidate)
+            decided = quotients._is_colon(shape, closed, f, prefix, keys, set(ideal))
+            assert decided == (closed == colon), (shape, ideal, split, f, candidate)
+            verdicts[decided] += 1
+    assert min(verdicts.values()) > 1000
+
+
+def test_is_colon_sees_a_variable_that_divides_f():
+    # A variable of the candidate that divides f neither passes a key by the
+    # mask nor drops out of the divisor scan.
+    shape = GridShape(1, 2)
+    x2, xy, x, x3y = (
+        parse_monomial(shape, t).key for t in ("x[1,1]^2", "x[1,1]*x[1,2]", "x[1,1]", "x[1,1]^3*x[1,2]")
+    )
+    just_x = MonomialIdeal._from_keys(shape, [x])
+    # <x^2, x*y> : x = <x, y>, and (x*y) : x = y lies outside <x>.
+    for prefix, keys in (([x2], [xy]), ([], [x2, xy]), ([x2, xy], [])):
+        assert not quotients._is_colon(shape, just_x, x, prefix, keys, {x2, xy})
+    both = quotients._brute_colon(shape, [x2, xy], x)
+    assert str(both) == "<x[1,1], x[1,2]>"
+    assert quotients._is_colon(shape, both, x, [x2], [xy], {x2, xy})
+    # <x^2, x^3*y> : x = <x>, and (x^3*y) : x = x^2*y is a multiple of x.
+    assert quotients._brute_colon(shape, [x2, x3y], x) == just_x
+    for prefix, keys in (([x2], [x3y]), ([], [x2, x3y]), ([x2, x3y], [])):
+        assert quotients._is_colon(shape, just_x, x, prefix, keys, {x2, x3y})
 
 
 def test_quotient_chain_principal_and_zero():
