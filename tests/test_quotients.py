@@ -119,15 +119,14 @@ def test_single_window_steps_match_the_brute_chain_and_closed_forms():
     assert windows > 100
 
 
-def _step_colons(shape, window, keys=(), rest_keys=()):
-    """(steps of ``_colon_steps``, the brute colon of each by ``_brute_colon``)."""
-    steps = list(quotients._colon_steps(shape, window, keys, rest_keys))
+def _brute_colons(shape, window, keys=()):
+    """``_brute_colon`` of each diagonal of the window by keys and the
+    diagonals before it."""
     diagonals = [f.key for f in enumerate_diagonals(shape, window)]
-    brute = [
+    return [
         quotients._brute_colon(shape, list(keys) + diagonals[:u], f)
         for u, f in enumerate(diagonals)
     ]
-    return steps, brute
 
 
 def test_colon_steps_brute_is_the_brute_colon():
@@ -140,13 +139,13 @@ def test_colon_steps_brute_is_the_brute_colon():
         rest = window_product_ideal(shape, chain.windows[1:])
         keys = [g.key for g in window_product_ideal(shape, chain.windows).gens]
         rest_keys = tuple(g.key for g in rest.gens)
-        steps, brute = _step_colons(shape, chain.windows[0], keys, rest_keys)
-        assert [b for _, b, _ in steps] == brute, (shape, chain)
+        steps = list(quotients._colon_steps(shape, chain.windows[0], keys, rest_keys))
+        assert [b for _, b, _ in steps] == _brute_colons(shape, chain.windows[0], keys), (shape, chain)
         checked += len(steps)
     for shape in iter_shapes(3, 8):
         for window in iter_windows(shape):
-            steps, brute = _step_colons(shape, window)
-            assert [b for _, b, _ in steps] == brute, (shape, window)
+            steps = list(quotients._colon_steps(shape, window))
+            assert [b for _, b, _ in steps] == _brute_colons(shape, window), (shape, window)
             checked += len(steps)
     assert checked > 3000
 
@@ -165,7 +164,7 @@ def _patched_gaps(monkeypatch, shape, window, u, change):
     monkeypatch.setattr(quotients, "_gap_keys", gap_keys)
 
 
-# (report, shape, chain, u): a single window and a product chain, at a step
+# (report, shape, chain, u): a single window and two product chains, at a step
 # whose closed form has at least two gap variables.
 WRONG_CLOSED_CASES = [
     ("window", GridShape(3, 8), WindowChain.of((2, 6)), 4),
@@ -180,24 +179,18 @@ def _report(kind, shape, chain):
     return product_chain_report(shape, chain)
 
 
-def _brute_step(kind, shape, chain, u):
-    window = chain.windows[0]
-    keys = [] if kind == "window" else [g.key for g in window_product_ideal(shape, chain.windows).gens]
-    diagonals = [f.key for f in enumerate_diagonals(shape, window)]
-    return quotients._brute_colon(shape, keys + diagonals[:u], diagonals[u])
-
-
 @pytest.mark.parametrize("change", ["drop", "extra"])
 @pytest.mark.parametrize("kind,shape,chain,u", WRONG_CLOSED_CASES)
 def test_a_wrong_closed_form_falls_back_to_the_brute_colon(monkeypatch, change, kind, shape, chain, u):
     window = chain.windows[0]
-    brute = _brute_step(kind, shape, chain, u)
+    keys = [] if kind == "window" else [g.key for g in window_product_ideal(shape, chain.windows).gens]
+    brute = _brute_colons(shape, window, keys)[u]
     gaps = quotients._gap_keys(shape, window)[enumerate_diagonals(shape, window)[u].key]
     assert len(gaps) >= 2
     if change == "drop":
         # The closed form lacks a variable of the colon: only the forward
         # check sees it.
-        _patched_gaps(monkeypatch, shape, window, u, lambda keys: keys[1:])
+        _patched_gaps(monkeypatch, shape, window, u, lambda gap: gap[1:])
     else:
         # One more variable, outside the colon: only the reverse check sees it.
         extra = next(
@@ -205,7 +198,7 @@ def test_a_wrong_closed_form_falls_back_to_the_brute_colon(monkeypatch, change, 
             for v in (GridMonomial.variable(shape, i, j) for i, j in shape.variables())
             if not brute.contains(v)
         )
-        _patched_gaps(monkeypatch, shape, window, u, lambda keys: keys + (extra.key,))
+        _patched_gaps(monkeypatch, shape, window, u, lambda gap: gap + (extra.key,))
     report = _report(kind, shape, chain)
     step = next(step for step in report["steps"] if step["u"] == u)
     assert step["equal"] is False
