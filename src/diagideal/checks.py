@@ -15,7 +15,7 @@ from typing import Iterator
 from .caps import Caps, DEFAULT_CAPS
 from .errors import ResourceLimitError
 from .groebner import conjecture_check
-from .monomials import GridShape
+from .monomials import GridShape, _from_key
 from .quotients import _colon_steps, verify_product_colons
 from .replay import replay_colon_mismatch
 from .resolution import _cone, betti_table
@@ -45,10 +45,10 @@ def _ideal_text(ideal, texts: dict) -> str:
     """``str(ideal)``, each generator's text taken from or added to texts,
     so a generator repeated across steps is rendered once."""
     parts = []
-    for g in ideal.gens:
-        text = texts.get(g.key)
+    for k in ideal.keys:
+        text = texts.get(k)
         if text is None:
-            text = texts[g.key] = str(g)
+            text = texts[k] = str(_from_key(ideal.shape, k))
         parts.append(text)
     return "<" + ", ".join(parts) + ">"
 
@@ -155,7 +155,7 @@ def theorem_report(
         "check": "linear-resolution",
         "shape": [shape.rows, shape.cols],
         "chain": [[w.first, w.last] for w in chain.windows],
-        "generators": len(product.gens),
+        "generators": len(product),
         "expected_reg": expected,
     }
     table = betti_table(product, characteristic=characteristic, caps=caps)

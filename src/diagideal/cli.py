@@ -196,7 +196,7 @@ def cmd_colon(config: RunConfig, args: argparse.Namespace) -> int:
     f = diagonals[u]
     keys = [d.key for d in diagonals[:u]]
     if len(windows) > 1:
-        keys += [g.key for g in window_product_ideal(shape, windows).gens]
+        keys += window_product_ideal(shape, windows).keys
     brute = _brute_colon(shape, keys, f.key)
     record: dict[str, Any] = {
         "shape": [shape.rows, shape.cols],

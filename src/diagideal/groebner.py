@@ -2,14 +2,14 @@
 
 This module holds the pair logic; the term merge it divides with is
 ``polynomials._add_multiple``, the one that ``Polynomial``'s sums run.  All
-division runs through ``_reduce``, on packed keys.  A basis' division data
-(lead keys, and each tail made monic, negated and held as a merge row of
-(key, coefficient) pairs) is built once per basis, not once per division.
-The kernel always cancels the largest reducible term against the first
-divisor in list order whose lead divides it, so remainders are
-deterministic; the multiple is subtracted in one merge of the shifted tail
-into the ascending work list, and ``GridMonomial``s are built only for the
-remainder.  A division that would pass exponent 127 raises ``DomainError``.
+division runs through ``_reduce``, on the packed keys a ``Polynomial``
+holds, and builds no ``GridMonomial``.  A basis' division data (lead keys,
+and each tail made monic, negated and held as a merge row of (key,
+coefficient) pairs) is built once per basis, not once per division.  The
+kernel always cancels the largest reducible term against the first divisor
+in list order whose lead divides it, so remainders are deterministic; the
+multiple is subtracted in one merge of the shifted tail into the ascending
+work list.  A division that would pass exponent 127 raises ``DomainError``.
 
 S-pairs are pruned by the Gebauer-Moller update (Gebauer and Moller, J.
 Symbolic Comput. 6, 1988), run on the packed lead keys: criteria M and F
@@ -44,8 +44,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError
 from .fields import make_field
 from .ideals import MonomialIdeal
-from .monomials import GridShape, _divides, _first_divisor, _lcm
-from .polynomials import Polynomial, _add_multiple, _ascending, _polynomial, _row
+from .monomials import GridShape, _divides, _first_divisor, _from_key, _lcm, _undivided
+from .polynomials import Polynomial, _add_multiple, _row
 from .quotients import _linear_quotients
 from .windows import WindowChain, minor, window_product_ideal
 
@@ -70,11 +70,11 @@ class _Basis:
 
     def append(self, g: Polynomial) -> None:
         """Add a nonzero element checked to share the basis' grid and field."""
-        shape, field = self.shape, self.field
-        (lead, lead_coeff), *rest = g.terms
-        inv = field.invert(lead_coeff)
-        self.leads.append(lead.key)
-        self.rows.append(_row(shape, ((m.key, field.neg(field.mul(c, inv))) for m, c in rest)))
+        field = self.field
+        inv = field.invert(g.coeffs[-1])
+        self.leads.append(g.keys[-1])
+        tail = [field.neg(field.mul(c, inv)) for c in g.coeffs[:-1]]
+        self.rows.append(_row(self.shape, g.keys[:-1], tail))
 
     def without(self, idx: int) -> "_Basis":
         """The same basis with element idx left out."""
@@ -84,26 +84,27 @@ class _Basis:
         return other
 
 
-def _reduce(keys, coeffs, basis: _Basis) -> list:
-    """The division kernel: the remainder, as descending (key, coeff) pairs,
-    of the polynomial held in ascending ``keys`` and ``coeffs`` on division
-    by the basis.
+def _reduce(keys, coeffs, basis: _Basis) -> Polynomial:
+    """The division kernel: the remainder of the polynomial held in
+    ascending ``keys`` and ``coeffs`` on division by the basis.
 
     The largest term is cancelled against the first element, in list order,
     whose lead divides it; a term no lead divides goes to the remainder.
     """
+    keys, coeffs = list(keys), list(coeffs)
     shape, leads, rows = basis.shape, basis.leads, basis.rows
     p = basis.field.characteristic
-    remainder = []
+    rest_keys, rest_coeffs = [], []
     while keys:
         key = keys.pop()
         c = coeffs.pop()
         i = _first_divisor(key, leads, shape)
         if i < 0:
-            remainder.append((key, c))
+            rest_keys.append(key)
+            rest_coeffs.append(c)
         else:
             keys, coeffs = _add_multiple(keys, coeffs, c, key - leads[i], rows[i], shape, p)
-    return remainder
+    return Polynomial(shape, basis.field, reversed(rest_keys), reversed(rest_coeffs))
 
 
 def _s_pair(basis: _Basis, i: int, j: int):
@@ -128,7 +129,7 @@ def reduce(f: Polynomial, basis) -> Polynomial:
     for g in basis:
         f._check_compatible(g)
     divisors = _Basis(f.shape, f.field, [g for g in basis if not g.is_zero])
-    return _polynomial(f.shape, f.field, _reduce(*_ascending(f), divisors))
+    return _reduce(f.keys, f.coeffs, divisors)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -136,8 +137,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero or g.is_zero:
         raise DomainError("S-polynomial of the zero polynomial is undefined")
     f._check_compatible(g)
-    keys, coeffs = _s_pair(_Basis(f.shape, f.field, (f, g)), 0, 1)
-    return _polynomial(f.shape, f.field, zip(reversed(keys), reversed(coeffs)))
+    return Polynomial(f.shape, f.field, *_s_pair(_Basis(f.shape, f.field, (f, g)), 0, 1))
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,8 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
     seen = set()
     for g in gens:
         g = g.monic()
-        if g.terms not in seen:
-            seen.add(g.terms)
+        if (g.keys, g.coeffs) not in seen:
+            seen.add((g.keys, g.coeffs))
             basis.append(g)
     divisors = _Basis(shape, field, basis)
 
@@ -241,7 +241,7 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
         reductions += 1
         remainder = _reduce(*_s_pair(divisors, i, j), divisors)
         if remainder:
-            g = _polynomial(shape, field, remainder).monic()
+            g = remainder.monic()
             basis.append(g)
             divisors.append(g)
             update(len(basis) - 1)
@@ -262,18 +262,17 @@ def _reduce_basis(shape, field, basis) -> tuple:
     made monic, are the reduced basis whichever divisors produced them.
     """
     minimal = []
-    for g in sorted(basis, key=lambda g: g.leading_monomial.key):
-        lead = g.leading_monomial.key
-        if not any(_divides(h.leading_monomial.key, lead, shape) for h in minimal):
+    for g in sorted(basis, key=lambda g: g.keys[-1]):
+        if not any(_divides(h.keys[-1], g.keys[-1], shape) for h in minimal):
             minimal.append(g)
     divisors = _Basis(shape, field, minimal)
     reduced = []
     for idx, g in enumerate(minimal):
-        remainder = _reduce(*_ascending(g), divisors.without(idx))
+        remainder = _reduce(g.keys, g.coeffs, divisors.without(idx))
         if not remainder:
             raise EngineError("minimal basis element reduced to zero")
-        reduced.append(_polynomial(shape, field, remainder).monic())
-    reduced.sort(key=lambda g: g.leading_monomial.key, reverse=True)
+        reduced.append(remainder.monic())
+    reduced.sort(key=lambda g: g.keys[-1], reverse=True)
     return tuple(reduced)
 
 
@@ -363,10 +362,10 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     duplicates = []
     for g in naturals:
         g = g.monic()
-        if kept.setdefault(g.leading_monomial.key, g) is not g:
+        if kept.setdefault(g.keys[-1], g) is not g:
             duplicates.append(g)
-    keys = [m.key for m in product.gens]
-    if sorted(kept, reverse=True) != keys:
+    keys = product.keys
+    if tuple(sorted(kept, reverse=True)) != keys:
         raise EngineError(
             "natural generator leads differ from the diagonal product: the "
             "Groebner engine is broken"
@@ -383,7 +382,7 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
         if _reduce(*_s_pair(divisors, k, j), divisors):
             return None
     for g in duplicates:
-        if _reduce(*_ascending(g), divisors):
+        if _reduce(g.keys, g.coeffs, divisors):
             return None
     return polys, len(pairs)
 
@@ -428,16 +427,16 @@ def conjecture_check(
     # The diagonal product embeds in the initial ideal by construction; a
     # failure here would be an engine bug, not a mathematical finding.
     # Most generators of J are leads themselves; only the rest need a scan.
-    leads = {g.key for g in ini.gens}
-    for g in diagonal_product.gens:
-        if g.key not in leads and not ini.contains(g):
-            raise EngineError(
-                f"initial ideal misses diagonal generator {g}: the Groebner "
-                "engine is broken"
-            )
+    leads = set(ini.keys)
+    missing = _undivided([k for k in diagonal_product.keys if k not in leads], ini.keys, shape)
+    if missing:
+        raise EngineError(
+            f"initial ideal misses diagonal generator {_from_key(shape, missing[0])}: "
+            "the Groebner engine is broken"
+        )
 
-    natural_lms = {p.leading_monomial for p in naturals}
-    covered = all(p.leading_monomial in natural_lms for p in polys)
+    natural_leads = {p.keys[-1] for p in naturals}
+    covered = all(p.keys[-1] in natural_leads for p in polys)
     equal = ini == diagonal_product
     millis = int((time.perf_counter() - start) * 1000)
     verdict = {

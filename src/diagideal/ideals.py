@@ -1,9 +1,11 @@
 """Monomial ideals in canonical form.
 
-An ideal is represented by its unique minimal generating set, listed in
-descending grid order.  The zero ideal has an empty list; the unit ideal is
-generated by 1.  All operations return canonical ideals, so equality is plain
-generator-list identity.
+An ideal is represented by its unique minimal generating set, held as the
+generators' packed keys (``keys``) in descending grid order.  The zero ideal
+has no keys; the unit ideal has the key of 1.  All operations return
+canonical ideals, so equality is plain key-tuple identity.  The constructor
+is the one checked entry (``minimal_generators`` goes through it), and
+``gens`` and iteration build ``GridMonomial``s only when asked.
 
 Minimalization runs on packed keys, mask first: the variables among the
 candidates are picked out by a bit test (``_variables``), one mask AND
@@ -12,8 +14,7 @@ survivors are grouped by degree (``_by_degree``, one modulo per key when
 the degrees are small) and filtered against the lower degrees kept, one
 ``_undivided`` call per degree.
 Products and colons build their candidates as keys (``_product``,
-``_colons``) from generators checked where they entered, so a candidate
-becomes a ``GridMonomial`` only if it survives.
+``_colons``) from keys checked where they entered.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .monomials import (
     GridShape,
     _by_degree,
     _colons,
-    _divides,
+    _degree,
+    _first_divisor,
     _from_key,
     _product,
     _undivided,
@@ -35,34 +37,21 @@ from .monomials import (
 
 
 def minimal_generators(shape: GridShape, monomials) -> tuple:
-    """Minimal generating set of the ideal the monomials generate.
-
-    Each generator is checked to be a monomial on ``shape``; duplicates and
-    multiples of other generators are then dropped on the packed keys.  The
-    variables among them are found by a bit test, and a single mask AND
-    drops their multiples before any degree is computed.  A divisor has
-    strictly smaller degree (equal-degree divisibility means equality), so
-    the survivors are taken degree by degree: the lowest degree is kept
-    whole, and each later one is scanned against the keys kept below it.
-    Quadratic in the worst case, which is fine at the few-thousand-generator
-    scale the caps allow.
-    """
-    keys = []
-    for g in monomials:
-        if not isinstance(g, GridMonomial):
-            raise DomainError(f"not a monomial: {g!r}")
-        if g.shape != shape:
-            raise ShapeMismatchError(f"generator on wrong grid: {g!r}")
-        keys.append(g.key)
-    return _minimal_keys(shape, keys)
+    """Minimal generating set of the ideal the monomials generate, descending."""
+    return MonomialIdeal(shape, monomials).gens
 
 
 def _minimal_keys(shape: GridShape, keys) -> tuple:
-    """``minimal_generators`` on keys already known to lie on ``shape``."""
+    """The minimal keys, descending, among keys known to lie on ``shape``.
+
+    A divisor has strictly smaller degree, so the survivors of the variable
+    mask are taken degree by degree, each against the keys kept below it:
+    quadratic in the worst case, fine at the scale the caps allow.
+    """
     keys = set(keys)
     if 0 in keys:
         # 1 divides every candidate, the variables included.
-        return (_from_key(shape, 0),)
+        return (0,)
     variables = _variables(keys, shape)
     mask = _variable_mask(variables)
     by_degree = _by_degree([k for k in keys if not k & mask], shape)
@@ -74,24 +63,35 @@ def _minimal_keys(shape: GridShape, keys) -> tuple:
         kept += _undivided(by_degree[degree], kept, shape)
     kept += variables
     kept.sort(reverse=True)
-    return tuple(_from_key(shape, k) for k in kept)
+    return tuple(kept)
 
 
 class MonomialIdeal:
-    """A monomial ideal held in canonical (minimal, sorted) form."""
+    """A monomial ideal in canonical form: its minimal generators' ``keys``."""
 
-    __slots__ = ("shape", "gens")
+    __slots__ = ("shape", "keys")
 
     def __init__(self, shape: GridShape, gens):
+        """The ideal the monomials gens generate, each checked to lie on shape."""
+        if not isinstance(shape, GridShape):
+            raise DomainError(f"not a grid shape: {shape!r}")
+        try:
+            gens = iter(gens)
+        except TypeError:
+            raise DomainError(f"generators must be iterable, got {gens!r}") from None
         self.shape = shape
-        self.gens = minimal_generators(shape, gens)
+        keys = []
+        for g in gens:
+            self._check_monomial(g, "generator")
+            keys.append(g.key)
+        self.keys = _minimal_keys(shape, keys)
 
     @classmethod
     def _from_keys(cls, shape: GridShape, keys) -> "MonomialIdeal":
         """The ideal of candidate keys built from already checked monomials."""
         ideal = object.__new__(cls)
         ideal.shape = shape
-        ideal.gens = _minimal_keys(shape, keys)
+        ideal.keys = _minimal_keys(shape, keys)
         return ideal
 
     @classmethod
@@ -102,23 +102,28 @@ class MonomialIdeal:
     def unit(cls, shape: GridShape) -> "MonomialIdeal":
         return cls(shape, (GridMonomial.unit(shape),))
 
+    @property
+    def gens(self) -> tuple:
+        """The minimal generators as monomials, descending."""
+        return tuple(_from_key(self.shape, k) for k in self.keys)
+
     # -- predicates ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.keys
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_unit
+        return self.keys == (0,)
 
     @property
     def is_generated_by_variables(self) -> bool:
         """True when every minimal generator has degree 1 (vacuous if zero)."""
-        return all(g.degree == 1 for g in self.gens)
+        return len(_variables(self.keys, self.shape)) == len(self.keys)
 
     def generator_degrees(self) -> tuple:
-        return tuple(sorted({g.degree for g in self.gens}))
+        return tuple(sorted({_degree(k, self.shape) for k in self.keys}))
 
     def single_generation_degree(self):
         """The common generator degree, or None if mixed or zero."""
@@ -129,12 +134,12 @@ class MonomialIdeal:
         if not isinstance(monomial, GridMonomial):
             raise DomainError(f"not a monomial: {monomial!r}")
         if monomial.shape != self.shape:
-            raise ShapeMismatchError(f"{where} on wrong grid")
+            raise ShapeMismatchError(f"{where} on wrong grid: {monomial!r}")
 
     def contains(self, monomial: GridMonomial) -> bool:
         """Membership: some minimal generator divides the monomial."""
         self._check_monomial(monomial, "membership test")
-        return any(_divides(g.key, monomial.key, self.shape) for g in self.gens)
+        return _first_divisor(monomial.key, self.keys, self.shape) >= 0
 
     # -- algebra -----------------------------------------------------------
 
@@ -146,33 +151,31 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_shape(other)
-        return MonomialIdeal._from_keys(self.shape, [g.key for g in self.gens + other.gens])
+        return MonomialIdeal._from_keys(self.shape, self.keys + other.keys)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_shape(other)
         shape = self.shape
-        right = [h.key for h in other.gens]
-        products = [_product(g.key, h, shape) for g in self.gens for h in right]
+        products = [_product(g, h, shape) for g in self.keys for h in other.keys]
         return MonomialIdeal._from_keys(shape, products)
 
     def colon(self, f: GridMonomial) -> "MonomialIdeal":
         """(self : f), generated by g/gcd(g, f) over the generators g."""
         self._check_monomial(f, "colon divisor")
-        shape = self.shape
-        return MonomialIdeal._from_keys(shape, _colons([g.key for g in self.gens], f.key, shape))
+        return MonomialIdeal._from_keys(self.shape, _colons(self.keys, f.key, self.shape))
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.shape == other.shape and self.gens == other.gens
+        return self.shape == other.shape and self.keys == other.keys
 
     def __hash__(self):
-        return hash((self.shape, self.gens))
+        return hash((self.shape, self.keys))
 
     def __len__(self):
-        return len(self.gens)
+        return len(self.keys)
 
     def __iter__(self):
         return iter(self.gens)
@@ -210,7 +213,5 @@ def parse_ideal(shape: GridShape, text: str) -> MonomialIdeal:
     if not (text.startswith("<") and text.endswith(">")):
         raise FormatError(f"ideal text must be wrapped in <...>, got {text!r}")
     inner = text[1:-1].strip()
-    if not inner:
-        return MonomialIdeal.zero(shape)
-    gens = [parse_monomial(shape, part) for part in _split_generators(inner)]
-    return MonomialIdeal(shape, gens)
+    parts = _split_generators(inner) if inner else []
+    return MonomialIdeal(shape, [parse_monomial(shape, part) for part in parts])

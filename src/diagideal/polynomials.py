@@ -1,40 +1,32 @@
 """Polynomials over a coefficient field, and the term-list kernel that the
 Groebner division shares.
 
-Terms are kept sorted descending in the grid order, so the leading term is
-always terms[0].  Every sum is one merge, ``_add_multiple``, of ascending
-packed keys and coefficients with c * x^q times a row of (key, coeff)
-pairs, in plain ``+``, ``*`` and ``% p``: ``Polynomial._plus`` runs it for
-``+``, ``-``, negation, ``times_term`` and ``monic``, and
-``groebner._reduce`` for each division step.  A shift past exponent 127
-raises ``DomainError`` naming the first term, in descending order, that
-overflows.  Products accumulate packed keys in a dict.
+A polynomial holds its terms as packed keys and coefficients, ascending in
+the grid order the merge works in, so the leading term is the last;
+``terms`` and ``leading_monomial`` build the descending ``GridMonomial``
+view on request.  Every sum is one merge, ``_add_multiple``, of ascending
+keys and coefficients with c * x^q times a row of (key, coeff) pairs, in
+plain ``+``, ``*`` and ``% p``: ``Polynomial._plus`` runs it for ``+``,
+``-``, negation, ``times_term`` and ``monic``, and ``groebner._reduce`` for
+each division step.  A shift past exponent 127 raises ``DomainError``
+naming the first term, in descending order, that overflows.  Products
+accumulate packed keys in a dict.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, ShapeMismatchError
+from .fields import PrimeField, RationalField
 from .monomials import GridMonomial, GridShape, _from_key, _lcm, _product
 
 
-def _row(shape: GridShape, pairs) -> tuple:
-    """A merge row: descending (key, coeff) pairs and the bytewise max of
+def _row(shape: GridShape, keys, coeffs) -> tuple:
+    """A merge row: ascending (key, coeff) pairs and the bytewise max of
     their keys, so that one product checks a whole shifted row."""
-    pairs = tuple(pairs)
     envelope = 0
-    for k, _ in pairs:
+    for k in keys:
         envelope = _lcm(envelope, k, shape)
-    return envelope, pairs
-
-
-def _ascending(f: "Polynomial"):
-    """The keys and coefficients of f, smallest term first."""
-    return [m.key for m, _ in reversed(f.terms)], [c for _, c in reversed(f.terms)]
-
-
-def _polynomial(shape: GridShape, field, pairs) -> "Polynomial":
-    """A polynomial from descending (key, coeff) pairs."""
-    return Polynomial(shape, field, tuple((_from_key(shape, k), c) for k, c in pairs))
+    return envelope, tuple(zip(keys, coeffs))
 
 
 def _add_multiple(keys, coeffs, c, q: int, row, shape: GridShape, p: int):
@@ -47,13 +39,13 @@ def _add_multiple(keys, coeffs, c, q: int, row, shape: GridShape, p: int):
     try:
         _product(envelope, q, shape)
     except DomainError:
-        for k, _ in pairs:
+        for k, _ in reversed(pairs):
             _product(k, q, shape)  # raises, naming the first term that overflows
         raise
     # Fractions and residues both take + and *; residues then reduce mod p.
     merged_keys, merged_coeffs = [], []
     a, n = 0, len(keys)
-    for k, tc in reversed(pairs):
+    for k, tc in pairs:
         k += q
         while a < n and keys[a] < k:
             merged_keys.append(keys[a])
@@ -75,32 +67,40 @@ def _add_multiple(keys, coeffs, c, q: int, row, shape: GridShape, p: int):
 
 
 class Polynomial:
-    """Immutable polynomial: ``terms`` is ((monomial, coeff), ...) descending."""
+    """Immutable polynomial: its terms' packed ``keys`` and ``coeffs``, ascending."""
 
-    __slots__ = ("shape", "field", "terms")
+    __slots__ = ("shape", "field", "keys", "coeffs")
 
-    def __init__(self, shape: GridShape, field, terms: tuple):
+    def __init__(self, shape: GridShape, field, keys=(), coeffs=()):
+        """Unchecked: ascending keys and nonzero coeffs; ``from_terms`` checks."""
         self.shape = shape
         self.field = field
-        self.terms = terms
+        self.keys = tuple(keys)
+        self.coeffs = tuple(coeffs)
 
     @classmethod
     def zero(cls, shape: GridShape, field) -> "Polynomial":
-        return cls(shape, field, ())
+        return cls.from_terms(shape, field, ())
 
     @classmethod
     def from_terms(cls, shape: GridShape, field, pairs) -> "Polynomial":
+        if not isinstance(shape, GridShape):
+            raise DomainError(f"not a grid shape: {shape!r}")
+        if not isinstance(field, (RationalField, PrimeField)):
+            raise DomainError(f"not a coefficient field: {field!r}")
         acc = {}
         for mono, coeff in pairs:
+            if not isinstance(mono, GridMonomial):
+                raise DomainError(f"not a monomial: {mono!r}")
             if mono.shape != shape:
                 raise ShapeMismatchError("term monomial on wrong grid")
-            c = field.add(acc.get(mono, field.zero), field.normalize(coeff))
+            c = field.add(acc.get(mono.key, field.zero), field.normalize(coeff))
             if field.is_zero(c):
-                acc.pop(mono, None)
+                acc.pop(mono.key, None)
             else:
-                acc[mono] = c
-        ordered = tuple(sorted(acc.items(), key=lambda t: t[0].key, reverse=True))
-        return cls(shape, field, ordered)
+                acc[mono.key] = c
+        keys = sorted(acc)
+        return cls(shape, field, keys, [acc[k] for k in keys])
 
     @classmethod
     def constant(cls, shape: GridShape, field, value) -> "Polynomial":
@@ -109,22 +109,33 @@ class Polynomial:
     # -- inspection ---------------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        """((monomial, coeff), ...) in descending order."""
+        pairs = zip(reversed(self.keys), reversed(self.coeffs))
+        return tuple((_from_key(self.shape, k), c) for k, c in pairs)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
+
+    def __bool__(self) -> bool:
+        return bool(self.keys)
 
     @property
     def leading_monomial(self) -> GridMonomial:
-        if not self.terms:
+        if not self.keys:
             raise DomainError("zero polynomial has no leading term")
-        return self.terms[0][0]
+        return _from_key(self.shape, self.keys[-1])
 
     @property
     def leading_coefficient(self):
-        if not self.terms:
+        if not self.keys:
             raise DomainError("zero polynomial has no leading term")
-        return self.terms[0][1]
+        return self.coeffs[-1]
 
     def _check_compatible(self, other: "Polynomial"):
+        if not isinstance(other, Polynomial):
+            raise DomainError(f"not a polynomial: {other!r}")
         if self.shape is not other.shape and self.shape != other.shape:
             raise ShapeMismatchError("polynomials on different grids")
         if self.field is not other.field and self.field != other.field:
@@ -139,15 +150,15 @@ class Polynomial:
         if not c:
             return self
         shape, field = self.shape, self.field
-        row = _row(shape, ((m.key, d) for m, d in other.terms))
-        keys, coeffs = _add_multiple(*_ascending(self), c, q, row, shape, field.characteristic)
-        return _polynomial(shape, field, zip(reversed(keys), reversed(coeffs)))
+        row = _row(shape, other.keys, other.coeffs)
+        keys, coeffs = _add_multiple(self.keys, self.coeffs, c, q, row, shape, field.characteristic)
+        return Polynomial(shape, field, keys, coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(self.field.one, 0, other)
 
     def __neg__(self) -> "Polynomial":
-        zero = Polynomial.zero(self.shape, self.field)
+        zero = Polynomial(self.shape, self.field)
         return zero._plus(self.field.neg(self.field.one), 0, self)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -155,33 +166,35 @@ class Polynomial:
 
     def times_term(self, mono: GridMonomial, coeff) -> "Polynomial":
         """Multiply by a single term; descending order is preserved."""
+        if not isinstance(mono, GridMonomial):
+            raise DomainError(f"not a monomial: {mono!r}")
         if mono.shape is not self.shape and mono.shape != self.shape:
             raise ShapeMismatchError("term monomial on wrong grid")
-        zero = Polynomial.zero(self.shape, self.field)
+        zero = Polynomial(self.shape, self.field)
         return zero._plus(self.field.normalize(coeff), mono.key, self)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         shape = self.shape
         field = self.field
-        right = [(m.key, c) for m, c in other.terms]
+        right = tuple(zip(other.keys, other.coeffs))
         acc = {}
-        for ma, ca in self.terms:
+        for ka, ca in zip(self.keys, self.coeffs):
             for kb, cb in right:
-                k = _product(ma.key, kb, shape)
+                k = _product(ka, kb, shape)
                 c = field.add(acc.get(k, field.zero), field.mul(ca, cb))
                 if field.is_zero(c):
                     acc.pop(k, None)
                 else:
                     acc[k] = c
-        ordered = sorted(acc.items(), reverse=True)
-        return Polynomial(shape, field, tuple((_from_key(shape, k), c) for k, c in ordered))
+        keys = sorted(acc)
+        return Polynomial(shape, field, keys, [acc[k] for k in keys])
 
     def monic(self) -> "Polynomial":
-        if self.is_zero or self.terms[0][1] == 1:
+        if self.is_zero or self.coeffs[-1] == 1:
             return self
         inv = self.field.invert(self.leading_coefficient)
-        return Polynomial.zero(self.shape, self.field)._plus(inv, 0, self)
+        return Polynomial(self.shape, self.field)._plus(inv, 0, self)
 
     # -- identity / text ----------------------------------------------------
 
@@ -191,11 +204,11 @@ class Polynomial:
         return (
             self.shape == other.shape
             and self.field == other.field
-            and self.terms == other.terms
+            and (self.keys, self.coeffs) == (other.keys, other.coeffs)
         )
 
     def __hash__(self):
-        return hash((self.shape, self.field, self.terms))
+        return hash((self.shape, self.field, self.keys, self.coeffs))
 
     def __str__(self):
         if self.is_zero:

@@ -65,7 +65,7 @@ class QuotientChain:
     @property
     def variable_counts(self) -> tuple:
         """Number of colon generators per generator (0 for the first)."""
-        return (0,) + tuple(len(step.gens) for step in self.steps)
+        return (0,) + tuple(len(step) for step in self.steps)
 
 
 def quotient_chain(ideal: MonomialIdeal) -> QuotientChain:
@@ -73,7 +73,7 @@ def quotient_chain(ideal: MonomialIdeal) -> QuotientChain:
     if ideal.is_zero:
         raise DomainError("quotient chain of the zero ideal is undefined")
     shape = ideal.shape
-    keys = [g.key for g in ideal.gens]
+    keys = ideal.keys
     steps = tuple(_brute_colon(shape, keys[:u], keys[u]) for u in range(1, len(keys)))
     return QuotientChain(ideal, steps)
 
@@ -136,7 +136,7 @@ def _is_colon(shape: GridShape, closed: MonomialIdeal, f: int, prefix, keys, mem
     - reverse: g * f lies in <prefix, keys> for every generator g of
       closed: looked up in members, then scanned against prefix, then keys.
     """
-    gens = [g.key for g in closed.gens]
+    gens = closed.keys
     support = _radical(f, shape)
     free = [v for v in _variables(gens, shape) if not v & support]
     mask = _variable_mask(free)
@@ -216,7 +216,7 @@ def closed_form_product_colon(
         )
     rest = window_product_ideal(shape, chain.windows[1:])
     gaps = _gap_keys(shape, first)[f.key]
-    return MonomialIdeal._from_keys(shape, [g.key for g in rest.gens] + list(gaps))
+    return MonomialIdeal._from_keys(shape, rest.keys + gaps)
 
 
 def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
@@ -277,14 +277,12 @@ def verify_product_colons(
     first = chain.windows[0]
     rest = window_product_ideal(shape, chain.windows[1:])
     full = diagonal_ideal(shape, first) * rest
-    if len(full.gens) > caps.max_product_gens:
+    if len(full) > caps.max_product_gens:
         raise ResourceLimitError(
-            f"window product has {len(full.gens)} generators, cap is {caps.max_product_gens}",
-            snapshot={"chain": str(chain), "gens": len(full.gens)},
+            f"window product has {len(full)} generators, cap is {caps.max_product_gens}",
+            snapshot={"chain": str(chain), "gens": len(full)},
         )
-    keys = [g.key for g in full.gens]
-    rest_keys = tuple(g.key for g in rest.gens)
     return [
         {"u": u, "brute": brute, "closed": closed, "equal": brute == closed}
-        for u, brute, closed in _colon_steps(shape, first, keys, rest_keys)
+        for u, brute, closed in _colon_steps(shape, first, full.keys, rest.keys)
     ]

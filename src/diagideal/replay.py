@@ -193,7 +193,7 @@ def replay_colon_mismatch(name: str) -> list[dict]:
         cutoff = diagonals.index(case.prefix_through) + 1
     else:
         cutoff = case.prefix or 0
-    keys = [g.key for g in window_product_ideal(case.shape, case.windows).gens]
+    keys = list(window_product_ideal(case.shape, case.windows).keys)
     keys += [d.key for d in diagonals[:cutoff]]
     brute = _brute_colon(case.shape, keys, case.colon_by.key)
     label = f"{name.removesuffix('.txt')} stays unequal"

@@ -42,6 +42,8 @@ class BettiTable:
         self.cells = tuple(sorted((i, j, beta) for (i, j), beta in cleaned.items()))
 
     def beta(self, i: int, j: int) -> int:
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise DomainError(f"Betti indices must be integers, got ({i!r}, {j!r})")
         for ci, cj, beta in self.cells:
             if (ci, cj) == (i, j):
                 return beta
@@ -67,6 +69,8 @@ class BettiTable:
         return max(i for i, _, _ in self.cells)
 
     def same_entries(self, other: "BettiTable") -> bool:
+        if not isinstance(other, BettiTable):
+            raise DomainError(f"not a Betti table: {other!r}")
         return self.cells == other.cells
 
     def __eq__(self, other):
@@ -102,7 +106,7 @@ def _divisor_complex(ideal: MonomialIdeal, b: int, caps: Caps = DEFAULT_CAPS):
     ``caps.max_koszul_faces`` faces.
     """
     shape = ideal.shape
-    facets = {_radical(b - g.key, shape) for g in ideal.gens if _divides(g.key, b, shape)}
+    facets = {_radical(b - g, shape) for g in ideal.keys if _divides(g, b, shape)}
     facets = sorted(facets, key=int.bit_count, reverse=True)
     if facets and facets[0] and all(f & facets[0] == f for f in facets):
         return None
@@ -199,13 +203,13 @@ def _candidate_multidegrees(ideal: MonomialIdeal, caps: Caps) -> list:
     """
     shape = ideal.shape
     seen = set()
-    for g in ideal.gens:
-        seen |= {_lcm(s, g.key, shape) for s in seen}
-        seen.add(g.key)
+    for g in ideal.keys:
+        seen |= {_lcm(s, g, shape) for s in seen}
+        seen.add(g)
         if len(seen) > caps.max_lcm_candidates:
             raise ResourceLimitError(
                 f"more than {caps.max_lcm_candidates} candidate multidegrees",
-                snapshot={"generators": len(ideal.gens)},
+                snapshot={"generators": len(ideal)},
             )
     return sorted(seen, key=lambda k: (_degree(k, shape), k))
 
@@ -222,11 +226,11 @@ def betti_table(
     """
     if ideal.is_zero:
         raise DomainError("Betti table of the zero ideal is undefined")
-    if len(ideal.gens) > caps.max_oracle_gens:
+    if len(ideal) > caps.max_oracle_gens:
         raise ResourceLimitError(
             f"homology oracle capped at {caps.max_oracle_gens} generators, "
-            f"got {len(ideal.gens)}",
-            snapshot={"generators": len(ideal.gens)},
+            f"got {len(ideal)}",
+            snapshot={"generators": len(ideal)},
         )
     field = make_field(characteristic)
     entries = {}
@@ -249,14 +253,14 @@ def _cone(ideal: MonomialIdeal, characteristic: int):
     make_field(characteristic)
     if ideal.is_zero:
         raise DomainError("Betti table of the zero ideal is undefined")
-    walk = _linear_quotients([g.key for g in ideal.gens], ideal.shape)
+    walk = _linear_quotients(ideal.keys, ideal.shape)
     if walk is None:
         return None
     entries = {}
-    for f, firsts in zip(ideal.gens, walk):
+    for f, firsts in zip(ideal.keys, walk):
         d = len(firsts)
         for i in range(d + 1):
-            key = (i, f.degree + i)
+            key = (i, _degree(f, ideal.shape) + i)
             entries[key] = entries.get(key, 0) + comb(d, i)
     return BettiTable(characteristic, entries)
 

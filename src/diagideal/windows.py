@@ -45,6 +45,8 @@ class Window:
         return self.last - self.first + 1
 
     def check_against(self, shape: GridShape):
+        if not isinstance(shape, GridShape):
+            raise DomainError(f"not a grid shape: {shape!r}")
         if self.last > shape.cols:
             raise WindowError(
                 f"window ({self.first},{self.last}) exceeds {shape.cols} columns"
@@ -175,7 +177,7 @@ def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
     diags = enumerate_diagonals(shape, window)
     ideal = MonomialIdeal(shape, diags)
     # Diagonal monomials are pairwise non-dividing, so nothing may collapse.
-    if len(ideal.gens) != comb(window.width, shape.rows):
+    if len(ideal) != comb(window.width, shape.rows):
         raise EngineError(f"diagonal ideal of window {window} lost generators to minimalization")
     return ideal
 

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import diagideal
+from diagideal.ideals import MonomialIdeal, _minimal_keys
+from diagideal.monomials import GridMonomial, GridShape, _from_key
+from diagideal.polynomials import Polynomial
+from diagideal.quotients import verify_product_colons
+from diagideal.windows import WindowChain
 
 # Removing or adding an export is a deliberate API change: edit this list
 # in the same change and name the export in CHANGES.md.
@@ -101,3 +107,32 @@ def test_only_monomials_knows_the_key_layout():
                 names.add("255")
             found += [f"{path.name}:{node.lineno}:{name}" for name in sorted(names & layout)]
     assert found == []
+
+
+def test_ideals_and_polynomials_hold_keys():
+    # Ideals and polynomials store packed keys; GridMonomials are built only
+    # when a caller asks for gens, terms or a leading monomial.
+    assert MonomialIdeal.__slots__ == ("shape", "keys")
+    assert Polynomial.__slots__ == ("shape", "field", "keys", "coeffs")
+    shape = GridShape(3, 6)
+    keys = _minimal_keys(shape, [3 << 8, 1 << 8, 1, 2])
+    assert keys == (1 << 8, 1) and all(type(k) is int for k in keys)
+    chain = WindowChain.of((1, 4), (2, 6))
+    verify_product_colons(shape, chain)  # warms the window caches
+    built = {_from_key.__code__, GridMonomial.__init__.__code__}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in built:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        entries = verify_product_colons(shape, chain)
+        counted = len(calls)
+        entries[0]["brute"].gens  # the view builds them, and the count sees it
+    finally:
+        sys.setprofile(None)
+    assert len(entries) == 4 and all(entry["equal"] for entry in entries)
+    assert counted == 0
+    assert len(calls) == len(entries[0]["brute"]) > 0

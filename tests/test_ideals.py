@@ -407,3 +407,19 @@ def test_str_is_canonical_descending():
     shape = GridShape(1, 3)
     ideal = parse_ideal(shape, "<x[1,3], x[1,1], x[1,2]>")
     assert str(ideal) == "<x[1,1], x[1,2], x[1,3]>"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MonomialIdeal(3, []),
+        lambda: MonomialIdeal.zero(3),
+        lambda: MonomialIdeal.unit(3),
+        lambda: minimal_generators(3, []),
+        lambda: minimal_generators(_SHAPE_2x3, 3),
+    ],
+    ids=["constructor", "zero", "unit", "minimal-generators", "minimal-generators-not-iterable"],
+)
+def test_ideal_entries_reject_a_non_shape(call):
+    with pytest.raises(DomainError):
+        call()

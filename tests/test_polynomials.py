@@ -78,3 +78,27 @@ def test_times_term_overflow_names_the_first_overflowing_term():
     with pytest.raises(DomainError) as err:
         f.times_term(GridMonomial.from_exponents(shape, {(1, 3): 127}), 1)
     assert str(err.value) == "x[1,3] * x[1,3]^127 has an exponent above 127"
+
+
+_SHAPE = GridShape(1, 2)
+_F = make_field(7)
+_P = Polynomial.from_terms(_SHAPE, _F, [(GridMonomial.variable(_SHAPE, 1, 1), 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _P + 3,
+        lambda: _P * 3,
+        lambda: _P - "x",
+        lambda: _P.times_term(3, 1),
+        lambda: Polynomial.zero(3, 3),
+        lambda: Polynomial.zero(_SHAPE, 3),
+        lambda: Polynomial.constant(3, _F, 1),
+        lambda: Polynomial.from_terms(_SHAPE, _F, [(3, 1)]),
+    ],
+    ids=["add", "mul", "sub", "times-term", "zero", "zero-no-field", "constant", "from-terms"],
+)
+def test_wrong_type_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

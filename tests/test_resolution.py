@@ -327,3 +327,17 @@ def test_single_windows_have_eagon_northcott_betti_numbers():
                 assert betti_table(ideal, characteristic=char) == BettiTable(char, numbers), (m, w)
             checked += 1
     assert checked == 16
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda table: table.beta("x", None),
+        lambda table: table.same_entries(3),
+    ],
+    ids=["beta", "same-entries"],
+)
+def test_betti_table_rejects_wrong_type_arguments(call):
+    table = BettiTable(0, {(0, 2): 1})
+    with pytest.raises(DomainError):
+        call(table)

@@ -4,9 +4,11 @@ operators and the public layer functions.  Verdicts computed under those
 wrappers must still pass the known-answer gate.
 
 The wrappers patch classes and module bindings for the whole interpreter,
-so the run happens in a subprocess.  It takes the cheapest recorded
-instance with at least three generators of each kind: a colon product, a
-theorem at char 0 and at char 32003, a conjecture and an anchor.
+so the run happens in a subprocess.  It runs every colon product of the
+seed-1 ``colon-products`` sample, since those verdicts pass ideals and
+their keys through every wrapped layer function, and the cheapest recorded
+instance with at least three generators of each other kind: a theorem at
+char 0 and at char 32003, a conjecture and an anchor.
 """
 from __future__ import annotations
 
@@ -34,8 +36,10 @@ for workload in gate.WORKLOADS:
         if cost[0] >= 3 and (kind not in cheapest or cost < cheapest[kind][0]):
             cheapest[kind] = (cost, inst)
     insts = [inst for _, inst in cheapest.values()]
+    if workload == "colon-products":
+        insts = workloads.instances(workload, 1, answers)
     for result in worker.run_instances(insts, tracer):
-        failures[result["key"]] = gate.failure(result, answers)
+        failures[f"{workload} {result['key']}"] = gate.failure(result, answers)
 print(json.dumps({"failures": failures, "arith_calls": tracer.stats["polynomials.arith"][0]}))
 """
 
@@ -51,7 +55,8 @@ def test_traced_verdicts_pass_the_gate():
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout.splitlines()[-1])
     failures = report["failures"]
-    assert len(failures) == 5, failures
+    products = [key for key in failures if key.startswith("colon-products ")]
+    assert len(products) == 357 and len(failures) == 357 + 4, sorted(failures)
     assert {key: why for key, why in failures.items() if why is not None} == {}
     # The wrapped Polynomial operators ran.
     assert report["arith_calls"] > 0

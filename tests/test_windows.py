@@ -9,6 +9,7 @@ import pytest
 import diagideal.windows as windows
 from diagideal.errors import (
     ChainOrderError,
+    DiagIdealError,
     EngineError,
     ResourceLimitError,
     SelectionError,
@@ -260,3 +261,13 @@ def test_sorted_chain_multiplicity():
     shape = GridShape(3, 8)
     singles = list(iter_sorted_chains(shape, 1))
     assert len(singles) == len(list(iter_windows(shape)))
+
+
+@pytest.mark.parametrize(
+    "target",
+    [Window(1, 3), WindowChain.of((1, 3), (2, 4))],
+    ids=["window", "chain"],
+)
+def test_check_against_rejects_a_non_shape(target):
+    with pytest.raises(DiagIdealError):
+        target.check_against(3)
