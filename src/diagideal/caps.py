@@ -8,6 +8,7 @@ caps only; every key must name a ``Caps`` field.  Exceeding a cap raises
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields, replace
 
 from .errors import FormatError
@@ -33,6 +34,8 @@ _CAP_NAMES = {f.name for f in fields(Caps)}
 
 def parse_caps_text(text: str) -> Caps:
     """Parse ``key = value`` lines into a ``Caps``."""
+    if not isinstance(text, str):
+        raise FormatError(f"caps text must be a string, got {text!r}")
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -56,6 +59,8 @@ def parse_caps_text(text: str) -> Caps:
 
 
 def load_caps_file(path: str) -> Caps:
+    if not isinstance(path, (str, os.PathLike)):
+        raise FormatError(f"caps file path must be a string or path, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()

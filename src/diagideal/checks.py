@@ -17,7 +17,7 @@ from .errors import ResourceLimitError
 from .groebner import conjecture_check
 from .monomials import GridShape, _from_key
 from .quotients import _colon_steps, verify_product_colons
-from .replay import replay_colon_mismatch
+from .replay import NEGATIVE_CONTROLS, replay_colon_mismatch
 from .resolution import _cone, betti_table
 from .windows import (
     Window,
@@ -172,19 +172,11 @@ def theorem_report(
 def remarks_report() -> list[dict]:
     """Reproduce the two negative controls: out-of-order window products
     whose colons must differ from the naive closed form."""
-    records = []
-    for name in ("colon_mismatch_3x9.txt", "colon_mismatch_3x8.txt"):
-        for record in replay_colon_mismatch(name):
-            records.append(
-                {
-                    "check": "negative-control",
-                    "name": record["name"],
-                    "ok": record["ok"],
-                    "expected": record["expected"],
-                    "got": record["got"],
-                }
-            )
-    return records
+    return [
+        {"check": "negative-control", **record}
+        for name in NEGATIVE_CONTROLS
+        for record in replay_colon_mismatch(name)
+    ]
 
 
 def conjecture_scan(
@@ -215,34 +207,26 @@ def conjecture_scan(
                     yield base
 
 
-def lemma2_default_cases() -> list[tuple[GridShape, WindowChain]]:
-    """Small fixed instances exercised by `verify --target lemma2` when no
-    explicit chain is given."""
-    cases = []
-    for rows, cols, bounds in (
-        (1, 3, ((1, 2), (2, 3))),
-        (2, 4, ((1, 3), (2, 4))),
-        (2, 5, ((1, 4), (2, 5))),
-        (3, 8, ((2, 6), (2, 6))),
-        (3, 9, ((1, 5), (3, 7))),
-    ):
-        shape = GridShape(rows, cols)
-        cases.append((shape, WindowChain.of(*bounds)))
-    return cases
+# (rows, cols, window bounds) of the instances `verify --target lemma2` and
+# `--target theorem` run when no shape is given.
+LEMMA2_DEFAULTS = (
+    (1, 3, ((1, 2), (2, 3))),
+    (2, 4, ((1, 3), (2, 4))),
+    (2, 5, ((1, 4), (2, 5))),
+    (3, 8, ((2, 6), (2, 6))),
+    (3, 9, ((1, 5), (3, 7))),
+)
+THEOREM_DEFAULTS = (
+    (1, 3, ((1, 2), (2, 3))),
+    (2, 4, ((1, 3), (2, 4))),
+    (2, 4, ((1, 4),)),
+    (3, 6, ((2, 5),)),
+    (2, 5, ((1, 3), (3, 5))),
+)
 
 
-def theorem_default_cases() -> list[tuple[GridShape, WindowChain]]:
-    cases = []
-    for rows, cols, bounds in (
-        (1, 3, ((1, 2), (2, 3))),
-        (2, 4, ((1, 3), (2, 4))),
-        (2, 4, ((1, 4),)),
-        (3, 6, ((2, 5),)),
-        (2, 5, ((1, 3), (3, 5))),
-    ):
-        shape = GridShape(rows, cols)
-        cases.append((shape, WindowChain.of(*bounds)))
-    return cases
+def _default_cases(table) -> list[tuple[GridShape, WindowChain]]:
+    return [(GridShape(rows, cols), WindowChain.of(*bounds)) for rows, cols, bounds in table]
 
 
 def verify_reports(
@@ -258,10 +242,10 @@ def verify_reports(
     if target in ("lemma1", "all"):
         yield from [single_window_report(shape, window)] if shape else sweep_single_windows()
     if target in ("lemma2", "all"):
-        for case in [(shape, chain)] if shape else lemma2_default_cases():
+        for case in [(shape, chain)] if shape else _default_cases(LEMMA2_DEFAULTS):
             yield product_chain_report(*case, caps=caps)
     if target in ("theorem", "all"):
-        for case in [(shape, chain)] if shape else theorem_default_cases():
+        for case in [(shape, chain)] if shape else _default_cases(THEOREM_DEFAULTS):
             yield theorem_report(*case, caps=caps, characteristic=characteristic)
     if target in ("remarks", "all"):
         yield from remarks_report()

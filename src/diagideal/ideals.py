@@ -209,6 +209,8 @@ def _split_generators(inner: str) -> list[str]:
 
 def parse_ideal(shape: GridShape, text: str) -> MonomialIdeal:
     """Parse the ``<gen, gen, ...>`` text form (canonicalizes on load)."""
+    if not isinstance(text, str):
+        raise FormatError(f"ideal text must be a string, got {text!r}")
     text = text.strip()
     if not (text.startswith("<") and text.endswith(">")):
         raise FormatError(f"ideal text must be wrapped in <...>, got {text!r}")

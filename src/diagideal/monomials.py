@@ -249,6 +249,7 @@ class GridMonomial:
 
     @classmethod
     def unit(cls, shape: GridShape) -> "GridMonomial":
+        _check_grid(shape)
         return _from_key(shape, 0)
 
     @classmethod
@@ -258,6 +259,7 @@ class GridMonomial:
     @classmethod
     def from_exponents(cls, shape: GridShape, mapping) -> "GridMonomial":
         """Build from a sparse {(row, col): exponent} mapping, 1-based."""
+        _check_grid(shape)
         exps = [0] * shape.variable_count
         for (i, j), e in mapping.items():
             if not shape.contains(i, j):
@@ -372,6 +374,11 @@ class GridMonomial:
         return f"GridMonomial({self.shape.rows}x{self.shape.cols}, {self})"
 
 
+def _check_grid(shape) -> None:
+    if not isinstance(shape, GridShape):
+        raise DomainError(f"not a grid shape: {shape!r}")
+
+
 def _from_key(shape: GridShape, key: int) -> GridMonomial:
     """A monomial from a key already known to be in range."""
     mono = object.__new__(GridMonomial)
@@ -382,6 +389,9 @@ def _from_key(shape: GridShape, key: int) -> GridMonomial:
 
 def parse_monomial(shape: GridShape, text: str) -> GridMonomial:
     """Parse the ``x[i,j]^e * ...`` text form (``1`` for the unit)."""
+    _check_grid(shape)
+    if not isinstance(text, str):
+        raise FormatError(f"monomial text must be a string, got {text!r}")
     text = text.strip()
     if not text:
         raise FormatError("empty monomial text")

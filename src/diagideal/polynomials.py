@@ -15,9 +15,18 @@ accumulate packed keys in a dict.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import DomainError, ShapeMismatchError
 from .fields import PrimeField, RationalField
 from .monomials import GridMonomial, GridShape, _from_key, _lcm, _product
+
+
+def _coefficient(field, value):
+    """value as an element of field; DomainError unless an int or a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise DomainError(f"coefficient must be an int or a Fraction, got {value!r}")
+    return field.normalize(value)
 
 
 def _row(shape: GridShape, keys, coeffs) -> tuple:
@@ -88,13 +97,17 @@ class Polynomial:
             raise DomainError(f"not a grid shape: {shape!r}")
         if not isinstance(field, (RationalField, PrimeField)):
             raise DomainError(f"not a coefficient field: {field!r}")
+        try:
+            pairs = iter(pairs)
+        except TypeError:
+            raise DomainError(f"terms must be iterable, got {pairs!r}") from None
         acc = {}
         for mono, coeff in pairs:
             if not isinstance(mono, GridMonomial):
                 raise DomainError(f"not a monomial: {mono!r}")
             if mono.shape != shape:
                 raise ShapeMismatchError("term monomial on wrong grid")
-            c = field.add(acc.get(mono.key, field.zero), field.normalize(coeff))
+            c = field.add(acc.get(mono.key, field.zero), _coefficient(field, coeff))
             if field.is_zero(c):
                 acc.pop(mono.key, None)
             else:
@@ -171,7 +184,7 @@ class Polynomial:
         if mono.shape is not self.shape and mono.shape != self.shape:
             raise ShapeMismatchError("term monomial on wrong grid")
         zero = Polynomial(self.shape, self.field)
-        return zero._plus(self.field.normalize(coeff), mono.key, self)
+        return zero._plus(_coefficient(self.field, coeff), mono.key, self)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)

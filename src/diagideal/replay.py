@@ -6,6 +6,12 @@ ideal, or a colon identity that is supposed to *fail*.  The replay
 functions recompute everything from scratch and diff the results
 against the frozen text, so any drift in ordering, minimalization, or
 rendering shows up as a failed record.
+
+A golden file is ``#`` comments and ``key rest-of-line`` lines, with
+``shape`` first.  ``VALUE_PARSERS`` is the key set: each key's parser
+reads the rest of its line on the file's grid shape.  ``load_case``
+gathers a file's values as ``{key: [value, ...]}`` in file order, and
+each replay raises ``FormatError`` when a key it reads is missing.
 """
 
 from __future__ import annotations
@@ -13,18 +19,18 @@ from __future__ import annotations
 from importlib import resources
 
 from .errors import FormatError
-from .ideals import MonomialIdeal, parse_ideal
-from .monomials import GridMonomial, GridShape, parse_monomial
+from .ideals import parse_ideal
+from .monomials import GridShape, parse_monomial
 from .quotients import _brute_colon, quotient_chain, redistribute
 from .windows import Window, WindowChain, diagonal_ideal, enumerate_diagonals, window_product_ideal
 
+# Out-of-order window products whose colon must differ from the closed form.
+NEGATIVE_CONTROLS = ("colon_mismatch_3x9.txt", "colon_mismatch_3x8.txt")
 GOLDEN_FILES = (
     "window_2_6_quotients.txt",
     "redistribute_6x16.txt",
     "product_1x3.txt",
-    "colon_mismatch_3x9.txt",
-    "colon_mismatch_3x8.txt",
-)
+) + NEGATIVE_CONTROLS
 
 
 def golden_text(name: str) -> str:
@@ -32,176 +38,121 @@ def golden_text(name: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-class GoldenCase:
-    """Parsed form of one golden data file."""
-
-    __slots__ = (
-        "name",
-        "shape",
-        "windows",
-        "generators",
-        "steps",
-        "factors",
-        "results",
-        "product",
-        "colon_by",
-        "prefix",
-        "prefix_through",
-        "claimed",
-        "expect",
-    )
-
-    def __init__(self, name: str, text: str) -> None:
-        self.name = name
-        self.shape: GridShape | None = None
-        self.windows: list[Window] = []
-        self.generators: MonomialIdeal | None = None
-        self.steps: list[tuple[int, MonomialIdeal]] = []
-        self.factors: list[GridMonomial] = []
-        self.results: list[GridMonomial] = []
-        self.product: MonomialIdeal | None = None
-        self.colon_by: GridMonomial | None = None
-        self.prefix: int | None = None
-        self.prefix_through: GridMonomial | None = None
-        self.claimed: MonomialIdeal | None = None
-        self.expect: str | None = None
-        self._parse(text)
-
-    def _parse(self, text: str) -> None:
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if key == "shape":
-                rows, cols = (int(part) for part in rest.split())
-                self.shape = GridShape(rows, cols)
-                continue
-            if self.shape is None:
-                raise FormatError(f"{self.name}: 'shape' must come first, got {key!r}")
-            if key == "window":
-                first, last = (int(part) for part in rest.split())
-                self.windows.append(Window(first, last))
-            elif key == "generators":
-                self.generators = parse_ideal(self.shape, rest)
-            elif key == "step":
-                index_text, _, body = rest.partition(" ")
-                self.steps.append((int(index_text), parse_ideal(self.shape, body.strip())))
-            elif key == "factor":
-                self.factors.append(parse_monomial(self.shape, rest))
-            elif key == "result":
-                self.results.append(parse_monomial(self.shape, rest))
-            elif key == "product":
-                self.product = parse_ideal(self.shape, rest)
-            elif key == "colon_by":
-                self.colon_by = parse_monomial(self.shape, rest)
-            elif key == "prefix":
-                self.prefix = int(rest)
-            elif key == "prefix_through":
-                self.prefix_through = parse_monomial(self.shape, rest)
-            elif key == "claimed":
-                self.claimed = parse_ideal(self.shape, rest)
-            elif key == "expect":
-                self.expect = rest
-            else:
-                raise FormatError(f"{self.name}: unknown key {key!r}")
-
-    def require(self, *keys: str) -> None:
-        """Raise FormatError unless every named field was set by the file."""
-        missing = [key for key in keys if getattr(self, key) is None]
-        if missing:
-            raise FormatError(f"{self.name}: missing {', '.join(missing)}")
+def _pair(text: str) -> tuple[int, int]:
+    first, second = (int(part) for part in text.split())
+    return first, second
 
 
-def load_case(name: str) -> GoldenCase:
-    return GoldenCase(name, golden_text(name))
+def _step(shape: GridShape, text: str) -> tuple:
+    index, _, body = text.partition(" ")
+    return int(index), parse_ideal(shape, body)
+
+
+VALUE_PARSERS = {
+    "shape": lambda shape, text: GridShape(*_pair(text)),
+    "window": lambda shape, text: Window(*_pair(text)),
+    "generators": parse_ideal,
+    "step": _step,
+    "factor": parse_monomial,
+    "result": parse_monomial,
+    "product": parse_ideal,
+    "colon_by": parse_monomial,
+    "prefix": lambda shape, text: int(text),
+    "prefix_through": parse_monomial,
+    "claimed": parse_ideal,
+    "expect": lambda shape, text: text,
+}
+
+
+def load_case(name: str) -> dict[str, list]:
+    """One golden file's values, ``{key: [value, ...]}`` in file order."""
+    case: dict[str, list] = {}
+    shape = None
+    for raw in golden_text(name).splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, text = line.partition(" ")
+        if shape is None and key != "shape":
+            raise FormatError(f"{name}: 'shape' must come first, got {key!r}")
+        if key not in VALUE_PARSERS:
+            raise FormatError(f"{name}: unknown key {key!r}")
+        value = VALUE_PARSERS[key](shape, text.strip())
+        if key == "shape":
+            shape = value
+        case.setdefault(key, []).append(value)
+    return case
+
+
+def _required(name: str, case: dict, *keys: str) -> list[list]:
+    """The values of each key; FormatError unless the file sets them all."""
+    missing = [key for key in keys if key not in case]
+    if missing:
+        raise FormatError(f"{name}: missing {', '.join(missing)}")
+    return [case[key] for key in keys]
 
 
 def _record(name: str, ok: bool, expected: str, got: str) -> dict:
     return {"name": name, "ok": ok, "expected": expected, "got": got}
 
 
+def _same(name: str, expected, got) -> dict:
+    """A record that passes when got equals expected and renders alike."""
+    return _record(name, got == expected and str(got) == str(expected), str(expected), str(got))
+
+
 def replay_window_quotients() -> list[dict]:
-    case = load_case("window_2_6_quotients.txt")
-    case.require("shape", "generators")
-    (window,) = case.windows
-    records = []
-    ideal = diagonal_ideal(case.shape, window)
-    records.append(
-        _record(
-            f"window {window} generators",
-            ideal == case.generators and str(ideal) == str(case.generators),
-            str(case.generators),
-            str(ideal),
-        )
+    name = "window_2_6_quotients.txt"
+    (shape,), (window,), (generators,), steps = _required(
+        name, load_case(name), "shape", "window", "generators", "step"
     )
-    chain = quotient_chain(ideal)
-    computed = dict(enumerate(chain.steps, start=1))
-    for index, expected in case.steps:
-        got = computed.get(index)
-        records.append(
-            _record(
-                f"window {window} colon step {index}",
-                got is not None and got == expected and str(got) == str(expected),
-                str(expected),
-                "missing" if got is None else str(got),
-            )
-        )
-    return records
+    ideal = diagonal_ideal(shape, window)
+    computed = dict(enumerate(quotient_chain(ideal).steps, start=1))
+    return [_same(f"window {window} generators", generators, ideal)] + [
+        _same(f"window {window} colon step {index}", expected, computed.get(index, "missing"))
+        for index, expected in steps
+    ]
 
 
 def replay_redistribute() -> list[dict]:
-    case = load_case("redistribute_6x16.txt")
-    case.require("shape")
-    chain = WindowChain(tuple(case.windows))
-    rebalanced = redistribute(case.shape, chain, case.factors)
-    records = []
-    for position, (expected, got) in enumerate(zip(case.results, rebalanced), start=1):
-        records.append(
-            _record(
-                f"redistribute 6x16 factor {position}",
-                got == expected and str(got) == str(expected),
-                str(expected),
-                str(got),
-            )
-        )
-    return records
+    name = "redistribute_6x16.txt"
+    (shape,), windows, factors, results = _required(
+        name, load_case(name), "shape", "window", "factor", "result"
+    )
+    rebalanced = redistribute(shape, WindowChain(tuple(windows)), factors)
+    return [
+        _same(f"redistribute 6x16 factor {position}", expected, got)
+        for position, (expected, got) in enumerate(zip(results, rebalanced), start=1)
+    ]
 
 
 def replay_product() -> list[dict]:
-    case = load_case("product_1x3.txt")
-    case.require("shape", "product")
-    got = window_product_ideal(case.shape, case.windows)
-    return [
-        _record(
-            "product 1x3 windows (1,2)*(2,3)",
-            got == case.product and str(got) == str(case.product),
-            str(case.product),
-            str(got),
-        )
-    ]
+    name = "product_1x3.txt"
+    (shape,), windows, (product,) = _required(name, load_case(name), "shape", "window", "product")
+    got = window_product_ideal(shape, windows)
+    return [_same("product 1x3 windows (1,2)*(2,3)", product, got)]
 
 
 def replay_colon_mismatch(name: str) -> list[dict]:
     case = load_case(name)
-    case.require("shape", "colon_by", "claimed")
-    if case.expect != "unequal":
-        raise FormatError(f"{name}: expect must be 'unequal', got {case.expect!r}")
-    diagonals = enumerate_diagonals(case.shape, case.windows[0])
-    if case.prefix_through is not None:
-        cutoff = diagonals.index(case.prefix_through) + 1
+    (shape,), windows, (colon_by,), (claimed,), (expect,) = _required(
+        name, case, "shape", "window", "colon_by", "claimed", "expect"
+    )
+    if expect != "unequal":
+        raise FormatError(f"{name}: expect must be 'unequal', got {expect!r}")
+    diagonals = enumerate_diagonals(shape, windows[0])
+    if "prefix_through" in case:
+        cutoff = diagonals.index(case["prefix_through"][0]) + 1
     else:
-        cutoff = case.prefix or 0
-    keys = list(window_product_ideal(case.shape, case.windows).keys)
+        cutoff = case.get("prefix", [0])[0]
+    keys = list(window_product_ideal(shape, windows).keys)
     keys += [d.key for d in diagonals[:cutoff]]
-    brute = _brute_colon(case.shape, keys, case.colon_by.key)
-    label = f"{name.removesuffix('.txt')} stays unequal"
+    brute = _brute_colon(shape, keys, colon_by.key)
     return [
         _record(
-            label,
-            brute != case.claimed,
-            f"anything other than {case.claimed}",
+            f"{name.removesuffix('.txt')} stays unequal",
+            brute != claimed,
+            f"anything other than {claimed}",
             str(brute),
         )
     ]
@@ -209,10 +160,7 @@ def replay_colon_mismatch(name: str) -> list[dict]:
 
 def run_paper_replay() -> list[dict]:
     """Recompute every golden scenario and diff against the frozen data."""
-    records: list[dict] = []
-    records.extend(replay_window_quotients())
-    records.extend(replay_redistribute())
-    records.extend(replay_product())
-    records.extend(replay_colon_mismatch("colon_mismatch_3x9.txt"))
-    records.extend(replay_colon_mismatch("colon_mismatch_3x8.txt"))
+    records = replay_window_quotients() + replay_redistribute() + replay_product()
+    for name in NEGATIVE_CONTROLS:
+        records += replay_colon_mismatch(name)
     return records

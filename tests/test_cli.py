@@ -9,6 +9,7 @@ from diagideal import checks
 from diagideal.caps import Caps, parse_caps_text
 from diagideal.cli import EXIT_BROKEN_PIPE, main
 from diagideal.errors import FormatError
+from diagideal.replay import run_paper_replay
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +278,38 @@ def test_verify_remarks(capsys):
     code, out = run_cli(capsys, "verify", "--target", "remarks")
     assert code == 0
     assert out.count("PASS") == 2
+
+
+def test_remarks_are_the_replay_negative_controls():
+    controls = [{"check": "negative-control", **r} for r in run_paper_replay()[-2:]]
+    remarks = checks.remarks_report()
+    assert remarks == controls
+    assert [list(r) for r in remarks] == [list(r) for r in controls]
+
+
+@pytest.mark.parametrize(
+    "target, instances",
+    [
+        ("lemma2", [
+            ([1, 3], [[1, 2], [2, 3]]),
+            ([2, 4], [[1, 3], [2, 4]]),
+            ([2, 5], [[1, 4], [2, 5]]),
+            ([3, 8], [[2, 6], [2, 6]]),
+            ([3, 9], [[1, 5], [3, 7]]),
+        ]),
+        ("theorem", [
+            ([1, 3], [[1, 2], [2, 3]]),
+            ([2, 4], [[1, 3], [2, 4]]),
+            ([2, 4], [[1, 4]]),
+            ([3, 6], [[2, 5]]),
+            ([2, 5], [[1, 3], [3, 5]]),
+        ]),
+    ],
+)
+def test_verify_default_instances(target, instances):
+    reports = list(checks.verify_reports(target))
+    assert [(r["shape"], r["chain"]) for r in reports] == instances
+    assert all(r["ok"] for r in reports)
 
 
 def test_verify_single_window(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import diagideal.monomials as monomials
 
+from diagideal.caps import load_caps_file, parse_caps_text
 from diagideal.errors import DomainError, FormatError, ShapeMismatchError
 from diagideal.ideals import (
     MonomialIdeal,
@@ -407,6 +408,24 @@ def test_str_is_canonical_descending():
     shape = GridShape(1, 3)
     ideal = parse_ideal(shape, "<x[1,3], x[1,1], x[1,2]>")
     assert str(ideal) == "<x[1,1], x[1,2], x[1,3]>"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: parse_monomial(_SHAPE_2x3, None), FormatError),
+        (lambda: parse_monomial(_SHAPE_2x3, 3), FormatError),
+        (lambda: parse_ideal(_SHAPE_2x3, None), FormatError),
+        (lambda: parse_caps_text(None), FormatError),
+        (lambda: load_caps_file(None), FormatError),
+        (lambda: parse_ideal(3, "<x[1,1]>"), DomainError),
+    ],
+    ids=["monomial-none", "monomial-int", "ideal-none", "caps-text-none", "caps-file-none",
+         "ideal-non-shape"],
+)
+def test_text_entries_reject_wrong_type_input(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,20 @@ def test_shape_helpers():
     ]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GridMonomial.unit(3),
+        lambda: GridMonomial.variable(3, 1, 1),
+        lambda: GridMonomial.from_exponents(3, {}),
+    ],
+    ids=["unit", "variable", "from-exponents"],
+)
+def test_constructors_reject_a_non_shape(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_unit_and_variable():
     shape = GridShape(2, 2)
     one = GridMonomial.unit(shape)

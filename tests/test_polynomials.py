@@ -82,7 +82,8 @@ def test_times_term_overflow_names_the_first_overflowing_term():
 
 _SHAPE = GridShape(1, 2)
 _F = make_field(7)
-_P = Polynomial.from_terms(_SHAPE, _F, [(GridMonomial.variable(_SHAPE, 1, 1), 1)])
+_X11 = GridMonomial.variable(_SHAPE, 1, 1)
+_P = Polynomial.from_terms(_SHAPE, _F, [(_X11, 1)])
 
 
 @pytest.mark.parametrize(
@@ -96,8 +97,19 @@ _P = Polynomial.from_terms(_SHAPE, _F, [(GridMonomial.variable(_SHAPE, 1, 1), 1)
         lambda: Polynomial.zero(_SHAPE, 3),
         lambda: Polynomial.constant(3, _F, 1),
         lambda: Polynomial.from_terms(_SHAPE, _F, [(3, 1)]),
+        lambda: Polynomial.from_terms(_SHAPE, _F, [(_X11, 2.5)]),
+        lambda: Polynomial.from_terms(_SHAPE, _F, 3),
+        lambda: Polynomial.constant(_SHAPE, _F, 2.9),
+        lambda: Polynomial.constant(_SHAPE, _F, "3"),
+        lambda: _P.times_term(_X11, "x"),
+        lambda: _P.times_term(_X11, None),
+        lambda: Polynomial.from_terms(_SHAPE, make_field(0), [(_X11, 1)]).times_term(_X11, None),
     ],
-    ids=["add", "mul", "sub", "times-term", "zero", "zero-no-field", "constant", "from-terms"],
+    ids=[
+        "add", "mul", "sub", "times-term", "zero", "zero-no-field", "constant", "from-terms",
+        "float-coefficient", "terms-not-iterable", "float-constant", "string-constant",
+        "string-coefficient", "none-coefficient", "none-coefficient-char-0",
+    ],
 )
 def test_wrong_type_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):

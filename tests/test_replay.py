@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 import diagideal.replay as replay
@@ -19,8 +21,13 @@ from diagideal.replay import (
 def test_all_golden_files_parse():
     for name in GOLDEN_FILES:
         case = load_case(name)
-        assert case.shape is not None
-        assert case.windows
+        assert case["shape"]
+        assert case["window"]
+
+
+def test_shipped_golden_directory_holds_exactly_the_golden_files():
+    golden = resources.files("diagideal").joinpath("data").joinpath("golden")
+    assert sorted(entry.name for entry in golden.iterdir()) == sorted(GOLDEN_FILES)
 
 
 def test_golden_text_is_ascii_and_commented():
@@ -63,15 +70,38 @@ def test_full_replay_names_unique_and_pass():
         assert set(record) == {"name", "ok", "expected", "got"}
 
 
+def test_full_replay_reads_every_golden_file_and_pins_record_names(monkeypatch):
+    read = []
+    real = replay.golden_text
+    monkeypatch.setattr(replay, "golden_text", lambda name: read.append(name) or real(name))
+    records = run_paper_replay()
+    assert sorted(read) == sorted(GOLDEN_FILES)
+    assert [r["name"] for r in records] == [
+        "window (2,6) generators",
+        *(f"window (2,6) colon step {index}" for index in range(1, 10)),
+        *(f"redistribute 6x16 factor {position}" for position in range(1, 6)),
+        "product 1x3 windows (1,2)*(2,3)",
+        "colon_mismatch_3x9 stays unequal",
+        "colon_mismatch_3x8 stays unequal",
+    ]
+
 
 @pytest.mark.parametrize(
     "replay_one, name, drop",
     [
         (replay_window_quotients, "window_2_6_quotients.txt", "generators"),
+        (replay_window_quotients, "window_2_6_quotients.txt", "window"),
+        (replay_window_quotients, "window_2_6_quotients.txt", "step"),
         (replay_redistribute, "redistribute_6x16.txt", None),
+        (replay_redistribute, "redistribute_6x16.txt", "window"),
+        (replay_redistribute, "redistribute_6x16.txt", "factor"),
+        (replay_redistribute, "redistribute_6x16.txt", "result"),
         (replay_product, "product_1x3.txt", "product"),
+        (replay_product, "product_1x3.txt", "window"),
         (lambda: replay_colon_mismatch("colon_mismatch_3x9.txt"), "colon_mismatch_3x9.txt", "claimed"),
         (lambda: replay_colon_mismatch("colon_mismatch_3x9.txt"), "colon_mismatch_3x9.txt", "expect"),
+        (lambda: replay_colon_mismatch("colon_mismatch_3x9.txt"), "colon_mismatch_3x9.txt", "window"),
+        (lambda: replay_colon_mismatch("colon_mismatch_3x8.txt"), "colon_mismatch_3x8.txt", "window"),
     ],
 )
 def test_replay_rejects_incomplete_golden_case(replay_one, name, drop, monkeypatch):
