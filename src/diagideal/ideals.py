@@ -89,9 +89,14 @@ class MonomialIdeal:
     @classmethod
     def _from_keys(cls, shape: GridShape, keys) -> "MonomialIdeal":
         """The ideal of candidate keys built from already checked monomials."""
+        return cls._of_minimal(shape, _minimal_keys(shape, keys))
+
+    @classmethod
+    def _of_minimal(cls, shape: GridShape, keys: tuple) -> "MonomialIdeal":
+        """The ideal whose minimal keys, descending, are already known."""
         ideal = object.__new__(cls)
         ideal.shape = shape
-        ideal.keys = _minimal_keys(shape, keys)
+        ideal.keys = keys
         return ideal
 
     @classmethod

@@ -19,12 +19,13 @@ The key helpers are the only code that knows the byte layout: ``_excess``
 (bytewise max(a - b, 0)), ``_divides`` and ``_first_divisor`` (one key
 against a list of divisors), ``_undivided`` (the keys of a list that no key
 of another list divides, in one loop), ``_lcm``, ``_colon`` and ``_colons``
-(one key's colon of every key in a list, in one loop), ``_radical`` (the
-squarefree key of a key's support), ``_product`` (with its overflow check),
-``_degree`` (the byte sum, no exponent tuple), ``_by_degree`` (keys grouped
-by degree, by one modulo where the degrees are small), ``_variables`` (the
-keys that are single variables, by a bit test rather than a degree) and
-``_variable_mask`` (one AND tests divisibility by any of a set of variables).
+(one key's colon of every key in a list that misses a skip mask, in one
+loop), ``_radical`` (the squarefree key of a key's support), ``_product``
+(with its overflow check), ``_degree`` (the byte sum, no exponent tuple),
+``_by_degree`` (keys grouped by degree, by one modulo where the degrees are
+small), ``_variables`` (the keys that are single variables, by a bit test
+rather than a degree) and ``_variable_mask`` (one AND tests divisibility by
+any of a set of variables).
 The public operators check both grids, then call them; loops over keys whose
 grid was checked where they entered call them directly.
 """
@@ -148,12 +149,14 @@ def _colon(a: int, b: int, shape: GridShape) -> int:
     return _excess(a, b, shape._guard)
 
 
-def _colons(keys, f: int, shape: GridShape) -> list:
-    """``_colon(k, f)`` for every key k of keys: ``_excess`` inlined, with
-    the guard bound once."""
+def _colons(keys, f: int, shape: GridShape, skip: int = 0) -> list:
+    """``_colon(k, f)`` for every key k of keys that does not meet the mask
+    skip: ``_excess`` inlined, with the guard bound once."""
     guard = shape._guard
     colons = []
     for k in keys:
+        if k & skip:
+            continue
         d = (k | guard) - f
         ge = d & guard
         colons.append(d & (ge - (ge >> 7)))

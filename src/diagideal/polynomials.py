@@ -102,7 +102,11 @@ class Polynomial:
         except TypeError:
             raise DomainError(f"terms must be iterable, got {pairs!r}") from None
         acc = {}
-        for mono, coeff in pairs:
+        for pair in pairs:
+            try:
+                mono, coeff = pair
+            except (TypeError, ValueError):
+                raise DomainError(f"a term must be a (monomial, coefficient) pair, got {pair!r}") from None
             if not isinstance(mono, GridMonomial):
                 raise DomainError(f"not a monomial: {mono!r}")
             if mono.shape != shape:

@@ -6,18 +6,26 @@ both read it.  ``quotient_chain`` builds the same colons as minimalized
 ideals; it is the brute oracle the walk is tested against.
 
 A brute colon is one ``_colons`` pass, minimalized once (``_brute_colon``,
-behind ``quotient_chain``, the CLI and the replay).  ``_colon_steps`` walks
-a window's diagonals beside the closed form and decides each step by the
-colon's definition (``_is_colon``): every k : f lies in the closed ideal,
-and g * f in the divided ideal for every closed generator g.  Equal
-ideals have one minimal generating set, so a step that passes reports the
-closed ideal as its brute colon; only a step that fails builds and
-minimalizes ``_brute_colon``'s.  For a single window the colon of the
-earlier diagonals is generated by the variables in the column gaps of the
-divisor, the column before the window acting as the sentinel gap floor; for
-a sorted chain the same variables join the product of the remaining
-windows' diagonal ideals.  Their keys come from one cached table per
-window, ``_gap_keys``.  The circle redistribution rebalances a factor per
+behind ``quotient_chain``, the CLI and the replay).  For a single window
+the colon of the earlier diagonals is generated by the variables in the
+column gaps of the divisor, the column before the window acting as the
+sentinel gap floor; for a sorted chain the same variables join the product
+R of the remaining windows' diagonal ideals.  Their keys come from one
+cached table per window, ``_gap_keys``.  R's keys are minimal and the gaps
+are distinct variables, so the closed ideal's minimal generators are the
+gaps and the keys of R that no gap divides (``_join``, one mask AND each,
+no minimalization).
+
+``_colon_steps`` walks a window's diagonals beside the closed form and
+decides each step by the colon's definition (``_is_colon``): every k : f
+lies in the closed ideal, and g * f in the divided ideal for every closed
+generator g.  A colon that no free variable of the closed ideal (one that
+does not divide f) divides lies in it exactly when a closed variable
+dividing f divides it, or it lies in <R>.  <R> is the same at every step,
+so each distinct colon is scanned against R once per chain.  Equal ideals
+have one minimal generating set, so a step that passes reports the closed
+ideal as its brute colon; only a step that fails builds and minimalizes
+``_brute_colon``'s.  The circle redistribution rebalances a factor per
 window by sorting column positions row by row.
 """
 
@@ -68,8 +76,15 @@ class QuotientChain:
         return (0,) + tuple(len(step) for step in self.steps)
 
 
+def _require(value, kind, what: str):
+    """DomainError unless value is a kind: the type check of a public entry."""
+    if not isinstance(value, kind):
+        raise DomainError(f"not a {what}: {value!r}")
+
+
 def quotient_chain(ideal: MonomialIdeal) -> QuotientChain:
     """Brute-force colon chain along the ideal's canonical generator order."""
+    _require(ideal, MonomialIdeal, "monomial ideal")
     if ideal.is_zero:
         raise DomainError("quotient chain of the zero ideal is undefined")
     shape = ideal.shape
@@ -122,32 +137,56 @@ def _gap_keys(shape: GridShape, window: Window) -> MappingProxyType:
     return MappingProxyType(table)
 
 
-def _is_colon(shape: GridShape, closed: MonomialIdeal, f: int, prefix, keys, members) -> bool:
+def _join(shape: GridShape, rest_keys, gaps) -> MonomialIdeal:
+    """<rest_keys> + <gaps>, built without a minimalization.
+
+    rest_keys are minimal keys, none of them 1, and gaps distinct
+    variables.  Only 1 or the variable itself divides a variable, so the
+    minimal generators are the gaps and the rest keys that no gap divides,
+    one mask AND each.
+    """
+    mask = _variable_mask(gaps)
+    keys = [r for r in rest_keys if not r & mask]
+    keys += gaps
+    keys.sort(reverse=True)
+    return MonomialIdeal._of_minimal(shape, tuple(keys))
+
+
+def _is_colon(
+    shape: GridShape, closed: MonomialIdeal, f: int, prefix, keys, members, rest_keys, inside
+) -> bool:
     """Is closed the colon (<prefix, keys> : f)?  members is the set of all
-    keys of prefix and keys.
+    keys of prefix and keys.  rest_keys must satisfy <closed> = <rest_keys>
+    + <variables of closed>: a caller with no rest passes closed's keys
+    that are not variables.  inside holds keys already found in
+    <rest_keys>; a caller may share it between calls with the same
+    rest_keys.
 
     By the definition of a colon, the two are equal exactly when
     - forward: k : f lies in closed for every k of prefix and keys.  A
-      variable of closed that does not divide f divides k : f exactly when
-      it divides k, so one mask AND passes the keys that meet those free
-      variables; the other colons are looked up among closed's generators,
-      then scanned against the generators that are not free variables,
-      since none of those can divide them;
+      variable of closed that does not divide f (a free variable) divides
+      k : f exactly when it divides k, so the colon loop skips the keys
+      that meet the free variables.  A colon c it keeps avoids them, so c
+      lies in closed exactly when a variable of closed that divides f
+      divides c (one mask AND) or c lies in <rest_keys>.  That membership
+      does not depend on f, so each distinct c is scanned once against
+      rest_keys and kept in inside; nothing about closed itself is kept;
     - reverse: g * f lies in <prefix, keys> for every generator g of
       closed: looked up in members, then scanned against prefix, then keys.
     """
     gens = closed.keys
     support = _radical(f, shape)
-    free = [v for v in _variables(gens, shape) if not v & support]
-    mask = _variable_mask(free)
-    lookup = set(gens)
+    variables = _variables(gens, shape)
+    free = _variable_mask([v for v in variables if not v & support])
+    bound = _variable_mask([v for v in variables if v & support])
+    colons = set(_colons(prefix, f, shape, free))
+    colons.update(_colons(keys, f, shape, free))
+    pending = [c for c in colons if not (c & bound or c in inside)]
     # Ascending, the divisor of a colon came up sooner in a profile of
     # the colon-products workload.
-    others = [g for g in reversed(gens) if g not in free]
-    pending = [k for k in prefix + keys if not k & mask]
-    colons = [c for c in _colons(pending, f, shape) if c not in lookup]
-    if _undivided(colons, others, shape):
+    if _undivided(pending, rest_keys[::-1], shape):
         return False
+    inside.update(pending)
     products = [h for h in (_product(g, f, shape) for g in gens) if h not in members]
     return not _undivided(_undivided(products, prefix, shape), keys, shape)
 
@@ -155,19 +194,21 @@ def _is_colon(shape: GridShape, closed: MonomialIdeal, f: int, prefix, keys, mem
 def _colon_steps(shape: GridShape, window: Window, keys=(), rest_keys=()):
     """For each diagonal f_u of the window, in order, yield (u, brute, closed).
 
-    closed joins rest_keys to the gap keys of f_u; brute is
+    closed joins rest_keys to the gap keys of f_u (``_join``); brute is
     (<keys, f_0..f_{u-1}> : f_u).  When ``_is_colon`` finds the two equal,
     brute is closed itself, since equal ideals have one minimal generating
-    set; otherwise it is ``_brute_colon``'s.  With no keys and no rest this
-    is the single-window closed form, otherwise the product one.
+    set; otherwise it is ``_brute_colon``'s.  The steps share one set of
+    colons known to lie in <rest_keys>.  With no keys and no rest this is
+    the single-window closed form, otherwise the product one.
     """
     gaps = _gap_keys(shape, window)
     keys = list(keys)
     members = set(keys)
+    inside = set()
     prefix = []
     for u, f in enumerate(enumerate_diagonals(shape, window)):
-        closed = MonomialIdeal._from_keys(shape, rest_keys + gaps[f.key])
-        if _is_colon(shape, closed, f.key, prefix, keys, members):
+        closed = _join(shape, rest_keys, gaps[f.key])
+        if _is_colon(shape, closed, f.key, prefix, keys, members, rest_keys, inside):
             brute = closed
         else:
             brute = _brute_colon(shape, prefix + keys, f.key)
@@ -182,6 +223,7 @@ def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> Mono
     Generated by the gap variables of f; the zero ideal when f is the
     window's top diagonal monomial.
     """
+    _require(window, Window, "window")
     window.check_against(shape)
     selection = selection_of(f) if isinstance(f, GridMonomial) else None
     if selection is None:
@@ -189,7 +231,7 @@ def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> Mono
     if f.shape != shape:
         raise ShapeMismatchError(f"diagonal {f} is not on the {shape.rows}x{shape.cols} grid")
     selection.check_against(shape, window)
-    return MonomialIdeal._from_keys(shape, _gap_keys(shape, window)[f.key])
+    return _join(shape, (), _gap_keys(shape, window)[f.key])
 
 
 def closed_form_product_colon(
@@ -201,6 +243,8 @@ def closed_form_product_colon(
     floor is taken from the first window.  Requires at least two windows and
     f equal to the first window's diagonal at position prefix_index.
     """
+    _require(chain, WindowChain, "window chain")
+    _require(prefix_index, int, "diagonal index")
     if len(chain) < 2:
         raise DomainError("product colon closed form needs at least two windows")
     chain.check_against(shape)
@@ -215,8 +259,7 @@ def closed_form_product_colon(
             f"{f} is not diagonal #{prefix_index} of window {first}"
         )
     rest = window_product_ideal(shape, chain.windows[1:])
-    gaps = _gap_keys(shape, first)[f.key]
-    return MonomialIdeal._from_keys(shape, rest.keys + gaps)
+    return _join(shape, rest.keys, _gap_keys(shape, first)[f.key])
 
 
 def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
@@ -226,8 +269,12 @@ def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
     The output monomials multiply to the same product, are again diagonal
     monomials, and the j-th lands in the j-th window of the sorted chain.
     """
+    _require(chain, WindowChain, "window chain")
     chain.check_against(shape)
-    factors = list(factors)
+    try:
+        factors = list(factors)
+    except TypeError:
+        raise DomainError(f"factors must be iterable, got {factors!r}") from None
     if len(factors) != len(chain):
         raise DomainError(f"{len(factors)} factors for {len(chain)} windows")
     selections = []
@@ -271,6 +318,8 @@ def verify_product_colons(
     ``_colon_steps``.  Returns one entry per u with both ideals and the
     equality verdict.
     """
+    _require(chain, WindowChain, "window chain")
+    _require(caps, Caps, "Caps")
     if len(chain) < 2:
         raise DomainError("product colon verification needs at least two windows")
     chain.check_against(shape)

@@ -77,7 +77,10 @@ def load_case(name: str) -> dict[str, list]:
             raise FormatError(f"{name}: 'shape' must come first, got {key!r}")
         if key not in VALUE_PARSERS:
             raise FormatError(f"{name}: unknown key {key!r}")
-        value = VALUE_PARSERS[key](shape, text.strip())
+        try:
+            value = VALUE_PARSERS[key](shape, text.strip())
+        except ValueError as exc:
+            raise FormatError(f"{name}: bad {key} value {text.strip()!r}: {exc}") from None
         if key == "shape":
             shape = value
         case.setdefault(key, []).append(value)

@@ -14,6 +14,7 @@ from diagideal.monomials import (
     _colons,
     _degree,
     _radical,
+    _variable_mask,
     _variables,
     parse_monomial,
 )
@@ -240,3 +241,23 @@ def test_colons_is_colon_over_a_list():
                 GridMonomial(shape, tuple(max(a - b, 0) for a, b in zip(e, ef))).key for e in dense
             ]
         assert _colons([], keys[0], shape) == []
+
+
+def test_colons_skips_the_keys_that_meet_the_mask():
+    # _colons(keys, f, shape, skip) is _colons of the keys that miss skip,
+    # in order; skip 0 keeps every key.
+    rng = random.Random(23)
+    picks = (0, 0, 0, 1, 2, 64, MAX_EXPONENT)
+    for shape in (GridShape(1, 1), GridShape(2, 5), GridShape(3, 8)):
+        n = shape.variable_count
+        keys = [GridMonomial(shape, tuple(rng.choice(picks) for _ in range(n))).key for _ in range(60)]
+        variables = [GridMonomial.variable(shape, i, j).key for i, j in shape.variables()]
+        for f in keys[:4] + [0]:
+            for count in range(min(n, 4) + 1):
+                skip = _variable_mask(rng.sample(variables, count))
+                kept = [k for k in keys if not k & skip]
+                assert _colons(keys, f, shape, skip) == _colons(kept, f, shape)
+            assert _colons(keys, f, shape, 0) == _colons(keys, f, shape)
+        # A mask of every variable skips every key but the unit's.
+        every = _variable_mask(variables)
+        assert _colons(keys + [0], keys[0], shape, every) == [0] * (keys.count(0) + 1)

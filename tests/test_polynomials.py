@@ -104,11 +104,14 @@ _P = Polynomial.from_terms(_SHAPE, _F, [(_X11, 1)])
         lambda: _P.times_term(_X11, "x"),
         lambda: _P.times_term(_X11, None),
         lambda: Polynomial.from_terms(_SHAPE, make_field(0), [(_X11, 1)]).times_term(_X11, None),
+        lambda: Polynomial.from_terms(_SHAPE, _F, [3]),
+        lambda: Polynomial.from_terms(_SHAPE, _F, [(GridMonomial.unit(_SHAPE),)]),
     ],
     ids=[
         "add", "mul", "sub", "times-term", "zero", "zero-no-field", "constant", "from-terms",
         "float-coefficient", "terms-not-iterable", "float-constant", "string-constant",
         "string-coefficient", "none-coefficient", "none-coefficient-char-0",
+        "term-not-a-pair", "term-without-coefficient",
     ],
 )
 def test_wrong_type_arguments_raise_domain_error(call):

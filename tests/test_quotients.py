@@ -6,6 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
+import diagideal.ideals as ideals
 import diagideal.quotients as quotients
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.checks import iter_shapes, product_chain_report, single_window_report
@@ -17,7 +18,7 @@ from diagideal.errors import (
     ShapeMismatchError,
 )
 from diagideal.ideals import MonomialIdeal, parse_ideal
-from diagideal.monomials import GridMonomial, GridShape, parse_monomial
+from diagideal.monomials import GridMonomial, GridShape, _divides, _variables, parse_monomial
 from diagideal.quotients import (
     closed_form_colon,
     closed_form_product_colon,
@@ -129,37 +130,90 @@ def _brute_colons(shape, window, keys=()):
     ]
 
 
+# The six two-window 3x8 products with at least 700 generators: their steps
+# share the most colons.
+HEAVY_3x8 = [
+    WindowChain.of(*bounds)
+    for bounds in (
+        ((1, 6), (1, 8)),
+        ((1, 7), (1, 8)),
+        ((1, 7), (2, 8)),
+        ((1, 8), (1, 8)),
+        ((1, 8), (2, 8)),
+        ((1, 8), (3, 8)),
+    )
+]
+
+# Nested windows, out of order as a chain: some of their steps differ from
+# the closed form.
+NESTED = [(GridShape(3, 8), (Window(2, 8), Window(3, 7))), (GridShape(3, 9), (Window(1, 9), Window(3, 7)))]
+
+
+def _product_steps(shape, windows):
+    """``_colon_steps`` of the windows' product, with the closed form of the
+    first window's diagonals joined to the others' product."""
+    keys = window_product_ideal(shape, windows).keys
+    rest_keys = window_product_ideal(shape, windows[1:]).keys
+    return list(quotients._colon_steps(shape, windows[0], keys, rest_keys))
+
+
 def test_colon_steps_brute_is_the_brute_colon():
     # Each step's brute is decided from the colon's definition and is the
     # closed ideal when they agree; it must be the minimalized brute colon.
-    cases = [(shape, chain) for shape in iter_shapes(3, 6) for chain in iter_sorted_chains(shape, 2)]
-    cases += [(GridShape(2, 5), chain) for chain in iter_sorted_chains(GridShape(2, 5), 3)]
+    cases = [(shape, chain.windows) for shape in iter_shapes(3, 6) for chain in iter_sorted_chains(shape, 2)]
+    cases += [(GridShape(2, 5), chain.windows) for chain in iter_sorted_chains(GridShape(2, 5), 3)]
+    assert all(len(window_product_ideal(SHAPE_3x8, chain.windows)) >= 700 for chain in HEAVY_3x8)
+    cases += [(SHAPE_3x8, chain.windows) for chain in HEAVY_3x8] + NESTED
     checked = 0
-    for shape, chain in cases:
-        rest = window_product_ideal(shape, chain.windows[1:])
-        keys = [g.key for g in window_product_ideal(shape, chain.windows).gens]
-        rest_keys = tuple(g.key for g in rest.gens)
-        steps = list(quotients._colon_steps(shape, chain.windows[0], keys, rest_keys))
-        assert [b for _, b, _ in steps] == _brute_colons(shape, chain.windows[0], keys), (shape, chain)
+    unequal = 0
+    for shape, windows in cases:
+        steps = _product_steps(shape, windows)
+        keys = window_product_ideal(shape, windows).keys
+        assert [b for _, b, _ in steps] == _brute_colons(shape, windows[0], keys), (shape, windows)
         checked += len(steps)
+        unequal += sum(b != c for _, b, c in steps)
     for shape in iter_shapes(3, 8):
         for window in iter_windows(shape):
             steps = list(quotients._colon_steps(shape, window))
             assert [b for _, b, _ in steps] == _brute_colons(shape, window), (shape, window)
             checked += len(steps)
-    assert checked > 3000
+    assert checked > 3600
+    assert unequal > 40
 
 
-def _patched_gaps(monkeypatch, shape, window, u, change):
-    """Make ``_gap_keys`` return change(gaps) for diagonal u of the window."""
+def test_colon_steps_build_no_closed_ideal_by_minimalization(monkeypatch):
+    # The closed ideal is joined from minimal rest keys and gap variables;
+    # only a step whose closed form differs minimalizes its brute colon.
+    cases = [(SHAPE_3x8, chain.windows) for chain in HEAVY_3x8[:2]] + NESTED
+    for shape, windows in cases:
+        keys = window_product_ideal(shape, windows).keys
+        rest_keys = window_product_ideal(shape, windows[1:]).keys
+        calls = []
+        real = ideals._minimal_keys
+
+        def counted(shape_, keys_):
+            calls.append(len(keys_))
+            return real(shape_, keys_)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ideals, "_minimal_keys", counted)
+            steps = list(quotients._colon_steps(shape, windows[0], keys, rest_keys))
+        assert len(calls) == sum(brute != closed for _, brute, closed in steps), (shape, windows)
+    assert calls  # the last nested product has steps that differ
+
+
+def _patched_gaps(monkeypatch, shape, window, changes):
+    """Make ``_gap_keys`` return changes[u](gaps) for each diagonal u of the
+    window in changes."""
     real = quotients._gap_keys
-    target = enumerate_diagonals(shape, window)[u].key
+    diagonals = enumerate_diagonals(shape, window)
+    targets = {diagonals[u].key: change for u, change in changes.items()}
 
     def gap_keys(shape_, window_):
         table = real(shape_, window_)
         if (shape_, window_) != (shape, window):
             return table
-        return MappingProxyType({**table, target: change(table[target])})
+        return MappingProxyType({**table, **{f: change(table[f]) for f, change in targets.items()}})
 
     monkeypatch.setattr(quotients, "_gap_keys", gap_keys)
 
@@ -190,7 +244,7 @@ def test_a_wrong_closed_form_falls_back_to_the_brute_colon(monkeypatch, change, 
     if change == "drop":
         # The closed form lacks a variable of the colon: only the forward
         # check sees it.
-        _patched_gaps(monkeypatch, shape, window, u, lambda gap: gap[1:])
+        _patched_gaps(monkeypatch, shape, window, {u: lambda gap: gap[1:]})
     else:
         # One more variable, outside the colon: only the reverse check sees it.
         extra = next(
@@ -198,7 +252,7 @@ def test_a_wrong_closed_form_falls_back_to_the_brute_colon(monkeypatch, change, 
             for v in (GridMonomial.variable(shape, i, j) for i, j in shape.variables())
             if not brute.contains(v)
         )
-        _patched_gaps(monkeypatch, shape, window, u, lambda gap: gap + (extra.key,))
+        _patched_gaps(monkeypatch, shape, window, {u: lambda gap: gap + (extra.key,)})
     report = _report(kind, shape, chain)
     step = next(step for step in report["steps"] if step["u"] == u)
     assert step["equal"] is False
@@ -207,6 +261,42 @@ def test_a_wrong_closed_form_falls_back_to_the_brute_colon(monkeypatch, change, 
     assert report["ok"] is False
     others = [s for s in report["steps"] if s["u"] != u]
     assert all(s["equal"] for s in others)
+
+
+def _no_rest(closed):
+    """``_is_colon``'s rest_keys and inside for a caller with no rest:
+    closed's keys that are not variables, and nothing known yet."""
+    variables = set(_variables(closed.keys, closed.shape))
+    return tuple(k for k in closed.keys if k not in variables), set()
+
+
+@pytest.mark.parametrize("kind,shape,chain,u", WRONG_CLOSED_CASES)
+def test_wrong_gaps_at_two_steps_of_one_loop_stay_at_their_steps(monkeypatch, kind, shape, chain, u):
+    # At step u a gap variable is dropped; at the first reported step before
+    # it whose diagonal that variable divides, it is added.  The steps share what
+    # they know of the rest product, never of a step's closed ideal, so
+    # every step's verdict must still be the brute colon's.
+    window = chain.windows[0]
+    diagonals = enumerate_diagonals(shape, window)
+    keys = [] if kind == "window" else window_product_ideal(shape, chain.windows).keys
+    brutes = _brute_colons(shape, window, keys)
+    dropped = quotients._gap_keys(shape, window)[diagonals[u].key][0]
+    # A single window's report starts at its second diagonal.
+    first = 1 if kind == "window" else 0
+    extra = next(t for t in range(first, u) if _divides(dropped, diagonals[t].key, shape))
+    _patched_gaps(
+        monkeypatch, shape, window, {u: lambda gap: gap[1:], extra: lambda gap: gap + (dropped,)}
+    )
+    report = _report(kind, shape, chain)
+    verdicts = {}
+    for step in report["steps"]:
+        brute = brutes[step["u"]]
+        assert step["brute"] == str(brute), step
+        assert step["equal"] is (step["closed"] == str(brute)), step
+        verdicts[step["u"]] = step["equal"]
+    assert verdicts[u] is False
+    assert extra in verdicts
+    assert report["ok"] is False
 
 
 def _random_key(rng, shape, top=3):
@@ -238,7 +328,7 @@ def test_is_colon_decides_equality_with_the_brute_colon():
         ]
         for candidate in candidates:
             closed = MonomialIdeal._from_keys(shape, candidate)
-            decided = quotients._is_colon(shape, closed, f, prefix, keys, set(ideal))
+            decided = quotients._is_colon(shape, closed, f, prefix, keys, set(ideal), *_no_rest(closed))
             assert decided == (closed == colon), (shape, ideal, split, f, candidate)
             verdicts[decided] += 1
     assert min(verdicts.values()) > 1000
@@ -254,14 +344,14 @@ def test_is_colon_sees_a_variable_that_divides_f():
     just_x = MonomialIdeal._from_keys(shape, [x])
     # <x^2, x*y> : x = <x, y>, and (x*y) : x = y lies outside <x>.
     for prefix, keys in (([x2], [xy]), ([], [x2, xy]), ([x2, xy], [])):
-        assert not quotients._is_colon(shape, just_x, x, prefix, keys, {x2, xy})
+        assert not quotients._is_colon(shape, just_x, x, prefix, keys, {x2, xy}, *_no_rest(just_x))
     both = quotients._brute_colon(shape, [x2, xy], x)
     assert str(both) == "<x[1,1], x[1,2]>"
-    assert quotients._is_colon(shape, both, x, [x2], [xy], {x2, xy})
+    assert quotients._is_colon(shape, both, x, [x2], [xy], {x2, xy}, *_no_rest(both))
     # <x^2, x^3*y> : x = <x>, and (x^3*y) : x = x^2*y is a multiple of x.
     assert quotients._brute_colon(shape, [x2, x3y], x) == just_x
     for prefix, keys in (([x2], [x3y]), ([], [x2, x3y]), ([x2, x3y], [])):
-        assert quotients._is_colon(shape, just_x, x, prefix, keys, {x2, x3y})
+        assert quotients._is_colon(shape, just_x, x, prefix, keys, {x2, x3y}, *_no_rest(just_x))
 
 
 def test_quotient_chain_principal_and_zero():
@@ -428,3 +518,31 @@ def test_redistribute_raises_on_construction_fault(monkeypatch, outputs):
     )
     with pytest.raises(EngineError):
         redistribute(shape, chain, factors)
+
+
+_S = GridShape(2, 5)
+_CHAIN = WindowChain.of((1, 4), (2, 5))
+_TOP = enumerate_diagonals(_S, Window(1, 4))[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: quotient_chain(3),
+        lambda: closed_form_colon(_S, 3, _TOP),
+        lambda: verify_product_colons(_S, None),
+        lambda: verify_product_colons(_S, _CHAIN, 3),
+        lambda: closed_form_product_colon(_S, _CHAIN, _TOP, "x"),
+        lambda: closed_form_product_colon(_S, _CHAIN, _TOP, 0.0),
+        lambda: closed_form_product_colon(_S, 3, _TOP, 0),
+        lambda: redistribute(_S, _CHAIN, 3),
+        lambda: redistribute(_S, None, []),
+    ],
+    ids=[
+        "chain-of-int", "colon-window", "verify-chain", "verify-caps", "index-string",
+        "index-float", "product-chain", "factors-int", "redistribute-chain",
+    ],
+)
+def test_public_entries_raise_domain_error_for_wrong_types(call):
+    with pytest.raises(DomainError):
+        call()

@@ -112,3 +112,20 @@ def test_replay_rejects_incomplete_golden_case(replay_one, name, drop, monkeypat
     monkeypatch.setattr(replay, "golden_text", lambda n: text if n == name else real(n))
     with pytest.raises(FormatError):
         replay_one()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "shape 1 3\nwindow 1\nproduct <x[1,1]>",
+        "shape 1 x\nwindow 1 2\nproduct <x[1,1]>",
+        "shape 1 3\nwindow 1 2 3\nproduct <x[1,1]>",
+        "shape 1 3\nwindow 1 two\nproduct <x[1,1]>",
+    ],
+    ids=["window-one-value", "shape-not-integer", "window-three-values", "window-not-integer"],
+)
+def test_load_case_rejects_a_malformed_value(text, monkeypatch):
+    real = replay.golden_text
+    monkeypatch.setattr(replay, "golden_text", lambda n: text if n == "product_1x3.txt" else real(n))
+    with pytest.raises(FormatError, match="product_1x3.txt: bad"):
+        replay_product()
