@@ -25,6 +25,12 @@ class DomainError(DiagIdealError):
     """Input lies outside an operation's domain."""
 
 
+def _require(value, kind, what: str):
+    """DomainError unless value is a kind: the type check of a public entry."""
+    if not isinstance(value, kind):
+        raise DomainError(f"not a {what}: {value!r}")
+
+
 class FormatError(DiagIdealError):
     """Text or JSON input failed to parse."""
 

@@ -9,7 +9,12 @@ coefficient) pairs) is built once per basis, not once per division.  The
 kernel always cancels the largest reducible term against the first divisor
 in list order whose lead divides it, so remainders are deterministic; the
 multiple is subtracted in one merge of the shifted tail into the ascending
-work list.  A division that would pass exponent 127 raises ``DomainError``.
+work list.  While every lead has one degree d, as the leads of the natural
+generators do, the basis keeps a table from each lead to its first index:
+a term of degree d or d + 1 has no divisor of degree d but itself or its
+quotient by one variable, so a few dict lookups find the same first
+divisor, and only a term they miss is scanned.  A division that would pass
+exponent 127 raises ``DomainError``.
 
 S-pairs are pruned by the Gebauer-Moller update (Gebauer and Moller, J.
 Symbolic Comput. 6, 1988), run on the packed lead keys: criteria M and F
@@ -19,6 +24,12 @@ surviving pair whose lcm is smallest in the grid order, ties broken by pair
 index.  ``is_groebner_basis`` is the unpruned all-pairs check, independent
 of the construction path.  The returned basis is the unique reduced one:
 monic, minimal, tails reduced, listed descending by leading monomial.
+
+The natural generators, one product of maximal minors per column
+multiset, come from a bounded process-wide cache keyed by (shape, sorted
+column multiset, field), emptied when full: chains share their products,
+and a three-factor product is its cached two-factor prefix times one
+minor.
 
 ``conjecture_check`` first tries a linear-quotients certificate.  The leads
 of the natural generators are the diagonal product J, and J has linear
@@ -41,10 +52,19 @@ from heapq import heappop, heappush
 from itertools import combinations, product as iter_product
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, EngineError, ResourceLimitError
+from .errors import DomainError, EngineError, ResourceLimitError, _require
 from .fields import make_field
 from .ideals import MonomialIdeal
-from .monomials import GridShape, _divides, _first_divisor, _from_key, _lcm, _undivided
+from .monomials import (
+    GridShape,
+    _degree,
+    _divides,
+    _first_divisor,
+    _from_key,
+    _lcm,
+    _lookup_divisor,
+    _undivided,
+)
 from .polynomials import Polynomial, _add_multiple, _row
 from .quotients import _linear_quotients
 from .windows import WindowChain, minor, window_product_ideal
@@ -55,32 +75,61 @@ class _Basis:
 
     ``leads`` holds the lead key of each element in list order, the order
     divisors are tried in.  ``rows[i]`` is the merge row (``polynomials._row``)
-    of the tail of the i-th element made monic and negated.
+    of the tail of the i-th element made monic and negated.  While every
+    lead has one degree, ``firsts`` maps each lead key to its first index,
+    the table ``monomials._lookup_divisor`` reads.  A lead of another
+    degree sets it to None for good, ``without`` included; a None table
+    only means every divisor is found by scan.
     """
 
-    __slots__ = ("shape", "field", "leads", "rows")
+    __slots__ = ("shape", "field", "leads", "rows", "firsts", "degree")
 
     def __init__(self, shape: GridShape, field, polys=()):
         self.shape = shape
         self.field = field
         self.leads = []
         self.rows = []
+        self.firsts = {}
+        self.degree = None
         for g in polys:
             self.append(g)
 
+    def _add_lead(self, lead: int) -> None:
+        """Append a lead key; a lead of another degree drops the table."""
+        if self.firsts is not None:
+            degree = _degree(lead, self.shape)
+            if self.degree is None:
+                self.degree = degree
+            if degree == self.degree:
+                self.firsts.setdefault(lead, len(self.leads))
+            else:
+                self.firsts = None
+        self.leads.append(lead)
+
     def append(self, g: Polynomial) -> None:
         """Add a nonzero element checked to share the basis' grid and field."""
-        field = self.field
-        inv = field.invert(g.coeffs[-1])
-        self.leads.append(g.keys[-1])
-        tail = [field.neg(field.mul(c, inv)) for c in g.coeffs[:-1]]
+        p = self.field.characteristic
+        scale = -self.field.invert(g.coeffs[-1])
+        if p:
+            tail = [c * scale % p for c in g.coeffs[:-1]]
+        else:
+            tail = [c * scale for c in g.coeffs[:-1]]
+        self._add_lead(g.keys[-1])
         self.rows.append(_row(self.shape, g.keys[:-1], tail))
 
     def without(self, idx: int) -> "_Basis":
-        """The same basis with element idx left out."""
+        """The same basis with element idx left out; the remaining leads
+        keep their one degree, so the table is rebuilt without a degree
+        test."""
         other = _Basis(self.shape, self.field)
         other.leads = self.leads[:idx] + self.leads[idx + 1 :]
         other.rows = self.rows[:idx] + self.rows[idx + 1 :]
+        if self.firsts is None:
+            other.firsts = None
+        else:
+            for i, lead in enumerate(other.leads):
+                other.firsts.setdefault(lead, i)
+            other.degree = self.degree
         return other
 
 
@@ -90,15 +139,19 @@ def _reduce(keys, coeffs, basis: _Basis) -> Polynomial:
 
     The largest term is cancelled against the first element, in list order,
     whose lead divides it; a term no lead divides goes to the remainder.
+    While the leads share one degree that element is looked up in
+    ``basis.firsts`` first; only a term the lookups miss is scanned.
     """
     keys, coeffs = list(keys), list(coeffs)
-    shape, leads, rows = basis.shape, basis.leads, basis.rows
+    shape, leads, rows, firsts = basis.shape, basis.leads, basis.rows, basis.firsts
     p = basis.field.characteristic
     rest_keys, rest_coeffs = [], []
     while keys:
         key = keys.pop()
         c = coeffs.pop()
-        i = _first_divisor(key, leads, shape)
+        i = -1 if firsts is None else _lookup_divisor(key, firsts, shape)
+        if i < 0:
+            i = _first_divisor(key, leads, shape)
         if i < 0:
             rest_keys.append(key)
             rest_coeffs.append(c)
@@ -119,13 +172,25 @@ def _s_pair(basis: _Basis, i: int, j: int):
     return _add_multiple(keys, coeffs, field.one, lcm - lead_j, basis.rows[j], shape, p)
 
 
+def _polynomials(polys) -> list:
+    """polys as a list; DomainError unless an iterable of polynomials."""
+    try:
+        polys = list(polys)
+    except TypeError:
+        raise DomainError(f"not an iterable of polynomials: {polys!r}") from None
+    for g in polys:
+        _require(g, Polynomial, "polynomial")
+    return polys
+
+
 def reduce(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the basis list, which must share f's grid
     and field.
 
     No remainder term is divisible by any basis leading monomial.
     """
-    basis = tuple(basis)
+    _require(f, Polynomial, "polynomial")
+    basis = _polynomials(basis)
     for g in basis:
         f._check_compatible(g)
     divisors = _Basis(f.shape, f.field, [g for g in basis if not g.is_zero])
@@ -134,6 +199,8 @@ def reduce(f: Polynomial, basis) -> Polynomial:
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The classical S-polynomial, with both lead terms scaled to the lcm."""
+    _require(f, Polynomial, "polynomial")
+    _require(g, Polynomial, "polynomial")
     if f.is_zero or g.is_zero:
         raise DomainError("S-polynomial of the zero polynomial is undefined")
     f._check_compatible(g)
@@ -160,7 +227,8 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
     Raises ResourceLimitError with a progress snapshot when more than
     ``caps.max_spairs`` S-polynomial reductions would be needed.
     """
-    gens = [g for g in generators if not g.is_zero]
+    _require(caps, Caps, "Caps")
+    gens = [g for g in _polynomials(generators) if not g.is_zero]
     if not gens:
         raise DomainError("no nonzero generators")
     shape = gens[0].shape
@@ -285,7 +353,7 @@ def is_groebner_basis(basis) -> bool:
     zero, so the check stays exact; reducing it anyway could pass the
     exponent bound on a basis whose own exponents stay far below it.
     """
-    polys = [g for g in basis if not g.is_zero]
+    polys = [g for g in _polynomials(basis) if not g.is_zero]
     if not polys:
         return True
     for g in polys:
@@ -303,11 +371,43 @@ def is_groebner_basis(basis) -> bool:
 
 def initial_ideal(basis) -> MonomialIdeal:
     """Ideal of leading monomials of the given basis."""
-    polys = list(basis)
+    polys = _polynomials(basis)
     if not polys:
         raise DomainError("initial ideal of an empty basis is undefined")
     shape = polys[0].shape
     return MonomialIdeal(shape, [g.leading_monomial for g in polys])
+
+
+# (shape, sorted column multiset, field) -> natural product of two or more
+# minors.  Products of different shapes never meet, and the largest grid the
+# conjecture caps allow, 3x6, has 1,750 multisets with three factors (about
+# 20 MiB of products), so the bound holds one such grid; past it
+# ``_natural_product`` empties the table rather than let it grow.
+_products = {}
+_PRODUCT_CACHE_SIZE = 2048
+
+
+def _natural_product(shape: GridShape, multiset: tuple, field, minors: dict) -> Polynomial:
+    """The product of the minors on the column sets of multiset, a sorted
+    tuple of them; minors maps each column set to its minor.
+
+    One column set gives its minor.  A product of more is looked up in
+    ``_products`` first; on a miss it is its prefix multiset's product,
+    found the same way, times the last minor, so chains share their
+    products and a three-factor product reuses its two-factor prefix.  The
+    product of the same polynomials is the same whatever order they are
+    multiplied in.
+    """
+    if len(multiset) == 1:
+        return minors[multiset[0]]
+    key = (shape, multiset, field)
+    poly = _products.get(key)
+    if poly is None:
+        poly = _natural_product(shape, multiset[:-1], field, minors) * minors[multiset[-1]]
+        if len(_products) >= _PRODUCT_CACHE_SIZE:
+            _products.clear()
+        _products[key] = poly
+    return poly
 
 
 def natural_window_generators(
@@ -318,27 +418,30 @@ def natural_window_generators(
     Maximal minors on distinct column sets are pairwise non-associate
     irreducibles, so by unique factorization two products agree up to a
     scalar exactly when their multisets of column sets agree.  A combination
-    whose multiset came earlier is skipped before it is multiplied.
+    whose multiset came earlier is skipped before it is multiplied.  Every
+    column set of the chain goes through ``minor`` once, so its cap holds
+    on every call; the products come from ``_natural_product``'s
+    process-wide cache.
     """
+    _require(chain, WindowChain, "window chain")
+    _require(caps, Caps, "Caps")
     chain.check_against(shape)
     per_window = [
-        [
-            (cols, minor(shape, cols, field, caps))
-            for cols in combinations(range(w.first, w.last + 1), shape.rows)
-        ]
-        for w in chain.windows
+        list(combinations(range(w.first, w.last + 1), shape.rows)) for w in chain.windows
     ]
+    minors = {}
+    for column_sets in per_window:
+        for cols in column_sets:
+            if cols not in minors:
+                minors[cols] = minor(shape, cols, field, caps)
     products = []
     seen = set()
     for combo in iter_product(*per_window):
-        multiset = tuple(sorted(cols for cols, _ in combo))
+        multiset = tuple(sorted(combo))
         if multiset in seen:
             continue
         seen.add(multiset)
-        poly = combo[0][1]
-        for _, factor in combo[1:]:
-            poly = poly * factor
-        products.append(poly)
+        products.append(_natural_product(shape, multiset, field, minors))
     return products
 
 
@@ -399,6 +502,8 @@ def conjecture_check(
     Returns a verdict record; a false verdict carries a witness polynomial
     whose leading monomial escapes the diagonal product.
     """
+    _require(chain, WindowChain, "window chain")
+    _require(caps, Caps, "Caps")
     chain.check_against(shape)
     if shape.rows > caps.max_conjecture_rows or shape.cols > caps.max_conjecture_cols:
         raise ResourceLimitError(

@@ -17,15 +17,19 @@ product whose exponent would pass 127 raises ``DomainError``.
 
 The key helpers are the only code that knows the byte layout: ``_excess``
 (bytewise max(a - b, 0)), ``_divides`` and ``_first_divisor`` (one key
-against a list of divisors), ``_undivided`` (the keys of a list that no key
-of another list divides, in one loop), ``_lcm``, ``_colon`` and ``_colons``
-(one key's colon of every key in a list that misses a skip mask, in one
-loop), ``_radical`` (the squarefree key of a key's support), ``_product``
-(with its overflow check), ``_degree`` (the byte sum, no exponent tuple),
-``_by_degree`` (keys grouped by degree, by one modulo where the degrees are
-small), ``_variables`` (the keys that are single variables, by a bit test
-rather than a degree) and ``_variable_mask`` (one AND tests divisibility by
-any of a set of variables).
+against a list of divisors), ``_lookup_divisor`` (the same from a table of
+divisors of one degree, by the key and its quotients by each variable),
+``_undivided`` (the keys of a list that no key of another list divides, in
+one loop), ``_lcm``, ``_colon`` and ``_colons`` (one key's colon of every
+key in a list that misses a skip mask, in one loop),
+``_colons_and_variables`` (the colons, and in the same loop the
+single-variable ones with their first indices), ``_radical`` (the
+squarefree key of a key's support), ``_product`` (with its overflow check),
+``_degree`` (the byte sum, no exponent tuple), ``_by_degree`` (keys grouped
+by degree, by one modulo where the degrees are small), ``_variables`` (the
+keys that are single variables, by a bit test rather than a degree) and
+``_variable_mask`` (one AND tests divisibility by any of a set of
+variables).
 The public operators check both grids, then call them; loops over keys whose
 grid was checked where they entered call them directly.
 """
@@ -121,6 +125,30 @@ def _first_divisor(key: int, divisors, shape: GridShape) -> int:
     return -1
 
 
+def _lookup_divisor(key: int, firsts: dict, shape: GridShape) -> int:
+    """The least index that firsts, a dict from keys all of one degree d to
+    indices, gives a divisor of key, or -1 when the lookups find none.
+
+    The lookups are key itself and key / x for every variable x dividing
+    key (the set bits of ``_radical``).  A key of degree d has no divisor
+    of degree d but itself, and one of degree d + 1 none but its quotients
+    by a variable, so for those two degrees the result is the least index
+    of every divisor in firsts.  Any other degree finds none.
+    """
+    i = firsts.get(key)
+    if i is not None:
+        return i
+    guard = shape._guard
+    support = (((key | guard) - (guard >> 7)) & guard) >> 7
+    while support:
+        x = support & -support
+        support ^= x
+        j = firsts.get(key - x)
+        if j is not None and (i is None or j < i):
+            i = j
+    return -1 if i is None else i
+
+
 def _undivided(keys, divisors, shape: GridShape) -> list:
     """The keys of keys that no key of the list divisors divides, in order.
 
@@ -161,6 +189,24 @@ def _colons(keys, f: int, shape: GridShape, skip: int = 0) -> list:
         ge = d & guard
         colons.append(d & (ge - (ge >> 7)))
     return colons
+
+
+def _colons_and_variables(keys, f: int, shape: GridShape):
+    """``_colons(keys, f)``, and in the same loop each colon that is a
+    single variable (``_variables``' bit test) mapped to the index of its
+    first occurrence, in first-seen order."""
+    guard = shape._guard
+    ones = guard >> 7
+    colons = []
+    firsts = {}
+    for k in keys:
+        d = (k | guard) - f
+        ge = d & guard
+        c = d & (ge - (ge >> 7))
+        if c & ones and not c & (c - 1) and c not in firsts:
+            firsts[c] = len(colons)
+        colons.append(c)
+    return colons, firsts
 
 
 def _radical(key: int, shape: GridShape) -> int:

@@ -10,7 +10,10 @@ plain ``+``, ``*`` and ``% p``: ``Polynomial._plus`` runs it for ``+``,
 ``-``, negation, ``times_term`` and ``monic``, and ``groebner._reduce`` for
 each division step.  A shift past exponent 127 raises ``DomainError``
 naming the first term, in descending order, that overflows.  Products
-accumulate packed keys in a dict.
+accumulate packed keys in a dict, again in plain ``+`` and ``*``, with one
+``% p`` per term of the result; one check of each left term against the
+right factor's bytewise max key stands for the overflow check of its row.
+The field's own methods stay for input and division.
 """
 
 from __future__ import annotations
@@ -193,19 +196,27 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         shape = self.shape
-        field = self.field
-        right = tuple(zip(other.keys, other.coeffs))
+        p = self.field.characteristic
+        envelope, right = _row(shape, other.keys, other.coeffs)
         acc = {}
+        get = acc.get
         for ka, ca in zip(self.keys, self.coeffs):
+            try:
+                _product(ka, envelope, shape)
+            except DomainError:
+                for kb, _ in right:
+                    _product(ka, kb, shape)  # raises, naming the first term that overflows
+                raise
             for kb, cb in right:
-                k = _product(ka, kb, shape)
-                c = field.add(acc.get(k, field.zero), field.mul(ca, cb))
-                if field.is_zero(c):
-                    acc.pop(k, None)
-                else:
-                    acc[k] = c
-        keys = sorted(acc)
-        return Polynomial(shape, field, keys, [acc[k] for k in keys])
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        keys, coeffs = [], []
+        for k in sorted(acc):
+            c = acc[k] % p if p else acc[k]
+            if c:
+                keys.append(k)
+                coeffs.append(c)
+        return Polynomial(shape, self.field, keys, coeffs)
 
     def monic(self) -> "Polynomial":
         if self.is_zero or self.coeffs[-1] == 1:

@@ -36,12 +36,13 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, EngineError, ResourceLimitError, ShapeMismatchError
+from .errors import DomainError, EngineError, ResourceLimitError, ShapeMismatchError, _require
 from .ideals import MonomialIdeal
 from .monomials import (
     GridMonomial,
     GridShape,
     _colons,
+    _colons_and_variables,
     _product,
     _radical,
     _undivided,
@@ -76,12 +77,6 @@ class QuotientChain:
         return (0,) + tuple(len(step) for step in self.steps)
 
 
-def _require(value, kind, what: str):
-    """DomainError unless value is a kind: the type check of a public entry."""
-    if not isinstance(value, kind):
-        raise DomainError(f"not a {what}: {value!r}")
-
-
 def quotient_chain(ideal: MonomialIdeal) -> QuotientChain:
     """Brute-force colon chain along the ideal's canonical generator order."""
     _require(ideal, MonomialIdeal, "monomial ideal")
@@ -109,12 +104,11 @@ def _linear_quotients(keys, shape: GridShape):
     """
     walk = []
     for j, key in enumerate(keys):
-        colons = _colons(keys[:j], key, shape)
-        variables = dict.fromkeys(_variables(colons, shape))
-        mask = _variable_mask(variables)
+        colons, firsts = _colons_and_variables(keys[:j], key, shape)
+        mask = _variable_mask(firsts)
         if any(not c & mask for c in colons):
             return None
-        walk.append({v: colons.index(v) for v in variables})
+        walk.append(firsts)
     return walk
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import comb
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _require
 from .fields import make_field
 from .ideals import MonomialIdeal
 from .monomials import _degree, _divides, _from_key, _lcm, _radical
@@ -224,6 +224,8 @@ def betti_table(
     that is a single full simplex is contractible and skipped (unless it is a
     bare point-free complex, which marks a minimal generator).
     """
+    _require(ideal, MonomialIdeal, "monomial ideal")
+    _require(caps, Caps, "Caps")
     if ideal.is_zero:
         raise DomainError("Betti table of the zero ideal is undefined")
     if len(ideal) > caps.max_oracle_gens:
@@ -250,6 +252,7 @@ def _cone(ideal: MonomialIdeal, characteristic: int):
     from the ideal's one V_j walk.  The count does not depend on the field:
     ``characteristic`` is validated and labels the table.
     """
+    _require(ideal, MonomialIdeal, "monomial ideal")
     make_field(characteristic)
     if ideal.is_zero:
         raise DomainError("Betti table of the zero ideal is undefined")
@@ -281,4 +284,5 @@ def betti(
 ) -> BettiTable:
     """Graded Betti table: the mapping cone when the canonical generator
     order has linear quotients, the homology oracle otherwise."""
+    _require(caps, Caps, "Caps")
     return _cone(ideal, characteristic) or betti_table(ideal, characteristic, caps)

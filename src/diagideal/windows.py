@@ -127,9 +127,19 @@ class ColumnSelection:
         return "(" + ",".join(str(c) for c in self.cols) + ")"
 
 
+def _selection(cols) -> ColumnSelection:
+    """cols as a ColumnSelection; DomainError unless it is one or iterable."""
+    if isinstance(cols, ColumnSelection):
+        return cols
+    try:
+        return ColumnSelection(tuple(cols))
+    except TypeError:
+        raise DomainError(f"columns must be iterable, got {cols!r}") from None
+
+
 def diagonal_monomial(shape: GridShape, cols) -> GridMonomial:
     """The monomial taking column cols[i-1] in row i."""
-    selection = cols if isinstance(cols, ColumnSelection) else ColumnSelection(tuple(cols))
+    selection = _selection(cols)
     selection.check_against(shape)
     return GridMonomial.from_exponents(
         shape, {(i, c): 1 for i, c in enumerate(selection.cols, start=1)}
@@ -202,7 +212,7 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
     diagonal term leads (Sturmfels and Zelevinsky, Adv. Math. 98, 1993);
     that is checked once per expansion, and ``EngineError`` raised if not.
     """
-    selection = cols if isinstance(cols, ColumnSelection) else ColumnSelection(tuple(cols))
+    selection = _selection(cols)
     selection.check_against(shape)
     m = shape.rows
     if m > caps.max_minor_rows:

@@ -697,3 +697,26 @@ def test_broken_pipe_stays_quiet():
     assert out.splitlines() == ["x[1,1]*x[2,2]*x[3,3]*x[4,4]*x[5,5]*x[6,6]"]
     assert writer.wait() == EXIT_BROKEN_PIPE == 141
     assert "Traceback" not in err
+
+
+def test_three_factor_scan_is_true_and_repeats_byte_for_byte(tmp_path, capsys):
+    # Every three-factor chain up to 2x4 keeps in(P) = J with the natural
+    # generators as basis; the second scan in the process reads its
+    # products from the cache and must print the same records.
+    config = tmp_path / "caps.txt"
+    config.write_text("max_conjecture_factors = 3\n")
+    argv = (
+        "conjecture-scan", "--max-rows", "2", "--max-cols", "4", "--max-factors", "3",
+        "--caps", str(config), "--format", "json",
+    )
+    runs = []
+    for _ in range(2):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert any(len(r["chain"]) == 3 for r in records)
+        assert all(r["ini_equals_J"] and r["natural_gens_are_GB"] for r in records)
+        for r in records:
+            del r["millis"]
+        runs.append("\n".join(json.dumps(r) for r in records))
+    assert runs[0] == runs[1]

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product as iter_product
+from math import comb
 
 import pytest
 
@@ -29,7 +30,7 @@ from diagideal.groebner import (
     reduce,
     s_polynomial,
 )
-from diagideal.monomials import GridShape, parse_monomial
+from diagideal.monomials import GridMonomial, GridShape, parse_monomial
 from diagideal.polynomials import Polynomial
 from diagideal.quotients import quotient_chain
 from diagideal.resolution import mapping_cone_betti
@@ -432,3 +433,208 @@ def test_conjecture_check_rejects_oversized_bounds():
     chain = WindowChain.of((1, 8), (1, 8), (1, 8))
     with pytest.raises(ResourceLimitError):
         conjecture_check(shape, chain)
+
+
+def test_each_natural_product_is_multiplied_once(monkeypatch):
+    # Across a scan every column multiset, and the prefix multisets that
+    # three-factor products are built on, is multiplied once; a second scan
+    # in the same process multiplies nothing and gives the same verdicts.
+    caps = replace(DEFAULT_CAPS, max_conjecture_factors=3)
+    multiplied = []
+    real_mul = Polynomial.__mul__
+
+    def counting(self, other):
+        multiplied.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    groebner._products.clear()
+    first = list(conjecture_scan(2, 4, 3, caps=caps))
+    expected = set()
+    for shape in iter_shapes(2, 4):
+        for length in (2, 3):
+            for chain in iter_sorted_chains(shape, length):
+                per_window = [
+                    combinations(range(w.first, w.last + 1), shape.rows) for w in chain.windows
+                ]
+                for combo in iter_product(*per_window):
+                    multiset = tuple(sorted(combo))
+                    expected.update((shape, multiset[:n], GF) for n in range(2, length + 1))
+    assert set(groebner._products) == expected
+    assert len(multiplied) == len(expected)
+    second = list(conjecture_scan(2, 4, 3, caps=caps))
+    assert len(multiplied) == len(expected)
+    for verdict in first + second:
+        assert verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
+        del verdict["millis"]
+    assert first == second
+
+
+def test_natural_product_cache_is_keyed_by_field():
+    shape, chain = GridShape(2, 4), WindowChain.of((1, 3), (2, 4))
+    seven = make_field(7)
+    groebner._products.clear()
+    residues = natural_window_generators(shape, chain, seven)
+    again = natural_window_generators(shape, chain, make_field(7))
+    rational = natural_window_generators(shape, chain, QQ)
+    assert all(f is g for f, g in zip(residues, again))
+    assert not any(f is g for f, g in zip(residues, rational))
+    assert {field for _, _, field in groebner._products} == {seven, QQ}
+    for f, g in zip(rational, residues):
+        assert g.terms == tuple((m, c % 7) for m, c in f.terms)
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_three_factor_natural_products_match_brute_products(char):
+    # Built cold, then read back warm, every three-factor product equals
+    # the product of its minors multiplied in chain order.
+    field = make_field(char)
+    for shape in (GridShape(2, 4), GridShape(3, 4)):
+        groebner._products.clear()
+        for _ in range(2):
+            for chain in iter_sorted_chains(shape, 3):
+                got = natural_window_generators(shape, chain, field)
+                want = brute_naturals(shape, chain, field)
+                assert [g.terms for g in got] == [w.terms for w in want], (shape, chain, char)
+
+
+def test_natural_product_cache_stays_bounded(monkeypatch):
+    # A chain with more products than the bound empties the cache on
+    # overflow, never holds more than the bound, and still gives the
+    # brute products.
+    class Watched(dict):
+        sizes = []
+        clears = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.sizes.append(len(self))
+
+        def clear(self):
+            Watched.clears += 1
+            super().clear()
+
+    monkeypatch.setattr(groebner, "_PRODUCT_CACHE_SIZE", 5)
+    monkeypatch.setattr(groebner, "_products", Watched())
+    shape = GridShape(2, 4)
+    chain = WindowChain.of((1, 4), (1, 4), (1, 4))
+    got = natural_window_generators(shape, chain, GF)
+    assert max(Watched.sizes) == 5 and Watched.clears > 0
+    assert [g.terms for g in got] == [w.terms for w in brute_naturals(shape, chain, GF)]
+
+
+def scan_remainder(f, basis):
+    """Division by the first basis element, in list order, whose lead
+    divides the largest remaining term, on the public operators."""
+    field = f.field
+    remainder = Polynomial.zero(f.shape, field)
+    while f:
+        mono, c = f.terms[0]
+        g = next((g for g in basis if g.leading_monomial.divides(mono)), None)
+        if g is None:
+            term = Polynomial.from_terms(f.shape, field, [(mono, c)])
+            remainder, f = remainder + term, f - term
+        else:
+            scale = field.mul(c, field.invert(g.leading_coefficient))
+            f = f - g.times_term(mono / g.leading_monomial, scale)
+    return remainder
+
+
+def random_monomial(rng, shape, degree):
+    exps = [0] * shape.variable_count
+    for _ in range(degree):
+        exps[rng.randrange(len(exps))] += 1
+    return GridMonomial(shape, tuple(exps))
+
+
+def random_form(rng, shape, field, degree, terms):
+    """A polynomial of terms random monomials of the given degree."""
+    return Polynomial.from_terms(
+        shape,
+        field,
+        [(random_monomial(rng, shape, degree), rng.randint(1, 6)) for _ in range(terms)],
+    )
+
+
+@pytest.mark.parametrize("kind", ["one-degree", "mixed-degrees", "duplicate-leads"])
+@pytest.mark.parametrize("char", [0, 7])
+def test_lookup_division_matches_the_first_divisor_scan(kind, char):
+    # Leads of one degree d are looked up by the term and its quotients by
+    # each variable; the remainder must be the plain scan's for terms of
+    # degree d, d + 1 and d + 2, and for bases where the table is off.
+    rng = random.Random(f"{kind}/{char}")
+    field = make_field(char)
+    shape = GridShape(2, 3)
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        basis = [g for g in (random_form(rng, shape, field, d, 3) for _ in range(5)) if g]
+        if kind == "mixed-degrees":
+            basis.append(random_form(rng, shape, field, d + 1, 3))
+            rng.shuffle(basis)
+        if kind == "duplicate-leads":
+            lead = basis[0].leading_monomial
+            tail = random_form(rng, shape, field, d, 2)
+            basis.insert(rng.randrange(len(basis) + 1), Polynomial.from_terms(shape, field, [(lead, 1)]) + tail)
+            basis = [g for g in basis if g]
+        divisors = groebner._Basis(shape, field, basis)
+        assert (divisors.firsts is None) == (len({g.leading_monomial.degree for g in basis}) > 1)
+        f = sum(
+            (random_form(rng, shape, field, e, 4) for e in (d, d + 1, d + 2)),
+            Polynomial.zero(shape, field),
+        )
+        want = scan_remainder(f, basis)
+        assert reduce(f, basis) == want
+        divisors.firsts = None
+        assert groebner._reduce(f.keys, f.coeffs, divisors) == want
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])
+@pytest.mark.parametrize("char", [0, 32003])
+def test_anchor_pair_counts_are_the_first_betti_number(rows, cols, char):
+    # The 14 classical anchors of the groebner-scan benchmark: Gebauer-Moller
+    # reduces one S-pair per first syzygy of the maximal minors, m * C(n, m + 1)
+    # by Eagon-Northcott, however the divisors are found.
+    shape = GridShape(rows, cols)
+    gens = natural_window_generators(shape, WindowChain.of((1, cols)), make_field(char))
+    basis = buchberger(gens)
+    recorded = {(2, 2): 0, (2, 3): 2, (2, 4): 8, (2, 5): 20, (3, 3): 0, (3, 4): 3, (3, 5): 15}
+    assert basis.spairs_reduced == recorded[rows, cols] == rows * comb(cols, rows + 1)
+
+
+_S = GridShape(2, 4)
+_CHAIN = WindowChain.of((1, 3), (2, 4))
+_F = make_field(32003)
+_P = minor(_S, (1, 2), _F)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: buchberger(3),
+        lambda: buchberger([3]),
+        lambda: buchberger([_P], caps=3),
+        lambda: reduce(3, []),
+        lambda: reduce(_P, 3),
+        lambda: reduce(_P, [None]),
+        lambda: s_polynomial(3, 3),
+        lambda: s_polynomial(_P, "x"),
+        lambda: is_groebner_basis([3]),
+        lambda: is_groebner_basis(3),
+        lambda: initial_ideal([3]),
+        lambda: natural_window_generators(_S, 3, _F),
+        lambda: natural_window_generators(_S, _CHAIN, _F, caps=3),
+        lambda: natural_window_generators(3, _CHAIN, _F),
+        lambda: conjecture_check(_S, "x"),
+        lambda: conjecture_check(_S, _CHAIN, caps=3),
+        lambda: conjecture_check(None, _CHAIN),
+    ],
+    ids=[
+        "buchberger-int", "buchberger-list", "buchberger-caps", "reduce-f", "reduce-basis",
+        "reduce-element", "s-poly-int", "s-poly-string", "posthoc-list", "posthoc-int",
+        "initial-list", "naturals-chain", "naturals-caps", "naturals-shape", "check-chain",
+        "check-caps", "check-shape",
+    ],
+)
+def test_public_entries_raise_domain_error_for_wrong_types(call):
+    with pytest.raises(DomainError):
+        call()

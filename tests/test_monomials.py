@@ -12,6 +12,7 @@ from diagideal.monomials import (
     GridShape,
     _colon,
     _colons,
+    _colons_and_variables,
     _degree,
     _radical,
     _variable_mask,
@@ -241,6 +242,31 @@ def test_colons_is_colon_over_a_list():
                 GridMonomial(shape, tuple(max(a - b, 0) for a, b in zip(e, ef))).key for e in dense
             ]
         assert _colons([], keys[0], shape) == []
+
+
+def test_colons_and_variables_is_colons_with_first_variable_indices():
+    # The fused pass returns _colons(keys, f) and, in first-seen order, each
+    # colon that _variables keeps mapped to its first index in the colons.
+    rng = random.Random(31)
+    for shape in (GridShape(1, 1), GridShape(2, 5), GridShape(3, 8)):
+        n = shape.variable_count
+        for _ in range(20):
+            ef = tuple(rng.choice((0, 0, 1, 2, 64)) for _ in range(n))
+            dense = []
+            for _ in range(30):
+                # f times a variable, its square, two variables, or nothing,
+                # mixed with keys that f does not divide.
+                e = list(ef) if rng.random() < 0.7 else [rng.choice((0, 1, 3)) for _ in range(n)]
+                for _ in range(rng.choice((0, 1, 1, 1, 2))):
+                    e[rng.randrange(n)] += rng.choice((1, 1, 2))
+                dense.append(tuple(min(x, MAX_EXPONENT) for x in e))
+            keys = [GridMonomial(shape, e).key for e in dense]
+            f = GridMonomial(shape, ef).key
+            colons, firsts = _colons_and_variables(keys, f, shape)
+            assert colons == _colons(keys, f, shape)
+            variables = dict.fromkeys(_variables(colons, shape))
+            assert list(firsts.items()) == [(v, colons.index(v)) for v in variables]
+        assert _colons_and_variables([], f, shape) == ([], {})
 
 
 def test_colons_skips_the_keys_that_meet_the_mask():

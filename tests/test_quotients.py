@@ -354,6 +354,27 @@ def test_is_colon_sees_a_variable_that_divides_f():
         assert quotients._is_colon(shape, just_x, x, prefix, keys, {x2, x3y}, *_no_rest(just_x))
 
 
+def test_is_colon_shares_only_what_lies_in_the_rest():
+    # Two calls share rest_keys = (y^2,) and inside.  At the first, the
+    # colon x^2 : x = x passes by the closed variable x, which divides f;
+    # x does not lie in <y^2>, so the second call, whose closed ideal <y^2>
+    # lacks x, must still scan it against the rest and find it outside.
+    shape = GridShape(1, 2)
+    x, y, x2, xy, xy2, y2, y3 = (
+        parse_monomial(shape, t).key
+        for t in ("x[1,1]", "x[1,2]", "x[1,1]^2", "x[1,1]*x[1,2]", "x[1,1]*x[1,2]^2", "x[1,2]^2", "x[1,2]^3")
+    )
+    rest = (y2,)
+    first = MonomialIdeal._from_keys(shape, [x, y2])
+    assert quotients._brute_colon(shape, [x2, xy2], x) == first
+    second = MonomialIdeal._from_keys(shape, [y2])
+    assert quotients._brute_colon(shape, [xy, y3], y) != second
+    inside = set()
+    assert quotients._is_colon(shape, first, x, [x2, xy2], [], {x2, xy2}, rest, inside)
+    assert not quotients._is_colon(shape, second, y, [xy], [y3], {xy, y3}, rest, inside)
+    assert not quotients._is_colon(shape, second, y, [xy], [y3], {xy, y3}, rest, set())
+
+
 def test_quotient_chain_principal_and_zero():
     shape = GridShape(1, 2)
     principal = MonomialIdeal(shape, [parse_monomial(shape, "x[1,1]")])

@@ -341,3 +341,23 @@ def test_betti_table_rejects_wrong_type_arguments(call):
     table = BettiTable(0, {(0, 2): 1})
     with pytest.raises(DomainError):
         call(table)
+
+
+_IDEAL = window_product_ideal(GridShape(2, 4), (Window(1, 3), Window(2, 4)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: betti(3),
+        lambda: betti_table(3),
+        lambda: betti_table(_IDEAL, caps=3),
+        lambda: mapping_cone_betti("x"),
+        lambda: betti(_IDEAL, "x"),
+        lambda: betti(_IDEAL, caps=3),
+    ],
+    ids=["betti", "betti-table", "betti-table-caps", "cone", "betti-char", "betti-caps"],
+)
+def test_betti_entries_raise_domain_error_for_wrong_types(call):
+    with pytest.raises(DomainError):
+        call()

@@ -10,6 +10,7 @@ import diagideal.windows as windows
 from diagideal.errors import (
     ChainOrderError,
     DiagIdealError,
+    DomainError,
     EngineError,
     ResourceLimitError,
     SelectionError,
@@ -271,3 +272,20 @@ def test_sorted_chain_multiplicity():
 def test_check_against_rejects_a_non_shape(target):
     with pytest.raises(DiagIdealError):
         target.check_against(3)
+
+
+_S = GridShape(2, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: minor(_S, 3, QQ),
+        lambda: diagonal_monomial(_S, 3),
+        lambda: diagonal_monomial(_S, None),
+    ],
+    ids=["minor-cols", "diagonal-int", "diagonal-none"],
+)
+def test_window_entries_raise_domain_error_for_wrong_types(call):
+    with pytest.raises(DomainError):
+        call()
