@@ -8,13 +8,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, _require
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2**62 cap."""
+    """Deterministic Miller-Rabin, valid far beyond the 2**62 cap;
+    DomainError unless n is an integer."""
+    _require(n, int, "integer")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -131,7 +133,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise DomainError("division by zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

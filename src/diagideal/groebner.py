@@ -13,8 +13,8 @@ work list.  While every lead has one degree d, as the leads of the natural
 generators do, the basis keeps a table from each lead to its first index:
 a term of degree d or d + 1 has no divisor of degree d but itself or its
 quotient by one variable, so a few dict lookups find the same first
-divisor, and only a term they miss is scanned.  A division that would pass
-exponent 127 raises ``DomainError``.
+divisor, and a term they miss is scanned only when its degree is higher.
+A division that would pass exponent 127 raises ``DomainError``.
 
 S-pairs are pruned by the Gebauer-Moller update (Gebauer and Moller, J.
 Symbolic Comput. 6, 1988), run on the packed lead keys: criteria M and F
@@ -42,6 +42,13 @@ then the sum of the |V_j|, the first total Betti number of J.  Whenever the
 certificate cannot decide (a nonzero remainder, no linear quotients, or more
 pairs than ``caps.max_spairs``) the check falls back to ``buchberger``, which
 gives false verdicts their witness and reports Gebauer-Moller's pair count.
+
+Chains share most of their S-pairs, so each distinct pair is reduced once
+per process.  A reduction to zero is recorded in a bounded process-wide
+table, keyed by (grid, characteristic, the pair's two column multisets)
+and emptied when full, with the multisets of the divisors it used; a later
+chain whose kept generators include those divisors takes the pair as
+reduced.
 """
 
 from __future__ import annotations
@@ -133,14 +140,17 @@ class _Basis:
         return other
 
 
-def _reduce(keys, coeffs, basis: _Basis) -> Polynomial:
+def _reduce(keys, coeffs, basis: _Basis, used: set | None = None) -> Polynomial:
     """The division kernel: the remainder of the polynomial held in
     ascending ``keys`` and ``coeffs`` on division by the basis.
 
     The largest term is cancelled against the first element, in list order,
     whose lead divides it; a term no lead divides goes to the remainder.
-    While the leads share one degree that element is looked up in
-    ``basis.firsts`` first; only a term the lookups miss is scanned.
+    While the leads share one degree d that element is looked up in
+    ``basis.firsts`` first.  A miss is final for a term of degree at most
+    d + 1, which has no divisor the lookups skip; only a term of higher
+    degree is then scanned.  Given a set ``used``, the index of every
+    element cancelled with is added to it.
     """
     keys, coeffs = list(keys), list(coeffs)
     shape, leads, rows, firsts = basis.shape, basis.leads, basis.rows, basis.firsts
@@ -149,27 +159,32 @@ def _reduce(keys, coeffs, basis: _Basis) -> Polynomial:
     while keys:
         key = keys.pop()
         c = coeffs.pop()
-        i = -1 if firsts is None else _lookup_divisor(key, firsts, shape)
-        if i < 0:
+        if not firsts:
             i = _first_divisor(key, leads, shape)
+        else:
+            i = _lookup_divisor(key, firsts, shape)
+            if i < 0 and _degree(key, shape) > basis.degree + 1:
+                i = _first_divisor(key, leads, shape)
         if i < 0:
             rest_keys.append(key)
             rest_coeffs.append(c)
         else:
+            if used is not None:
+                used.add(i)
             keys, coeffs = _add_multiple(keys, coeffs, c, key - leads[i], rows[i], shape, p)
     return Polynomial(shape, basis.field, reversed(rest_keys), reversed(rest_coeffs))
 
 
 def _s_pair(basis: _Basis, i: int, j: int):
     """``s_polynomial`` of elements i and j, as ascending keys and coeffs."""
-    shape, field = basis.shape, basis.field
-    p = field.characteristic
+    shape, p = basis.shape, basis.field.characteristic
     lead_i, lead_j = basis.leads[i], basis.leads[j]
     lcm = _lcm(lead_i, lead_j, shape)
     # x^q * (element i, monic) without its lead, then minus x^q' * (element j,
-    # monic) without its lead: the two leads cancel at the lcm.
-    keys, coeffs = _add_multiple([], [], field.neg(field.one), lcm - lead_i, basis.rows[i], shape, p)
-    return _add_multiple(keys, coeffs, field.one, lcm - lead_j, basis.rows[j], shape, p)
+    # monic) without its lead: the two leads cancel at the lcm.  The rows hold
+    # negated tails, and -1 and 1 act as field elements under + and *.
+    keys, coeffs = _add_multiple([], [], -1, lcm - lead_i, basis.rows[i], shape, p)
+    return _add_multiple(keys, coeffs, 1, lcm - lead_j, basis.rows[j], shape, p)
 
 
 def _polynomials(polys) -> list:
@@ -426,6 +441,13 @@ def natural_window_generators(
     _require(chain, WindowChain, "window chain")
     _require(caps, Caps, "Caps")
     chain.check_against(shape)
+    return [poly for _, poly in _natural_products(shape, chain, field, caps)]
+
+
+def _natural_products(shape: GridShape, chain: WindowChain, field, caps: Caps) -> list:
+    """``natural_window_generators`` on checked arguments, each product
+    paired with its column multiset, the sorted tuple of column sets that
+    names it."""
     per_window = [
         list(combinations(range(w.first, w.last + 1), shape.rows)) for w in chain.windows
     ]
@@ -441,31 +463,54 @@ def natural_window_generators(
         if multiset in seen:
             continue
         seen.add(multiset)
-        products.append(_natural_product(shape, multiset, field, minors))
+        products.append((multiset, _natural_product(shape, multiset, field, minors)))
     return products
+
+
+# (rows, cols, characteristic, multiset k, multiset j) -> frozenset of the
+# multisets whose products the S-polynomial of the natural products k and j
+# was reduced to zero with.  The grid is keyed by its dimensions, which hash
+# without the Python call a GridShape's hash makes.  One 3x6 three-factor
+# scan records under 5,000 pairs, so the bound holds one; past it
+# ``_certificate`` empties the table rather than let it grow.
+_certified = {}
+_CERTIFIED_SIZE = 8192
 
 
 def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     """The kept natural generators, one monic per lead in the product's
     canonical order, and the number of S-pairs reduced, when the
     linear-quotients certificate shows they form a Groebner basis; None
-    when it cannot decide.
+    when it cannot decide.  naturals lists (multiset, product) pairs, as
+    ``_natural_products`` gives them.
 
     The product's V_j walk (``quotients._linear_quotients``) records, per
     generator m_j, each single-variable colon m_k : m_j with its first k.
     When the product has linear quotients, its first syzygies are generated
     by the pairs (k, j) so recorded (Herzog and Takayama, Manuscripta Math.
-    2002).  Then
-    the kept set is a Groebner basis once those S-polynomials reduce to zero
-    over it (Moller, Mora and Traverso, ISSAC 1992), and the other naturals
-    lie in its ideal once they reduce to zero too.
+    2002).  Then the kept set G is a Groebner basis once each of those
+    S-polynomials has a standard representation over it (Moller, Mora and
+    Traverso, ISSAC 1992), and the other naturals lie in its ideal once
+    they reduce to zero over it.
+
+    A reduction of S(g_k, g_j) to zero writes it as a sum of multiples of
+    the divisors D it cancelled with, none leading above S: a standard
+    representation over D, and so over any set that contains D.  Each such
+    reduction is recorded in ``_certified`` under the pair's multisets, a
+    name that fixes the polynomials, with the multisets of D; a later chain
+    whose kept set contains D reuses it and reduces nothing.  Every other
+    pair is reduced over G.  A remainder that is not zero shows that G is
+    no Groebner basis, for over a Groebner basis every element of its ideal
+    reduces to zero, whichever divisor each step picks.  So the certificate
+    succeeds exactly when G is a Groebner basis, whichever pairs the
+    record holds, and the verdict and ``spairs`` do not depend on it.
     """
     shape = product.shape
     kept = {}
     duplicates = []
-    for g in naturals:
+    for multiset, g in naturals:
         g = g.monic()
-        if kept.setdefault(g.keys[-1], g) is not g:
+        if kept.setdefault(g.keys[-1], (multiset, g))[1] is not g:
             duplicates.append(g)
     keys = product.keys
     if tuple(sorted(kept, reverse=True)) != keys:
@@ -479,14 +524,29 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     pairs = [(k, j) for j, firsts in enumerate(walk) for k in firsts.values()]
     if len(pairs) > caps.max_spairs:
         return None
-    polys = [kept[k] for k in keys]
-    divisors = _Basis(shape, polys[0].field, polys)
+    names = [kept[k][0] for k in keys]
+    polys = [kept[k][1] for k in keys]
+    field = polys[0].field
+    p = field.characteristic
+    named = set(names)
+    rows, cols = shape.rows, shape.cols
+    misses = []
     for k, j in pairs:
-        if _reduce(*_s_pair(divisors, k, j), divisors):
-            return None
-    for g in duplicates:
-        if _reduce(g.keys, g.coeffs, divisors):
-            return None
+        recorded = _certified.get((rows, cols, p, names[k], names[j]))
+        if recorded is None or not recorded <= named:
+            misses.append((k, j))
+    if misses or duplicates:
+        divisors = _Basis(shape, field, polys)
+        for k, j in misses:
+            used = set()
+            if _reduce(*_s_pair(divisors, k, j), divisors, used):
+                return None
+            if len(_certified) >= _CERTIFIED_SIZE:
+                _certified.clear()
+            _certified[rows, cols, p, names[k], names[j]] = frozenset(names[i] for i in used)
+        for g in duplicates:
+            if _reduce(g.keys, g.coeffs, divisors):
+                return None
     return polys, len(pairs)
 
 
@@ -519,11 +579,11 @@ def conjecture_check(
         )
     field = make_field(characteristic)
     start = time.perf_counter()
-    naturals = natural_window_generators(shape, chain, field, caps)
+    naturals = _natural_products(shape, chain, field, caps)
     diagonal_product = window_product_ideal(shape, chain.windows)
     certified = _certificate(naturals, diagonal_product, caps)
     if certified is None:
-        basis = buchberger(naturals, caps)
+        basis = buchberger([g for _, g in naturals], caps)
         polys, spairs = basis.polys, basis.spairs_reduced
     else:
         polys, spairs = certified
@@ -540,7 +600,7 @@ def conjecture_check(
             "the Groebner engine is broken"
         )
 
-    natural_leads = {p.keys[-1] for p in naturals}
+    natural_leads = {g.keys[-1] for _, g in naturals}
     covered = all(p.keys[-1] in natural_leads for p in polys)
     equal = ini == diagonal_product
     millis = int((time.perf_counter() - start) * 1000)

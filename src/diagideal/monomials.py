@@ -111,6 +111,16 @@ def _lcm(a: int, b: int, shape: GridShape) -> int:
     return b + _excess(a, b, shape._guard)
 
 
+def _lcm_all(keys, shape: GridShape) -> int:
+    """The key of the lcm of all keys, 0 for none: ``_lcm`` folded over
+    them with the guard read once."""
+    guard = shape._guard
+    lcm = 0
+    for k in keys:
+        lcm = k + _excess(lcm, k, guard)
+    return lcm
+
+
 def _first_divisor(key: int, divisors, shape: GridShape) -> int:
     """Index of the first key in the list divisors that divides key, or -1.
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ShapeMismatchError
 from .fields import PrimeField, RationalField
-from .monomials import GridMonomial, GridShape, _from_key, _lcm, _product
+from .monomials import GridMonomial, GridShape, _from_key, _lcm_all, _product
 
 
 def _coefficient(field, value):
@@ -35,10 +35,7 @@ def _coefficient(field, value):
 def _row(shape: GridShape, keys, coeffs) -> tuple:
     """A merge row: ascending (key, coeff) pairs and the bytewise max of
     their keys, so that one product checks a whole shifted row."""
-    envelope = 0
-    for k in keys:
-        envelope = _lcm(envelope, k, shape)
-    return envelope, tuple(zip(keys, coeffs))
+    return _lcm_all(keys, shape), tuple(zip(keys, coeffs))
 
 
 def _add_multiple(keys, coeffs, c, q: int, row, shape: GridShape, p: int):

@@ -19,7 +19,6 @@ from diagideal.groebner import (
     buchberger,
     initial_ideal,
     is_groebner_basis,
-    natural_window_generators,
     reduce,
     s_polynomial,
 )
@@ -516,10 +515,14 @@ def certificate_vs_buchberger_suite(rng: random.Random, cases: int) -> int:
     while done < cases:
         shape, chain = rng.choice(_CERTIFICATE_CHAINS)
         field = rng.choice(_CERTIFICATE_FIELDS)
-        polys = natural_window_generators(shape, chain, field)
+        named = groebner._natural_products(shape, chain, field, DEFAULT_CAPS)
         if rng.random() < 0.5:
-            k = rng.randrange(len(polys))
-            polys[k] = polys[k] + _lower_term(rng, shape, field, polys[k].leading_monomial)
+            # a changed generator is no natural product: a fresh name keeps
+            # the certificate from reusing the reductions of its multiset
+            k = rng.randrange(len(named))
+            g = named[k][1]
+            named[k] = (object(), g + _lower_term(rng, shape, field, g.leading_monomial))
+        polys = [g for _, g in named]
         draws += 1
         product = window_product_ideal(shape, chain.windows)
         try:
@@ -527,7 +530,7 @@ def certificate_vs_buchberger_suite(rng: random.Random, cases: int) -> int:
         except ResourceLimitError:
             oversized += 1
             continue
-        claim = groebner._certificate(polys, product, DEFAULT_CAPS) is not None
+        claim = groebner._certificate(named, product, DEFAULT_CAPS) is not None
         assert claim == truth, (
             f"certificate says {claim}, Buchberger says {truth} for "
             f"{[str(g) for g in polys]} over {field} on {shape}"

@@ -23,6 +23,12 @@ def test_is_prime_larger():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+@pytest.mark.parametrize("n", ["x", None, 2.5], ids=["string", "none", "float"])
+def test_is_prime_raises_domain_error_for_a_non_integer(n):
+    with pytest.raises(DomainError):
+        is_prime(n)
+
+
 def test_rational_field_ops():
     field = RationalField()
     assert field.characteristic == 0

@@ -30,7 +30,7 @@ from diagideal.groebner import (
     reduce,
     s_polynomial,
 )
-from diagideal.monomials import GridMonomial, GridShape, parse_monomial
+from diagideal.monomials import GridMonomial, GridShape, _degree, parse_monomial
 from diagideal.polynomials import Polynomial
 from diagideal.quotients import quotient_chain
 from diagideal.resolution import mapping_cone_betti
@@ -327,8 +327,8 @@ def test_certificate_raises_when_natural_leads_miss_the_product(monkeypatch):
     # the natural generators lead with every diagonal product by
     # construction, so a missing lead is an engine bug
     shape = GridShape(2, 4)
-    real = groebner.natural_window_generators
-    monkeypatch.setattr(groebner, "natural_window_generators", lambda *args: real(*args)[1:])
+    real = groebner._natural_products
+    monkeypatch.setattr(groebner, "_natural_products", lambda *args: real(*args)[1:])
     with pytest.raises(EngineError):
         conjecture_check(shape, WindowChain.of((1, 4)))
 
@@ -383,15 +383,18 @@ def test_conjecture_check_falls_back_when_the_certificate_fails(monkeypatch):
     # A term below the lead of one minor keeps every lead but breaks the
     # Groebner basis: the certificate cannot decide and buchberger, with its
     # Gebauer-Moller pair count, gives the false verdict and its witness.
+    # The changed generator is no natural product, so it gets a fresh name
+    # that no recorded reduction holds.
     shape = GridShape(2, 3)
     chain = WindowChain.of((1, 3))
     product = window_product_ideal(shape, chain.windows)
-    real = groebner.natural_window_generators
-    naturals = real(shape, chain, GF)
-    naturals[2] = naturals[2] + poly(shape, GF, ("x[2,1]", 1))
-    assert groebner._certificate(naturals, product, DEFAULT_CAPS) is None
+    real = groebner._natural_products
+    named = real(shape, chain, GF, DEFAULT_CAPS)
+    named[2] = (object(), named[2][1] + poly(shape, GF, ("x[2,1]", 1)))
+    naturals = [g for _, g in named]
+    assert groebner._certificate(named, product, DEFAULT_CAPS) is None
 
-    monkeypatch.setattr(groebner, "natural_window_generators", lambda *args: list(naturals))
+    monkeypatch.setattr(groebner, "_natural_products", lambda *args: list(named))
     verdict = conjecture_check(shape, chain)
     basis = buchberger(naturals)
     ini = initial_ideal(basis)
@@ -410,12 +413,13 @@ def test_conjecture_check_falls_back_when_the_certificate_fails(monkeypatch):
 
     # Where the certificate would decide, a forced fallback keeps the verdict
     # and reports Gebauer-Moller's count, which here exceeds the Betti number.
-    monkeypatch.setattr(groebner, "natural_window_generators", real)
+    monkeypatch.setattr(groebner, "_natural_products", real)
     shape, chain = GridShape(2, 6), WindowChain.of((1, 3), (1, 4))
     certified = conjecture_check(shape, chain)
     monkeypatch.setattr(groebner, "_certificate", lambda *args: None)
     fallback = conjecture_check(shape, chain)
-    assert fallback["spairs"] == buchberger(real(shape, chain, GF)).spairs_reduced == 25
+    naturals = natural_window_generators(shape, chain, GF)
+    assert fallback["spairs"] == buchberger(naturals).spairs_reduced == 25
     assert certified["spairs"] == 24
     for verdict in (certified, fallback):
         del verdict["millis"], verdict["spairs"]
@@ -498,28 +502,34 @@ def test_three_factor_natural_products_match_brute_products(char):
                 assert [g.terms for g in got] == [w.terms for w in want], (shape, chain, char)
 
 
+class Watched(dict):
+    """A dict that records its size after every store and counts its clears."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+        self.clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.sizes.append(len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
 def test_natural_product_cache_stays_bounded(monkeypatch):
     # A chain with more products than the bound empties the cache on
     # overflow, never holds more than the bound, and still gives the
     # brute products.
-    class Watched(dict):
-        sizes = []
-        clears = 0
-
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
-            self.sizes.append(len(self))
-
-        def clear(self):
-            Watched.clears += 1
-            super().clear()
-
+    products = Watched()
     monkeypatch.setattr(groebner, "_PRODUCT_CACHE_SIZE", 5)
-    monkeypatch.setattr(groebner, "_products", Watched())
+    monkeypatch.setattr(groebner, "_products", products)
     shape = GridShape(2, 4)
     chain = WindowChain.of((1, 4), (1, 4), (1, 4))
     got = natural_window_generators(shape, chain, GF)
-    assert max(Watched.sizes) == 5 and Watched.clears > 0
+    assert max(products.sizes) == 5 and products.clears > 0
     assert [g.terms for g in got] == [w.terms for w in brute_naturals(shape, chain, GF)]
 
 
@@ -586,6 +596,143 @@ def test_lookup_division_matches_the_first_divisor_scan(kind, char):
         assert reduce(f, basis) == want
         divisors.firsts = None
         assert groebner._reduce(f.keys, f.coeffs, divisors) == want
+
+
+def scan_chains():
+    """The chains of the groebner-scan benchmark: every chain of at most two
+    windows over 2x6 and 3x5."""
+    return [
+        (shape, chain)
+        for shape in (GridShape(2, 6), GridShape(3, 5))
+        for length in (1, 2)
+        for chain in iter_sorted_chains(shape, length)
+    ]
+
+
+def test_lookup_misses_at_degree_d_and_d_plus_one_match_the_scan(monkeypatch):
+    # A lookup miss is final for a term of the leads' degree d or d + 1, so
+    # the table's division scans only terms of higher degree.  Every
+    # division on the groebner-scan benchmark's instances, the certificate
+    # on each chain with nothing recorded and Buchberger with its post-hoc
+    # check on each anchor, leaves the plain scan's remainder.  The
+    # certificate's S-polynomials all have degree d + 1 and scan nothing;
+    # the anchors leave remainders and scan terms of degree d + 2.
+    scans = []
+    scan = groebner._first_divisor
+    monkeypatch.setattr(groebner, "_first_divisor", lambda key, *args: scans.append(key) or scan(key, *args))
+    real = groebner._reduce
+    table = {"divisions": 0, "remainders": 0, "scans": 0}
+
+    def against_the_scan(keys, coeffs, basis, used=None):
+        scans.clear()
+        got = real(keys, coeffs, basis, used)
+        if basis.firsts:
+            assert all(_degree(key, basis.shape) > basis.degree + 1 for key in scans)
+            table["divisions"] += 1
+            table["remainders"] += bool(got)
+            table["scans"] += len(scans)
+            plain = groebner._Basis(basis.shape, basis.field)
+            plain.leads, plain.rows, plain.firsts = basis.leads, basis.rows, None
+            assert got == real(keys, coeffs, plain)
+        return got
+
+    monkeypatch.setattr(groebner, "_reduce", against_the_scan)
+    for shape, chain in scan_chains():
+        monkeypatch.setattr(groebner, "_certified", {})
+        conjecture_check(shape, chain)
+    assert table["divisions"] > 5000 and table["scans"] == 0
+    for rows, cols in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)]:
+        for field in (QQ, GF):
+            gens = natural_window_generators(GridShape(rows, cols), WindowChain.of((1, cols)), field)
+            assert is_groebner_basis(buchberger(gens).polys)
+    assert table["remainders"] and table["scans"]
+
+
+def clean(verdict):
+    verdict = dict(verdict)
+    del verdict["millis"]
+    return verdict
+
+
+def test_certified_pairs_change_no_verdict_in_any_scan_order(monkeypatch):
+    # Each chain checked on an empty record gives the reference verdicts.
+    # Scans in two shuffled orders, and then a repeat that finds every pair
+    # recorded and builds no S-polynomial, give the same verdicts, spairs
+    # included.
+    chains = scan_chains()
+    reference = []
+    for shape, chain in chains:
+        monkeypatch.setattr(groebner, "_certified", {})
+        reference.append(clean(conjecture_check(shape, chain)))
+    monkeypatch.setattr(groebner, "_certified", {})
+    for seed in (1, 2):
+        order = list(range(len(chains)))
+        random.Random(seed).shuffle(order)
+        for i in order:
+            assert clean(conjecture_check(*chains[i])) == reference[i]
+    s_pairs = []
+    real = groebner._s_pair
+    monkeypatch.setattr(groebner, "_s_pair", lambda *args: s_pairs.append(args) or real(*args))
+    for i in order:
+        assert clean(conjecture_check(*chains[i])) == reference[i]
+    assert not s_pairs
+
+
+def test_a_recorded_pair_is_reused_only_when_its_divisors_are_kept(monkeypatch):
+    # The 20 S-pairs of the 2x5 maximal minors are reduced on an empty
+    # record and on none after.  A pair whose record names a multiset the
+    # chain lacks, here a product of two minors, is reduced again and
+    # recorded afresh.
+    monkeypatch.setattr(groebner, "_certified", {})
+    reductions = []
+    real = groebner._reduce
+    monkeypatch.setattr(groebner, "_reduce", lambda *args: reductions.append(args) or real(*args))
+    shape, chain = GridShape(2, 5), WindowChain.of((1, 5))
+    first = clean(conjecture_check(shape, chain))
+    assert len(reductions) == first["spairs"] == len(groebner._certified) == 20
+    reductions.clear()
+    assert clean(conjecture_check(shape, chain)) == first
+    assert not reductions
+    pair, recorded = next(iter(groebner._certified.items()))
+    groebner._certified[pair] = recorded | {((1, 2), (1, 2))}
+    assert clean(conjecture_check(shape, chain)) == first
+    assert len(reductions) == 1
+    assert groebner._certified[pair] == recorded
+
+
+def test_each_record_is_a_reduction_to_zero_over_its_divisors(monkeypatch):
+    # Division over the recorded divisors alone, in the kept order, takes
+    # the same steps as over the whole kept set and so leaves zero: the
+    # record is a standard representation over any set that holds them.
+    monkeypatch.setattr(groebner, "_certified", {})
+    shape, chain = GridShape(2, 6), WindowChain.of((1, 4), (2, 6))
+    assert conjecture_check(shape, chain)["natural_gens_are_GB"]
+    named = dict(groebner._natural_products(shape, chain, GF, DEFAULT_CAPS))
+    assert len(groebner._certified) > 20
+    for (*_, k, j), divisors in groebner._certified.items():
+        kept = sorted((named[m] for m in divisors), key=lambda g: g.keys[-1], reverse=True)
+        assert kept and not reduce(s_polynomial(named[k], named[j]), kept)
+
+
+def test_certified_pairs_stay_bounded(monkeypatch):
+    # A chain with more S-pairs than the bound empties the record on
+    # overflow, never holds more than the bound, and keeps its verdict.
+    shape, chain = GridShape(2, 5), WindowChain.of((1, 5))
+    monkeypatch.setattr(groebner, "_certified", {})
+    unbounded = clean(conjecture_check(shape, chain))
+    certified = Watched()
+    monkeypatch.setattr(groebner, "_CERTIFIED_SIZE", 5)
+    monkeypatch.setattr(groebner, "_certified", certified)
+    assert clean(conjecture_check(shape, chain)) == unbounded
+    assert max(certified.sizes) == 5 and certified.clears > 0
+
+
+def test_certified_pairs_bound_holds_a_two_factor_scan_up_to_3x6(monkeypatch):
+    # The default-caps scan records 1,796 pairs without emptying the record.
+    monkeypatch.setattr(groebner, "_certified", {})
+    records = list(conjecture_scan(3, 6, 2))
+    assert all("skipped" not in r for r in records)
+    assert len(groebner._certified) == 1796 < groebner._CERTIFIED_SIZE
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])

@@ -14,6 +14,7 @@ from diagideal.monomials import (
     _colons,
     _colons_and_variables,
     _degree,
+    _lcm_all,
     _radical,
     _variable_mask,
     _variables,
@@ -225,6 +226,19 @@ def test_radical_is_the_squarefree_support():
     for shape, exps in cases:
         radical = GridMonomial(shape, tuple(min(e, 1) for e in exps)).key
         assert _radical(GridMonomial(shape, exps).key, shape) == radical, exps
+
+
+def test_lcm_all_is_the_bytewise_max():
+    rng = random.Random(13)
+    picks = (0, 0, 1, 2, 63, 64, 126, MAX_EXPONENT)
+    for shape in (GridShape(1, 1), GridShape(2, 5), GridShape(3, 8)):
+        n = shape.variable_count
+        dense = [tuple(rng.choice(picks) for _ in range(n)) for _ in range(12)]
+        for size in (1, 2, 12):
+            keys = [GridMonomial(shape, e).key for e in dense[:size]]
+            top = tuple(map(max, zip(*dense[:size])))
+            assert _lcm_all(keys, shape) == GridMonomial(shape, top).key
+        assert _lcm_all([], shape) == 0
 
 
 def test_colons_is_colon_over_a_list():
