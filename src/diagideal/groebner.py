@@ -25,12 +25,6 @@ index.  ``is_groebner_basis`` is the unpruned all-pairs check, independent
 of the construction path.  The returned basis is the unique reduced one:
 monic, minimal, tails reduced, listed descending by leading monomial.
 
-The natural generators, one product of maximal minors per column
-multiset, come from a bounded process-wide cache keyed by (shape, sorted
-column multiset, field), emptied when full: chains share their products,
-and a three-factor product is its cached two-factor prefix times one
-minor.
-
 ``conjecture_check`` first tries a linear-quotients certificate.  The leads
 of the natural generators are the diagonal product J, and J has linear
 quotients in its canonical order, so its first syzygies come from one pair
@@ -74,7 +68,7 @@ from .monomials import (
 )
 from .polynomials import Polynomial, _add_multiple, _row
 from .quotients import _linear_quotients
-from .windows import WindowChain, minor, window_product_ideal
+from .windows import WindowChain, _minor_product, minor, window_product_ideal
 
 
 class _Basis:
@@ -85,8 +79,8 @@ class _Basis:
     of the tail of the i-th element made monic and negated.  While every
     lead has one degree, ``firsts`` maps each lead key to its first index,
     the table ``monomials._lookup_divisor`` reads.  A lead of another
-    degree sets it to None for good, ``without`` included; a None table
-    only means every divisor is found by scan.
+    degree sets it to None for good; a None table only means every divisor
+    is found by scan.
     """
 
     __slots__ = ("shape", "field", "leads", "rows", "firsts", "degree")
@@ -101,8 +95,16 @@ class _Basis:
         for g in polys:
             self.append(g)
 
-    def _add_lead(self, lead: int) -> None:
-        """Append a lead key; a lead of another degree drops the table."""
+    def append(self, g: Polynomial) -> None:
+        """Add a nonzero element checked to share the basis' grid and field;
+        a lead of another degree drops the table."""
+        p = self.field.characteristic
+        scale = -self.field.invert(g.coeffs[-1])
+        if p:
+            tail = [c * scale % p for c in g.coeffs[:-1]]
+        else:
+            tail = [c * scale for c in g.coeffs[:-1]]
+        lead = g.keys[-1]
         if self.firsts is not None:
             degree = _degree(lead, self.shape)
             if self.degree is None:
@@ -112,32 +114,7 @@ class _Basis:
             else:
                 self.firsts = None
         self.leads.append(lead)
-
-    def append(self, g: Polynomial) -> None:
-        """Add a nonzero element checked to share the basis' grid and field."""
-        p = self.field.characteristic
-        scale = -self.field.invert(g.coeffs[-1])
-        if p:
-            tail = [c * scale % p for c in g.coeffs[:-1]]
-        else:
-            tail = [c * scale for c in g.coeffs[:-1]]
-        self._add_lead(g.keys[-1])
         self.rows.append(_row(self.shape, g.keys[:-1], tail))
-
-    def without(self, idx: int) -> "_Basis":
-        """The same basis with element idx left out; the remaining leads
-        keep their one degree, so the table is rebuilt without a degree
-        test."""
-        other = _Basis(self.shape, self.field)
-        other.leads = self.leads[:idx] + self.leads[idx + 1 :]
-        other.rows = self.rows[:idx] + self.rows[idx + 1 :]
-        if self.firsts is None:
-            other.firsts = None
-        else:
-            for i, lead in enumerate(other.leads):
-                other.firsts.setdefault(lead, i)
-            other.degree = self.degree
-        return other
 
 
 def _reduce(keys, coeffs, basis: _Basis, used: set | None = None) -> Polynomial:
@@ -251,13 +228,7 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
     for g in gens:
         g._check_compatible(gens[0])
 
-    basis = []
-    seen = set()
-    for g in gens:
-        g = g.monic()
-        if (g.keys, g.coeffs) not in seen:
-            seen.add((g.keys, g.coeffs))
-            basis.append(g)
+    basis = list(dict.fromkeys(g.monic() for g in gens))
     divisors = _Basis(shape, field, basis)
 
     leads = divisors.leads  # packed lead key of each basis element
@@ -336,13 +307,16 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
 def _reduce_basis(shape, field, basis) -> tuple:
     """Canonicalize: minimal lead terms, tails reduced, descending order.
 
-    No lead of a minimal basis divides another, so reduction never changes a
-    lead term.  Each element is reduced against the others as they stand,
-    unreduced: the remainder keeps its lead, and no other term of it lies
-    in the initial ideal.  The monic element of the ideal with a given lead
-    and no other term in the initial ideal is unique (the difference of two
-    would be an element with no term there, hence zero), so the remainders,
-    made monic, are the reduced basis whichever divisors produced them.
+    Each element's tail is reduced over the minimal basis as it stands,
+    unreduced, and its lead put back.  A lead divides no monomial below it,
+    and every term the tail's reduction meets lies below the lead, so no
+    element is its own divisor, and the first divisor found is the first
+    among the others.  The result keeps its lead, and no other term of it
+    lies in the initial ideal.  The monic element of the ideal with a given
+    lead and no other term in the initial ideal is unique (the difference
+    of two would be an element with no term there, hence zero), so the
+    results, made monic, are the reduced basis whichever divisors produced
+    them.
     """
     minimal = []
     for g in sorted(basis, key=lambda g: g.keys[-1]):
@@ -350,11 +324,10 @@ def _reduce_basis(shape, field, basis) -> tuple:
             minimal.append(g)
     divisors = _Basis(shape, field, minimal)
     reduced = []
-    for idx, g in enumerate(minimal):
-        remainder = _reduce(g.keys, g.coeffs, divisors.without(idx))
-        if not remainder:
-            raise EngineError("minimal basis element reduced to zero")
-        reduced.append(remainder.monic())
+    for g in minimal:
+        tail = _reduce(g.keys[:-1], g.coeffs[:-1], divisors)
+        g = Polynomial(shape, field, tail.keys + g.keys[-1:], tail.coeffs + g.coeffs[-1:])
+        reduced.append(g.monic())
     reduced.sort(key=lambda g: g.keys[-1], reverse=True)
     return tuple(reduced)
 
@@ -393,38 +366,6 @@ def initial_ideal(basis) -> MonomialIdeal:
     return MonomialIdeal(shape, [g.leading_monomial for g in polys])
 
 
-# (shape, sorted column multiset, field) -> natural product of two or more
-# minors.  Products of different shapes never meet, and the largest grid the
-# conjecture caps allow, 3x6, has 1,750 multisets with three factors (about
-# 20 MiB of products), so the bound holds one such grid; past it
-# ``_natural_product`` empties the table rather than let it grow.
-_products = {}
-_PRODUCT_CACHE_SIZE = 2048
-
-
-def _natural_product(shape: GridShape, multiset: tuple, field, minors: dict) -> Polynomial:
-    """The product of the minors on the column sets of multiset, a sorted
-    tuple of them; minors maps each column set to its minor.
-
-    One column set gives its minor.  A product of more is looked up in
-    ``_products`` first; on a miss it is its prefix multiset's product,
-    found the same way, times the last minor, so chains share their
-    products and a three-factor product reuses its two-factor prefix.  The
-    product of the same polynomials is the same whatever order they are
-    multiplied in.
-    """
-    if len(multiset) == 1:
-        return minors[multiset[0]]
-    key = (shape, multiset, field)
-    poly = _products.get(key)
-    if poly is None:
-        poly = _natural_product(shape, multiset[:-1], field, minors) * minors[multiset[-1]]
-        if len(_products) >= _PRODUCT_CACHE_SIZE:
-            _products.clear()
-        _products[key] = poly
-    return poly
-
-
 def natural_window_generators(
     shape: GridShape, chain: WindowChain, field, caps: Caps = DEFAULT_CAPS
 ) -> list:
@@ -435,7 +376,7 @@ def natural_window_generators(
     scalar exactly when their multisets of column sets agree.  A combination
     whose multiset came earlier is skipped before it is multiplied.  Every
     column set of the chain goes through ``minor`` once, so its cap holds
-    on every call; the products come from ``_natural_product``'s
+    on every call; the products come from ``windows._minor_product``'s
     process-wide cache.
     """
     _require(chain, WindowChain, "window chain")
@@ -451,19 +392,15 @@ def _natural_products(shape: GridShape, chain: WindowChain, field, caps: Caps) -
     per_window = [
         list(combinations(range(w.first, w.last + 1), shape.rows)) for w in chain.windows
     ]
-    minors = {}
-    for column_sets in per_window:
-        for cols in column_sets:
-            if cols not in minors:
-                minors[cols] = minor(shape, cols, field, caps)
+    for cols in dict.fromkeys(cols for column_sets in per_window for cols in column_sets):
+        minor(shape, cols, field, caps)
     products = []
     seen = set()
     for combo in iter_product(*per_window):
         multiset = tuple(sorted(combo))
-        if multiset in seen:
-            continue
-        seen.add(multiset)
-        products.append((multiset, _natural_product(shape, multiset, field, minors)))
+        if multiset not in seen:
+            seen.add(multiset)
+            products.append((multiset, _minor_product(shape, multiset, field)))
     return products
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce, total_ordering
 from operator import or_
 
-from .errors import DomainError, FormatError, ShapeMismatchError
+from .errors import DomainError, FormatError, ShapeMismatchError, _require
 
 MAX_EXPONENT = 127
 
@@ -293,14 +293,16 @@ class GridMonomial:
     __slots__ = ("shape", "key")
 
     def __init__(self, shape: GridShape, exps: tuple):
-        if len(exps) != shape.variable_count:
-            raise DomainError("exponent tuple has wrong length for shape")
+        _require(shape, GridShape, "grid shape")
         try:
-            packed = bytes(exps)
+            # Through a tuple, since bytes(3) would be three zero bytes.
+            packed = bytes(tuple(exps))
         except (TypeError, ValueError):
             packed = None
         if packed is None or (packed and max(packed) > MAX_EXPONENT):
-            raise DomainError(f"exponents must be integers in 0..{MAX_EXPONENT}, got {tuple(exps)}")
+            raise DomainError(f"exponents must be integers in 0..{MAX_EXPONENT}, got {exps!r}")
+        if len(packed) != shape.variable_count:
+            raise DomainError("exponent tuple has wrong length for shape")
         self.shape = shape
         self.key = int.from_bytes(packed, "big")
 
@@ -308,7 +310,7 @@ class GridMonomial:
 
     @classmethod
     def unit(cls, shape: GridShape) -> "GridMonomial":
-        _check_grid(shape)
+        _require(shape, GridShape, "grid shape")
         return _from_key(shape, 0)
 
     @classmethod
@@ -318,7 +320,7 @@ class GridMonomial:
     @classmethod
     def from_exponents(cls, shape: GridShape, mapping) -> "GridMonomial":
         """Build from a sparse {(row, col): exponent} mapping, 1-based."""
-        _check_grid(shape)
+        _require(shape, GridShape, "grid shape")
         exps = [0] * shape.variable_count
         for (i, j), e in mapping.items():
             if not shape.contains(i, j):
@@ -433,11 +435,6 @@ class GridMonomial:
         return f"GridMonomial({self.shape.rows}x{self.shape.cols}, {self})"
 
 
-def _check_grid(shape) -> None:
-    if not isinstance(shape, GridShape):
-        raise DomainError(f"not a grid shape: {shape!r}")
-
-
 def _from_key(shape: GridShape, key: int) -> GridMonomial:
     """A monomial from a key already known to be in range."""
     mono = object.__new__(GridMonomial)
@@ -448,7 +445,7 @@ def _from_key(shape: GridShape, key: int) -> GridMonomial:
 
 def parse_monomial(shape: GridShape, text: str) -> GridMonomial:
     """Parse the ``x[i,j]^e * ...`` text form (``1`` for the unit)."""
-    _check_grid(shape)
+    _require(shape, GridShape, "grid shape")
     if not isinstance(text, str):
         raise FormatError(f"monomial text must be a string, got {text!r}")
     text = text.strip()

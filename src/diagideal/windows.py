@@ -4,6 +4,12 @@ A window is a block of consecutive columns wide enough to hold one variable
 per row.  Its diagonal monomials pick one variable per row with strictly
 increasing columns inside the window; they generate the window's diagonal
 ideal, and they are exactly the lead terms of the window's maximal minors.
+
+The natural generators of a window chain, one product of maximal minors per
+column multiset, come from one bounded process-wide cache,
+``_minor_product``, keyed by (shape, sorted column multiset, field): chains
+share their minors and products, and a three-factor product is its cached
+two-factor prefix times one cached minor.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .errors import (
     ResourceLimitError,
     SelectionError,
     WindowError,
+    _require,
 )
 from .ideals import MonomialIdeal
 from .monomials import GridMonomial, GridShape
@@ -45,8 +52,7 @@ class Window:
         return self.last - self.first + 1
 
     def check_against(self, shape: GridShape):
-        if not isinstance(shape, GridShape):
-            raise DomainError(f"not a grid shape: {shape!r}")
+        _require(shape, GridShape, "grid shape")
         if self.last > shape.cols:
             raise WindowError(
                 f"window ({self.first},{self.last}) exceeds {shape.cols} columns"
@@ -114,6 +120,7 @@ class ColumnSelection:
             raise SelectionError(f"columns must be >= 1, got {self.cols}")
 
     def check_against(self, shape: GridShape, window: Window | None = None):
+        _require(shape, GridShape, "grid shape")
         if len(self.cols) != shape.rows:
             raise SelectionError(
                 f"selection {self.cols} needs exactly {shape.rows} columns"
@@ -128,13 +135,14 @@ class ColumnSelection:
 
 
 def _selection(cols) -> ColumnSelection:
-    """cols as a ColumnSelection; DomainError unless it is one or iterable."""
+    """cols as a ColumnSelection; DomainError unless it is one or an
+    iterable of integer columns."""
     if isinstance(cols, ColumnSelection):
         return cols
     try:
         return ColumnSelection(tuple(cols))
     except TypeError:
-        raise DomainError(f"columns must be iterable, got {cols!r}") from None
+        raise DomainError(f"columns must be an iterable of integers, got {cols!r}") from None
 
 
 def diagonal_monomial(shape: GridShape, cols) -> GridMonomial:
@@ -148,20 +156,16 @@ def diagonal_monomial(shape: GridShape, cols) -> GridMonomial:
 
 def selection_of(monomial: GridMonomial) -> ColumnSelection | None:
     """Recover the column selection of a diagonal monomial, else None."""
-    if not monomial.is_squarefree:
-        return None
+    _require(monomial, GridMonomial, "grid monomial")
     support = monomial.support()
-    if len(support) != monomial.shape.rows:
-        return None
-    cols = []
-    for row, (i, j) in enumerate(support, start=1):
-        if i != row:
-            return None
-        cols.append(j)
-    for a, b in zip(cols, cols[1:]):
-        if a >= b:
-            return None
-    return ColumnSelection(tuple(cols))
+    cols = tuple(j for _, j in support)
+    if (
+        monomial.is_squarefree
+        and [i for i, _ in support] == list(range(1, monomial.shape.rows + 1))
+        and all(a < b for a, b in zip(cols, cols[1:]))
+    ):
+        return ColumnSelection(cols)
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -171,6 +175,7 @@ def enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
     Ascending lexicographic column tuples give exactly the descending
     monomial order, so plain combinations come out already sorted.
     """
+    _require(window, Window, "window")
     window.check_against(shape)
     diags = tuple(
         diagonal_monomial(shape, cols)
@@ -194,7 +199,10 @@ def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
 
 def window_product_ideal(shape: GridShape, windows) -> MonomialIdeal:
     """Product of the diagonal ideals of the given windows (unit if empty)."""
-    windows = tuple(windows)
+    try:
+        windows = tuple(windows)
+    except TypeError:
+        raise DomainError(f"not an iterable of windows: {windows!r}") from None
     if not windows:
         return MonomialIdeal.unit(shape)
     result = diagonal_ideal(shape, windows[0])
@@ -208,10 +216,9 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
 
     The expansion has m! signed terms; the cap keeps m small enough for that
     to stay reasonable.  Each (shape, columns, field) is expanded once per
-    process and the immutable result shared.  Under the grid order the
-    diagonal term leads (Sturmfels and Zelevinsky, Adv. Math. 98, 1993);
-    that is checked once per expansion, and ``EngineError`` raised if not.
+    process, by ``_minor_product``, and the immutable result shared.
     """
+    _require(caps, Caps, "Caps")
     selection = _selection(cols)
     selection.check_against(shape)
     m = shape.rows
@@ -220,14 +227,30 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
             f"minor expansion capped at {caps.max_minor_rows} rows, got {m}",
             snapshot={"rows": m},
         )
-    return _minor(shape, selection.cols, field)
+    return _minor_product(shape, (tuple(selection.cols),), field)
 
 
-@lru_cache(maxsize=None)
-def _minor(shape: GridShape, cols: tuple, field) -> Polynomial:
-    """The expansion behind ``minor``, on checked columns, with its
-    diagonal-lead check.  A raise is not cached, so a broken order raises
-    on every call."""
+# The largest grid the conjecture caps allow, 3x6, has 20 minors and 1,750
+# products of two or three of them (about 20 MiB), so the bound holds one
+# such grid.
+@lru_cache(maxsize=2048)
+def _minor_product(shape: GridShape, multiset: tuple, field) -> Polynomial:
+    """The product of the maximal minors on the column sets of multiset, a
+    sorted tuple of checked column sets.
+
+    One column set is expanded, and under the grid order its diagonal term
+    leads (Sturmfels and Zelevinsky, Adv. Math. 98, 1993); that is checked
+    once per expansion, and ``EngineError`` raised if not.  A raise is not
+    cached, so a broken order raises on every call.  A product of more
+    column sets is its prefix multiset's product times the last minor, both
+    read through this cache, so chains share their products and a
+    three-factor product reuses its two-factor prefix.  The product of the
+    same polynomials is the same whatever order they are multiplied in.
+    """
+    if len(multiset) > 1:
+        prefix = _minor_product(shape, multiset[:-1], field)
+        return prefix * _minor_product(shape, multiset[-1:], field)
+    (cols,) = multiset
     m = shape.rows
     terms = []
     for perm in permutations(range(m)):
@@ -249,6 +272,7 @@ def _minor(shape: GridShape, cols: tuple, field) -> Polynomial:
 
 def iter_windows(shape: GridShape):
     """All valid windows of the shape, ordered by (first, last)."""
+    _require(shape, GridShape, "grid shape")
     for first in range(1, shape.cols + 1):
         for last in range(first + 1, shape.cols + 1):
             if last - first + 1 >= shape.rows:
@@ -263,6 +287,7 @@ def iter_sorted_chains(shape: GridShape, length: int):
     the first coordinates nondecreasing, so only the last coordinates need a
     check.
     """
+    _require(length, int, "chain length")
     if length < 1:
         raise DomainError("chain length must be >= 1")
     windows = list(iter_windows(shape))

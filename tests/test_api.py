@@ -89,6 +89,27 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_process_wide_caches_are_lru_caches():
+    # A cache keyed by a call's arguments is a bounded functools.lru_cache.
+    # The one module-level dict is groebner's S-pair record, whose lookups
+    # test divisor sets for inclusion, which no argument key can do.
+    found = []
+    for path in sorted(Path(diagideal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "dict"
+                and not value.args
+                and not value.keywords
+            )
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and empty:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{path.stem}.{getattr(t, 'id', '?')}" for t in targets]
+    assert found == ["groebner._certified"]
+
+
 def test_only_monomials_knows_the_key_layout():
     # The guard bits and bytes of a packed key are read in monomials.py
     # alone; other modules go through its key helpers or the GridMonomial

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product as iter_product
 from math import comb
 
@@ -258,7 +259,8 @@ def test_natural_window_generators_match_brute_products():
 
 def test_each_minor_is_expanded_once(monkeypatch):
     # The scan asks for the same minors chain after chain; each
-    # (shape, columns, field) is expanded once and shared after that.
+    # (shape, columns, field) is expanded once and shared after that, in
+    # the one cache that also holds each two-factor product once.
     calls = []
     real_minor = groebner.minor
 
@@ -267,7 +269,7 @@ def test_each_minor_is_expanded_once(monkeypatch):
         return real_minor(shape, cols, field, caps)
 
     monkeypatch.setattr(groebner, "minor", counting)
-    windows._minor.cache_clear()
+    windows._minor_product.cache_clear()
     assert all(v["ini_equals_J"] for v in conjecture_scan(2, 5, 2))
     expected = {
         (shape, cols, GF)
@@ -275,10 +277,18 @@ def test_each_minor_is_expanded_once(monkeypatch):
         if shape.cols > 1
         for cols in combinations(range(1, shape.cols + 1), shape.rows)
     }
+    products = {
+        (shape, tuple(sorted(combo)))
+        for shape in iter_shapes(2, 5)
+        for chain in iter_sorted_chains(shape, 2)
+        for combo in iter_product(
+            *[combinations(range(w.first, w.last + 1), shape.rows) for w in chain.windows]
+        )
+    }
     assert set(calls) == expected and len(calls) > 2 * len(expected)
-    info = windows._minor.cache_info()
-    assert info.misses == info.currsize == len(expected)
-    assert info.hits == len(calls) - len(expected)
+    info = windows._minor_product.cache_info()
+    assert info.misses == info.currsize == len(expected) + len(products)
+    assert info.hits >= len(calls) - len(expected)
 
 
 def test_minor_cache_is_keyed_by_field():
@@ -331,15 +341,6 @@ def test_certificate_raises_when_natural_leads_miss_the_product(monkeypatch):
     monkeypatch.setattr(groebner, "_natural_products", lambda *args: real(*args)[1:])
     with pytest.raises(EngineError):
         conjecture_check(shape, WindowChain.of((1, 4)))
-
-
-def test_reduce_basis_raises_when_an_element_reduces_to_zero(monkeypatch):
-    # a minimal basis element reducing to zero is an engine fault
-    field = make_field(32003)
-    generators = natural_window_generators(GridShape(2, 3), WindowChain.of((1, 3)), field)
-    monkeypatch.setattr(groebner, "_reduce", lambda keys, coeffs, basis: [])
-    with pytest.raises(EngineError):
-        buchberger(generators)
 
 
 def test_reduce_keeps_the_exponent_bound():
@@ -452,8 +453,14 @@ def test_each_natural_product_is_multiplied_once(monkeypatch):
         return real_mul(self, other)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
-    groebner._products.clear()
+    windows._minor_product.cache_clear()
     first = list(conjecture_scan(2, 4, 3, caps=caps))
+    minors = {
+        (shape, cols)
+        for shape in iter_shapes(2, 4)
+        if shape.cols > 1
+        for cols in combinations(range(1, shape.cols + 1), shape.rows)
+    }
     expected = set()
     for shape in iter_shapes(2, 4):
         for length in (2, 3):
@@ -464,10 +471,12 @@ def test_each_natural_product_is_multiplied_once(monkeypatch):
                 for combo in iter_product(*per_window):
                     multiset = tuple(sorted(combo))
                     expected.update((shape, multiset[:n], GF) for n in range(2, length + 1))
-    assert set(groebner._products) == expected
+    info = windows._minor_product.cache_info()
+    assert info.misses == info.currsize == len(minors) + len(expected)
     assert len(multiplied) == len(expected)
     second = list(conjecture_scan(2, 4, 3, caps=caps))
     assert len(multiplied) == len(expected)
+    assert windows._minor_product.cache_info().misses == info.misses
     for verdict in first + second:
         assert verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
         del verdict["millis"]
@@ -477,13 +486,15 @@ def test_each_natural_product_is_multiplied_once(monkeypatch):
 def test_natural_product_cache_is_keyed_by_field():
     shape, chain = GridShape(2, 4), WindowChain.of((1, 3), (2, 4))
     seven = make_field(7)
-    groebner._products.clear()
+    windows._minor_product.cache_clear()
     residues = natural_window_generators(shape, chain, seven)
     again = natural_window_generators(shape, chain, make_field(7))
     rational = natural_window_generators(shape, chain, QQ)
     assert all(f is g for f, g in zip(residues, again))
     assert not any(f is g for f, g in zip(residues, rational))
-    assert {field for _, _, field in groebner._products} == {seven, QQ}
+    # Per field: five minors and the nine products of two of them.
+    info = windows._minor_product.cache_info()
+    assert len(residues) == 9 and info.misses == info.currsize == 2 * (5 + 9)
     for f, g in zip(rational, residues):
         assert g.terms == tuple((m, c % 7) for m, c in f.terms)
 
@@ -494,7 +505,7 @@ def test_three_factor_natural_products_match_brute_products(char):
     # the product of its minors multiplied in chain order.
     field = make_field(char)
     for shape in (GridShape(2, 4), GridShape(3, 4)):
-        groebner._products.clear()
+        windows._minor_product.cache_clear()
         for _ in range(2):
             for chain in iter_sorted_chains(shape, 3):
                 got = natural_window_generators(shape, chain, field)
@@ -520,16 +531,17 @@ class Watched(dict):
 
 
 def test_natural_product_cache_stays_bounded(monkeypatch):
-    # A chain with more products than the bound empties the cache on
-    # overflow, never holds more than the bound, and still gives the
-    # brute products.
-    products = Watched()
-    monkeypatch.setattr(groebner, "_PRODUCT_CACHE_SIZE", 5)
-    monkeypatch.setattr(groebner, "_products", products)
+    # A chain with more minors and products than the bound evicts from the
+    # cache, never holds more than the bound, and still gives the brute
+    # products.
+    small = lru_cache(maxsize=5)(windows._minor_product.__wrapped__)
+    monkeypatch.setattr(windows, "_minor_product", small)
+    monkeypatch.setattr(groebner, "_minor_product", small)
     shape = GridShape(2, 4)
     chain = WindowChain.of((1, 4), (1, 4), (1, 4))
     got = natural_window_generators(shape, chain, GF)
-    assert max(products.sizes) == 5 and products.clears > 0
+    info = small.cache_info()
+    assert info.currsize <= 5 < info.misses
     assert [g.terms for g in got] == [w.terms for w in brute_naturals(shape, chain, GF)]
 
 

@@ -3,10 +3,12 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
+from types import GeneratorType
 
 import pytest
 
 import diagideal.windows as windows
+from diagideal.caps import DEFAULT_CAPS
 from diagideal.errors import (
     ChainOrderError,
     DiagIdealError,
@@ -183,8 +185,6 @@ def test_minor_cap():
     shape = GridShape(3, 8)
     from dataclasses import replace
 
-    from diagideal.caps import DEFAULT_CAPS
-
     tiny = replace(DEFAULT_CAPS, max_minor_rows=2)
     with pytest.raises(ResourceLimitError):
         minor(shape, (1, 2, 3), QQ, caps=tiny)
@@ -196,7 +196,7 @@ def test_minor_raises_when_the_diagonal_does_not_lead(monkeypatch):
         windows, "diagonal_monomial", lambda shape, cols: GridMonomial.unit(shape)
     )
     # The lead is checked inside the cached expansion, so start it cold.
-    windows._minor.cache_clear()
+    windows._minor_product.cache_clear()
     try:
         with pytest.raises(EngineError):
             minor(shape, (1, 3), QQ)
@@ -204,7 +204,7 @@ def test_minor_raises_when_the_diagonal_does_not_lead(monkeypatch):
         with pytest.raises(EngineError):
             minor(shape, (1, 3), QQ)
     finally:
-        windows._minor.cache_clear()
+        windows._minor_product.cache_clear()
 
 
 def test_enumerate_diagonals_raises_when_out_of_order(monkeypatch):
@@ -289,3 +289,41 @@ _S = GridShape(2, 4)
 def test_window_entries_raise_domain_error_for_wrong_types(call):
     with pytest.raises(DomainError):
         call()
+
+
+def _drain(result):
+    """The result, with a generator run to its end."""
+    return list(result) if isinstance(result, GeneratorType) else result
+
+
+# Valid sample arguments of each typed windows entry.
+_ENTRIES = {
+    "minor": (minor, (_S, (1, 3), QQ, DEFAULT_CAPS)),
+    "diagonal_monomial": (diagonal_monomial, (_S, (1, 3))),
+    "selection_of": (selection_of, (diagonal_monomial(_S, (1, 3)),)),
+    "enumerate_diagonals": (enumerate_diagonals, (_S, Window(1, 3))),
+    "diagonal_ideal": (diagonal_ideal, (_S, Window(1, 3))),
+    "window_product_ideal": (window_product_ideal, (_S, (Window(1, 3), Window(2, 4)))),
+    "iter_windows": (iter_windows, (_S,)),
+    "iter_sorted_chains": (iter_sorted_chains, (_S, 2)),
+    "GridMonomial": (GridMonomial, (_S, (1, 0, 0, 0, 0, 0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("bad", [3, "x", None, 2.5], ids=["int", "str", "none", "float"])
+@pytest.mark.parametrize(
+    "name, position",
+    [(name, position) for name, (_, args) in _ENTRIES.items() for position in range(len(args))],
+)
+def test_window_entries_type_every_argument(name, position, bad):
+    # Each argument in turn is swapped for a value of another type; the
+    # call, its generator run to the end, raises DomainError.  A swap of
+    # the sample's own type is a valid argument and gives an answer.
+    func, args = _ENTRIES[name]
+    sample = args[position]
+    args = args[:position] + (bad,) + args[position + 1 :]
+    if type(bad) is type(sample):
+        _drain(func(*args))
+    else:
+        with pytest.raises(DomainError):
+            _drain(func(*args))
