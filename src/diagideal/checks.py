@@ -22,6 +22,7 @@ from .resolution import _cone, betti_table
 from .windows import (
     Window,
     WindowChain,
+    _report_header,
     iter_sorted_chains,
     iter_windows,
     window_product_ideal,
@@ -102,8 +103,7 @@ def product_chain_report(
     ]
     return {
         "check": "product-colon",
-        "shape": [shape.rows, shape.cols],
-        "chain": [[w.first, w.last] for w in chain.windows],
+        **_report_header(shape, chain),
         "steps": rendered,
         "ok": all(entry["equal"] for entry in entries),
     }
@@ -153,8 +153,7 @@ def theorem_report(
     expected = len(chain.windows) * shape.rows
     report = {
         "check": "linear-resolution",
-        "shape": [shape.rows, shape.cols],
-        "chain": [[w.first, w.last] for w in chain.windows],
+        **_report_header(shape, chain),
         "generators": len(product),
         "expected_reg": expected,
     }
@@ -192,11 +191,7 @@ def conjecture_scan(
     for shape in iter_shapes(max_rows, max_cols):
         for length in range(1, max_factors + 1):
             for chain in iter_sorted_chains(shape, length):
-                base = {
-                    "shape": [shape.rows, shape.cols],
-                    "chain": [[w.first, w.last] for w in chain.windows],
-                    "char": characteristic,
-                }
+                base = {**_report_header(shape, chain), "char": characteristic}
                 try:
                     yield conjecture_check(
                         shape, chain, characteristic=characteristic, caps=caps

@@ -4,10 +4,14 @@ Subcommands cover generation (diagonals, ideal-product), single
 computations (colon, betti, reg, groebner), verification sweeps
 (verify, conjecture-scan), and the golden-data replay (paper-replay).
 Output format and characteristic are set by flags only; a --caps file
-sets resource limits only.  Exit codes: 0 pass, 1 mismatch, 2 resource or
-config error, 141 (128 + SIGPIPE) when the reader of stdout goes away.  JSON
-output is one object per line, keys sorted, so identical invocations
-produce identical bytes (timing fields excepted).  The window product is
+sets resource limits only.  Every command builds one record per result
+and passes it, with its text lines if it renders its own, to ``emit``, the
+one place that reads the output format.  Exit codes: 0 pass, 1 mismatch,
+2 resource or config error, 141 (128 + SIGPIPE) when the reader of stdout
+goes away.  JSON output is one object per line, keys sorted, so identical
+invocations produce identical bytes (timing fields excepted); text output
+is the command's own lines, or else a one-line summary of the record, with
+the unequal steps of a report below it.  The window product is
 defined for windows in any order, so ideal-product, colon, betti and reg
 take unsorted chains (colon then has no closed form to compare); groebner
 and verify need a sorted chain.
@@ -32,12 +36,20 @@ from .monomials import GridShape
 from .quotients import _brute_colon, closed_form_colon, closed_form_product_colon
 from .replay import run_paper_replay
 from .resolution import betti, betti_table, mapping_cone_betti
-from .windows import Window, WindowChain, diagonal_ideal, enumerate_diagonals, window_product_ideal
+from .windows import (
+    Window,
+    WindowChain,
+    _report_header,
+    diagonal_ideal,
+    enumerate_diagonals,
+    window_product_ideal,
+)
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_RESOURCE = 2
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
+CHAIN = "K1,L1:K2,L2"  # the metavar of every --chain flag
 
 
 @dataclass
@@ -47,22 +59,15 @@ class RunConfig:
     stream: IO[str] = sys.stdout
 
 
-def emit(config: RunConfig, record: dict) -> None:
+def emit(config: RunConfig, record: dict, lines: list[str] | None = None) -> None:
+    """Write one result: json mode the record as one sorted-key line, text
+    mode the given lines, or the record's summary when there are none."""
     if config.format == "json":
-        config.stream.write(json.dumps(record, sort_keys=True) + "\n")
-        return
-    for line in _text_lines(record):
+        lines = [json.dumps(record, sort_keys=True)]
+    elif lines is None:
+        lines = _text_lines(record)
+    for line in lines:
         config.stream.write(line + "\n")
-
-
-def emit_values(config: RunConfig, key: str, record: dict) -> None:
-    """A record whose payload is the list under `key`: text mode prints
-    one item per line, json mode the whole record."""
-    if config.format == "json":
-        emit(config, record)
-        return
-    for item in record[key]:
-        config.stream.write(str(item) + "\n")
 
 
 def _flat(value: Any) -> bool:
@@ -110,10 +115,6 @@ def _parse_window(text: str) -> Window:
     return Window(int(parts[0]), int(parts[1]))
 
 
-def _parse_chain(text: str) -> list[Window]:
-    return [_parse_window(part) for part in text.split(":") if part]
-
-
 def _shape(args: argparse.Namespace) -> GridShape:
     return GridShape(args.rows, args.cols)
 
@@ -122,7 +123,7 @@ def _chain_windows(args: argparse.Namespace) -> list[Window]:
     """The --chain windows in the order given; the window product is
     defined for any order, so only commands with a closed form need them
     sorted."""
-    windows = _parse_chain(args.chain)
+    windows = [_parse_window(part) for part in args.chain.split(":") if part]
     if not windows:
         raise ChainOrderError("empty window chain")
     return windows
@@ -155,32 +156,21 @@ def _ideal_argument(args: argparse.Namespace, shape: GridShape) -> MonomialIdeal
 def cmd_diagonals(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
     window = _parse_window(args.window)
-    gens = enumerate_diagonals(shape, window)
-    emit_values(
-        config,
-        "generators",
-        {
-            "shape": [shape.rows, shape.cols],
-            "window": [window.first, window.last],
-            "generators": [str(g) for g in gens],
-        },
-    )
+    gens = [str(g) for g in enumerate_diagonals(shape, window)]
+    record = {
+        "shape": [shape.rows, shape.cols],
+        "window": [window.first, window.last],
+        "generators": gens,
+    }
+    emit(config, record, gens)
     return EXIT_PASS
 
 
 def cmd_ideal_product(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
     windows = _chain_windows(args)
-    product = window_product_ideal(shape, windows)
-    emit_values(
-        config,
-        "generators",
-        {
-            "shape": [shape.rows, shape.cols],
-            "chain": [[w.first, w.last] for w in windows],
-            "generators": [str(g) for g in product.gens],
-        },
-    )
+    gens = [str(g) for g in window_product_ideal(shape, windows).gens]
+    emit(config, {**_report_header(shape, windows), "generators": gens}, gens)
     return EXIT_PASS
 
 
@@ -198,14 +188,9 @@ def cmd_colon(config: RunConfig, args: argparse.Namespace) -> int:
     if len(windows) > 1:
         keys += window_product_ideal(shape, windows).keys
     brute = _brute_colon(shape, keys, f.key)
-    record: dict[str, Any] = {
-        "shape": [shape.rows, shape.cols],
-        "chain": [[w.first, w.last] for w in windows],
-        "u": u,
-        "brute": str(brute),
-    }
+    record: dict[str, Any] = {**_report_header(shape, windows), "u": u, "brute": str(brute)}
     try:
-        chain = WindowChain(tuple(windows))
+        chain = WindowChain(windows)
     except ChainOrderError:
         record["closed"] = record["equal"] = None
         emit(config, record)
@@ -229,63 +214,45 @@ def _betti_for(config: RunConfig, args: argparse.Namespace, ideal: MonomialIdeal
 
 
 def cmd_betti(config: RunConfig, args: argparse.Namespace) -> int:
-    shape = _shape(args)
-    ideal = _ideal_argument(args, shape)
-    table = _betti_for(config, args, ideal)
-    if config.format == "json":
-        emit(config, table.to_json_obj())
-        return EXIT_PASS
-    for row in table.to_json_obj()["rows"]:
-        config.stream.write(f"beta[{row['i']},{row['j']}] = {row['beta']}\n")
-    config.stream.write(f"reg = {table.regularity}\n")
+    table = _betti_for(config, args, _ideal_argument(args, _shape(args)))
+    record = table.to_json_obj()
+    lines = [f"beta[{row['i']},{row['j']}] = {row['beta']}" for row in record["rows"]]
+    emit(config, record, lines + [f"reg = {table.regularity}"])
     return EXIT_PASS
 
 
 def cmd_reg(config: RunConfig, args: argparse.Namespace) -> int:
-    shape = _shape(args)
-    ideal = _ideal_argument(args, shape)
+    ideal = _ideal_argument(args, _shape(args))
     table = _betti_for(config, args, ideal)
     degree = ideal.single_generation_degree()
-    record = {
-        "reg": table.regularity,
-        "degree": degree,
-        "linear": None if degree is None else table.regularity == degree,
-    }
-    if config.format == "json":
-        emit(config, record)
-    else:
-        config.stream.write(f"reg = {record['reg']}\n")
-        if record["linear"] is not None:
-            config.stream.write(
-                f"linear resolution: {'yes' if record['linear'] else 'no'}\n"
-            )
+    linear = None if degree is None else table.regularity == degree
+    lines = [f"reg = {table.regularity}"]
+    if linear is not None:
+        lines.append(f"linear resolution: {'yes' if linear else 'no'}")
+    emit(config, {"reg": table.regularity, "degree": degree, "linear": linear}, lines)
     return EXIT_PASS
 
 
 def cmd_groebner(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
-    chain = WindowChain(tuple(_chain_windows(args)))
+    chain = WindowChain(_chain_windows(args))
     generators = natural_window_generators(shape, chain, make_field(args.char), config.caps)
     basis = buchberger(generators, caps=config.caps)
     ini = initial_ideal(basis)
+    polys = [str(p) for p in basis.polys]
+    gens = [str(g) for g in ini.gens]
     record = {
-        "shape": [shape.rows, shape.cols],
-        "chain": [[w.first, w.last] for w in chain.windows],
+        **_report_header(shape, chain),
         "char": args.char,
         "generators": len(generators),
-        "basis": [str(p) for p in basis.polys],
-        "initial_ideal": [str(g) for g in ini.gens],
+        "basis": polys,
+        "initial_ideal": gens,
         "spairs": basis.spairs_reduced,
     }
-    if config.format == "json":
-        emit(config, record)
-        return EXIT_PASS
-    config.stream.write(
-        f"reduced basis ({len(basis.polys)} elements, {basis.spairs_reduced} S-pairs):\n"
-    )
-    for poly in record["basis"]:
-        config.stream.write(f"  {poly}\n")
-    config.stream.write(f"initial ideal: <{', '.join(record['initial_ideal'])}>\n")
+    lines = [f"reduced basis ({len(polys)} elements, {basis.spairs_reduced} S-pairs):"]
+    lines += [f"  {poly}" for poly in polys]
+    lines.append(f"initial ideal: <{', '.join(gens)}>")
+    emit(config, record, lines)
     return EXIT_PASS
 
 
@@ -299,17 +266,14 @@ def cmd_conjecture_scan(config: RunConfig, args: argparse.Namespace) -> int:
     if any(value > limit for value, limit in zip(bounds, limits)):
         raise ResourceLimitError(f"scan bounds {bounds} exceed caps {limits}")
     for verdict in checks.conjecture_scan(*bounds, characteristic=args.char, caps=caps):
-        if config.format == "json":
-            emit(config, verdict)
-            continue
-        if verdict.get("skipped"):
-            config.stream.write(f"SKIP {_scalar_summary(verdict)}\n")
-            continue
-        status = "true" if verdict["ini_equals_J"] and verdict["natural_gens_are_GB"] else "FALSE"
-        config.stream.write(
-            f"{status} shape={verdict['shape']} chain={verdict['chain']} "
-            f"spairs={verdict['spairs']}\n"
-        )
+        lines = None  # a skipped verdict prints its SKIP summary
+        if not verdict.get("skipped"):
+            holds = verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
+            lines = [
+                f"{'true' if holds else 'FALSE'} shape={verdict['shape']} "
+                f"chain={verdict['chain']} spairs={verdict['spairs']}"
+            ]
+        emit(config, verdict, lines)
     # A FALSE verdict is a finding, not a failure; only engine errors exit nonzero.
     return EXIT_PASS
 
@@ -335,7 +299,7 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         raise DiagIdealError(f"--target {args.target} needs --{missing} as well")
     shape = _shape(args) if given else None
     window = _parse_window(args.window) if args.window is not None else None
-    chain = WindowChain(tuple(_chain_windows(args))) if args.chain is not None else None
+    chain = WindowChain(_chain_windows(args)) if args.chain is not None else None
     all_ok = True
     for report in checks.verify_reports(
         args.target,
@@ -351,41 +315,14 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_paper_replay(config: RunConfig, args: argparse.Namespace) -> int:
-    records = run_paper_replay()
     all_ok = True
-    for record in records:
+    for record in run_paper_replay():
         all_ok = all_ok and record["ok"]
-        if config.format == "json":
-            emit(config, record)
-        else:
-            status = "PASS" if record["ok"] else "FAIL"
-            line = f"{status} {record['name']}"
-            if not record["ok"]:
-                line += f" expected={record['expected']} got={record['got']}"
-            config.stream.write(line + "\n")
+        line = f"{'PASS' if record['ok'] else 'FAIL'} {record['name']}"
+        if not record["ok"]:
+            line += f" expected={record['expected']} got={record['got']}"
+        emit(config, record, [line])
     return EXIT_PASS if all_ok else EXIT_MISMATCH
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default text)")
-    parser.add_argument("--caps", default=None, metavar="FILE",
-                        help="resource-limit config file (key = value lines)")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="write output here instead of standard output")
-
-
-def _add_shape(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--rows", type=int, required=required)
-    parser.add_argument("--cols", type=int, required=required)
-
-
-def _add_ideal_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", default=None, metavar="K,L")
-    parser.add_argument("--chain", default=None, metavar="K1,L1:K2,L2")
-    parser.add_argument("--gens", default=None, metavar="IDEAL",
-                        help="ideal text, e.g. '<x[1,1]*x[1,2], x[1,2]^2>'")
-    parser.add_argument("--gens-file", default=None, metavar="PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,75 +331,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Window ideals of a generic matrix: generation and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flag groups that several commands share; argparse lists a parent's
+    # flags before the command's own.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text",
+                        help="output format (default text)")
+    common.add_argument("--caps", metavar="FILE",
+                        help="resource-limit config file (key = value lines)")
+    common.add_argument("--output", metavar="PATH",
+                        help="write output here instead of standard output")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--rows", type=int, required=True)
+    grid.add_argument("--cols", type=int, required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--window", metavar="K,L")
+    source.add_argument("--chain", metavar=CHAIN)
+    source.add_argument("--gens", metavar="IDEAL",
+                        help="ideal text, e.g. '<x[1,1]*x[1,2], x[1,2]^2>'")
+    source.add_argument("--gens-file", metavar="PATH")
+    source.add_argument("--char", type=int, default=0)
+    source.add_argument("--oracle", choices=("auto", "homology", "cone"), default="auto")
 
-    p = sub.add_parser("diagonals", help="list the diagonal monomials of a window")
-    _add_common(p)
-    _add_shape(p)
+    def command(name, handler, parents, help):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("diagonals", cmd_diagonals, [grid], "list the diagonal monomials of a window")
     p.add_argument("--window", required=True, metavar="K,L")
-    p.set_defaults(handler=cmd_diagonals)
-
-    p = sub.add_parser("ideal-product", help="product of window diagonal ideals")
-    _add_common(p)
-    _add_shape(p)
-    p.add_argument("--chain", required=True, metavar="K1,L1:K2,L2")
-    p.set_defaults(handler=cmd_ideal_product)
-
-    p = sub.add_parser("colon", help="one colon step, brute force vs closed form")
-    _add_common(p)
-    _add_shape(p)
-    p.add_argument("--chain", required=True, metavar="K1,L1:K2,L2")
+    p = command("ideal-product", cmd_ideal_product, [grid], "product of window diagonal ideals")
+    p.add_argument("--chain", required=True, metavar=CHAIN)
+    p = command("colon", cmd_colon, [grid], "one colon step, brute force vs closed form")
+    p.add_argument("--chain", required=True, metavar=CHAIN)
     p.add_argument("--step", type=int, required=True, metavar="U",
                    help="0-based index of the divided generator")
-    p.set_defaults(handler=cmd_colon)
-
-    p = sub.add_parser("betti", help="Betti table of a monomial ideal")
-    _add_common(p)
-    _add_shape(p)
-    _add_ideal_source(p)
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("--oracle", choices=("auto", "homology", "cone"), default="auto")
-    p.set_defaults(handler=cmd_betti)
-
-    p = sub.add_parser("reg", help="Castelnuovo-Mumford regularity")
-    _add_common(p)
-    _add_shape(p)
-    _add_ideal_source(p)
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("--oracle", choices=("auto", "homology", "cone"), default="auto")
-    p.set_defaults(handler=cmd_reg)
-
-    p = sub.add_parser("groebner",
-                       help="reduced basis of a product of window minor ideals")
-    _add_common(p)
-    _add_shape(p)
-    p.add_argument("--chain", required=True, metavar="K1,L1:K2,L2")
+    command("betti", cmd_betti, [grid, source], "Betti table of a monomial ideal")
+    command("reg", cmd_reg, [grid, source], "Castelnuovo-Mumford regularity")
+    p = command("groebner", cmd_groebner, [grid],
+                "reduced basis of a product of window minor ideals")
+    p.add_argument("--chain", required=True, metavar=CHAIN)
     p.add_argument("--char", type=int, default=32003, help="default 32003")
-    p.set_defaults(handler=cmd_groebner)
-
-    p = sub.add_parser("conjecture-scan",
-                       help="compare initial ideals of minor products over many chains")
-    _add_common(p)
-    p.add_argument("--max-rows", type=int, default=None)
-    p.add_argument("--max-cols", type=int, default=None)
-    p.add_argument("--max-factors", type=int, default=None)
+    p = command("conjecture-scan", cmd_conjecture_scan, [],
+                "compare initial ideals of minor products over many chains")
+    p.add_argument("--max-rows", type=int)
+    p.add_argument("--max-cols", type=int)
+    p.add_argument("--max-factors", type=int)
     p.add_argument("--char", type=int, default=32003, help="default 32003")
-    p.set_defaults(handler=cmd_conjecture_scan)
-
-    p = sub.add_parser("verify", help="run a verification target")
-    _add_common(p)
-    p.add_argument("--target", required=True,
-                   choices=("lemma1", "lemma2", "theorem", "remarks", "all"))
-    _add_shape(p, required=False)
-    p.add_argument("--window", default=None, metavar="K,L")
-    p.add_argument("--chain", default=None, metavar="K1,L1:K2,L2")
+    p = command("verify", cmd_verify, [], "run a verification target")
+    p.add_argument("--target", required=True, choices=tuple(_VERIFY_INSTANCE))
+    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int)
+    p.add_argument("--window", metavar="K,L")
+    p.add_argument("--chain", metavar=CHAIN)
     p.add_argument("--char", type=int, default=0)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("paper-replay",
-                       help="recompute the golden worked examples and diff")
-    _add_common(p)
-    p.set_defaults(handler=cmd_paper_replay)
-
+    command("paper-replay", cmd_paper_replay, [], "recompute the golden worked examples and diff")
     return parser
 
 

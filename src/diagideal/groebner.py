@@ -68,7 +68,7 @@ from .monomials import (
 )
 from .polynomials import Polynomial, _add_multiple, _row
 from .quotients import _linear_quotients
-from .windows import WindowChain, _minor_product, minor, window_product_ideal
+from .windows import WindowChain, _minor_product, _report_header, minor, window_product_ideal
 
 
 class _Basis:
@@ -542,8 +542,7 @@ def conjecture_check(
     equal = ini == diagonal_product
     millis = int((time.perf_counter() - start) * 1000)
     verdict = {
-        "shape": [shape.rows, shape.cols],
-        "chain": [[w.first, w.last] for w in chain.windows],
+        **_report_header(shape, chain),
         "char": characteristic,
         "ini_equals_J": equal,
         "natural_gens_are_GB": covered,

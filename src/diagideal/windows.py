@@ -29,6 +29,7 @@ from .errors import (
     WindowError,
     _require,
 )
+from .fields import PrimeField, RationalField
 from .ideals import MonomialIdeal
 from .monomials import GridMonomial, GridShape
 from .polynomials import Polynomial
@@ -73,6 +74,11 @@ class WindowChain:
     windows: tuple
 
     def __post_init__(self):
+        if type(self.windows) is not tuple:
+            try:
+                object.__setattr__(self, "windows", tuple(self.windows))
+            except TypeError:
+                raise ChainOrderError(f"not a sequence of windows: {self.windows!r}") from None
         if not self.windows:
             raise ChainOrderError("empty window chain")
         for w in self.windows:
@@ -111,8 +117,16 @@ class ColumnSelection:
     cols: tuple
 
     def __post_init__(self):
+        if type(self.cols) is not tuple:
+            try:
+                object.__setattr__(self, "cols", tuple(self.cols))
+            except TypeError:
+                raise SelectionError(f"not a sequence of columns: {self.cols!r}") from None
         if not self.cols:
             raise SelectionError("empty column selection")
+        for c in self.cols:
+            if not isinstance(c, int):
+                raise SelectionError(f"columns must be integers, got {self.cols}")
         for a, b in zip(self.cols, self.cols[1:]):
             if a >= b:
                 raise SelectionError(f"columns must strictly increase, got {self.cols}")
@@ -140,9 +154,13 @@ def _selection(cols) -> ColumnSelection:
     if isinstance(cols, ColumnSelection):
         return cols
     try:
-        return ColumnSelection(tuple(cols))
+        columns = tuple(cols)
     except TypeError:
-        raise DomainError(f"columns must be an iterable of integers, got {cols!r}") from None
+        columns = (None,)
+    for c in columns:
+        if not isinstance(c, int):
+            raise DomainError(f"columns must be an iterable of integers, got {cols!r}")
+    return ColumnSelection(columns)
 
 
 def diagonal_monomial(shape: GridShape, cols) -> GridMonomial:
@@ -168,14 +186,20 @@ def selection_of(monomial: GridMonomial) -> ColumnSelection | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
     """All diagonal monomials of the window, descending in the grid order.
 
     Ascending lexicographic column tuples give exactly the descending
-    monomial order, so plain combinations come out already sorted.
+    monomial order, so plain combinations come out already sorted.  The
+    arguments are type-checked before the process-wide cache hashes them.
     """
+    _require(shape, GridShape, "grid shape")
     _require(window, Window, "window")
+    return _enumerate_diagonals(shape, window)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
     window.check_against(shape)
     diags = tuple(
         diagonal_monomial(shape, cols)
@@ -186,10 +210,16 @@ def enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
     return diags
 
 
-@lru_cache(maxsize=None)
 def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
     """The ideal generated by the window's diagonal monomials."""
-    diags = enumerate_diagonals(shape, window)
+    _require(shape, GridShape, "grid shape")
+    _require(window, Window, "window")
+    return _diagonal_ideal(shape, window)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
+    diags = _enumerate_diagonals(shape, window)
     ideal = MonomialIdeal(shape, diags)
     # Diagonal monomials are pairwise non-dividing, so nothing may collapse.
     if len(ideal) != comb(window.width, shape.rows):
@@ -219,6 +249,7 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
     process, by ``_minor_product``, and the immutable result shared.
     """
     _require(caps, Caps, "Caps")
+    _require(field, (RationalField, PrimeField), "field")
     selection = _selection(cols)
     selection.check_against(shape)
     m = shape.rows
@@ -268,6 +299,11 @@ def _minor_product(shape: GridShape, multiset: tuple, field) -> Polynomial:
             "the monomial order is broken"
         )
     return result
+
+
+def _report_header(shape: GridShape, windows) -> dict:
+    """The leading keys of a chain's report: its grid and its windows."""
+    return {"shape": [shape.rows, shape.cols], "chain": [[w.first, w.last] for w in windows]}
 
 
 def iter_windows(shape: GridShape):

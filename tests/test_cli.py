@@ -334,6 +334,58 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
     assert out.startswith("FAIL")
 
 
+def test_text_output_of_every_renderer(tmp_path, capsys, monkeypatch):
+    # The exact text lines of each command that renders its own text.
+    def text(*argv):
+        code, out = run_cli(capsys, *argv)
+        return code, out.splitlines()
+
+    assert text("groebner", "--rows", "2", "--cols", "3", "--chain", "1,3") == (0, [
+        "reduced basis (3 elements, 2 S-pairs):",
+        "  x[1,1]*x[2,2] + 32002*x[1,2]*x[2,1]",
+        "  x[1,1]*x[2,3] + 32002*x[1,3]*x[2,1]",
+        "  x[1,2]*x[2,3] + 32002*x[1,3]*x[2,2]",
+        "initial ideal: <x[1,1]*x[2,2], x[1,1]*x[2,3], x[1,2]*x[2,3]>",
+    ])
+    assert text("reg", "--rows", "3", "--cols", "9", "--chain", "1,5:3,7") == (
+        0, ["reg = 6", "linear resolution: yes"]
+    )
+    assert text("reg", "--rows", "1", "--cols", "3", "--gens", "<x[1,1], x[1,2]*x[1,3]>") == (
+        0, ["reg = 2"]
+    )
+    config = tmp_path / "caps.txt"
+    config.write_text("max_spairs = 1\n")
+    code, lines = text(
+        "conjecture-scan", "--max-rows", "2", "--max-cols", "3", "--max-factors", "1",
+        "--caps", str(config),
+    )
+    assert code == 0
+    assert lines[0] == "true shape=[1, 2] chain=[[1, 2]] spairs=1"
+    assert lines[-2] == (
+        "SKIP chain=[[1,3]] char=32003 error=S-pair cap 1 reached shape=[2,3] skipped=True"
+    )
+    assert text("colon", "--rows", "3", "--cols", "8", "--chain", "2,6", "--step", "3") == (
+        0, ["INFO brute=<x[2,3]> chain=[[2,6]] closed=<x[2,3]> equal=True shape=[3,8] u=3"]
+    )
+    code, lines = text("paper-replay")
+    assert code == 0 and lines[0] == "PASS window (2,6) generators"
+
+    def failing_report(*args, **kwargs):
+        yield {
+            "check": "stub", "shape": [2, 4], "ok": False,
+            "steps": [
+                {"u": 1, "brute": "<x[1,1]>", "closed": "<x[1,2]>", "equal": False},
+                {"u": 2, "brute": "<x[1,1]>", "closed": "<x[1,1]>", "equal": True},
+            ],
+        }
+
+    monkeypatch.setattr(checks, "verify_reports", failing_report)
+    assert text("verify", "--target", "remarks") == (1, [
+        "FAIL check=stub shape=[2,4]",
+        "  step u=1 brute=<x[1,1]> closed=<x[1,2]>",
+    ])
+
+
 def test_paper_replay_exit_zero(capsys):
     code, out = run_cli(capsys, "paper-replay")
     assert code == 0

@@ -19,6 +19,7 @@ from diagideal.errors import (
     WindowError,
 )
 from diagideal.fields import make_field
+from diagideal.groebner import natural_window_generators
 from diagideal.ideals import MonomialIdeal
 from diagideal.monomials import GridMonomial, GridShape
 from diagideal.windows import (
@@ -87,6 +88,25 @@ def test_column_selection():
         sel.check_against(GridShape(2, 6))  # wrong number of columns
     with pytest.raises(SelectionError):
         sel.check_against(GridShape(3, 6), window=Window(3, 6))  # col 2 outside
+
+
+def test_columns_and_chains_are_stored_as_tuples():
+    # A list argument is stored as a tuple, so the value hashes and equals
+    # the one built from a tuple.
+    assert ColumnSelection([2, 4, 5]).cols == (2, 4, 5)
+    assert ColumnSelection([2, 4, 5]) == ColumnSelection((2, 4, 5))
+    w = Window(1, 3)
+    assert WindowChain([w]).windows == (w,)
+    assert WindowChain([w]) == WindowChain((w,))
+    assert hash(WindowChain([w])) == hash(WindowChain((w,)))
+
+
+@pytest.mark.parametrize(
+    "cols", [(1.5, 2), (1, "x"), (None,), 3], ids=["float", "str", "none", "int"]
+)
+def test_column_selection_rejects_non_integer_columns(cols):
+    with pytest.raises(SelectionError):
+        ColumnSelection(cols)
 
 
 def test_diagonal_monomial_and_back():
@@ -212,24 +232,24 @@ def test_enumerate_diagonals_raises_when_out_of_order(monkeypatch):
     monkeypatch.setattr(
         windows, "combinations", lambda cols, r: reversed(list(combinations(cols, r)))
     )
-    windows.enumerate_diagonals.cache_clear()
+    windows._enumerate_diagonals.cache_clear()
     try:
         with pytest.raises(EngineError):
             enumerate_diagonals(shape, window)
     finally:
-        windows.enumerate_diagonals.cache_clear()
+        windows._enumerate_diagonals.cache_clear()
 
 
 def test_diagonal_ideal_raises_when_generators_collapse(monkeypatch):
     shape, window = GridShape(2, 5), Window(1, 4)
     real = windows.MonomialIdeal
     monkeypatch.setattr(windows, "MonomialIdeal", lambda shape, gens: real(shape, gens[1:]))
-    windows.diagonal_ideal.cache_clear()
+    windows._diagonal_ideal.cache_clear()
     try:
         with pytest.raises(EngineError):
             diagonal_ideal(shape, window)
     finally:
-        windows.diagonal_ideal.cache_clear()
+        windows._diagonal_ideal.cache_clear()
 
 
 def test_iter_windows():
@@ -283,8 +303,21 @@ _S = GridShape(2, 4)
         lambda: minor(_S, 3, QQ),
         lambda: diagonal_monomial(_S, 3),
         lambda: diagonal_monomial(_S, None),
+        lambda: diagonal_monomial(_S, (1.5, 2)),
+        lambda: enumerate_diagonals(_S, [1, 3]),
+        lambda: enumerate_diagonals([2, 4], Window(1, 3)),
+        lambda: diagonal_ideal(_S, {}),
+        lambda: diagonal_ideal([2, 4], Window(1, 3)),
+        lambda: window_product_ideal(_S, [[1, 3]]),
+        lambda: minor(_S, (1, 3), []),
+        lambda: natural_window_generators(_S, WindowChain.of((1, 3)), []),
     ],
-    ids=["minor-cols", "diagonal-int", "diagonal-none"],
+    ids=[
+        "minor-cols", "diagonal-int", "diagonal-none", "diagonal-float",
+        "diagonals-list-window", "diagonals-list-shape", "ideal-dict-window",
+        "ideal-list-shape", "product-list-window", "minor-list-field",
+        "natural-list-field",
+    ],
 )
 def test_window_entries_raise_domain_error_for_wrong_types(call):
     with pytest.raises(DomainError):
@@ -307,10 +340,16 @@ _ENTRIES = {
     "iter_windows": (iter_windows, (_S,)),
     "iter_sorted_chains": (iter_sorted_chains, (_S, 2)),
     "GridMonomial": (GridMonomial, (_S, (1, 0, 0, 0, 0, 0, 1, 0))),
+    "natural_window_generators": (
+        natural_window_generators, (_S, WindowChain.of((1, 3)), QQ, DEFAULT_CAPS)
+    ),
 }
 
 
-@pytest.mark.parametrize("bad", [3, "x", None, 2.5], ids=["int", "str", "none", "float"])
+# [None] is unhashable, so it must be rejected before any cache hashes it.
+@pytest.mark.parametrize(
+    "bad", [3, "x", None, 2.5, [None]], ids=["int", "str", "none", "float", "list"]
+)
 @pytest.mark.parametrize(
     "name, position",
     [(name, position) for name, (_, args) in _ENTRIES.items() for position in range(len(args))],
