@@ -37,12 +37,13 @@ certificate cannot decide (a nonzero remainder, no linear quotients, or more
 pairs than ``caps.max_spairs``) the check falls back to ``buchberger``, which
 gives false verdicts their witness and reports Gebauer-Moller's pair count.
 
-Chains share most of their S-pairs, so each distinct pair is reduced once
-per process.  A reduction to zero is recorded in a bounded process-wide
-table, keyed by (grid, characteristic, the pair's two column multisets)
-and emptied when full, with the multisets of the divisors it used; a later
-chain whose kept generators include those divisors takes the pair as
-reduced.
+Chains share most of their S-pairs and duplicate-lead products, so each
+distinct one is reduced once per process.  A reduction to zero is recorded
+in a bounded process-wide table, keyed by (grid, characteristic, the
+column multisets that name what was reduced) and emptied when full, with
+the multisets of the divisors it used; a later chain whose kept generators
+include those divisors takes it as reduced.  The kept generators' division
+rows come cached with the products (``windows._minor_product``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from heapq import heappop, heappush
 from itertools import combinations, product as iter_product
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, EngineError, ResourceLimitError, _require
+from .errors import DomainError, EngineError, ResourceLimitError, ShapeMismatchError, _require
 from .fields import make_field
 from .ideals import MonomialIdeal
 from .monomials import (
@@ -66,7 +67,7 @@ from .monomials import (
     _lookup_divisor,
     _undivided,
 )
-from .polynomials import Polynomial, _add_multiple, _row
+from .polynomials import Polynomial, _add_multiple, _division_row
 from .quotients import _linear_quotients
 from .windows import WindowChain, _minor_product, _report_header, minor, window_product_ideal
 
@@ -75,12 +76,13 @@ class _Basis:
     """Division data of a basis list, built once per basis.
 
     ``leads`` holds the lead key of each element in list order, the order
-    divisors are tried in.  ``rows[i]`` is the merge row (``polynomials._row``)
-    of the tail of the i-th element made monic and negated.  While every
-    lead has one degree, ``firsts`` maps each lead key to its first index,
-    the table ``monomials._lookup_divisor`` reads.  A lead of another
-    degree sets it to None for good; a None table only means every divisor
-    is found by scan.
+    divisors are tried in.  ``rows[i]`` is the division row of the i-th
+    element (``polynomials._division_row``): the merge row of its tail made
+    monic and negated, taken from the natural product cache when the
+    element is one.  While every lead has one degree, ``firsts`` maps each
+    lead key to its first index, the table ``monomials._lookup_divisor``
+    reads.  A lead of another degree sets it to None for good; a None table
+    only means every divisor is found by scan.
     """
 
     __slots__ = ("shape", "field", "leads", "rows", "firsts", "degree")
@@ -95,15 +97,10 @@ class _Basis:
         for g in polys:
             self.append(g)
 
-    def append(self, g: Polynomial) -> None:
-        """Add a nonzero element checked to share the basis' grid and field;
-        a lead of another degree drops the table."""
-        p = self.field.characteristic
-        scale = -self.field.invert(g.coeffs[-1])
-        if p:
-            tail = [c * scale % p for c in g.coeffs[:-1]]
-        else:
-            tail = [c * scale for c in g.coeffs[:-1]]
+    def append(self, g: Polynomial, row=None) -> None:
+        """Add a nonzero element checked to share the basis' grid and field,
+        with its division row when one is at hand; a lead of another degree
+        drops the table."""
         lead = g.keys[-1]
         if self.firsts is not None:
             degree = _degree(lead, self.shape)
@@ -114,7 +111,7 @@ class _Basis:
             else:
                 self.firsts = None
         self.leads.append(lead)
-        self.rows.append(_row(self.shape, g.keys[:-1], tail))
+        self.rows.append(_division_row(g) if row is None else row)
 
 
 def _reduce(keys, coeffs, basis: _Basis, used: set | None = None) -> Polynomial:
@@ -358,12 +355,18 @@ def is_groebner_basis(basis) -> bool:
 
 
 def initial_ideal(basis) -> MonomialIdeal:
-    """Ideal of leading monomials of the given basis."""
+    """Ideal of leading monomials of the given basis: nonzero polynomials
+    on one grid."""
     polys = _polynomials(basis)
     if not polys:
         raise DomainError("initial ideal of an empty basis is undefined")
+    if not all(polys):
+        raise DomainError("zero polynomial has no leading term")
     shape = polys[0].shape
-    return MonomialIdeal(shape, [g.leading_monomial for g in polys])
+    for g in polys:
+        if g.shape != shape:
+            raise ShapeMismatchError(f"generator on wrong grid: {g.leading_monomial!r}")
+    return MonomialIdeal._from_keys(shape, [g.keys[-1] for g in polys])
 
 
 def natural_window_generators(
@@ -382,13 +385,13 @@ def natural_window_generators(
     _require(chain, WindowChain, "window chain")
     _require(caps, Caps, "Caps")
     chain.check_against(shape)
-    return [poly for _, poly in _natural_products(shape, chain, field, caps)]
+    return [poly for _, poly, _ in _natural_products(shape, chain, field, caps)]
 
 
 def _natural_products(shape: GridShape, chain: WindowChain, field, caps: Caps) -> list:
-    """``natural_window_generators`` on checked arguments, each product
-    paired with its column multiset, the sorted tuple of column sets that
-    names it."""
+    """``natural_window_generators`` on checked arguments, as (multiset,
+    product, row) triples: the multiset is the sorted tuple of column sets
+    that names the product, and the row its cached division row."""
     per_window = [
         list(combinations(range(w.first, w.last + 1), shape.rows)) for w in chain.windows
     ]
@@ -400,26 +403,41 @@ def _natural_products(shape: GridShape, chain: WindowChain, field, caps: Caps) -
         multiset = tuple(sorted(combo))
         if multiset not in seen:
             seen.add(multiset)
-            products.append((multiset, _minor_product(shape, multiset, field)))
+            products.append((multiset, *_minor_product(shape, multiset, field)))
     return products
 
 
 # (rows, cols, characteristic, multiset k, multiset j) -> frozenset of the
 # multisets whose products the S-polynomial of the natural products k and j
-# was reduced to zero with.  The grid is keyed by its dimensions, which hash
-# without the Python call a GridShape's hash makes.  One 3x6 three-factor
-# scan records under 5,000 pairs, so the bound holds one; past it
-# ``_certificate`` empties the table rather than let it grow.
+# was reduced to zero with, and (rows, cols, characteristic, multiset) -> the
+# same for a natural product whose lead another one kept.  The grid is keyed
+# by its dimensions, which hash without the Python call a GridShape's hash
+# makes.  One 3x6 three-factor scan records under 5,000 entries, so the
+# bound holds one; past it ``_record`` empties the table rather than let it
+# grow.
 _certified = {}
 _CERTIFIED_SIZE = 8192
+
+
+def _record(name: tuple, keys, coeffs, basis: _Basis, names) -> bool:
+    """Does the polynomial in ascending keys and coeffs reduce to zero over
+    the basis?  If so, record under name the multisets, out of names, of
+    the divisors the reduction cancelled with."""
+    used = set()
+    if _reduce(keys, coeffs, basis, used):
+        return False
+    if len(_certified) >= _CERTIFIED_SIZE:
+        _certified.clear()
+    _certified[name] = frozenset(names[i] for i in used)
+    return True
 
 
 def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     """The kept natural generators, one monic per lead in the product's
     canonical order, and the number of S-pairs reduced, when the
     linear-quotients certificate shows they form a Groebner basis; None
-    when it cannot decide.  naturals lists (multiset, product) pairs, as
-    ``_natural_products`` gives them.
+    when it cannot decide.  naturals lists (multiset, product, row)
+    triples, as ``_natural_products`` gives them; a row of None is built.
 
     The product's V_j walk (``quotients._linear_quotients``) records, per
     generator m_j, each single-variable colon m_k : m_j with its first k.
@@ -427,28 +445,29 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     by the pairs (k, j) so recorded (Herzog and Takayama, Manuscripta Math.
     2002).  Then the kept set G is a Groebner basis once each of those
     S-polynomials has a standard representation over it (Moller, Mora and
-    Traverso, ISSAC 1992), and the other naturals lie in its ideal once
-    they reduce to zero over it.
+    Traverso, ISSAC 1992), and the other naturals, the duplicates, lie in
+    its ideal once they reduce to zero over it.
 
-    A reduction of S(g_k, g_j) to zero writes it as a sum of multiples of
-    the divisors D it cancelled with, none leading above S: a standard
-    representation over D, and so over any set that contains D.  Each such
-    reduction is recorded in ``_certified`` under the pair's multisets, a
-    name that fixes the polynomials, with the multisets of D; a later chain
-    whose kept set contains D reuses it and reduces nothing.  Every other
-    pair is reduced over G.  A remainder that is not zero shows that G is
-    no Groebner basis, for over a Groebner basis every element of its ideal
-    reduces to zero, whichever divisor each step picks.  So the certificate
-    succeeds exactly when G is a Groebner basis, whichever pairs the
-    record holds, and the verdict and ``spairs`` do not depend on it.
+    A reduction to zero, of S(g_k, g_j) or of a duplicate, writes it as a
+    sum of multiples of the divisors D it cancelled with, none leading
+    above it: a standard representation over D, and so over any set that
+    contains D.  Each such reduction is recorded in ``_certified`` under
+    the multisets that name the reduced polynomial, with the multisets of
+    D; a later chain whose kept set contains D reuses it and reduces
+    nothing.  Every other pair and duplicate is reduced over G.  A
+    remainder that is not zero shows that G is no Groebner basis, or that
+    the duplicate is not in its ideal, for over a Groebner basis every
+    element of its ideal reduces to zero, whichever divisor each step
+    picks.  So the certificate succeeds exactly when G is a Groebner basis
+    of all the naturals, whichever reductions the record holds, and the
+    verdict and ``spairs`` do not depend on it.
     """
     shape = product.shape
     kept = {}
     duplicates = []
-    for multiset, g in naturals:
-        g = g.monic()
-        if kept.setdefault(g.keys[-1], (multiset, g))[1] is not g:
-            duplicates.append(g)
+    for multiset, g, row in naturals:
+        if kept.setdefault(g.keys[-1], (multiset, g, row))[0] is not multiset:
+            duplicates.append((multiset, g))
     keys = product.keys
     if tuple(sorted(kept, reverse=True)) != keys:
         raise EngineError(
@@ -462,8 +481,7 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     if len(pairs) > caps.max_spairs:
         return None
     names = [kept[k][0] for k in keys]
-    polys = [kept[k][1] for k in keys]
-    field = polys[0].field
+    field = kept[keys[0]][1].field
     p = field.characteristic
     named = set(names)
     rows, cols = shape.rows, shape.cols
@@ -472,17 +490,22 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
         recorded = _certified.get((rows, cols, p, names[k], names[j]))
         if recorded is None or not recorded <= named:
             misses.append((k, j))
-    if misses or duplicates:
-        divisors = _Basis(shape, field, polys)
+    fresh = []
+    for m, g in duplicates:
+        recorded = _certified.get((rows, cols, p, m))
+        if recorded is None or not recorded <= named:
+            fresh.append((m, g))
+    polys = [kept[k][1].monic() for k in keys]
+    if misses or fresh:
+        divisors = _Basis(shape, field)
+        for k, g in zip(keys, polys):
+            divisors.append(g, kept[k][2])
         for k, j in misses:
-            used = set()
-            if _reduce(*_s_pair(divisors, k, j), divisors, used):
+            name = (rows, cols, p, names[k], names[j])
+            if not _record(name, *_s_pair(divisors, k, j), divisors, names):
                 return None
-            if len(_certified) >= _CERTIFIED_SIZE:
-                _certified.clear()
-            _certified[rows, cols, p, names[k], names[j]] = frozenset(names[i] for i in used)
-        for g in duplicates:
-            if _reduce(g.keys, g.coeffs, divisors):
+        for m, g in fresh:
+            if not _record((rows, cols, p, m), g.keys, g.coeffs, divisors, names):
                 return None
     return polys, len(pairs)
 
@@ -520,7 +543,7 @@ def conjecture_check(
     diagonal_product = window_product_ideal(shape, chain.windows)
     certified = _certificate(naturals, diagonal_product, caps)
     if certified is None:
-        basis = buchberger([g for _, g in naturals], caps)
+        basis = buchberger([g for _, g, _ in naturals], caps)
         polys, spairs = basis.polys, basis.spairs_reduced
     else:
         polys, spairs = certified
@@ -537,7 +560,7 @@ def conjecture_check(
             "the Groebner engine is broken"
         )
 
-    natural_leads = {g.keys[-1] for _, g in naturals}
+    natural_leads = {g.keys[-1] for _, g, _ in naturals}
     covered = all(p.keys[-1] in natural_leads for p in polys)
     equal = ini == diagonal_product
     millis = int((time.perf_counter() - start) * 1000)

@@ -13,7 +13,7 @@ against them drops their multiples before any degree is taken, and only the
 survivors are grouped by degree (``_by_degree``, one modulo per key when
 the degrees are small) and filtered against the lower degrees kept, one
 ``_undivided`` call per degree.
-Products and colons build their candidates as keys (``_product``,
+Products and colons build their candidates as keys (``_products``,
 ``_colons``) from keys checked where they entered.
 """
 
@@ -28,7 +28,7 @@ from .monomials import (
     _degree,
     _first_divisor,
     _from_key,
-    _product,
+    _products,
     _undivided,
     _variable_mask,
     _variables,
@@ -161,8 +161,7 @@ class MonomialIdeal:
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_shape(other)
         shape = self.shape
-        products = [_product(g, h, shape) for g in self.keys for h in other.keys]
-        return MonomialIdeal._from_keys(shape, products)
+        return MonomialIdeal._from_keys(shape, _products(self.keys, other.keys, shape))
 
     def colon(self, f: GridMonomial) -> "MonomialIdeal":
         """(self : f), generated by g/gcd(g, f) over the generators g."""

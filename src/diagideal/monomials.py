@@ -25,11 +25,13 @@ key in a list that misses a skip mask, in one loop),
 ``_colons_and_variables`` (the colons, and in the same loop the
 single-variable ones with their first indices), ``_radical`` (the
 squarefree key of a key's support), ``_product`` (with its overflow check),
-``_degree`` (the byte sum, no exponent tuple), ``_by_degree`` (keys grouped
-by degree, by one modulo where the degrees are small), ``_variables`` (the
-keys that are single variables, by a bit test rather than a degree) and
-``_variable_mask`` (one AND tests divisibility by any of a set of
-variables).
+``_products`` (every product of two key lists, with one overflow check
+for the lot), ``_degree`` (the byte sum, no exponent tuple), ``_by_degree``
+(keys grouped by degree, by one modulo where the degrees are small),
+``_variables`` (the keys that are single variables, by a bit test rather
+than a degree), ``_variable_mask`` (one AND tests divisibility by any of a
+set of variables) and ``_variable_key`` (the key of x[i,j], so that other
+modules build diagonals, gaps and minor terms as sums of keys).
 The public operators check both grids, then call them; loops over keys whose
 grid was checked where they entered call them directly.
 """
@@ -239,6 +241,19 @@ def _product(a: int, b: int, shape: GridShape) -> int:
     return key
 
 
+def _products(lefts, rights, shape: GridShape) -> list:
+    """The keys a * b for a in lefts and b in rights, in that order;
+    ``_product``'s DomainError, naming the first pair that overflows.
+
+    The bytewise OR of a key list is at least each key in every byte, so
+    when the ORs of the two lists sum with no guard bit set, no product
+    passes 127 and none is checked on its own.
+    """
+    if (reduce(or_, lefts, 0) + reduce(or_, rights, 0)) & shape._guard:
+        return [_product(a, b, shape) for a in lefts for b in rights]
+    return [a + b for a in lefts for b in rights]
+
+
 def _degree(key: int, shape: GridShape) -> int:
     """The total degree of a key: the sum of its exponent bytes."""
     return sum(key.to_bytes(shape.variable_count, "big"))
@@ -284,6 +299,12 @@ def _variable_mask(keys) -> int:
     for v in keys:
         support |= v
     return support * MAX_EXPONENT
+
+
+def _variable_key(shape: GridShape, i: int, j: int) -> int:
+    """The key of x[i,j], 1-based, for (i, j) known to lie on the grid:
+    one byte set to 1, (i - 1) * cols + j - 1 bytes below the top."""
+    return 1 << 8 * (shape.variable_count - (i - 1) * shape.cols - j)
 
 
 @total_ordering

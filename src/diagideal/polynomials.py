@@ -13,7 +13,9 @@ naming the first term, in descending order, that overflows.  Products
 accumulate packed keys in a dict, again in plain ``+`` and ``*``, with one
 ``% p`` per term of the result; one check of each left term against the
 right factor's bytewise max key stands for the overflow check of its row.
-The field's own methods stay for input and division.
+A divisor's row, its tail made monic and negated, is ``_division_row``; the
+natural products are cached with theirs.  The field's own methods stay for
+input and division.
 """
 
 from __future__ import annotations
@@ -36,6 +38,19 @@ def _row(shape: GridShape, keys, coeffs) -> tuple:
     """A merge row: ascending (key, coeff) pairs and the bytewise max of
     their keys, so that one product checks a whole shifted row."""
     return _lcm_all(keys, shape), tuple(zip(keys, coeffs))
+
+
+def _division_row(g: "Polynomial") -> tuple:
+    """The merge row of a nonzero g's tail made monic and negated: dividing
+    a term c * x^q * lm(g) by g adds c * x^q times it."""
+    field = g.field
+    p = field.characteristic
+    scale = -field.invert(g.coeffs[-1])
+    if p:
+        tail = [c * scale % p for c in g.coeffs[:-1]]
+    else:
+        tail = [c * scale for c in g.coeffs[:-1]]
+    return _row(g.shape, g.keys[:-1], tail)
 
 
 def _add_multiple(keys, coeffs, c, q: int, row, shape: GridShape, p: int):

@@ -11,12 +11,15 @@ the colon of the earlier diagonals is generated by the variables in the
 column gaps of the divisor, the column before the window acting as the
 sentinel gap floor; for a sorted chain the same variables join the product
 R of the remaining windows' diagonal ideals.  Their keys come from one
-cached table per window, ``_gap_keys``.  R's keys are minimal and the gaps
+cached table per window, ``_gap_keys``, built from the column tuples of
+``windows._diagonal_keys`` with ``monomials._variable_key``, so no step
+builds a ``GridMonomial``; the public closed forms check their diagonal
+argument where it enters and read the same table.  R's keys are minimal and the gaps
 are distinct variables, so the closed ideal's minimal generators are the
 gaps and the keys of R that no gap divides (``_join``, one mask AND each,
 no minimalization).
 
-``_colon_steps`` walks a window's diagonals beside the closed form and
+``_colon_steps`` walks a window's diagonal keys beside the closed form and
 decides each step by the colon's definition (``_is_colon``): every k : f
 lies in the closed ideal, and g * f in the divided ideal for every closed
 generator g.  A colon that no free variable of the closed ideal (one that
@@ -43,15 +46,17 @@ from .monomials import (
     GridShape,
     _colons,
     _colons_and_variables,
-    _product,
+    _products,
     _radical,
     _undivided,
+    _variable_key,
     _variable_mask,
     _variables,
 )
 from .windows import (
     Window,
     WindowChain,
+    _diagonal_keys,
     diagonal_ideal,
     diagonal_monomial,
     enumerate_diagonals,
@@ -118,16 +123,16 @@ def _gap_keys(shape: GridShape, window: Window) -> MappingProxyType:
 
     The gap variables are the x[i,b] with b strictly between consecutive
     selected columns; the floor for row 1 is the column just before the
-    window.
+    window.  Both come from the column tuples of ``_diagonal_keys``.
     """
     table = {}
-    for f in enumerate_diagonals(shape, window):
+    for f, cols in _diagonal_keys(shape, window).items():
         gaps = []
         prev = window.first - 1
-        for i, c in enumerate(selection_of(f).cols, start=1):
-            gaps += [GridMonomial.variable(shape, i, b).key for b in range(prev + 1, c)]
+        for i, c in enumerate(cols, start=1):
+            gaps += [_variable_key(shape, i, b) for b in range(prev + 1, c)]
             prev = c
-        table[f.key] = tuple(gaps)
+        table[f] = tuple(gaps)
     return MappingProxyType(table)
 
 
@@ -175,13 +180,17 @@ def _is_colon(
     bound = _variable_mask([v for v in variables if v & support])
     colons = set(_colons(prefix, f, shape, free))
     colons.update(_colons(keys, f, shape, free))
-    pending = [c for c in colons if not (c & bound or c in inside)]
+    # One set difference, which walks the smaller side, then the bound
+    # mask where a variable of closed divides f.
+    pending = colons - inside
+    if bound:
+        pending = [c for c in pending if not c & bound]
     # Ascending, the divisor of a colon came up sooner in a profile of
     # the colon-products workload.
     if _undivided(pending, rest_keys[::-1], shape):
         return False
     inside.update(pending)
-    products = [h for h in (_product(g, f, shape) for g in gens) if h not in members]
+    products = [h for h in _products(gens, (f,), shape) if h not in members]
     return not _undivided(_undivided(products, prefix, shape), keys, shape)
 
 
@@ -200,15 +209,15 @@ def _colon_steps(shape: GridShape, window: Window, keys=(), rest_keys=()):
     members = set(keys)
     inside = set()
     prefix = []
-    for u, f in enumerate(enumerate_diagonals(shape, window)):
-        closed = _join(shape, rest_keys, gaps[f.key])
-        if _is_colon(shape, closed, f.key, prefix, keys, members, rest_keys, inside):
+    for u, f in enumerate(_diagonal_keys(shape, window)):
+        closed = _join(shape, rest_keys, gaps[f])
+        if _is_colon(shape, closed, f, prefix, keys, members, rest_keys, inside):
             brute = closed
         else:
-            brute = _brute_colon(shape, prefix + keys, f.key)
+            brute = _brute_colon(shape, prefix + keys, f)
         yield u, brute, closed
-        prefix.append(f.key)
-        members.add(f.key)
+        prefix.append(f)
+        members.add(f)
 
 
 def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> MonomialIdeal:

@@ -5,11 +5,19 @@ per row.  Its diagonal monomials pick one variable per row with strictly
 increasing columns inside the window; they generate the window's diagonal
 ideal, and they are exactly the lead terms of the window's maximal minors.
 
+Inside, diagonals are packed keys built from their column tuples: one
+cached table per window, ``_diagonal_keys``, maps each diagonal's key to
+its columns, and the diagonal ideal, the colon steps and the gap tables of
+``quotients`` read it.  ``GridMonomial``s are built only for the public
+entries that return them (``diagonal_monomial``, ``enumerate_diagonals``).
+
 The natural generators of a window chain, one product of maximal minors per
 column multiset, come from one bounded process-wide cache,
 ``_minor_product``, keyed by (shape, sorted column multiset, field): chains
 share their minors and products, and a three-factor product is its cached
-two-factor prefix times one cached minor.
+two-factor prefix times one cached minor.  Each minor is expanded straight
+into keys, and each product is cached with its division row, so a Groebner
+basis of natural products builds no row of its own.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
+from types import MappingProxyType
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
@@ -31,8 +40,8 @@ from .errors import (
 )
 from .fields import PrimeField, RationalField
 from .ideals import MonomialIdeal
-from .monomials import GridMonomial, GridShape
-from .polynomials import Polynomial
+from .monomials import GridMonomial, GridShape, _from_key, _variable_key
+from .polynomials import Polynomial, _division_row
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,11 @@ class WindowChain:
 
     @classmethod
     def of(cls, *bounds) -> "WindowChain":
+        """The chain of the windows with the given (first, last) pairs."""
+        for pair in bounds:
+            _require(pair, (tuple, list), "(first, last) pair")
+            if len(pair) != 2:
+                raise DomainError(f"not a (first, last) pair: {pair!r}")
         return cls(tuple(Window(k, l) for k, l in bounds))
 
     def check_against(self, shape: GridShape):
@@ -135,6 +149,8 @@ class ColumnSelection:
 
     def check_against(self, shape: GridShape, window: Window | None = None):
         _require(shape, GridShape, "grid shape")
+        if window is not None:
+            _require(window, Window, "window")
         if len(self.cols) != shape.rows:
             raise SelectionError(
                 f"selection {self.cols} needs exactly {shape.rows} columns"
@@ -200,14 +216,27 @@ def enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
 
 @lru_cache(maxsize=None)
 def _enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
+    return tuple(_from_key(shape, k) for k in _diagonal_keys(shape, window))
+
+
+def _diagonal_key(shape: GridShape, cols) -> int:
+    """The key of the diagonal monomial taking column cols[i-1] in row i."""
+    return sum(_variable_key(shape, i, c) for i, c in enumerate(cols, start=1))
+
+
+@lru_cache(maxsize=None)
+def _diagonal_keys(shape: GridShape, window: Window) -> MappingProxyType:
+    """{diagonal key: its column tuple} over the window's diagonals, in
+    descending grid order, as ascending column tuples give them."""
     window.check_against(shape)
-    diags = tuple(
-        diagonal_monomial(shape, cols)
+    diagonals = {
+        _diagonal_key(shape, cols): cols
         for cols in combinations(range(window.first, window.last + 1), shape.rows)
-    )
-    if list(diags) != sorted(diags, reverse=True):
+    }
+    keys = list(diagonals)
+    if keys != sorted(keys, reverse=True):
         raise EngineError(f"diagonals of window {window} are not in descending grid order")
-    return diags
+    return MappingProxyType(diagonals)
 
 
 def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
@@ -219,8 +248,7 @@ def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
 
 @lru_cache(maxsize=None)
 def _diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
-    diags = _enumerate_diagonals(shape, window)
-    ideal = MonomialIdeal(shape, diags)
+    ideal = MonomialIdeal._from_keys(shape, tuple(_diagonal_keys(shape, window)))
     # Diagonal monomials are pairwise non-dividing, so nothing may collapse.
     if len(ideal) != comb(window.width, shape.rows):
         raise EngineError(f"diagonal ideal of window {window} lost generators to minimalization")
@@ -258,47 +286,51 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
             f"minor expansion capped at {caps.max_minor_rows} rows, got {m}",
             snapshot={"rows": m},
         )
-    return _minor_product(shape, (tuple(selection.cols),), field)
+    return _minor_product(shape, (tuple(selection.cols),), field)[0]
 
 
 # The largest grid the conjecture caps allow, 3x6, has 20 minors and 1,750
-# products of two or three of them (about 20 MiB), so the bound holds one
-# such grid.
+# products of two or three of them (about 40 MiB with their rows), so the
+# bound holds one such grid.
 @lru_cache(maxsize=2048)
-def _minor_product(shape: GridShape, multiset: tuple, field) -> Polynomial:
+def _minor_product(shape: GridShape, multiset: tuple, field) -> tuple:
     """The product of the maximal minors on the column sets of multiset, a
-    sorted tuple of checked column sets.
+    sorted tuple of checked column sets, and its division row
+    (``polynomials._division_row``).
 
-    One column set is expanded, and under the grid order its diagonal term
-    leads (Sturmfels and Zelevinsky, Adv. Math. 98, 1993); that is checked
-    once per expansion, and ``EngineError`` raised if not.  A raise is not
-    cached, so a broken order raises on every call.  A product of more
-    column sets is its prefix multiset's product times the last minor, both
-    read through this cache, so chains share their products and a
-    three-factor product reuses its two-factor prefix.  The product of the
-    same polynomials is the same whatever order they are multiplied in.
+    One column set is expanded straight into keys, one per permutation
+    with its sign as a field element, and under the grid order its
+    diagonal term leads (Sturmfels and Zelevinsky, Adv. Math. 98, 1993);
+    that is checked on keys once per expansion, and ``EngineError`` raised
+    if not.  A raise is not cached, so a broken order raises on every
+    call.  A product of more column sets is its prefix multiset's product
+    times the last minor, both read through this cache, so chains share
+    their products and a three-factor product reuses its two-factor
+    prefix.  The product of the same polynomials is the same whatever
+    order they are multiplied in.
     """
     if len(multiset) > 1:
-        prefix = _minor_product(shape, multiset[:-1], field)
-        return prefix * _minor_product(shape, multiset[-1:], field)
-    (cols,) = multiset
-    m = shape.rows
-    terms = []
-    for perm in permutations(range(m)):
-        inversions = sum(
-            1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
-        )
-        mono = GridMonomial.from_exponents(
-            shape, {(i + 1, cols[perm[i]]): 1 for i in range(m)}
-        )
-        terms.append((mono, -1 if inversions % 2 else 1))
-    result = Polynomial.from_terms(shape, field, terms)
-    if result.leading_monomial != diagonal_monomial(shape, cols):
-        raise EngineError(
-            f"minor on columns {ColumnSelection(cols)} is not led by its diagonal: "
-            "the monomial order is broken"
-        )
-    return result
+        prefix = _minor_product(shape, multiset[:-1], field)[0]
+        product = prefix * _minor_product(shape, multiset[-1:], field)[0]
+    else:
+        (cols,) = multiset
+        m = shape.rows
+        signs = (field.one, field.neg(field.one))
+        terms = {}
+        for perm in permutations(range(m)):
+            inversions = sum(
+                1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
+            )
+            key = sum(_variable_key(shape, i + 1, cols[perm[i]]) for i in range(m))
+            terms[key] = signs[inversions % 2]
+        keys = sorted(terms)
+        if keys[-1] != _diagonal_key(shape, cols):
+            raise EngineError(
+                f"minor on columns {ColumnSelection(cols)} is not led by its diagonal: "
+                "the monomial order is broken"
+            )
+        product = Polynomial(shape, field, keys, [terms[k] for k in keys])
+    return product, _division_row(product)
 
 
 def _report_header(shape: GridShape, windows) -> dict:

@@ -521,8 +521,8 @@ def certificate_vs_buchberger_suite(rng: random.Random, cases: int) -> int:
             # the certificate from reusing the reductions of its multiset
             k = rng.randrange(len(named))
             g = named[k][1]
-            named[k] = (object(), g + _lower_term(rng, shape, field, g.leading_monomial))
-        polys = [g for _, g in named]
+            named[k] = (object(), g + _lower_term(rng, shape, field, g.leading_monomial), None)
+        polys = [g for _, g, _ in named]
         draws += 1
         product = window_product_ideal(shape, chain.windows)
         try:

@@ -5,6 +5,10 @@ import sys
 from pathlib import Path
 
 import diagideal
+import diagideal.groebner as groebner
+import diagideal.quotients as quotients
+import diagideal.windows as windows
+from diagideal.groebner import conjecture_check
 from diagideal.ideals import MonomialIdeal, _minimal_keys
 from diagideal.monomials import GridMonomial, GridShape, _from_key
 from diagideal.polynomials import Polynomial
@@ -157,3 +161,35 @@ def test_ideals_and_polynomials_hold_keys():
     assert len(entries) == 4 and all(entry["equal"] for entry in entries)
     assert counted == 0
     assert len(calls) == len(entries[0]["brute"]) > 0
+
+
+def test_cold_colon_and_groebner_checks_build_no_monomial(monkeypatch):
+    # With every cache emptied, the diagonals, gap tables, diagonal ideals,
+    # minors and products are built on packed keys: a cold product colon
+    # check and a cold initial-ideal check build no GridMonomial.
+    for cached in (
+        windows._diagonal_keys,
+        windows._enumerate_diagonals,
+        windows._diagonal_ideal,
+        windows._minor_product,
+        quotients._gap_keys,
+    ):
+        cached.cache_clear()
+    monkeypatch.setattr(groebner, "_certified", {})
+    built = {_from_key.__code__, GridMonomial.__init__.__code__}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in built:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        entries = verify_product_colons(GridShape(3, 6), WindowChain.of((1, 4), (2, 6)))
+        verdict = conjecture_check(GridShape(2, 5), WindowChain.of((1, 4), (2, 5)))
+    finally:
+        sys.setprofile(None)
+    assert len(entries) == 4 and all(entry["equal"] for entry in entries)
+    assert verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
+    assert groebner._certified and windows._minor_product.cache_info().currsize
+    assert calls == []

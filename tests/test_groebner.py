@@ -31,6 +31,7 @@ from diagideal.groebner import (
     reduce,
     s_polynomial,
 )
+from diagideal.ideals import MonomialIdeal
 from diagideal.monomials import GridMonomial, GridShape, _degree, parse_monomial
 from diagideal.polynomials import Polynomial
 from diagideal.quotients import quotient_chain
@@ -391,8 +392,8 @@ def test_conjecture_check_falls_back_when_the_certificate_fails(monkeypatch):
     product = window_product_ideal(shape, chain.windows)
     real = groebner._natural_products
     named = real(shape, chain, GF, DEFAULT_CAPS)
-    named[2] = (object(), named[2][1] + poly(shape, GF, ("x[2,1]", 1)))
-    naturals = [g for _, g in named]
+    named[2] = (object(), named[2][1] + poly(shape, GF, ("x[2,1]", 1)), None)
+    naturals = [g for _, g, _ in named]
     assert groebner._certificate(named, product, DEFAULT_CAPS) is None
 
     monkeypatch.setattr(groebner, "_natural_products", lambda *args: list(named))
@@ -716,14 +717,25 @@ def test_each_record_is_a_reduction_to_zero_over_its_divisors(monkeypatch):
     # Division over the recorded divisors alone, in the kept order, takes
     # the same steps as over the whole kept set and so leaves zero: the
     # record is a standard representation over any set that holds them.
+    # A pair's record holds its S-polynomial's reduction, a duplicate's
+    # (named by its one multiset) the duplicate's own.
     monkeypatch.setattr(groebner, "_certified", {})
     shape, chain = GridShape(2, 6), WindowChain.of((1, 4), (2, 6))
     assert conjecture_check(shape, chain)["natural_gens_are_GB"]
-    named = dict(groebner._natural_products(shape, chain, GF, DEFAULT_CAPS))
-    assert len(groebner._certified) > 20
-    for (*_, k, j), divisors in groebner._certified.items():
+    named = {m: g for m, g, _ in groebner._natural_products(shape, chain, GF, DEFAULT_CAPS)}
+    pairs = duplicates = 0
+    for (_, _, _, *multisets), divisors in groebner._certified.items():
         kept = sorted((named[m] for m in divisors), key=lambda g: g.keys[-1], reverse=True)
-        assert kept and not reduce(s_polynomial(named[k], named[j]), kept)
+        if len(multisets) == 2:
+            pairs += 1
+            reduced = s_polynomial(*(named[m] for m in multisets))
+        else:
+            duplicates += 1
+            (m,) = multisets
+            reduced = named[m]
+            assert m not in divisors
+        assert kept and not reduce(reduced, kept)
+    assert pairs > 20 and duplicates > 0
 
 
 def test_certified_pairs_stay_bounded(monkeypatch):
@@ -740,11 +752,14 @@ def test_certified_pairs_stay_bounded(monkeypatch):
 
 
 def test_certified_pairs_bound_holds_a_two_factor_scan_up_to_3x6(monkeypatch):
-    # The default-caps scan records 1,796 pairs without emptying the record.
+    # The default-caps scan records 1,796 pairs and 61 duplicates without
+    # emptying the record.
     monkeypatch.setattr(groebner, "_certified", {})
     records = list(conjecture_scan(3, 6, 2))
     assert all("skipped" not in r for r in records)
-    assert len(groebner._certified) == 1796 < groebner._CERTIFIED_SIZE
+    sizes = [len(name) for name in groebner._certified]
+    assert (sizes.count(5), sizes.count(4)) == (1796, 61)
+    assert len(sizes) == 1796 + 61 < groebner._CERTIFIED_SIZE
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])
@@ -797,3 +812,33 @@ _P = minor(_S, (1, 2), _F)
 def test_public_entries_raise_domain_error_for_wrong_types(call):
     with pytest.raises(DomainError):
         call()
+
+
+def _outcome(build, polys):
+    """build(polys), or the type and text of the error it raises."""
+    try:
+        return build(polys)
+    except DiagIdealError as exc:
+        return type(exc), str(exc)
+
+
+def test_initial_ideal_matches_the_leading_monomial_build():
+    # The lead keys against the ideal of the checked leading monomials, on
+    # the natural generator lists of the scan chains and on mixed-grid and
+    # zero inputs: the same ideal, or the same error.
+    def leading(polys):
+        return MonomialIdeal(polys[0].shape, [g.leading_monomial for g in polys])
+
+    inputs = []
+    for shape, chain in scan_chains()[:40]:
+        polys = natural_window_generators(shape, chain, GF)
+        inputs += [polys, polys[::-1] + polys[:3]]
+    small, large = GridShape(2, 3), GridShape(2, 4)
+    f = natural_window_generators(small, WindowChain.of((1, 3)), GF)[0]
+    g = natural_window_generators(large, WindowChain.of((1, 4)), GF)[0]
+    zero = Polynomial.zero(small, GF)
+    odd = [[f, g], [g, f], [f, zero], [zero], [f, g, zero], [zero, g]]
+    inputs += odd
+    for polys in inputs:
+        assert _outcome(initial_ideal, polys) == _outcome(leading, polys)
+    assert all(type(_outcome(initial_ideal, polys)) is tuple for polys in odd)

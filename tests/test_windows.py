@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from types import GeneratorType
 
 import pytest
 
+import diagideal.quotients as quotients
 import diagideal.windows as windows
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.errors import (
@@ -22,6 +23,7 @@ from diagideal.fields import make_field
 from diagideal.groebner import natural_window_generators
 from diagideal.ideals import MonomialIdeal
 from diagideal.monomials import GridMonomial, GridShape
+from diagideal.polynomials import Polynomial
 from diagideal.windows import (
     ColumnSelection,
     Window,
@@ -99,6 +101,7 @@ def test_columns_and_chains_are_stored_as_tuples():
     assert WindowChain([w]).windows == (w,)
     assert WindowChain([w]) == WindowChain((w,))
     assert hash(WindowChain([w])) == hash(WindowChain((w,)))
+    assert WindowChain.of([1, 3]) == WindowChain.of((1, 3))
 
 
 @pytest.mark.parametrize(
@@ -212,9 +215,8 @@ def test_minor_cap():
 
 def test_minor_raises_when_the_diagonal_does_not_lead(monkeypatch):
     shape = GridShape(2, 3)
-    monkeypatch.setattr(
-        windows, "diagonal_monomial", lambda shape, cols: GridMonomial.unit(shape)
-    )
+    # The expansion's lead key is checked against the diagonal's key.
+    monkeypatch.setattr(windows, "_diagonal_key", lambda shape, cols: 0)
     # The lead is checked inside the cached expansion, so start it cold.
     windows._minor_product.cache_clear()
     try:
@@ -233,17 +235,22 @@ def test_enumerate_diagonals_raises_when_out_of_order(monkeypatch):
         windows, "combinations", lambda cols, r: reversed(list(combinations(cols, r)))
     )
     windows._enumerate_diagonals.cache_clear()
+    windows._diagonal_keys.cache_clear()
     try:
         with pytest.raises(EngineError):
             enumerate_diagonals(shape, window)
     finally:
         windows._enumerate_diagonals.cache_clear()
+        windows._diagonal_keys.cache_clear()
 
 
 def test_diagonal_ideal_raises_when_generators_collapse(monkeypatch):
     shape, window = GridShape(2, 5), Window(1, 4)
-    real = windows.MonomialIdeal
-    monkeypatch.setattr(windows, "MonomialIdeal", lambda shape, gens: real(shape, gens[1:]))
+    # The ideal is built from the diagonal keys; one of them goes missing.
+    real = MonomialIdeal._from_keys
+    monkeypatch.setattr(
+        MonomialIdeal, "_from_keys", classmethod(lambda cls, shape, keys: real(shape, keys[1:]))
+    )
     windows._diagonal_ideal.cache_clear()
     try:
         with pytest.raises(EngineError):
@@ -311,12 +318,18 @@ _S = GridShape(2, 4)
         lambda: window_product_ideal(_S, [[1, 3]]),
         lambda: minor(_S, (1, 3), []),
         lambda: natural_window_generators(_S, WindowChain.of((1, 3)), []),
+        lambda: ColumnSelection((1, 2)).check_against(_S, 3),
+        lambda: ColumnSelection((1, 2)).check_against(_S, (1, 3)),
+        lambda: WindowChain.of(3),
+        lambda: WindowChain.of((1,)),
+        lambda: WindowChain.of((1, 3), (2, 3, 4)),
     ],
     ids=[
         "minor-cols", "diagonal-int", "diagonal-none", "diagonal-float",
         "diagonals-list-window", "diagonals-list-shape", "ideal-dict-window",
         "ideal-list-shape", "product-list-window", "minor-list-field",
-        "natural-list-field",
+        "natural-list-field", "selection-int-window", "selection-tuple-window",
+        "chain-of-int", "chain-of-short-pair", "chain-of-triple",
     ],
 )
 def test_window_entries_raise_domain_error_for_wrong_types(call):
@@ -366,3 +379,47 @@ def test_window_entries_type_every_argument(name, position, bad):
     else:
         with pytest.raises(DomainError):
             _drain(func(*args))
+
+
+def _grids(max_rows: int, max_cols: int):
+    return [GridShape(m, n) for m in range(1, max_rows + 1) for n in range(m, max_cols + 1)]
+
+
+def test_window_keys_match_the_checked_monomials():
+    # Every window of every grid up to 3x8: the diagonal keys, the gap
+    # tables and the diagonal ideals built from column tuples against the
+    # checked GridMonomial constructions they replace.
+    for shape in _grids(3, 8):
+        for window in iter_windows(shape):
+            columns = list(combinations(range(window.first, window.last + 1), shape.rows))
+            monomials = [diagonal_monomial(shape, cols) for cols in columns]
+            assert enumerate_diagonals(shape, window) == tuple(monomials)
+            table = windows._diagonal_keys(shape, window)
+            assert list(table.items()) == [(m.key, cols) for m, cols in zip(monomials, columns)]
+            gaps = quotients._gap_keys(shape, window)
+            for m in monomials:
+                want, prev = [], window.first - 1
+                for i, c in enumerate(selection_of(m).cols, start=1):
+                    want += [GridMonomial.variable(shape, i, b).key for b in range(prev + 1, c)]
+                    prev = c
+                assert gaps[m.key] == tuple(want), (shape, window, m)
+            assert diagonal_ideal(shape, window) == MonomialIdeal(shape, monomials)
+
+
+@pytest.mark.parametrize("char", [0, 7, 32003])
+def test_minors_match_the_checked_expansion(char):
+    # Every maximal minor up to 3x6, expanded into keys, against the
+    # permutation expansion through from_exponents and from_terms.
+    field = make_field(char)
+    for shape in _grids(3, 6):
+        m = shape.rows
+        for cols in combinations(range(1, shape.cols + 1), m):
+            terms = []
+            for perm in permutations(range(m)):
+                sign = (-1) ** sum(perm[a] > perm[b] for a in range(m) for b in range(a + 1, m))
+                mono = GridMonomial.from_exponents(shape, {(i + 1, cols[perm[i]]): 1 for i in range(m)})
+                terms.append((mono, sign))
+            want = Polynomial.from_terms(shape, field, terms)
+            got = minor(shape, cols, field)
+            assert (got.keys, got.coeffs) == (want.keys, want.coeffs), (shape, cols, char)
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
