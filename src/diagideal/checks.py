@@ -15,7 +15,7 @@ from typing import Iterator
 from .caps import Caps, DEFAULT_CAPS
 from .errors import ResourceLimitError
 from .groebner import conjecture_check
-from .monomials import GridShape, _from_key
+from .monomials import GridShape, _key_text
 from .quotients import _colon_steps, verify_product_colons
 from .replay import NEGATIVE_CONTROLS, replay_colon_mismatch
 from .resolution import _cone, betti_table
@@ -49,7 +49,7 @@ def _ideal_text(ideal, texts: dict) -> str:
     for k in ideal.keys:
         text = texts.get(k)
         if text is None:
-            text = texts[k] = str(_from_key(ideal.shape, k))
+            text = texts[k] = _key_text(ideal.shape, k)
         parts.append(text)
     return "<" + ", ".join(parts) + ">"
 

@@ -2,6 +2,13 @@
 
 Rational coefficients are ``fractions.Fraction``; prime-field coefficients
 are plain ints reduced mod p.  No floating point anywhere.
+
+Library loops (polynomial merges and products, minor signs, the exact rank)
+work on these values with plain ``+``, ``-``, ``*`` and one ``% p``, and
+call a field only for ``one``, to ``normalize`` input and to ``invert``.
+The per-operation methods ``add``, ``sub``, ``mul``, ``neg`` and
+``is_zero`` stay for the public API and for the traced benchmark, which
+counts them; no library loop calls them.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .monomials import (
     _degree,
     _first_divisor,
     _from_key,
+    _key_text,
     _products,
     _undivided,
     _variable_mask,
@@ -187,7 +188,7 @@ class MonomialIdeal:
     # -- text ----------------------------------------------------------------
 
     def __str__(self):
-        return "<" + ", ".join(str(g) for g in self.gens) + ">"
+        return "<" + ", ".join(_key_text(self.shape, k) for k in self.keys) + ">"
 
     def __repr__(self):
         return f"MonomialIdeal({self.shape.rows}x{self.shape.cols}, {self})"

@@ -30,8 +30,10 @@ for the lot), ``_degree`` (the byte sum, no exponent tuple), ``_by_degree``
 (keys grouped by degree, by one modulo where the degrees are small),
 ``_variables`` (the keys that are single variables, by a bit test rather
 than a degree), ``_variable_mask`` (one AND tests divisibility by any of a
-set of variables) and ``_variable_key`` (the key of x[i,j], so that other
-modules build diagonals, gaps and minor terms as sums of keys).
+set of variables), ``_variable_key`` (the key of x[i,j], so that other
+modules build diagonals, gaps and minor terms as sums of keys) and
+``_key_text`` (a key's ``x[i,j]^e`` text, which ``str`` of a monomial
+returns, so reports render keys with no monomial built).
 The public operators check both grids, then call them; loops over keys whose
 grid was checked where they entered call them directly.
 """
@@ -307,6 +309,18 @@ def _variable_key(shape: GridShape, i: int, j: int) -> int:
     return 1 << 8 * (shape.variable_count - (i - 1) * shape.cols - j)
 
 
+def _key_text(shape: GridShape, key: int) -> str:
+    """The ``x[i,j]^e*...`` text of a key, ``1`` for the unit."""
+    if not key:
+        return "1"
+    names = shape._names
+    return "*".join(
+        names[idx] if e == 1 else f"{names[idx]}^{e}"
+        for idx, e in enumerate(key.to_bytes(shape.variable_count, "big"))
+        if e
+    )
+
+
 @total_ordering
 class GridMonomial:
     """An immutable monomial; ``key`` is its packed exponent vector."""
@@ -442,15 +456,7 @@ class GridMonomial:
     # -- text ------------------------------------------------------------
 
     def __str__(self):
-        if not self.key:
-            return "1"
-        shape = self.shape
-        names = shape._names
-        return "*".join(
-            names[idx] if e == 1 else f"{names[idx]}^{e}"
-            for idx, e in enumerate(self.key.to_bytes(shape.variable_count, "big"))
-            if e
-        )
+        return _key_text(self.shape, self.key)
 
     def __repr__(self):
         return f"GridMonomial({self.shape.rows}x{self.shape.cols}, {self})"

@@ -14,8 +14,9 @@ accumulate packed keys in a dict, again in plain ``+`` and ``*``, with one
 ``% p`` per term of the result; one check of each left term against the
 right factor's bytewise max key stands for the overflow check of its row.
 A divisor's row, its tail made monic and negated, is ``_division_row``; the
-natural products are cached with theirs.  The field's own methods stay for
-input and division.
+natural products are cached with theirs.  ``from_terms`` sums repeated
+terms in plain ``+`` too; the field is called only to normalize input and
+to invert.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ class Polynomial:
             pairs = iter(pairs)
         except TypeError:
             raise DomainError(f"terms must be iterable, got {pairs!r}") from None
+        p = field.characteristic
         acc = {}
         for pair in pairs:
             try:
@@ -126,11 +128,13 @@ class Polynomial:
                 raise DomainError(f"not a monomial: {mono!r}")
             if mono.shape != shape:
                 raise ShapeMismatchError("term monomial on wrong grid")
-            c = field.add(acc.get(mono.key, field.zero), _coefficient(field, coeff))
-            if field.is_zero(c):
-                acc.pop(mono.key, None)
-            else:
+            c = acc.get(mono.key, 0) + _coefficient(field, coeff)
+            if p:
+                c %= p
+            if c:
                 acc[mono.key] = c
+            else:
+                acc.pop(mono.key, None)
         keys = sorted(acc)
         return cls(shape, field, keys, [acc[k] for k in keys])
 
@@ -186,15 +190,16 @@ class Polynomial:
         keys, coeffs = _add_multiple(self.keys, self.coeffs, c, q, row, shape, field.characteristic)
         return Polynomial(shape, field, keys, coeffs)
 
+    # The merge reduces c * coeff mod p, so plain 1 and -1 serve as c.
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(self.field.one, 0, other)
+        return self._plus(1, 0, other)
 
     def __neg__(self) -> "Polynomial":
         zero = Polynomial(self.shape, self.field)
-        return zero._plus(self.field.neg(self.field.one), 0, self)
+        return zero._plus(-1, 0, self)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(self.field.neg(self.field.one), 0, other)
+        return self._plus(-1, 0, other)
 
     def times_term(self, mono: GridMonomial, coeff) -> "Polynomial":
         """Multiply by a single term; descending order is preserved."""

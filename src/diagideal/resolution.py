@@ -6,8 +6,10 @@ of a generator subset) the complex holds the squarefree monomials s with b/s
 in the ideal, and beta_{i,b} is the rank of reduced homology in dimension i-1
 over the chosen field.  Multidegrees are packed keys and faces squarefree
 keys; a monomial is built only to name b in the face-cap error.  Ranks come
-from exact Gaussian elimination on sparse boundary matrices; no floating
-point, no probabilistic shortcuts.
+from exact Gaussian elimination on sparse boundary matrices, in plain ``-``
+and ``*`` with one ``% p`` per entry at characteristic p, and pivots
+inverted by ``field.invert``: Fractions at char 0, residues at char p; no
+floating point, no probabilistic shortcuts.
 
 When a generator order has linear quotients, the mapping cone gives the same
 table combinatorially: the generator whose colon has d variables contributes
@@ -151,29 +153,39 @@ def _reduced_homology(ideal: MonomialIdeal, b: int, field, caps: Caps = DEFAULT_
 
 
 def _rank_of_columns(columns, field) -> int:
-    """Exact rank of a sparse integer matrix given as row->coeff columns."""
+    """Exact rank of a sparse integer matrix given as row->coeff columns.
+
+    Elimination runs on plain ``-`` and ``*``, with one ``% p`` per entry at
+    characteristic p; the field only inverts pivots.  Entries enter as the
+    integers given (reduced mod p), and each pivot row is kept scaled to a
+    unit pivot and without its pivot entry, keyed by the pivot's row.  At
+    char p a pivot row keeps inv * v unreduced, below p**2: every entry it
+    changes is reduced.
+    """
+    p = field.characteristic
     pivots = {}
-    rank = 0
     for col in columns:
-        work = {row: field.normalize(v) for row, v in col.items()}
+        if p:
+            work = {row: v % p for row, v in col.items() if v % p}
+        else:
+            work = {row: v for row, v in col.items() if v}
         while work:
             row = min(work)
+            c = work.pop(row)
             pivot = pivots.get(row)
             if pivot is None:
-                inv = field.invert(work[row])
-                pivots[row] = {r: field.mul(inv, v) for r, v in work.items()}
-                rank += 1
+                inv = field.invert(c)
+                pivots[row] = {r: inv * v for r, v in work.items()}
                 break
-            c = work.pop(row)
             for r, v in pivot.items():
-                if r == row:
-                    continue
-                nv = field.sub(work.get(r, field.zero), field.mul(c, v))
-                if field.is_zero(nv):
-                    work.pop(r, None)
-                else:
+                nv = work.get(r, 0) - c * v
+                if p:
+                    nv %= p
+                if nv:
                     work[r] = nv
-    return rank
+                else:
+                    work.pop(r, None)
+    return len(pivots)
 
 
 def _boundary_columns(lower_masks, upper_masks):

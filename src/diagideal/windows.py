@@ -315,7 +315,7 @@ def _minor_product(shape: GridShape, multiset: tuple, field) -> tuple:
     else:
         (cols,) = multiset
         m = shape.rows
-        signs = (field.one, field.neg(field.one))
+        signs = (field.one, field.normalize(-1))
         terms = {}
         for perm in permutations(range(m)):
             inversions = sum(

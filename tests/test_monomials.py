@@ -14,6 +14,7 @@ from diagideal.monomials import (
     _colons,
     _colons_and_variables,
     _degree,
+    _key_text,
     _lcm_all,
     _radical,
     _variable_mask,
@@ -301,3 +302,16 @@ def test_colons_skips_the_keys_that_meet_the_mask():
         # A mask of every variable skips every key but the unit's.
         every = _variable_mask(variables)
         assert _colons(keys + [0], keys[0], shape, every) == [0] * (keys.count(0) + 1)
+
+
+def test_key_text_round_trips_through_the_parser():
+    shape = GridShape(2, 3)
+    rng = random.Random("key-text")
+    assert _key_text(shape, 0) == "1"
+    for _ in range(50):
+        exps = tuple(rng.choice((0, 0, 1, 2, MAX_EXPONENT)) for _ in range(6))
+        mono = GridMonomial(shape, exps)
+        text = _key_text(shape, mono.key)
+        assert text == str(mono)
+        assert parse_monomial(shape, text) == mono
+    assert _key_text(shape, GridMonomial(shape, (2, 0, 0, 0, 1, 0)).key) == "x[1,1]^2*x[2,2]"

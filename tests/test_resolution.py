@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 from types import ModuleType
 
@@ -10,12 +12,13 @@ import diagideal
 from diagideal import checks, cli, groebner, resolution
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.errors import DomainError, ResourceLimitError
-from diagideal.fields import make_field
+from diagideal.fields import PrimeField, RationalField, make_field
 from diagideal.ideals import MonomialIdeal, parse_ideal
 from diagideal.monomials import GridShape, parse_monomial
 from diagideal.resolution import (
     BettiTable,
     _divisor_complex,
+    _rank_of_columns,
     _reduced_homology,
     betti,
     betti_table,
@@ -361,3 +364,85 @@ _IDEAL = window_product_ideal(GridShape(2, 4), (Window(1, 3), Window(2, 4)))
 def test_betti_entries_raise_domain_error_for_wrong_types(call):
     with pytest.raises(DomainError):
         call()
+
+
+def _dense_rank(columns, nrows: int, p: int) -> int:
+    """Rank by dense Gaussian elimination: Fraction rows at char 0, residues
+    inverted by pow(x, -1, p) at char p."""
+    if p:
+        rows = [[col.get(r, 0) % p for r in range(nrows)] for col in columns]
+    else:
+        rows = [[Fraction(col.get(r, 0)) for r in range(nrows)] for col in columns]
+    rank = 0
+    for c in range(nrows):
+        found = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        inv = pow(rows[rank][c], -1, p) if p else 1 / rows[rank][c]
+        top = [x * inv % p if p else x * inv for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = row[c]
+                rows[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(row, top)]
+        rank += 1
+    return rank
+
+
+def _random_columns(rng, nrows: int, ncols: int) -> list:
+    """Sparse columns with entries in -3..3, some of them sums of earlier
+    ones so that the rank drops."""
+    columns = []
+    for _ in range(ncols):
+        if len(columns) > 1 and rng.random() < 0.3:
+            a, b = rng.sample(columns, 2)
+            s, t = rng.choice((-1, 1)), rng.choice((-1, 1))
+            col = {r: s * a.get(r, 0) + t * b.get(r, 0) for r in set(a) | set(b)}
+            columns.append({r: v for r, v in col.items() if -3 <= v <= 3})
+        else:
+            rows = rng.sample(range(nrows), rng.randint(1, nrows))
+            columns.append({r: rng.randint(-3, 3) for r in rows})
+    return columns
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 7, 32003])
+def test_rank_kernel_matches_dense_elimination(p):
+    rng = random.Random(f"rank/{p}")
+    field = make_field(p)
+    ranks = set()
+    for _ in range(200):
+        nrows = rng.randint(1, 7)
+        columns = _random_columns(rng, nrows, rng.randint(1, 9))
+        rank = _rank_of_columns(columns, field)
+        assert rank == _dense_rank(columns, nrows, p)
+        ranks.add((rank, len(columns)))
+    assert any(r < n for r, n in ranks) and any(r == n for r, n in ranks)
+
+
+@pytest.mark.parametrize(
+    "columns, ranks",
+    [
+        ([{0: 2}], {0: 1, 2: 0, 3: 1}),
+        ([{0: 3}], {0: 1, 2: 1, 3: 0}),
+        ([{0: 1, 1: 1}, {0: 1, 1: -1}], {0: 2, 2: 1, 3: 2}),
+    ],
+)
+def test_rank_kernel_drops_rank_mod_p(columns, ranks):
+    for p, rank in ranks.items():
+        assert _rank_of_columns(columns, make_field(p)) == rank
+        assert _dense_rank(columns, 2, p) == rank
+
+
+def test_homology_oracle_calls_no_per_operation_field_method(monkeypatch):
+    tables = {p: betti_table(_IDEAL, p) for p in (0, 32003)}
+
+    def refuse(*args):
+        raise AssertionError("a per-operation field method was called")
+
+    for cls in (RationalField, PrimeField):
+        for name in ("add", "sub", "mul", "neg", "is_zero"):
+            monkeypatch.setattr(cls, name, refuse)
+        monkeypatch.setattr(cls, "zero", property(refuse))
+    for p, table in tables.items():
+        assert betti_table(_IDEAL, p) == table
+        assert table.same_entries(mapping_cone_betti(_IDEAL, p))
