@@ -32,7 +32,7 @@ from .errors import ChainOrderError, DiagIdealError, FormatError, ResourceLimitE
 from .fields import make_field
 from .groebner import buchberger, initial_ideal, natural_window_generators
 from .ideals import MonomialIdeal, parse_ideal
-from .monomials import GridShape
+from .monomials import GridShape, _key_text
 from .quotients import _brute_colon, closed_form_colon, closed_form_product_colon
 from .replay import run_paper_replay
 from .resolution import betti, betti_table, mapping_cone_betti
@@ -156,7 +156,7 @@ def _ideal_argument(args: argparse.Namespace, shape: GridShape) -> MonomialIdeal
 def cmd_diagonals(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
     window = _parse_window(args.window)
-    gens = [str(g) for g in enumerate_diagonals(shape, window)]
+    gens = [_key_text(shape, k) for k in diagonal_ideal(shape, window).keys]
     record = {
         "shape": [shape.rows, shape.cols],
         "window": [window.first, window.last],
@@ -169,7 +169,7 @@ def cmd_diagonals(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_ideal_product(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
     windows = _chain_windows(args)
-    gens = [str(g) for g in window_product_ideal(shape, windows).gens]
+    gens = [_key_text(shape, k) for k in window_product_ideal(shape, windows).keys]
     emit(config, {**_report_header(shape, windows), "generators": gens}, gens)
     return EXIT_PASS
 
@@ -240,7 +240,7 @@ def cmd_groebner(config: RunConfig, args: argparse.Namespace) -> int:
     basis = buchberger(generators, caps=config.caps)
     ini = initial_ideal(basis)
     polys = [str(p) for p in basis.polys]
-    gens = [str(g) for g in ini.gens]
+    gens = [_key_text(shape, k) for k in ini.keys]
     record = {
         **_report_header(shape, chain),
         "char": args.char,

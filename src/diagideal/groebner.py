@@ -31,19 +31,23 @@ quotients in its canonical order, so its first syzygies come from one pair
 per (j, x in V_j) (Herzog and Takayama, Manuscripta Math. 2002).  The pairs
 are read off ``quotients._linear_quotients``, the V_j walk the mapping cone
 also reads.  Once those S-polynomials reduce to zero the kept generators are
-a Groebner basis (Moller, Mora and Traverso, ISSAC 1992).  Its ``spairs`` is
-then the sum of the |V_j|, the first total Betti number of J.  Whenever the
+a Groebner basis (Moller, Mora and Traverso, ISSAC 1992), and their leads
+are J, so the initial ideal is J: a certified verdict is true on both
+counts by proof and is read off the certificate, whose ``spairs`` is the
+sum of the |V_j|, the first total Betti number of J.  Whenever the
 certificate cannot decide (a nonzero remainder, no linear quotients, or more
-pairs than ``caps.max_spairs``) the check falls back to ``buchberger``, which
-gives false verdicts their witness and reports Gebauer-Moller's pair count.
+pairs than ``caps.max_spairs``) the check falls back to ``buchberger``; only
+that path builds the initial ideal and compares it with J, gives false
+verdicts their witness and reports Gebauer-Moller's pair count.
 
-Chains share most of their S-pairs and duplicate-lead products, so each
-distinct one is reduced once per process.  A reduction to zero is recorded
-in a bounded process-wide table, keyed by (grid, characteristic, the
-column multisets that name what was reduced) and emptied when full, with
-the multisets of the divisors it used; a later chain whose kept generators
-include those divisors takes it as reduced.  The kept generators' division
-rows come cached with the products (``windows._minor_product``).
+The natural products are read from ``windows._minor_product``'s
+process-wide cache, with their division rows, once ``minor``'s rows cap
+has been checked for the chain.  Chains share most of their S-pairs and
+duplicate-lead products, so each distinct one is reduced once per process.
+A reduction to zero is recorded in a bounded process-wide table, keyed by
+(grid, characteristic, the column multisets that name what was reduced)
+and emptied when full, with the multisets of the divisors it used; a later
+chain whose kept generators include those divisors takes it as reduced.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from itertools import combinations, product as iter_product
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError, ShapeMismatchError, _require
-from .fields import make_field
+from .fields import PrimeField, RationalField, make_field
 from .ideals import MonomialIdeal
 from .monomials import (
     GridShape,
@@ -69,7 +73,13 @@ from .monomials import (
 )
 from .polynomials import Polynomial, _add_multiple, _division_row
 from .quotients import _linear_quotients
-from .windows import WindowChain, _minor_product, _report_header, minor, window_product_ideal
+from .windows import (
+    WindowChain,
+    _check_minor_rows,
+    _minor_product,
+    _report_header,
+    window_product_ideal,
+)
 
 
 class _Basis:
@@ -377,13 +387,14 @@ def natural_window_generators(
     Maximal minors on distinct column sets are pairwise non-associate
     irreducibles, so by unique factorization two products agree up to a
     scalar exactly when their multisets of column sets agree.  A combination
-    whose multiset came earlier is skipped before it is multiplied.  Every
-    column set of the chain goes through ``minor`` once, so its cap holds
-    on every call; the products come from ``windows._minor_product``'s
+    whose multiset came earlier is skipped before it is multiplied.  The
+    arguments are type-checked, and the rows cap of ``minor`` checked once
+    per chain, before the products are read from ``windows._minor_product``'s
     process-wide cache.
     """
     _require(chain, WindowChain, "window chain")
     _require(caps, Caps, "Caps")
+    _require(field, (RationalField, PrimeField), "field")
     chain.check_against(shape)
     return [poly for _, poly, _ in _natural_products(shape, chain, field, caps)]
 
@@ -392,19 +403,10 @@ def _natural_products(shape: GridShape, chain: WindowChain, field, caps: Caps) -
     """``natural_window_generators`` on checked arguments, as (multiset,
     product, row) triples: the multiset is the sorted tuple of column sets
     that names the product, and the row its cached division row."""
-    per_window = [
-        list(combinations(range(w.first, w.last + 1), shape.rows)) for w in chain.windows
-    ]
-    for cols in dict.fromkeys(cols for column_sets in per_window for cols in column_sets):
-        minor(shape, cols, field, caps)
-    products = []
-    seen = set()
-    for combo in iter_product(*per_window):
-        multiset = tuple(sorted(combo))
-        if multiset not in seen:
-            seen.add(multiset)
-            products.append((multiset, *_minor_product(shape, multiset, field)))
-    return products
+    _check_minor_rows(shape, caps)
+    per_window = [combinations(range(w.first, w.last + 1), shape.rows) for w in chain.windows]
+    multisets = dict.fromkeys(tuple(sorted(combo)) for combo in iter_product(*per_window))
+    return [(m, *_minor_product(shape, m, field)) for m in multisets]
 
 
 # (rows, cols, characteristic, multiset k, multiset j) -> frozenset of the
@@ -433,11 +435,11 @@ def _record(name: tuple, keys, coeffs, basis: _Basis, names) -> bool:
 
 
 def _certificate(naturals, product: MonomialIdeal, caps: Caps):
-    """The kept natural generators, one monic per lead in the product's
-    canonical order, and the number of S-pairs reduced, when the
-    linear-quotients certificate shows they form a Groebner basis; None
-    when it cannot decide.  naturals lists (multiset, product, row)
-    triples, as ``_natural_products`` gives them; a row of None is built.
+    """The number of S-pairs reduced when the linear-quotients certificate
+    shows that the kept natural generators, one per lead, form a Groebner
+    basis of all the naturals; None when it cannot decide.  naturals lists
+    (multiset, product, row) triples, as ``_natural_products`` gives them;
+    a row of None is built.
 
     The product's V_j walk (``quotients._linear_quotients``) records, per
     generator m_j, each single-variable colon m_k : m_j with its first k.
@@ -446,7 +448,8 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     2002).  Then the kept set G is a Groebner basis once each of those
     S-polynomials has a standard representation over it (Moller, Mora and
     Traverso, ISSAC 1992), and the other naturals, the duplicates, lie in
-    its ideal once they reduce to zero over it.
+    its ideal once they reduce to zero over it.  Its leads are then the
+    product's generators, checked here, so the initial ideal is the product.
 
     A reduction to zero, of S(g_k, g_j) or of a duplicate, writes it as a
     sum of multiples of the divisors D it cancelled with, none leading
@@ -454,13 +457,14 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     contains D.  Each such reduction is recorded in ``_certified`` under
     the multisets that name the reduced polynomial, with the multisets of
     D; a later chain whose kept set contains D reuses it and reduces
-    nothing.  Every other pair and duplicate is reduced over G.  A
-    remainder that is not zero shows that G is no Groebner basis, or that
+    nothing.  Pairs, then duplicates, are looked up in one loop, and each
+    miss is reduced over G, whose division data is built at the first miss.
+    A remainder that is not zero shows that G is no Groebner basis, or that
     the duplicate is not in its ideal, for over a Groebner basis every
     element of its ideal reduces to zero, whichever divisor each step
     picks.  So the certificate succeeds exactly when G is a Groebner basis
     of all the naturals, whichever reductions the record holds, and the
-    verdict and ``spairs`` do not depend on it.
+    verdict and the count do not depend on it.
     """
     shape = product.shape
     kept = {}
@@ -481,33 +485,24 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     if len(pairs) > caps.max_spairs:
         return None
     names = [kept[k][0] for k in keys]
-    field = kept[keys[0]][1].field
-    p = field.characteristic
     named = set(names)
-    rows, cols = shape.rows, shape.cols
-    misses = []
-    for k, j in pairs:
-        recorded = _certified.get((rows, cols, p, names[k], names[j]))
-        if recorded is None or not recorded <= named:
-            misses.append((k, j))
-    fresh = []
-    for m, g in duplicates:
-        recorded = _certified.get((rows, cols, p, m))
-        if recorded is None or not recorded <= named:
-            fresh.append((m, g))
-    polys = [kept[k][1].monic() for k in keys]
-    if misses or fresh:
-        divisors = _Basis(shape, field)
-        for k, g in zip(keys, polys):
-            divisors.append(g, kept[k][2])
-        for k, j in misses:
-            name = (rows, cols, p, names[k], names[j])
-            if not _record(name, *_s_pair(divisors, k, j), divisors, names):
-                return None
-        for m, g in fresh:
-            if not _record((rows, cols, p, m), g.keys, g.coeffs, divisors, names):
-                return None
-    return polys, len(pairs)
+    field = kept[keys[0]][1].field
+    grid = (shape.rows, shape.cols, field.characteristic)
+    work = [(grid + (names[k], names[j]), (k, j), None) for k, j in pairs]
+    work += [(grid + (m,), None, g) for m, g in duplicates]
+    divisors = None
+    for name, pair, g in work:
+        recorded = _certified.get(name)
+        if recorded is not None and recorded <= named:
+            continue
+        if divisors is None:
+            divisors = _Basis(shape, field)
+            for k in keys:
+                divisors.append(*kept[k][1:])
+        reduced = (g.keys, g.coeffs) if pair is None else _s_pair(divisors, *pair)
+        if not _record(name, *reduced, divisors, names):
+            return None
+    return len(pairs)
 
 
 def conjecture_check(
@@ -520,7 +515,10 @@ def conjecture_check(
     product, and do the natural generators already lead the reduced basis?
 
     Returns a verdict record; a false verdict carries a witness polynomial
-    whose leading monomial escapes the diagonal product.
+    whose leading monomial escapes the diagonal product.  A chain the
+    certificate decides has both answers true by proof, with the
+    certificate's pair count; only the Buchberger fallback builds the
+    initial ideal and compares it.
     """
     _require(chain, WindowChain, "window chain")
     _require(caps, Caps, "Caps")
@@ -541,40 +539,34 @@ def conjecture_check(
     start = time.perf_counter()
     naturals = _natural_products(shape, chain, field, caps)
     diagonal_product = window_product_ideal(shape, chain.windows)
-    certified = _certificate(naturals, diagonal_product, caps)
-    if certified is None:
+    spairs = _certificate(naturals, diagonal_product, caps)
+    equal = covered = True
+    if spairs is None:
         basis = buchberger([g for _, g, _ in naturals], caps)
-        polys, spairs = basis.polys, basis.spairs_reduced
-    else:
-        polys, spairs = certified
-    ini = initial_ideal(polys)
-
-    # The diagonal product embeds in the initial ideal by construction; a
-    # failure here would be an engine bug, not a mathematical finding.
-    # Most generators of J are leads themselves; only the rest need a scan.
-    leads = set(ini.keys)
-    missing = _undivided([k for k in diagonal_product.keys if k not in leads], ini.keys, shape)
-    if missing:
-        raise EngineError(
-            f"initial ideal misses diagonal generator {_from_key(shape, missing[0])}: "
-            "the Groebner engine is broken"
-        )
-
-    natural_leads = {g.keys[-1] for _, g, _ in naturals}
-    covered = all(p.keys[-1] in natural_leads for p in polys)
-    equal = ini == diagonal_product
-    millis = int((time.perf_counter() - start) * 1000)
+        spairs = basis.spairs_reduced
+        ini = initial_ideal(basis)
+        # The diagonal product embeds in the initial ideal by construction;
+        # a failure here would be an engine bug, not a mathematical finding.
+        # Most generators of J are leads themselves; only the rest need a scan.
+        leads = set(ini.keys)
+        missing = _undivided([k for k in diagonal_product.keys if k not in leads], ini.keys, shape)
+        if missing:
+            raise EngineError(
+                f"initial ideal misses diagonal generator {_from_key(shape, missing[0])}: "
+                "the Groebner engine is broken"
+            )
+        natural_leads = {g.keys[-1] for _, g, _ in naturals}
+        covered = all(p.keys[-1] in natural_leads for p in basis)
+        equal = ini == diagonal_product
     verdict = {
         **_report_header(shape, chain),
         "char": characteristic,
         "ini_equals_J": equal,
         "natural_gens_are_GB": covered,
         "spairs": spairs,
-        "millis": millis,
+        "millis": int((time.perf_counter() - start) * 1000),
     }
     if not equal:
-        witness = next(
-            p for p in polys if not diagonal_product.contains(p.leading_monomial)
-        )
+        witness = next(p for p in basis if not diagonal_product.contains(p.leading_monomial))
         verdict["witness"] = str(witness)
     return verdict

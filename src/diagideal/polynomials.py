@@ -4,7 +4,8 @@ Groebner division shares.
 A polynomial holds its terms as packed keys and coefficients, ascending in
 the grid order the merge works in, so the leading term is the last;
 ``terms`` and ``leading_monomial`` build the descending ``GridMonomial``
-view on request.  Every sum is one merge, ``_add_multiple``, of ascending
+view on request, and ``str`` writes each term's text from its key
+(``monomials._key_text``).  Every sum is one merge, ``_add_multiple``, of ascending
 keys and coefficients with c * x^q times a row of (key, coeff) pairs, in
 plain ``+``, ``*`` and ``% p``: ``Polynomial._plus`` runs it for ``+``,
 ``-``, negation, ``times_term`` and ``monic``, and ``groebner._reduce`` for
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ShapeMismatchError
 from .fields import PrimeField, RationalField
-from .monomials import GridMonomial, GridShape, _from_key, _lcm_all, _product
+from .monomials import GridMonomial, GridShape, _from_key, _key_text, _lcm_all, _product
 
 
 def _coefficient(field, value):
@@ -259,16 +260,16 @@ class Polynomial:
         if self.is_zero:
             return "0"
         parts = []
-        for k, (mono, coeff) in enumerate(self.terms):
+        for k, (key, coeff) in enumerate(zip(reversed(self.keys), reversed(self.coeffs))):
             cst = str(coeff)
             negative = cst.startswith("-")
             mag = cst[1:] if negative else cst
-            if mono.is_unit:
+            if not key:
                 body = mag
             elif mag == "1":
-                body = str(mono)
+                body = _key_text(self.shape, key)
             else:
-                body = f"{mag}*{mono}"
+                body = f"{mag}*{_key_text(self.shape, key)}"
             if k == 0:
                 parts.append(("-" if negative else "") + body)
             else:

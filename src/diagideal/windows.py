@@ -280,13 +280,20 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
     _require(field, (RationalField, PrimeField), "field")
     selection = _selection(cols)
     selection.check_against(shape)
+    _check_minor_rows(shape, caps)
+    return _minor_product(shape, (tuple(selection.cols),), field)[0]
+
+
+def _check_minor_rows(shape: GridShape, caps: Caps) -> None:
+    """ResourceLimitError when the shape's maximal minors have more rows
+    than ``caps.max_minor_rows``: the one rows cap of ``minor`` and of the
+    natural products."""
     m = shape.rows
     if m > caps.max_minor_rows:
         raise ResourceLimitError(
             f"minor expansion capped at {caps.max_minor_rows} rows, got {m}",
             snapshot={"rows": m},
         )
-    return _minor_product(shape, (tuple(selection.cols),), field)[0]
 
 
 # The largest grid the conjecture caps allow, 3x6, has 20 minors and 1,750

@@ -706,10 +706,45 @@ def test_bad_window_flag(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("groebner", "--rows", "2", "--cols", "4", "--chain", "1,3:2,4", "--char", "0"),
+        ("diagonals", "--rows", "3", "--cols", "6", "--window", "2,6"),
+        ("ideal-product", "--rows", "2", "--cols", "5", "--chain", "1,4:2,5"),
+    ],
+    ids=["groebner", "diagonals", "ideal-product"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_generator_lists_render_from_keys(capsys, argv, fmt):
+    # Polynomials and generator lists are written from their keys: no
+    # GridMonomial is built only to be printed.
+    import sys
+
+    from diagideal.monomials import GridMonomial, _from_key
+
+    built = {_from_key.__code__, GridMonomial.__init__.__code__}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in built:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code, out = run_cli(capsys, *argv, "--format", fmt)
+    finally:
+        sys.setprofile(None)
+    assert code == 0 and "x[" in out
+    assert calls == []
+
+
 def test_conjecture_scan_engine_fault_exits_two(capsys, monkeypatch):
     import diagideal.groebner as groebner
 
+    # only the Buchberger fallback builds the initial ideal
     real = groebner.initial_ideal
+    monkeypatch.setattr(groebner, "_certificate", lambda *args: None)
     monkeypatch.setattr(groebner, "initial_ideal", lambda basis: real(list(basis)[1:]))
     code, out = run_cli(
         capsys, "conjecture-scan", "--max-rows", "2", "--max-cols", "3",

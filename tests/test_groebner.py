@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -186,14 +188,24 @@ def test_spair_cap_raises_with_snapshot():
 
 
 def test_minor_rows_cap_reaches_the_minor_expansion():
+    # The natural products check minor's rows cap once per chain, with
+    # minor's message and snapshot, before any minor is expanded.
     shape = GridShape(3, 4)
     chain = WindowChain.of((1, 4))
     two_rows = replace(DEFAULT_CAPS, max_minor_rows=2)
-    with pytest.raises(ResourceLimitError) as info:
-        natural_window_generators(shape, chain, GF, two_rows)
-    assert info.value.snapshot == {"rows": 3}
-    with pytest.raises(ResourceLimitError, match="capped at 2 rows, got 3"):
-        conjecture_check(shape, chain, caps=two_rows)
+    windows._minor_product.cache_clear()
+    with pytest.raises(ResourceLimitError, match="capped at 2 rows, got 3") as expected:
+        minor(shape, (1, 2, 3), GF, two_rows)
+    assert expected.value.snapshot == {"rows": 3}
+    for call in (
+        lambda: natural_window_generators(shape, chain, GF, two_rows),
+        lambda: conjecture_check(shape, chain, caps=two_rows),
+    ):
+        with pytest.raises(ResourceLimitError) as info:
+            call()
+        assert str(info.value) == str(expected.value)
+        assert info.value.snapshot == expected.value.snapshot
+    assert windows._minor_product.cache_info().misses == 0
     assert conjecture_check(shape, chain, caps=replace(DEFAULT_CAPS, max_minor_rows=3))["ini_equals_J"]
 
 
@@ -258,18 +270,10 @@ def test_natural_window_generators_match_brute_products():
             assert all(g.field == field for g in got)
 
 
-def test_each_minor_is_expanded_once(monkeypatch):
+def test_each_minor_is_expanded_once():
     # The scan asks for the same minors chain after chain; each
     # (shape, columns, field) is expanded once and shared after that, in
     # the one cache that also holds each two-factor product once.
-    calls = []
-    real_minor = groebner.minor
-
-    def counting(shape, cols, field, caps=DEFAULT_CAPS):
-        calls.append((shape, tuple(cols), field))
-        return real_minor(shape, cols, field, caps)
-
-    monkeypatch.setattr(groebner, "minor", counting)
     windows._minor_product.cache_clear()
     assert all(v["ini_equals_J"] for v in conjecture_scan(2, 5, 2))
     expected = {
@@ -278,18 +282,22 @@ def test_each_minor_is_expanded_once(monkeypatch):
         if shape.cols > 1
         for cols in combinations(range(1, shape.cols + 1), shape.rows)
     }
-    products = {
-        (shape, tuple(sorted(combo)))
-        for shape in iter_shapes(2, 5)
-        for chain in iter_sorted_chains(shape, 2)
-        for combo in iter_product(
-            *[combinations(range(w.first, w.last + 1), shape.rows) for w in chain.windows]
-        )
-    }
-    assert set(calls) == expected and len(calls) > 2 * len(expected)
+    requests = []  # (shape, multiset) read by each chain, once per multiset
+    for shape in iter_shapes(2, 5):
+        for length in (1, 2):
+            for chain in iter_sorted_chains(shape, length):
+                per_window = [
+                    combinations(range(w.first, w.last + 1), shape.rows) for w in chain.windows
+                ]
+                multisets = {tuple(sorted(combo)) for combo in iter_product(*per_window)}
+                requests += [(shape, multiset) for multiset in multisets]
+    products = {(shape, m) for shape, m in requests if len(m) == 2}
     info = windows._minor_product.cache_info()
     assert info.misses == info.currsize == len(expected) + len(products)
-    assert info.hits >= len(calls) - len(expected)
+    # Each product is built on one read of each of its two minors; every
+    # other read of a minor or a product is a hit.
+    assert info.hits + info.misses == len(requests) + 2 * len(products)
+    assert info.hits > 2 * info.misses
 
 
 def test_minor_cache_is_keyed_by_field():
@@ -321,13 +329,15 @@ def test_conjecture_check_verdict_fields():
 
 def test_conjecture_check_raises_on_engine_fault(monkeypatch):
     # an initial ideal missing a diagonal generator is an engine bug, and
-    # must not come out as a false verdict with a witness
+    # must not come out as a false verdict with a witness; only the
+    # Buchberger fallback builds the initial ideal, so it is forced here
     shape = GridShape(2, 4)
     real = groebner.initial_ideal
 
     def drops_a_generator(basis):
         return real(list(basis)[1:])
 
+    monkeypatch.setattr(groebner, "_certificate", lambda *args: None)
     monkeypatch.setattr(groebner, "initial_ideal", drops_a_generator)
     with pytest.raises(EngineError) as info:
         conjecture_check(shape, WindowChain.of((1, 4)))
@@ -413,19 +423,45 @@ def test_conjecture_check_falls_back_when_the_certificate_fails(monkeypatch):
     }
     assert ini != product
 
-    # Where the certificate would decide, a forced fallback keeps the verdict
-    # and reports Gebauer-Moller's count, which here exceeds the Betti number.
+    # A certified verdict is true by proof, with the certificate's count.
+    # On every chain of the groebner-scan benchmark the certificate decides,
+    # and a forced fallback keeps the verdict, reporting Gebauer-Moller's
+    # count, which on 2x6 (1,3):(1,4) exceeds the Betti number.
     monkeypatch.setattr(groebner, "_natural_products", real)
-    shape, chain = GridShape(2, 6), WindowChain.of((1, 3), (1, 4))
-    certified = conjecture_check(shape, chain)
+    real_buchberger = groebner.buchberger
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the certificate fell back to buchberger")
+
+    monkeypatch.setattr(groebner, "buchberger", no_fallback)
+    chains = scan_chains()
+    certified = [conjecture_check(shape, chain) for shape, chain in chains]
+    monkeypatch.setattr(groebner, "buchberger", real_buchberger)
     monkeypatch.setattr(groebner, "_certificate", lambda *args: None)
-    fallback = conjecture_check(shape, chain)
-    naturals = natural_window_generators(shape, chain, GF)
-    assert fallback["spairs"] == buchberger(naturals).spairs_reduced == 25
-    assert certified["spairs"] == 24
-    for verdict in (certified, fallback):
-        del verdict["millis"], verdict["spairs"]
-    assert fallback == certified
+    fallback = [conjecture_check(shape, chain) for shape, chain in chains]
+    spot = chains.index((GridShape(2, 6), WindowChain.of((1, 3), (1, 4))))
+    naturals = natural_window_generators(*chains[spot], GF)
+    assert fallback[spot]["spairs"] == buchberger(naturals).spairs_reduced == 25
+    assert certified[spot]["spairs"] == 24
+    assert len(chains) == 146
+    for pair in zip(certified, fallback):
+        for verdict in pair:
+            del verdict["millis"], verdict["spairs"]
+        assert pair[1] == pair[0]
+        assert list(pair[0]) == list(pair[1])
+
+
+def test_certified_scan_reads_no_minor_and_builds_no_initial_ideal(monkeypatch):
+    # Certified verdicts are read off the certificate: no natural product
+    # goes through minor, and no initial ideal is built.
+    def broken(*args, **kwargs):
+        raise AssertionError("called on the certified path")
+
+    monkeypatch.setattr(groebner, "initial_ideal", broken)
+    monkeypatch.setattr(windows, "minor", broken)
+    assert not hasattr(groebner, "minor")
+    verdicts = list(conjecture_scan(2, 5, 2))
+    assert verdicts and all(v["ini_equals_J"] and v["natural_gens_are_GB"] for v in verdicts)
 
 
 def test_conjecture_check_squared_window():
@@ -760,6 +796,21 @@ def test_certified_pairs_bound_holds_a_two_factor_scan_up_to_3x6(monkeypatch):
     sizes = [len(name) for name in groebner._certified]
     assert (sizes.count(5), sizes.count(4)) == (1796, 61)
     assert len(sizes) == 1796 + 61 < groebner._CERTIFIED_SIZE
+
+
+@pytest.mark.parametrize("char, digest", [(32003, "56907b7482786d91"), (0, "6625a4f94935311b")])
+def test_scan_verdict_bytes_are_pinned(char, digest):
+    # The 531 verdicts of the default-caps scan up to 3x6, timing dropped,
+    # as the sorted-key JSON lines the CLI writes: one SHA-256 over them
+    # pins every verdict, count and witness byte for byte.
+    sha = hashlib.sha256()
+    records = 0
+    for verdict in conjecture_scan(3, 6, 2, characteristic=char):
+        verdict.pop("millis", None)
+        sha.update((json.dumps(verdict, sort_keys=True) + "\n").encode())
+        records += 1
+    assert records == 531
+    assert sha.hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])

@@ -63,6 +63,45 @@ def test_operators_match_dict_accumulation(char):
         assert (f * g).terms == oracle((a * b, c * d) for a, c in f.terms for b, d in g.terms)
 
 
+def _term_texts(f: Polynomial) -> str:
+    """The text of f joined from its terms' monomials, as ``str(monomial)``
+    writes them: the reference that ``str`` on keys must match."""
+    if f.is_zero:
+        return "0"
+    parts = []
+    for mono, coeff in f.terms:
+        text = str(coeff)
+        negative = text.startswith("-")
+        mag = text.lstrip("-")
+        body = mag if mono.is_unit else str(mono) if mag == "1" else f"{mag}*{mono}"
+        sign = ("-" if negative else "") if not parts else ("- " if negative else "+ ")
+        parts.append(sign + body)
+    return " ".join(parts)
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_str_matches_the_monomial_texts(char):
+    # Constant terms, coefficients of 1 and -1, fractions and residues.
+    field = make_field(char)
+    rng = random.Random(f"polynomial-str/{char}")
+    shape = GridShape(2, 3)
+    unit = GridMonomial.unit(shape)
+    texts = set()
+    for _ in range(200):
+        f = _random_sparse_polynomial(rng, shape, field)
+        mono, coeff = _random_multiplier(rng, shape, field)
+        f = f + Polynomial.from_terms(shape, field, [(mono, coeff), (unit, rng.randint(-2, 2))])
+        assert str(f) == _term_texts(f)
+        texts.add(str(f))
+    assert str(Polynomial.zero(shape, field)) == "0"
+    assert any(t.endswith((" + 1", " - 1")) for t in texts)
+    assert any(t.startswith("x[") for t in texts)
+    f = Polynomial.from_terms(
+        shape, field, [(GridMonomial.from_exponents(shape, {(1, 1): 2}), -3), (unit, -1)]
+    )
+    assert str(f) == ("-3*x[1,1]^2 - 1" if char == 0 else "4*x[1,1]^2 + 6")
+
+
 def test_times_term_overflow_names_the_first_overflowing_term():
     shape = GridShape(1, 3)
     x11, x12, x13 = (GridMonomial.variable(shape, 1, j) for j in (1, 2, 3))
