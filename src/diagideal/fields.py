@@ -6,9 +6,11 @@ are plain ints reduced mod p.  No floating point anywhere.
 Library loops (polynomial merges and products, minor signs, the exact rank)
 work on these values with plain ``+``, ``-``, ``*`` and one ``% p``, and
 call a field only for ``one``, to ``normalize`` input and to ``invert``.
-The per-operation methods ``add``, ``sub``, ``mul``, ``neg`` and
-``is_zero`` stay for the public API and for the traced benchmark, which
-counts them; no library loop calls them.
+Those two take only an ``int`` or a ``Fraction`` and raise ``DomainError``
+for anything else, a string or a float included; every coefficient enters
+through them.  The per-operation methods ``add``, ``sub``, ``mul``,
+``neg`` and ``is_zero`` stay for the public API and for the traced
+benchmark, which counts them; no library loop calls them.
 """
 
 from __future__ import annotations
@@ -47,12 +49,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _element(value) -> None:
+    """DomainError unless value is an int or a Fraction: the one type check
+    of a coefficient entering a field."""
+    if not isinstance(value, (int, Fraction)):
+        raise DomainError(f"coefficient must be an int or a Fraction, got {value!r}")
+
+
 class RationalField:
     """The rationals with arbitrary-precision Fraction arithmetic."""
 
     characteristic = 0
 
     def normalize(self, value) -> Fraction:
+        _element(value)
         return Fraction(value)
 
     @property
@@ -76,9 +86,10 @@ class RationalField:
         return -a
 
     def invert(self, a):
+        a = self.normalize(a)
         if a == 0:
             raise DomainError("division by zero")
-        return Fraction(1) / Fraction(a)
+        return 1 / a
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -109,12 +120,13 @@ class PrimeField:
 
     def normalize(self, value) -> int:
         """An integer or Fraction a/b as a residue: a * b^-1 mod p."""
+        _element(value)
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
                 raise DomainError(f"{value} has no value mod {self.p}: denominator divisible by p")
             return value.numerator * pow(den, -1, self.p) % self.p
-        return int(value) % self.p
+        return value % self.p
 
     @property
     def zero(self):
@@ -137,7 +149,7 @@ class PrimeField:
         return (-a) % self.p
 
     def invert(self, a):
-        a %= self.p
+        a = self.normalize(a)
         if a == 0:
             raise DomainError("division by zero")
         return pow(a, -1, self.p)

@@ -43,11 +43,12 @@ verdicts their witness and reports Gebauer-Moller's pair count.
 The natural products are read from ``windows._minor_product``'s
 process-wide cache, with their division rows, once ``minor``'s rows cap
 has been checked for the chain.  Chains share most of their S-pairs and
-duplicate-lead products, so each distinct one is reduced once per process.
-A reduction to zero is recorded in a bounded process-wide table, keyed by
-(grid, characteristic, the column multisets that name what was reduced)
-and emptied when full, with the multisets of the divisors it used; a later
-chain whose kept generators include those divisors takes it as reduced.
+duplicate-lead products, so each distinct one is reduced once while its
+product stays cached.  A reduction to zero is recorded on the cache entry
+of the product it reduced, keyed by the column multiset that names the
+pair's other product (None for a duplicate), with the multisets of the
+divisors it used; a later chain whose kept generators include those
+divisors takes it as reduced.  A record leaves the cache with its product.
 """
 
 from __future__ import annotations
@@ -396,50 +397,26 @@ def natural_window_generators(
     _require(caps, Caps, "Caps")
     _require(field, (RationalField, PrimeField), "field")
     chain.check_against(shape)
-    return [poly for _, poly, _ in _natural_products(shape, chain, field, caps)]
+    return [poly for _, poly, _, _ in _natural_products(shape, chain, field, caps)]
 
 
 def _natural_products(shape: GridShape, chain: WindowChain, field, caps: Caps) -> list:
     """``natural_window_generators`` on checked arguments, as (multiset,
-    product, row) triples: the multiset is the sorted tuple of column sets
-    that names the product, and the row its cached division row."""
+    product, row, reductions): the multiset is the sorted tuple of column
+    sets that names the product, and the row and the reductions are its
+    cache entry's (``windows._minor_product``)."""
     _check_minor_rows(shape, caps)
     per_window = [combinations(range(w.first, w.last + 1), shape.rows) for w in chain.windows]
     multisets = dict.fromkeys(tuple(sorted(combo)) for combo in iter_product(*per_window))
     return [(m, *_minor_product(shape, m, field)) for m in multisets]
 
 
-# (rows, cols, characteristic, multiset k, multiset j) -> frozenset of the
-# multisets whose products the S-polynomial of the natural products k and j
-# was reduced to zero with, and (rows, cols, characteristic, multiset) -> the
-# same for a natural product whose lead another one kept.  The grid is keyed
-# by its dimensions, which hash without the Python call a GridShape's hash
-# makes.  One 3x6 three-factor scan records under 5,000 entries, so the
-# bound holds one; past it ``_record`` empties the table rather than let it
-# grow.
-_certified = {}
-_CERTIFIED_SIZE = 8192
-
-
-def _record(name: tuple, keys, coeffs, basis: _Basis, names) -> bool:
-    """Does the polynomial in ascending keys and coeffs reduce to zero over
-    the basis?  If so, record under name the multisets, out of names, of
-    the divisors the reduction cancelled with."""
-    used = set()
-    if _reduce(keys, coeffs, basis, used):
-        return False
-    if len(_certified) >= _CERTIFIED_SIZE:
-        _certified.clear()
-    _certified[name] = frozenset(names[i] for i in used)
-    return True
-
-
 def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     """The number of S-pairs reduced when the linear-quotients certificate
     shows that the kept natural generators, one per lead, form a Groebner
     basis of all the naturals; None when it cannot decide.  naturals lists
-    (multiset, product, row) triples, as ``_natural_products`` gives them;
-    a row of None is built.
+    (multiset, product, row, reductions), as ``_natural_products`` gives
+    them; a row of None is built.
 
     The product's V_j walk (``quotients._linear_quotients``) records, per
     generator m_j, each single-variable colon m_k : m_j with its first k.
@@ -454,26 +431,27 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     A reduction to zero, of S(g_k, g_j) or of a duplicate, writes it as a
     sum of multiples of the divisors D it cancelled with, none leading
     above it: a standard representation over D, and so over any set that
-    contains D.  Each such reduction is recorded in ``_certified`` under
-    the multisets that name the reduced polynomial, with the multisets of
-    D; a later chain whose kept set contains D reuses it and reduces
-    nothing.  Pairs, then duplicates, are looked up in one loop, and each
-    miss is reduced over G, whose division data is built at the first miss.
-    A remainder that is not zero shows that G is no Groebner basis, or that
-    the duplicate is not in its ideal, for over a Groebner basis every
-    element of its ideal reduces to zero, whichever divisor each step
-    picks.  So the certificate succeeds exactly when G is a Groebner basis
-    of all the naturals, whichever reductions the record holds, and the
-    verdict and the count do not depend on it.
+    contains D.  Each such reduction is recorded, with the multisets of D,
+    in the reductions of a product: S(g_k, g_j) in g_j's under g_k's
+    multiset, a duplicate in its own under None.  A later chain whose kept
+    set contains D reuses it and reduces nothing.  Pairs, then duplicates,
+    are looked up in one loop, and each miss is reduced over G, whose
+    division data is built at the first miss.  A remainder that is not
+    zero shows that G is no Groebner basis, or that the duplicate is not
+    in its ideal, for over a Groebner basis every element of its ideal
+    reduces to zero, whichever divisor each step picks.  So the certificate
+    succeeds exactly when G is a Groebner basis of all the naturals,
+    whichever reductions the records hold, and the verdict and the count
+    do not depend on them.
     """
     shape = product.shape
-    kept = {}
+    leads = {}
     duplicates = []
-    for multiset, g, row in naturals:
-        if kept.setdefault(g.keys[-1], (multiset, g, row))[0] is not multiset:
-            duplicates.append((multiset, g))
+    for entry in naturals:
+        if leads.setdefault(entry[1].keys[-1], entry) is not entry:
+            duplicates.append(entry)
     keys = product.keys
-    if tuple(sorted(kept, reverse=True)) != keys:
+    if tuple(sorted(leads, reverse=True)) != keys:
         raise EngineError(
             "natural generator leads differ from the diagonal product: the "
             "Groebner engine is broken"
@@ -484,24 +462,25 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     pairs = [(k, j) for j, firsts in enumerate(walk) for k in firsts.values()]
     if len(pairs) > caps.max_spairs:
         return None
-    names = [kept[k][0] for k in keys]
+    kept = [leads[k] for k in keys]
+    names = [multiset for multiset, _, _, _ in kept]
     named = set(names)
-    field = kept[keys[0]][1].field
-    grid = (shape.rows, shape.cols, field.characteristic)
-    work = [(grid + (names[k], names[j]), (k, j), None) for k, j in pairs]
-    work += [(grid + (m,), None, g) for m, g in duplicates]
+    work = [(kept[j][3], names[k], (k, j)) for k, j in pairs]
+    work += [(reductions, None, g) for _, g, _, reductions in duplicates]
     divisors = None
-    for name, pair, g in work:
-        recorded = _certified.get(name)
+    for reductions, name, reduced in work:
+        recorded = reductions.get(name)
         if recorded is not None and recorded <= named:
             continue
         if divisors is None:
-            divisors = _Basis(shape, field)
-            for k in keys:
-                divisors.append(*kept[k][1:])
-        reduced = (g.keys, g.coeffs) if pair is None else _s_pair(divisors, *pair)
-        if not _record(name, *reduced, divisors, names):
+            divisors = _Basis(shape, kept[0][1].field)
+            for _, g, row, _ in kept:
+                divisors.append(g, row)
+        terms = (reduced.keys, reduced.coeffs) if name is None else _s_pair(divisors, *reduced)
+        used = set()
+        if _reduce(*terms, divisors, used):
             return None
+        reductions[name] = frozenset(names[i] for i in used)
     return len(pairs)
 
 
@@ -542,7 +521,7 @@ def conjecture_check(
     spairs = _certificate(naturals, diagonal_product, caps)
     equal = covered = True
     if spairs is None:
-        basis = buchberger([g for _, g, _ in naturals], caps)
+        basis = buchberger([g for _, g, _, _ in naturals], caps)
         spairs = basis.spairs_reduced
         ini = initial_ideal(basis)
         # The diagonal product embeds in the initial ideal by construction;
@@ -555,7 +534,7 @@ def conjecture_check(
                 f"initial ideal misses diagonal generator {_from_key(shape, missing[0])}: "
                 "the Groebner engine is broken"
             )
-        natural_leads = {g.keys[-1] for _, g, _ in naturals}
+        natural_leads = {g.keys[-1] for _, g, _, _ in naturals}
         covered = all(p.keys[-1] in natural_leads for p in basis)
         equal = ini == diagonal_product
     verdict = {

@@ -22,18 +22,9 @@ to invert.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError, ShapeMismatchError
 from .fields import PrimeField, RationalField
 from .monomials import GridMonomial, GridShape, _from_key, _key_text, _lcm_all, _product
-
-
-def _coefficient(field, value):
-    """value as an element of field; DomainError unless an int or a Fraction."""
-    if not isinstance(value, (int, Fraction)):
-        raise DomainError(f"coefficient must be an int or a Fraction, got {value!r}")
-    return field.normalize(value)
 
 
 def _row(shape: GridShape, keys, coeffs) -> tuple:
@@ -129,7 +120,7 @@ class Polynomial:
                 raise DomainError(f"not a monomial: {mono!r}")
             if mono.shape != shape:
                 raise ShapeMismatchError("term monomial on wrong grid")
-            c = acc.get(mono.key, 0) + _coefficient(field, coeff)
+            c = acc.get(mono.key, 0) + field.normalize(coeff)
             if p:
                 c %= p
             if c:
@@ -209,7 +200,7 @@ class Polynomial:
         if mono.shape is not self.shape and mono.shape != self.shape:
             raise ShapeMismatchError("term monomial on wrong grid")
         zero = Polynomial(self.shape, self.field)
-        return zero._plus(_coefficient(self.field, coeff), mono.key, self)
+        return zero._plus(self.field.normalize(coeff), mono.key, self)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)

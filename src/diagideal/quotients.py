@@ -10,14 +10,13 @@ behind ``quotient_chain``, the CLI and the replay).  For a single window
 the colon of the earlier diagonals is generated by the variables in the
 column gaps of the divisor, the column before the window acting as the
 sentinel gap floor; for a sorted chain the same variables join the product
-R of the remaining windows' diagonal ideals.  Their keys come from one
-cached table per window, ``_gap_keys``, built from the column tuples of
-``windows._diagonal_keys`` with ``monomials._variable_key``, so no step
-builds a ``GridMonomial``; the public closed forms check their diagonal
-argument where it enters and read the same table.  R's keys are minimal and the gaps
-are distinct variables, so the closed ideal's minimal generators are the
-gaps and the keys of R that no gap divides (``_join``, one mask AND each,
-no minimalization).
+R of the remaining windows' diagonal ideals.  The diagonals and their gap
+keys come from ``windows._window_table``, one cached table per window
+built from column tuples, so no step builds a ``GridMonomial``; the public
+closed forms check their diagonal argument where it enters and read the
+same table.  R's keys are minimal and the gaps are distinct variables, so
+the closed ideal's minimal generators are the gaps and the keys of R that
+no gap divides (``_join``, one mask AND each, no minimalization).
 
 ``_colon_steps`` walks a window's diagonal keys beside the closed form and
 decides each step by the colon's definition (``_is_colon``): every k : f
@@ -35,8 +34,6 @@ window by sorting column positions row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError, ShapeMismatchError, _require
@@ -46,20 +43,19 @@ from .monomials import (
     GridShape,
     _colons,
     _colons_and_variables,
+    _from_key,
     _products,
     _radical,
     _undivided,
-    _variable_key,
     _variable_mask,
     _variables,
 )
 from .windows import (
     Window,
     WindowChain,
-    _diagonal_keys,
+    _window_table,
     diagonal_ideal,
     diagonal_monomial,
-    enumerate_diagonals,
     selection_of,
     window_product_ideal,
 )
@@ -115,25 +111,6 @@ def _linear_quotients(keys, shape: GridShape):
             return None
         walk.append(firsts)
     return walk
-
-
-@lru_cache(maxsize=None)
-def _gap_keys(shape: GridShape, window: Window) -> MappingProxyType:
-    """{diagonal key: keys of its gap variables} over the window's diagonals.
-
-    The gap variables are the x[i,b] with b strictly between consecutive
-    selected columns; the floor for row 1 is the column just before the
-    window.  Both come from the column tuples of ``_diagonal_keys``.
-    """
-    table = {}
-    for f, cols in _diagonal_keys(shape, window).items():
-        gaps = []
-        prev = window.first - 1
-        for i, c in enumerate(cols, start=1):
-            gaps += [_variable_key(shape, i, b) for b in range(prev + 1, c)]
-            prev = c
-        table[f] = tuple(gaps)
-    return MappingProxyType(table)
 
 
 def _join(shape: GridShape, rest_keys, gaps) -> MonomialIdeal:
@@ -204,13 +181,13 @@ def _colon_steps(shape: GridShape, window: Window, keys=(), rest_keys=()):
     colons known to lie in <rest_keys>.  With no keys and no rest this is
     the single-window closed form, otherwise the product one.
     """
-    gaps = _gap_keys(shape, window)
+    table = _window_table(shape, window)
     keys = list(keys)
     members = set(keys)
     inside = set()
     prefix = []
-    for u, f in enumerate(_diagonal_keys(shape, window)):
-        closed = _join(shape, rest_keys, gaps[f])
+    for u, f in enumerate(table.diagonals):
+        closed = _join(shape, rest_keys, table.gaps[f])
         if _is_colon(shape, closed, f, prefix, keys, members, rest_keys, inside):
             brute = closed
         else:
@@ -234,7 +211,7 @@ def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> Mono
     if f.shape != shape:
         raise ShapeMismatchError(f"diagonal {f} is not on the {shape.rows}x{shape.cols} grid")
     selection.check_against(shape, window)
-    return _join(shape, (), _gap_keys(shape, window)[f.key])
+    return _join(shape, (), _window_table(shape, window).gaps[f.key])
 
 
 def closed_form_product_colon(
@@ -252,17 +229,18 @@ def closed_form_product_colon(
         raise DomainError("product colon closed form needs at least two windows")
     chain.check_against(shape)
     first = chain.windows[0]
-    diagonals = enumerate_diagonals(shape, first)
+    table = _window_table(shape, first)
+    diagonals = tuple(table.diagonals)
     if not 0 <= prefix_index < len(diagonals):
         raise DomainError(
             f"prefix index {prefix_index} out of range for window {first}"
         )
-    if diagonals[prefix_index] != f:
+    if _from_key(shape, diagonals[prefix_index]) != f:
         raise DomainError(
             f"{f} is not diagonal #{prefix_index} of window {first}"
         )
     rest = window_product_ideal(shape, chain.windows[1:])
-    return _join(shape, rest.keys, _gap_keys(shape, first)[f.key])
+    return _join(shape, rest.keys, table.gaps[f.key])
 
 
 def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:

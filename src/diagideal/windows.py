@@ -5,19 +5,22 @@ per row.  Its diagonal monomials pick one variable per row with strictly
 increasing columns inside the window; they generate the window's diagonal
 ideal, and they are exactly the lead terms of the window's maximal minors.
 
-Inside, diagonals are packed keys built from their column tuples: one
-cached table per window, ``_diagonal_keys``, maps each diagonal's key to
-its columns, and the diagonal ideal, the colon steps and the gap tables of
-``quotients`` read it.  ``GridMonomial``s are built only for the public
-entries that return them (``diagonal_monomial``, ``enumerate_diagonals``).
+All process-wide state of the package is two bounded ``lru_cache``s in
+this module.  Inside, diagonals are packed keys built from their column
+tuples: one cached table per window, ``_window_table``, holds each
+diagonal's key with its columns, each diagonal's gap keys and the diagonal
+ideal, and the colon steps of ``quotients`` read it.  ``GridMonomial``s
+are built only for the public entries that return them
+(``diagonal_monomial``, ``enumerate_diagonals``).
 
 The natural generators of a window chain, one product of maximal minors per
-column multiset, come from one bounded process-wide cache,
-``_minor_product``, keyed by (shape, sorted column multiset, field): chains
-share their minors and products, and a three-factor product is its cached
-two-factor prefix times one cached minor.  Each minor is expanded straight
-into keys, and each product is cached with its division row, so a Groebner
-basis of natural products builds no row of its own.
+column multiset, come from the other cache, ``_minor_product``, keyed by
+(shape, sorted column multiset, field): chains share their minors and
+products, and a three-factor product is its cached two-factor prefix times
+one cached minor.  Each minor is expanded straight into keys, and each
+product is cached with its division row, so a Groebner basis of natural
+products builds no row of its own, and with the reductions to zero that
+``groebner``'s certificate recorded for it, which leave when it does.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
@@ -106,6 +109,8 @@ class WindowChain:
         """The chain of the windows with the given (first, last) pairs."""
         for pair in bounds:
             _require(pair, (tuple, list), "(first, last) pair")
+            if any(isinstance(bound, (tuple, list)) for bound in pair):
+                raise DomainError(f"each (first, last) pair is its own argument, got {pair!r}")
             if len(pair) != 2:
                 raise DomainError(f"not a (first, last) pair: {pair!r}")
         return cls(tuple(Window(k, l) for k, l in bounds))
@@ -207,16 +212,12 @@ def enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
 
     Ascending lexicographic column tuples give exactly the descending
     monomial order, so plain combinations come out already sorted.  The
-    arguments are type-checked before the process-wide cache hashes them.
+    arguments are type-checked before the process-wide cache hashes them,
+    and the monomials are built from the window table's keys.
     """
     _require(shape, GridShape, "grid shape")
     _require(window, Window, "window")
-    return _enumerate_diagonals(shape, window)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_diagonals(shape: GridShape, window: Window) -> tuple:
-    return tuple(_from_key(shape, k) for k in _diagonal_keys(shape, window))
+    return tuple(_from_key(shape, k) for k in _window_table(shape, window).diagonals)
 
 
 def _diagonal_key(shape: GridShape, cols) -> int:
@@ -224,35 +225,51 @@ def _diagonal_key(shape: GridShape, cols) -> int:
     return sum(_variable_key(shape, i, c) for i, c in enumerate(cols, start=1))
 
 
-@lru_cache(maxsize=None)
-def _diagonal_keys(shape: GridShape, window: Window) -> MappingProxyType:
-    """{diagonal key: its column tuple} over the window's diagonals, in
-    descending grid order, as ascending column tuples give them."""
+class _WindowTable(NamedTuple):
+    """What the colon steps and the public entries read of one window."""
+
+    diagonals: MappingProxyType  # {diagonal key: its columns}, descending
+    gaps: MappingProxyType  # {diagonal key: keys of its gap variables}
+    ideal: MonomialIdeal  # the diagonal ideal
+
+
+# Every window of every grid up to 3x9 is 324 tables, so the bound holds
+# any sweep.
+@lru_cache(maxsize=1024)
+def _window_table(shape: GridShape, window: Window) -> _WindowTable:
+    """The window's diagonals, their gap keys and its diagonal ideal, all
+    from the diagonals' column tuples.
+
+    The gap variables of a diagonal are the x[i,b] with b strictly between
+    consecutive selected columns; the floor for row 1 is the column just
+    before the window.  Ascending column tuples give the diagonals in
+    descending grid order, and they are pairwise non-dividing, so the
+    ideal keeps them all; ``EngineError`` if either fails.
+    """
     window.check_against(shape)
-    diagonals = {
-        _diagonal_key(shape, cols): cols
-        for cols in combinations(range(window.first, window.last + 1), shape.rows)
-    }
-    keys = list(diagonals)
-    if keys != sorted(keys, reverse=True):
+    diagonals, gaps = {}, {}
+    for cols in combinations(range(window.first, window.last + 1), shape.rows):
+        f = _diagonal_key(shape, cols)
+        diagonals[f] = cols
+        row, prev = [], window.first - 1
+        for i, c in enumerate(cols, start=1):
+            row += [_variable_key(shape, i, b) for b in range(prev + 1, c)]
+            prev = c
+        gaps[f] = tuple(row)
+    keys = tuple(diagonals)
+    if list(keys) != sorted(keys, reverse=True):
         raise EngineError(f"diagonals of window {window} are not in descending grid order")
-    return MappingProxyType(diagonals)
+    ideal = MonomialIdeal._from_keys(shape, keys)
+    if len(ideal) != len(keys):
+        raise EngineError(f"diagonal ideal of window {window} lost generators to minimalization")
+    return _WindowTable(MappingProxyType(diagonals), MappingProxyType(gaps), ideal)
 
 
 def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
     """The ideal generated by the window's diagonal monomials."""
     _require(shape, GridShape, "grid shape")
     _require(window, Window, "window")
-    return _diagonal_ideal(shape, window)
-
-
-@lru_cache(maxsize=None)
-def _diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
-    ideal = MonomialIdeal._from_keys(shape, tuple(_diagonal_keys(shape, window)))
-    # Diagonal monomials are pairwise non-dividing, so nothing may collapse.
-    if len(ideal) != comb(window.width, shape.rows):
-        raise EngineError(f"diagonal ideal of window {window} lost generators to minimalization")
-    return ideal
+    return _window_table(shape, window).ideal
 
 
 def window_product_ideal(shape: GridShape, windows) -> MonomialIdeal:
@@ -296,14 +313,17 @@ def _check_minor_rows(shape: GridShape, caps: Caps) -> None:
         )
 
 
-# The largest grid the conjecture caps allow, 3x6, has 20 minors and 1,750
-# products of two or three of them (about 40 MiB with their rows), so the
-# bound holds one such grid.
+# A default-caps conjecture scan up to 3x6 reads 624 products per
+# characteristic, minors included, and the 3x6 grid alone has 20 minors and
+# 1,750 products of two or three of them (about 40 MiB with their rows), so
+# the bound holds either.  A three-factor scan up to 3x7 reads 14,074 and
+# thrashes it.
 @lru_cache(maxsize=2048)
 def _minor_product(shape: GridShape, multiset: tuple, field) -> tuple:
     """The product of the maximal minors on the column sets of multiset, a
-    sorted tuple of checked column sets, and its division row
-    (``polynomials._division_row``).
+    sorted tuple of checked column sets, its division row
+    (``polynomials._division_row``) and its reductions, a dict that
+    ``groebner._certificate`` fills and that lives as long as the entry.
 
     One column set is expanded straight into keys, one per permutation
     with its sign as a field element, and under the grid order its
@@ -337,7 +357,7 @@ def _minor_product(shape: GridShape, multiset: tuple, field) -> tuple:
                 "the monomial order is broken"
             )
         product = Polynomial(shape, field, keys, [terms[k] for k in keys])
-    return product, _division_row(product)
+    return product, _division_row(product), {}
 
 
 def _report_header(shape: GridShape, windows) -> dict:

@@ -517,12 +517,13 @@ def certificate_vs_buchberger_suite(rng: random.Random, cases: int) -> int:
         field = rng.choice(_CERTIFICATE_FIELDS)
         named = groebner._natural_products(shape, chain, field, DEFAULT_CAPS)
         if rng.random() < 0.5:
-            # a changed generator is no natural product: a fresh name keeps
-            # the certificate from reusing the reductions of its multiset
+            # a changed generator is no natural product: a fresh name and a
+            # fresh empty record keep the certificate from reusing the
+            # reductions of its multiset
             k = rng.randrange(len(named))
             g = named[k][1]
-            named[k] = (object(), g + _lower_term(rng, shape, field, g.leading_monomial), None)
-        polys = [g for _, g, _ in named]
+            named[k] = (object(), g + _lower_term(rng, shape, field, g.leading_monomial), None, {})
+        polys = [g for _, g, _, _ in named]
         draws += 1
         product = window_product_ideal(shape, chain.windows)
         try:

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
 import diagideal
 import diagideal.groebner as groebner
-import diagideal.quotients as quotients
 import diagideal.windows as windows
+from diagideal.caps import DEFAULT_CAPS
+from diagideal.fields import make_field
 from diagideal.groebner import conjecture_check
 from diagideal.ideals import MonomialIdeal, _minimal_keys
 from diagideal.monomials import GridMonomial, GridShape, _from_key
@@ -95,9 +98,10 @@ def test_no_assert_statements_in_the_package():
 
 def test_process_wide_caches_are_lru_caches():
     # A cache keyed by a call's arguments is a bounded functools.lru_cache.
-    # The one module-level dict is groebner's S-pair record, whose lookups
-    # test divisor sets for inclusion, which no argument key can do.
-    found = []
+    # The package keeps all its process-wide state in two of them: no
+    # module-level dict store, no cache without a finite bound, and no
+    # cache but the window table and the natural product cache.
+    found, decorated = [], []
     for path in sorted(Path(diagideal.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
@@ -111,7 +115,24 @@ def test_process_wide_caches_are_lru_caches():
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and empty:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 found += [f"{path.stem}.{getattr(t, 'id', '?')}" for t in targets]
-    assert found == ["groebner._certified"]
+        for node in ast.walk(tree):
+            for decorator in getattr(node, "decorator_list", ()):
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(decorator)}
+                if names & {"lru_cache", "cache"}:
+                    decorated.append(f"{path.stem}.{node.name}")
+    assert found == []
+    caches = []
+    for info in pkgutil.iter_modules(diagideal.__path__):
+        module = importlib.import_module(f"diagideal.{info.name}")
+        scopes = [vars(module)] + [
+            vars(v) for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__
+        ]
+        for scope in scopes:
+            for name, value in scope.items():
+                if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                    assert value.cache_parameters()["maxsize"] is not None, name
+                    caches.append(f"{info.name}.{name}")
+    assert sorted(caches) == sorted(decorated) == ["windows._minor_product", "windows._window_table"]
 
 
 def test_only_monomials_knows_the_key_layout():
@@ -163,19 +184,12 @@ def test_ideals_and_polynomials_hold_keys():
     assert len(calls) == len(entries[0]["brute"]) > 0
 
 
-def test_cold_colon_and_groebner_checks_build_no_monomial(monkeypatch):
+def test_cold_colon_and_groebner_checks_build_no_monomial():
     # With every cache emptied, the diagonals, gap tables, diagonal ideals,
     # minors and products are built on packed keys: a cold product colon
     # check and a cold initial-ideal check build no GridMonomial.
-    for cached in (
-        windows._diagonal_keys,
-        windows._enumerate_diagonals,
-        windows._diagonal_ideal,
-        windows._minor_product,
-        quotients._gap_keys,
-    ):
+    for cached in (windows._window_table, windows._minor_product):
         cached.cache_clear()
-    monkeypatch.setattr(groebner, "_certified", {})
     built = {_from_key.__code__, GridMonomial.__init__.__code__}
     calls = []
 
@@ -191,5 +205,9 @@ def test_cold_colon_and_groebner_checks_build_no_monomial(monkeypatch):
         sys.setprofile(None)
     assert len(entries) == 4 and all(entry["equal"] for entry in entries)
     assert verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
-    assert groebner._certified and windows._minor_product.cache_info().currsize
+    naturals = groebner._natural_products(
+        GridShape(2, 5), WindowChain.of((1, 4), (2, 5)), make_field(32003), DEFAULT_CAPS
+    )
+    assert any(record for _, _, _, record in naturals)
+    assert windows._minor_product.cache_info().currsize
     assert calls == []

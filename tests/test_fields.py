@@ -107,3 +107,24 @@ def test_field_equality_and_hash():
     assert make_field(7) == PrimeField(7)
     assert make_field(7) != make_field(11)
     assert len({make_field(0), RationalField(), PrimeField(5), make_field(5)}) == 2
+
+
+@pytest.mark.parametrize("char", [0, 2, 7, 32003])
+@pytest.mark.parametrize("value", ["x", "3", None, 2.5, [None]], ids=["x", "digit", "none", "float", "list"])
+def test_normalize_and_invert_take_only_ints_and_fractions(char, value):
+    # A string or a float is refused, never parsed or truncated: 2.5 is not
+    # read as 2 in GF(7), where 5/2 is 6.
+    field = make_field(char)
+    for method in (field.normalize, field.invert):
+        with pytest.raises(DomainError, match="must be an int or a Fraction"):
+            method(value)
+
+
+@pytest.mark.parametrize("char", [0, 2, 7, 32003])
+def test_invert_takes_ints_and_fractions(char):
+    field = make_field(char)
+    for value in (3, Fraction(5, 3), -1):
+        inverse = field.invert(value)
+        assert field.mul(field.normalize(value), inverse) == field.one
+    with pytest.raises(DomainError):
+        field.invert(Fraction(0))

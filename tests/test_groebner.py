@@ -396,14 +396,14 @@ def test_conjecture_check_falls_back_when_the_certificate_fails(monkeypatch):
     # Groebner basis: the certificate cannot decide and buchberger, with its
     # Gebauer-Moller pair count, gives the false verdict and its witness.
     # The changed generator is no natural product, so it gets a fresh name
-    # that no recorded reduction holds.
+    # that no recorded reduction holds, and a fresh empty record.
     shape = GridShape(2, 3)
     chain = WindowChain.of((1, 3))
     product = window_product_ideal(shape, chain.windows)
     real = groebner._natural_products
     named = real(shape, chain, GF, DEFAULT_CAPS)
-    named[2] = (object(), named[2][1] + poly(shape, GF, ("x[2,1]", 1)), None)
-    naturals = [g for _, g, _ in named]
+    named[2] = (object(), named[2][1] + poly(shape, GF, ("x[2,1]", 1)), None, {})
+    naturals = [g for _, g, _, _ in named]
     assert groebner._certificate(named, product, DEFAULT_CAPS) is None
 
     monkeypatch.setattr(groebner, "_natural_products", lambda *args: list(named))
@@ -550,23 +550,6 @@ def test_three_factor_natural_products_match_brute_products(char):
                 assert [g.terms for g in got] == [w.terms for w in want], (shape, chain, char)
 
 
-class Watched(dict):
-    """A dict that records its size after every store and counts its clears."""
-
-    def __init__(self):
-        super().__init__()
-        self.sizes = []
-        self.clears = 0
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.sizes.append(len(self))
-
-    def clear(self):
-        self.clears += 1
-        super().clear()
-
-
 def test_natural_product_cache_stays_bounded(monkeypatch):
     # A chain with more minors and products than the bound evicts from the
     # cache, never holds more than the bound, and still gives the brute
@@ -687,7 +670,7 @@ def test_lookup_misses_at_degree_d_and_d_plus_one_match_the_scan(monkeypatch):
 
     monkeypatch.setattr(groebner, "_reduce", against_the_scan)
     for shape, chain in scan_chains():
-        monkeypatch.setattr(groebner, "_certified", {})
+        windows._minor_product.cache_clear()
         conjecture_check(shape, chain)
     assert table["divisions"] > 5000 and table["scans"] == 0
     for rows, cols in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)]:
@@ -711,9 +694,9 @@ def test_certified_pairs_change_no_verdict_in_any_scan_order(monkeypatch):
     chains = scan_chains()
     reference = []
     for shape, chain in chains:
-        monkeypatch.setattr(groebner, "_certified", {})
+        windows._minor_product.cache_clear()
         reference.append(clean(conjecture_check(shape, chain)))
-    monkeypatch.setattr(groebner, "_certified", {})
+    windows._minor_product.cache_clear()
     for seed in (1, 2):
         order = list(range(len(chains)))
         random.Random(seed).shuffle(order)
@@ -732,70 +715,89 @@ def test_a_recorded_pair_is_reused_only_when_its_divisors_are_kept(monkeypatch):
     # record and on none after.  A pair whose record names a multiset the
     # chain lacks, here a product of two minors, is reduced again and
     # recorded afresh.
-    monkeypatch.setattr(groebner, "_certified", {})
+    windows._minor_product.cache_clear()
     reductions = []
     real = groebner._reduce
     monkeypatch.setattr(groebner, "_reduce", lambda *args: reductions.append(args) or real(*args))
     shape, chain = GridShape(2, 5), WindowChain.of((1, 5))
     first = clean(conjecture_check(shape, chain))
-    assert len(reductions) == first["spairs"] == len(groebner._certified) == 20
+    named = groebner._natural_products(shape, chain, GF, DEFAULT_CAPS)
+    records = [(record, pair) for _, _, _, record in named for pair in record]
+    assert len(reductions) == first["spairs"] == len(records) == 20
     reductions.clear()
     assert clean(conjecture_check(shape, chain)) == first
     assert not reductions
-    pair, recorded = next(iter(groebner._certified.items()))
-    groebner._certified[pair] = recorded | {((1, 2), (1, 2))}
+    record, pair = records[0]
+    recorded = record[pair]
+    record[pair] = recorded | {((1, 2), (1, 2))}
     assert clean(conjecture_check(shape, chain)) == first
     assert len(reductions) == 1
-    assert groebner._certified[pair] == recorded
+    assert record[pair] == recorded
 
 
 def test_each_record_is_a_reduction_to_zero_over_its_divisors(monkeypatch):
     # Division over the recorded divisors alone, in the kept order, takes
     # the same steps as over the whole kept set and so leaves zero: the
     # record is a standard representation over any set that holds them.
-    # A pair's record holds its S-polynomial's reduction, a duplicate's
-    # (named by its one multiset) the duplicate's own.
-    monkeypatch.setattr(groebner, "_certified", {})
+    # A pair's record, on the entry of its second product under the first
+    # one's multiset, holds its S-polynomial's reduction; a duplicate's, on
+    # its own entry under None, the duplicate's own.
+    windows._minor_product.cache_clear()
     shape, chain = GridShape(2, 6), WindowChain.of((1, 4), (2, 6))
     assert conjecture_check(shape, chain)["natural_gens_are_GB"]
-    named = {m: g for m, g, _ in groebner._natural_products(shape, chain, GF, DEFAULT_CAPS)}
+    naturals = groebner._natural_products(shape, chain, GF, DEFAULT_CAPS)
+    named = {m: g for m, g, _, _ in naturals}
     pairs = duplicates = 0
-    for (_, _, _, *multisets), divisors in groebner._certified.items():
-        kept = sorted((named[m] for m in divisors), key=lambda g: g.keys[-1], reverse=True)
-        if len(multisets) == 2:
-            pairs += 1
-            reduced = s_polynomial(*(named[m] for m in multisets))
-        else:
-            duplicates += 1
-            (m,) = multisets
-            reduced = named[m]
-            assert m not in divisors
-        assert kept and not reduce(reduced, kept)
+    for m, g, _, record in naturals:
+        for other, divisors in record.items():
+            kept = sorted((named[d] for d in divisors), key=lambda h: h.keys[-1], reverse=True)
+            if other is not None:
+                pairs += 1
+                reduced = s_polynomial(named[other], g)
+            else:
+                duplicates += 1
+                reduced = g
+                assert m not in divisors
+            assert kept and not reduce(reduced, kept)
     assert pairs > 20 and duplicates > 0
 
 
 def test_certified_pairs_stay_bounded(monkeypatch):
-    # A chain with more S-pairs than the bound empties the record on
-    # overflow, never holds more than the bound, and keeps its verdict.
+    # Records leave with their evicted product.  A chain with more products
+    # than the cache's bound evicts them, never holds more than the bound,
+    # and keeps its verdict; the records went with the evicted products, so
+    # a repeat reduces its S-pairs again.
     shape, chain = GridShape(2, 5), WindowChain.of((1, 5))
-    monkeypatch.setattr(groebner, "_certified", {})
+    windows._minor_product.cache_clear()
     unbounded = clean(conjecture_check(shape, chain))
-    certified = Watched()
-    monkeypatch.setattr(groebner, "_CERTIFIED_SIZE", 5)
-    monkeypatch.setattr(groebner, "_certified", certified)
+    small = lru_cache(maxsize=5)(windows._minor_product.__wrapped__)
+    monkeypatch.setattr(windows, "_minor_product", small)
+    monkeypatch.setattr(groebner, "_minor_product", small)
     assert clean(conjecture_check(shape, chain)) == unbounded
-    assert max(certified.sizes) == 5 and certified.clears > 0
+    info = small.cache_info()
+    assert info.currsize == 5 < info.misses
+    s_pairs = []
+    real = groebner._s_pair
+    monkeypatch.setattr(groebner, "_s_pair", lambda *args: s_pairs.append(args) or real(*args))
+    assert clean(conjecture_check(shape, chain)) == unbounded
+    assert s_pairs
 
 
-def test_certified_pairs_bound_holds_a_two_factor_scan_up_to_3x6(monkeypatch):
-    # The default-caps scan records 1,796 pairs and 61 duplicates without
-    # emptying the record.
-    monkeypatch.setattr(groebner, "_certified", {})
+def test_certified_pairs_bound_holds_a_two_factor_scan_up_to_3x6():
+    # The default-caps scan reads 624 products and evicts none of them, so
+    # it keeps every record: 1,796 pairs and 61 duplicates.
+    windows._minor_product.cache_clear()
     records = list(conjecture_scan(3, 6, 2))
     assert all("skipped" not in r for r in records)
-    sizes = [len(name) for name in groebner._certified]
-    assert (sizes.count(5), sizes.count(4)) == (1796, 61)
-    assert len(sizes) == 1796 + 61 < groebner._CERTIFIED_SIZE
+    info = windows._minor_product.cache_info()
+    assert info.misses == info.currsize == 624 < info.maxsize
+    entries = {}
+    for r in records:
+        shape, chain = GridShape(*r["shape"]), WindowChain.of(*r["chain"])
+        for m, _, _, record in groebner._natural_products(shape, chain, GF, DEFAULT_CAPS):
+            entries[shape, m] = record
+    keys = [other for record in entries.values() for other in record]
+    assert (len(keys) - keys.count(None), keys.count(None)) == (1796, 61)
 
 
 @pytest.mark.parametrize("char, digest", [(32003, "56907b7482786d91"), (0, "6625a4f94935311b")])

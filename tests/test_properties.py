@@ -7,7 +7,9 @@ import property_suites as ps
 
 @pytest.mark.parametrize("name", sorted(ps.SUITES))
 def test_suite_meets_budget(name):
-    rng = random.Random(f"20260816:{name}")
+    # Criterion 8 runs every suite at the "20260816:{name}" seeds, so this
+    # test draws elsewhere.
+    rng = random.Random(f"budget:{name}")
     count = ps.SUITES[name](rng, ps.BUDGETS[name])
     assert count >= ps.BUDGETS[name]
 

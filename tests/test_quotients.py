@@ -203,19 +203,22 @@ def test_colon_steps_build_no_closed_ideal_by_minimalization(monkeypatch):
 
 
 def _patched_gaps(monkeypatch, shape, window, changes):
-    """Make ``_gap_keys`` return changes[u](gaps) for each diagonal u of the
-    window in changes."""
-    real = quotients._gap_keys
+    """Make ``_window_table`` give changes[u](gaps) as the gaps of each
+    diagonal u of the window in changes."""
+    real = quotients._window_table
     diagonals = enumerate_diagonals(shape, window)
     targets = {diagonals[u].key: change for u, change in changes.items()}
 
-    def gap_keys(shape_, window_):
+    def window_table(shape_, window_):
         table = real(shape_, window_)
         if (shape_, window_) != (shape, window):
             return table
-        return MappingProxyType({**table, **{f: change(table[f]) for f, change in targets.items()}})
+        gaps = table.gaps
+        return table._replace(
+            gaps=MappingProxyType({**gaps, **{f: change(gaps[f]) for f, change in targets.items()}})
+        )
 
-    monkeypatch.setattr(quotients, "_gap_keys", gap_keys)
+    monkeypatch.setattr(quotients, "_window_table", window_table)
 
 
 # (report, shape, chain, u): a single window and two product chains, at a step
@@ -239,7 +242,7 @@ def test_a_wrong_closed_form_falls_back_to_the_brute_colon(monkeypatch, change, 
     window = chain.windows[0]
     keys = [] if kind == "window" else [g.key for g in window_product_ideal(shape, chain.windows).gens]
     brute = _brute_colons(shape, window, keys)[u]
-    gaps = quotients._gap_keys(shape, window)[enumerate_diagonals(shape, window)[u].key]
+    gaps = quotients._window_table(shape, window).gaps[enumerate_diagonals(shape, window)[u].key]
     assert len(gaps) >= 2
     if change == "drop":
         # The closed form lacks a variable of the colon: only the forward
@@ -280,7 +283,7 @@ def test_wrong_gaps_at_two_steps_of_one_loop_stay_at_their_steps(monkeypatch, ki
     diagonals = enumerate_diagonals(shape, window)
     keys = [] if kind == "window" else window_product_ideal(shape, chain.windows).keys
     brutes = _brute_colons(shape, window, keys)
-    dropped = quotients._gap_keys(shape, window)[diagonals[u].key][0]
+    dropped = quotients._window_table(shape, window).gaps[diagonals[u].key][0]
     # A single window's report starts at its second diagonal.
     first = 1 if kind == "window" else 0
     extra = next(t for t in range(first, u) if _divides(dropped, diagonals[t].key, shape))

@@ -7,7 +7,6 @@ from types import GeneratorType
 
 import pytest
 
-import diagideal.quotients as quotients
 import diagideal.windows as windows
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.errors import (
@@ -102,6 +101,20 @@ def test_columns_and_chains_are_stored_as_tuples():
     assert WindowChain([w]) == WindowChain((w,))
     assert hash(WindowChain([w])) == hash(WindowChain((w,)))
     assert WindowChain.of([1, 3]) == WindowChain.of((1, 3))
+
+
+@pytest.mark.parametrize("pairs", [[(1, 6), (1, 6)], ((1, 4), (2, 5)), [[1, 6], [2, 6], [3, 6]]])
+def test_chain_of_names_a_list_of_pairs_passed_as_one_argument(pairs):
+    # Each (first, last) pair is its own argument; a list of them passed as
+    # one is a domain error that says so, not a non-integer bound.
+    with pytest.raises(DomainError, match="each \\(first, last\\) pair is its own argument"):
+        WindowChain.of(pairs)
+    assert WindowChain.of(*pairs) == WindowChain(tuple(Window(k, l) for k, l in pairs))
+
+
+def test_chain_of_keeps_the_window_error_for_a_non_integer_bound():
+    with pytest.raises(WindowError, match="window bounds must be integers"):
+        WindowChain.of((1.5, 3))
 
 
 @pytest.mark.parametrize(
@@ -234,14 +247,12 @@ def test_enumerate_diagonals_raises_when_out_of_order(monkeypatch):
     monkeypatch.setattr(
         windows, "combinations", lambda cols, r: reversed(list(combinations(cols, r)))
     )
-    windows._enumerate_diagonals.cache_clear()
-    windows._diagonal_keys.cache_clear()
+    windows._window_table.cache_clear()
     try:
         with pytest.raises(EngineError):
             enumerate_diagonals(shape, window)
     finally:
-        windows._enumerate_diagonals.cache_clear()
-        windows._diagonal_keys.cache_clear()
+        windows._window_table.cache_clear()
 
 
 def test_diagonal_ideal_raises_when_generators_collapse(monkeypatch):
@@ -251,12 +262,12 @@ def test_diagonal_ideal_raises_when_generators_collapse(monkeypatch):
     monkeypatch.setattr(
         MonomialIdeal, "_from_keys", classmethod(lambda cls, shape, keys: real(shape, keys[1:]))
     )
-    windows._diagonal_ideal.cache_clear()
+    windows._window_table.cache_clear()
     try:
         with pytest.raises(EngineError):
             diagonal_ideal(shape, window)
     finally:
-        windows._diagonal_ideal.cache_clear()
+        windows._window_table.cache_clear()
 
 
 def test_iter_windows():
@@ -394,9 +405,9 @@ def test_window_keys_match_the_checked_monomials():
             columns = list(combinations(range(window.first, window.last + 1), shape.rows))
             monomials = [diagonal_monomial(shape, cols) for cols in columns]
             assert enumerate_diagonals(shape, window) == tuple(monomials)
-            table = windows._diagonal_keys(shape, window)
-            assert list(table.items()) == [(m.key, cols) for m, cols in zip(monomials, columns)]
-            gaps = quotients._gap_keys(shape, window)
+            table = windows._window_table(shape, window)
+            assert list(table.diagonals.items()) == [(m.key, cols) for m, cols in zip(monomials, columns)]
+            gaps = table.gaps
             for m in monomials:
                 want, prev = [], window.first - 1
                 for i, c in enumerate(selection_of(m).cols, start=1):
