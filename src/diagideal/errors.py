@@ -25,10 +25,16 @@ class DomainError(DiagIdealError):
     """Input lies outside an operation's domain."""
 
 
-def _require(value, kind, what: str):
-    """DomainError unless value is a kind: the type check of a public entry."""
+def _require(value, kind, what: str, shape=None):
+    """value, after the operand check of a public entry: DomainError unless
+    it is a kind, then, given a grid shape, ShapeMismatchError unless it lies
+    on that grid.  The grid message names both grids and builds no repr."""
     if not isinstance(value, kind):
         raise DomainError(f"not a {what}: {value!r}")
+    if shape is not None and value.shape is not shape and value.shape != shape:
+        on = value.shape
+        raise ShapeMismatchError(f"{what} on the {on.rows}x{on.cols} grid, not {shape.rows}x{shape.cols}")
+    return value
 
 
 class FormatError(DiagIdealError):
@@ -48,4 +54,4 @@ class ResourceLimitError(DiagIdealError):
 
     def __init__(self, message, snapshot=None):
         super().__init__(message)
-        self.snapshot = dict(snapshot or {})
+        self.snapshot = dict(_require(snapshot or {}, dict, "snapshot dict"))

@@ -10,7 +10,9 @@ Those two take only an ``int`` or a ``Fraction`` and raise ``DomainError``
 for anything else, a string or a float included; every coefficient enters
 through them.  The per-operation methods ``add``, ``sub``, ``mul``,
 ``neg`` and ``is_zero`` stay for the public API and for the traced
-benchmark, which counts them; no library loop calls them.
+benchmark, which counts them; no library loop calls them.  They normalize
+their operands first, so they take what ``normalize`` takes and return
+field elements.
 """
 
 from __future__ import annotations
@@ -74,16 +76,16 @@ class RationalField:
         return Fraction(1)
 
     def add(self, a, b):
-        return a + b
+        return self.normalize(a) + self.normalize(b)
 
     def sub(self, a, b):
-        return a - b
+        return self.normalize(a) - self.normalize(b)
 
     def mul(self, a, b):
-        return a * b
+        return self.normalize(a) * self.normalize(b)
 
     def neg(self, a):
-        return -a
+        return -self.normalize(a)
 
     def invert(self, a):
         a = self.normalize(a)
@@ -92,7 +94,7 @@ class RationalField:
         return 1 / a
 
     def is_zero(self, a) -> bool:
-        return a == 0
+        return self.normalize(a) == 0
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -137,16 +139,16 @@ class PrimeField:
         return 1 % self.p
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (self.normalize(a) + self.normalize(b)) % self.p
 
     def sub(self, a, b):
-        return (a - b) % self.p
+        return (self.normalize(a) - self.normalize(b)) % self.p
 
     def mul(self, a, b):
-        return (a * b) % self.p
+        return self.normalize(a) * self.normalize(b) % self.p
 
     def neg(self, a):
-        return (-a) % self.p
+        return -self.normalize(a) % self.p
 
     def invert(self, a):
         a = self.normalize(a)
@@ -155,7 +157,7 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:
-        return a % self.p == 0
+        return self.normalize(a) == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -169,6 +171,7 @@ class PrimeField:
 
 def make_field(characteristic: int):
     """Field of the given characteristic: 0 gives the rationals."""
+    _require(characteristic, int, "characteristic")
     if characteristic == 0:
         return RationalField()
     return PrimeField(characteristic)

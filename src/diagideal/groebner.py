@@ -59,7 +59,7 @@ from heapq import heappop, heappush
 from itertools import combinations, product as iter_product
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, EngineError, ResourceLimitError, ShapeMismatchError, _require
+from .errors import DomainError, EngineError, ResourceLimitError, _require
 from .fields import PrimeField, RationalField, make_field
 from .ideals import MonomialIdeal
 from .monomials import (
@@ -374,10 +374,8 @@ def initial_ideal(basis) -> MonomialIdeal:
     if not all(polys):
         raise DomainError("zero polynomial has no leading term")
     shape = polys[0].shape
-    for g in polys:
-        if g.shape != shape:
-            raise ShapeMismatchError(f"generator on wrong grid: {g.leading_monomial!r}")
-    return MonomialIdeal._from_keys(shape, [g.keys[-1] for g in polys])
+    leads = [_require(g, Polynomial, "generator", shape).keys[-1] for g in polys]
+    return MonomialIdeal._from_keys(shape, leads)
 
 
 def natural_window_generators(

@@ -5,7 +5,9 @@ generators' packed keys (``keys``) in descending grid order.  The zero ideal
 has no keys; the unit ideal has the key of 1.  All operations return
 canonical ideals, so equality is plain key-tuple identity.  The constructor
 is the one checked entry (``minimal_generators`` goes through it), and
-``gens`` and iteration build ``GridMonomial``s only when asked.
+``gens`` and iteration build ``GridMonomial``s only when asked.  The
+constructor and the operators check each operand's type and grid with
+``errors._require``, the package's one operand check.
 
 Minimalization runs on packed keys, mask first: the variables among the
 candidates are picked out by a bit test (``_variables``), one mask AND
@@ -19,7 +21,7 @@ Products and colons build their candidates as keys (``_products``,
 
 from __future__ import annotations
 
-from .errors import DomainError, FormatError, ShapeMismatchError
+from .errors import DomainError, FormatError, _require
 from .monomials import (
     GridMonomial,
     GridShape,
@@ -74,18 +76,13 @@ class MonomialIdeal:
 
     def __init__(self, shape: GridShape, gens):
         """The ideal the monomials gens generate, each checked to lie on shape."""
-        if not isinstance(shape, GridShape):
-            raise DomainError(f"not a grid shape: {shape!r}")
+        _require(shape, GridShape, "grid shape")
         try:
             gens = iter(gens)
         except TypeError:
             raise DomainError(f"generators must be iterable, got {gens!r}") from None
         self.shape = shape
-        keys = []
-        for g in gens:
-            self._check_monomial(g, "generator")
-            keys.append(g.key)
-        self.keys = _minimal_keys(shape, keys)
+        self.keys = _minimal_keys(shape, [_require(g, GridMonomial, "generator", shape).key for g in gens])
 
     @classmethod
     def _from_keys(cls, shape: GridShape, keys) -> "MonomialIdeal":
@@ -136,37 +133,25 @@ class MonomialIdeal:
         degrees = self.generator_degrees()
         return degrees[0] if len(degrees) == 1 else None
 
-    def _check_monomial(self, monomial: GridMonomial, where: str):
-        if not isinstance(monomial, GridMonomial):
-            raise DomainError(f"not a monomial: {monomial!r}")
-        if monomial.shape != self.shape:
-            raise ShapeMismatchError(f"{where} on wrong grid: {monomial!r}")
-
     def contains(self, monomial: GridMonomial) -> bool:
         """Membership: some minimal generator divides the monomial."""
-        self._check_monomial(monomial, "membership test")
+        _require(monomial, GridMonomial, "monomial", self.shape)
         return _first_divisor(monomial.key, self.keys, self.shape) >= 0
 
     # -- algebra -----------------------------------------------------------
 
-    def _check_shape(self, other: "MonomialIdeal"):
-        if not isinstance(other, MonomialIdeal):
-            raise DomainError(f"not a monomial ideal: {other!r}")
-        if self.shape != other.shape:
-            raise ShapeMismatchError("ideals on different grids")
-
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check_shape(other)
+        _require(other, MonomialIdeal, "monomial ideal", self.shape)
         return MonomialIdeal._from_keys(self.shape, self.keys + other.keys)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check_shape(other)
+        _require(other, MonomialIdeal, "monomial ideal", self.shape)
         shape = self.shape
         return MonomialIdeal._from_keys(shape, _products(self.keys, other.keys, shape))
 
     def colon(self, f: GridMonomial) -> "MonomialIdeal":
         """(self : f), generated by g/gcd(g, f) over the generators g."""
-        self._check_monomial(f, "colon divisor")
+        _require(f, GridMonomial, "monomial", self.shape)
         return MonomialIdeal._from_keys(self.shape, _colons(self.keys, f.key, self.shape))
 
     # -- identity ----------------------------------------------------------

@@ -34,8 +34,10 @@ set of variables), ``_variable_key`` (the key of x[i,j], so that other
 modules build diagonals, gaps and minor terms as sums of keys) and
 ``_key_text`` (a key's ``x[i,j]^e`` text, which ``str`` of a monomial
 returns, so reports render keys with no monomial built).
-The public operators check both grids, then call them; loops over keys whose
-grid was checked where they entered call them directly.
+The public operators check their operand's type and grid with the package's
+one operand check, ``errors._require``, then call them; loops over keys whose
+grid was checked where they entered call them directly.  ``variable`` and
+``from_exponents`` check each (row, col) pair and exponent before use.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce, total_ordering
 from operator import or_
 
-from .errors import DomainError, FormatError, ShapeMismatchError, _require
+from .errors import DomainError, FormatError, _require
 
 MAX_EXPONENT = 127
 
@@ -70,6 +72,9 @@ class GridShape:
         return self.rows * self.cols
 
     def contains(self, i: int, j: int) -> bool:
+        """Is x[i,j] on the grid; DomainError unless i and j are integers."""
+        _require(i, int, "row index")
+        _require(j, int, "column index")
         return 1 <= i <= self.rows and 1 <= j <= self.cols
 
     def variables(self):
@@ -350,14 +355,20 @@ class GridMonomial:
 
     @classmethod
     def variable(cls, shape: GridShape, i: int, j: int) -> "GridMonomial":
+        _require(shape, GridShape, "grid shape")
+        shape.contains(i, j)  # types i and j before the pair is hashed
         return cls.from_exponents(shape, {(i, j): 1})
 
     @classmethod
     def from_exponents(cls, shape: GridShape, mapping) -> "GridMonomial":
-        """Build from a sparse {(row, col): exponent} mapping, 1-based."""
+        """Build from a sparse {(row, col): exponent} dict, 1-based."""
         _require(shape, GridShape, "grid shape")
+        _require(mapping, dict, "{(row, col): exponent} dict")
         exps = [0] * shape.variable_count
-        for (i, j), e in mapping.items():
+        for pair, e in mapping.items():
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise DomainError(f"not a (row, col) pair: {pair!r}")
+            i, j = pair
             if not shape.contains(i, j):
                 raise DomainError(f"variable x[{i},{j}] outside {shape.rows}x{shape.cols} grid")
             if not isinstance(e, int) or e <= 0:
@@ -403,40 +414,32 @@ class GridMonomial:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_shape(self, other: "GridMonomial"):
-        if not isinstance(other, GridMonomial):
-            raise DomainError(f"not a monomial: {other!r}")
-        if self.shape is not other.shape and self.shape != other.shape:
-            raise ShapeMismatchError(
-                f"monomials on different grids: {self.shape} vs {other.shape}"
-            )
-
     def divides(self, other: "GridMonomial") -> bool:
-        self._check_shape(other)
+        _require(other, GridMonomial, "monomial", self.shape)
         return _divides(self.key, other.key, self.shape)
 
     def __mul__(self, other: "GridMonomial") -> "GridMonomial":
-        self._check_shape(other)
+        _require(other, GridMonomial, "monomial", self.shape)
         return _from_key(self.shape, _product(self.key, other.key, self.shape))
 
     def __truediv__(self, other: "GridMonomial") -> "GridMonomial":
         """Exact division; raises DomainError when not divisible."""
-        self._check_shape(other)
+        _require(other, GridMonomial, "monomial", self.shape)
         if not _divides(other.key, self.key, self.shape):
             raise DomainError(f"{other} does not divide {self}")
         return _from_key(self.shape, self.key - other.key)
 
     def gcd(self, other: "GridMonomial") -> "GridMonomial":
-        self._check_shape(other)
+        _require(other, GridMonomial, "monomial", self.shape)
         return _from_key(self.shape, self.key - _excess(self.key, other.key, self.shape._guard))
 
     def lcm(self, other: "GridMonomial") -> "GridMonomial":
-        self._check_shape(other)
+        _require(other, GridMonomial, "monomial", self.shape)
         return _from_key(self.shape, _lcm(self.key, other.key, self.shape))
 
     def colon(self, other: "GridMonomial") -> "GridMonomial":
         """self / gcd(self, other): the generator of (<self> : other)."""
-        self._check_shape(other)
+        _require(other, GridMonomial, "monomial", self.shape)
         return _from_key(self.shape, _colon(self.key, other.key, self.shape))
 
     # -- ordering ------------------------------------------------------
@@ -450,7 +453,7 @@ class GridMonomial:
         return hash(self.key)
 
     def __lt__(self, other):
-        self._check_shape(other)
+        _require(other, GridMonomial, "monomial", self.shape)
         return self.key < other.key
 
     # -- text ------------------------------------------------------------

@@ -17,12 +17,14 @@ right factor's bytewise max key stands for the overflow check of its row.
 A divisor's row, its tail made monic and negated, is ``_division_row``; the
 natural products are cached with theirs.  ``from_terms`` sums repeated
 terms in plain ``+`` too; the field is called only to normalize input and
-to invert.
+to invert.  ``from_terms``, ``times_term`` and the binary operators check
+each operand's type and grid with ``errors._require``, the package's one
+operand check; the operators then check that the fields agree.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError, _require
 from .fields import PrimeField, RationalField
 from .monomials import GridMonomial, GridShape, _from_key, _key_text, _lcm_all, _product
 
@@ -89,11 +91,14 @@ class Polynomial:
     __slots__ = ("shape", "field", "keys", "coeffs")
 
     def __init__(self, shape: GridShape, field, keys=(), coeffs=()):
-        """Unchecked: ascending keys and nonzero coeffs; ``from_terms`` checks."""
+        """Unchecked: ascending keys and nonzero coeffs; ``from_terms`` checks.
+        Only keys or coeffs that are not iterable raise ``DomainError``."""
         self.shape = shape
         self.field = field
-        self.keys = tuple(keys)
-        self.coeffs = tuple(coeffs)
+        try:
+            self.keys, self.coeffs = tuple(keys), tuple(coeffs)
+        except TypeError:
+            raise DomainError(f"keys and coeffs must be iterable, got {keys!r} and {coeffs!r}") from None
 
     @classmethod
     def zero(cls, shape: GridShape, field) -> "Polynomial":
@@ -101,10 +106,8 @@ class Polynomial:
 
     @classmethod
     def from_terms(cls, shape: GridShape, field, pairs) -> "Polynomial":
-        if not isinstance(shape, GridShape):
-            raise DomainError(f"not a grid shape: {shape!r}")
-        if not isinstance(field, (RationalField, PrimeField)):
-            raise DomainError(f"not a coefficient field: {field!r}")
+        _require(shape, GridShape, "grid shape")
+        _require(field, (RationalField, PrimeField), "coefficient field")
         try:
             pairs = iter(pairs)
         except TypeError:
@@ -116,10 +119,7 @@ class Polynomial:
                 mono, coeff = pair
             except (TypeError, ValueError):
                 raise DomainError(f"a term must be a (monomial, coefficient) pair, got {pair!r}") from None
-            if not isinstance(mono, GridMonomial):
-                raise DomainError(f"not a monomial: {mono!r}")
-            if mono.shape != shape:
-                raise ShapeMismatchError("term monomial on wrong grid")
+            _require(mono, GridMonomial, "monomial", shape)
             c = acc.get(mono.key, 0) + field.normalize(coeff)
             if p:
                 c %= p
@@ -162,10 +162,7 @@ class Polynomial:
         return self.coeffs[-1]
 
     def _check_compatible(self, other: "Polynomial"):
-        if not isinstance(other, Polynomial):
-            raise DomainError(f"not a polynomial: {other!r}")
-        if self.shape is not other.shape and self.shape != other.shape:
-            raise ShapeMismatchError("polynomials on different grids")
+        _require(other, Polynomial, "polynomial", self.shape)
         if self.field is not other.field and self.field != other.field:
             raise DomainError("polynomials over different fields")
 
@@ -195,10 +192,7 @@ class Polynomial:
 
     def times_term(self, mono: GridMonomial, coeff) -> "Polynomial":
         """Multiply by a single term; descending order is preserved."""
-        if not isinstance(mono, GridMonomial):
-            raise DomainError(f"not a monomial: {mono!r}")
-        if mono.shape is not self.shape and mono.shape != self.shape:
-            raise ShapeMismatchError("term monomial on wrong grid")
+        _require(mono, GridMonomial, "monomial", self.shape)
         zero = Polynomial(self.shape, self.field)
         return zero._plus(self.field.normalize(coeff), mono.key, self)
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, EngineError, ResourceLimitError, ShapeMismatchError, _require
+from .errors import DomainError, EngineError, ResourceLimitError, _require
 from .ideals import MonomialIdeal
 from .monomials import (
     GridMonomial,
@@ -208,8 +208,7 @@ def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> Mono
     selection = selection_of(f) if isinstance(f, GridMonomial) else None
     if selection is None:
         raise DomainError(f"{f} is not a diagonal monomial")
-    if f.shape != shape:
-        raise ShapeMismatchError(f"diagonal {f} is not on the {shape.rows}x{shape.cols} grid")
+    _require(f, GridMonomial, "diagonal", shape)
     selection.check_against(shape, window)
     return _join(shape, (), _window_table(shape, window).gaps[f.key])
 

@@ -40,7 +40,8 @@ class BettiTable:
 
     def __init__(self, characteristic: int, entries):
         self.characteristic = characteristic
-        cleaned = {key: int(v) for key, v in dict(entries).items() if v}
+        entries = _require(entries, dict, "{(i, j): beta} dict")
+        cleaned = {key: int(v) for key, v in entries.items() if v}
         self.cells = tuple(sorted((i, j, beta) for (i, j), beta in cleaned.items()))
 
     def beta(self, i: int, j: int) -> int:
@@ -71,8 +72,7 @@ class BettiTable:
         return max(i for i, _, _ in self.cells)
 
     def same_entries(self, other: "BettiTable") -> bool:
-        if not isinstance(other, BettiTable):
-            raise DomainError(f"not a Betti table: {other!r}")
+        _require(other, BettiTable, "Betti table")
         return self.cells == other.cells
 
     def __eq__(self, other):

@@ -2,13 +2,65 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import GeneratorType
+
+import pytest
 
 import diagideal
 import diagideal.groebner as groebner
 import diagideal.windows as windows
+from diagideal import (
+    BettiTable,
+    Caps,
+    ChainOrderError,
+    ColumnSelection,
+    DiagIdealError,
+    DomainError,
+    EngineError,
+    FormatError,
+    GroebnerBasis,
+    PrimeField,
+    QuotientChain,
+    RationalField,
+    ResourceLimitError,
+    SelectionError,
+    ShapeMismatchError,
+    Window,
+    WindowError,
+    betti,
+    betti_table,
+    buchberger,
+    closed_form_colon,
+    closed_form_product_colon,
+    diagonal_ideal,
+    diagonal_monomial,
+    enumerate_diagonals,
+    initial_ideal,
+    is_groebner_basis,
+    is_prime,
+    iter_sorted_chains,
+    iter_windows,
+    load_caps_file,
+    mapping_cone_betti,
+    minimal_generators,
+    minor,
+    natural_window_generators,
+    parse_caps_text,
+    parse_ideal,
+    parse_monomial,
+    quotient_chain,
+    redistribute,
+    reduce,
+    run_paper_replay,
+    s_polynomial,
+    selection_of,
+    window_product_ideal,
+)
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.fields import make_field
 from diagideal.groebner import conjecture_check
@@ -85,6 +137,204 @@ def test_public_api_is_pinned():
     assert sorted(diagideal.__all__) == PUBLIC_API
     for name in diagideal.__all__:
         assert hasattr(diagideal, name), name
+
+
+_S = GridShape(2, 4)
+_QQ, _GF = make_field(0), make_field(7)
+_W = Window(1, 3)
+_CHAIN = WindowChain.of((1, 3), (2, 4))
+_M, _N = diagonal_monomial(_S, (1, 3)), diagonal_monomial(_S, (2, 4))
+_I = diagonal_ideal(_S, _W)
+_F, _G = minor(_S, (1, 3), _QQ), minor(_S, (2, 4), _QQ)
+_B = betti(_I)
+
+# Valid sample arguments of every public callable: each export of
+# diagideal.__all__ and each public method and operator of its classes.
+# A method is bound to a sample receiver, which is never swapped.  The
+# windows.py rows keep their own test,
+# test_windows.py::test_window_entries_type_every_argument.
+ENTRIES = {
+    "BettiTable": (BettiTable, (0, {(0, 2): 3})),
+    "BettiTable.beta": (_B.beta, (0, 2)),
+    "BettiTable.same_entries": (_B.same_entries, (_B,)),
+    "BettiTable.to_json_obj": (_B.to_json_obj, ()),
+    "BettiTable.totals": (_B.totals, ()),
+    "Caps": (Caps, (6, 5000, 12, 4096, 1 << 20, 200_000, 3, 6, 2)),
+    "ChainOrderError": (ChainOrderError, ("message",)),
+    "ColumnSelection": (ColumnSelection, ((1, 3),)),
+    "ColumnSelection.check_against": (ColumnSelection((1, 3)).check_against, (_S, _W)),
+    "DiagIdealError": (DiagIdealError, ("message",)),
+    "DomainError": (DomainError, ("message",)),
+    "EngineError": (EngineError, ("message",)),
+    "FormatError": (FormatError, ("message",)),
+    "GridMonomial": (GridMonomial, (_S, (1, 0, 0, 0, 0, 0, 1, 0))),
+    "GridMonomial.__ge__": (_M.__ge__, (_N,)),
+    "GridMonomial.__gt__": (_M.__gt__, (_N,)),
+    "GridMonomial.__le__": (_M.__le__, (_N,)),
+    "GridMonomial.__lt__": (_M.__lt__, (_N,)),
+    "GridMonomial.__mul__": (_M.__mul__, (_N,)),
+    "GridMonomial.__truediv__": (_M.__truediv__, (_M,)),
+    "GridMonomial.colon": (_M.colon, (_N,)),
+    "GridMonomial.divides": (_M.divides, (_N,)),
+    "GridMonomial.from_exponents": (GridMonomial.from_exponents, (_S, {(1, 1): 2})),
+    "GridMonomial.gcd": (_M.gcd, (_N,)),
+    "GridMonomial.lcm": (_M.lcm, (_N,)),
+    "GridMonomial.support": (_M.support, ()),
+    "GridMonomial.unit": (GridMonomial.unit, (_S,)),
+    "GridMonomial.variable": (GridMonomial.variable, (_S, 1, 2)),
+    "GridShape": (GridShape, (2, 4)),
+    "GridShape.contains": (_S.contains, (1, 2)),
+    "GridShape.variables": (_S.variables, ()),
+    "GroebnerBasis": (GroebnerBasis, (_S, _QQ, (_F,), 0)),
+    "MonomialIdeal": (MonomialIdeal, (_S, [_M])),
+    "MonomialIdeal.__add__": (_I.__add__, (_I,)),
+    "MonomialIdeal.__mul__": (_I.__mul__, (_I,)),
+    "MonomialIdeal.colon": (_I.colon, (_M,)),
+    "MonomialIdeal.contains": (_I.contains, (_M,)),
+    "MonomialIdeal.generator_degrees": (_I.generator_degrees, ()),
+    "MonomialIdeal.single_generation_degree": (_I.single_generation_degree, ()),
+    "MonomialIdeal.unit": (MonomialIdeal.unit, (_S,)),
+    "MonomialIdeal.zero": (MonomialIdeal.zero, (_S,)),
+    "Polynomial": (Polynomial, (_S, _QQ, (_M.key,), (Fraction(1),))),
+    "Polynomial.__add__": (_F.__add__, (_G,)),
+    "Polynomial.__mul__": (_F.__mul__, (_G,)),
+    "Polynomial.__neg__": (_F.__neg__, ()),
+    "Polynomial.__sub__": (_F.__sub__, (_G,)),
+    "Polynomial.constant": (Polynomial.constant, (_S, _QQ, 2)),
+    "Polynomial.from_terms": (Polynomial.from_terms, (_S, _QQ, [(_M, 1)])),
+    "Polynomial.monic": (_F.monic, ()),
+    "Polynomial.times_term": (_F.times_term, (_M, 2)),
+    "Polynomial.zero": (Polynomial.zero, (_S, _QQ)),
+    "PrimeField": (PrimeField, (7,)),
+    "QuotientChain": (QuotientChain, (_I, ())),
+    "RationalField": (RationalField, ()),
+    "ResourceLimitError": (ResourceLimitError, ("message", {"done": 1})),
+    "SelectionError": (SelectionError, ("message",)),
+    "ShapeMismatchError": (ShapeMismatchError, ("message",)),
+    "Window": (Window, (1, 3)),
+    "Window.check_against": (_W.check_against, (_S,)),
+    "WindowChain": (WindowChain, ((_W,),)),
+    "WindowChain.check_against": (_CHAIN.check_against, (_S,)),
+    "WindowChain.of": (WindowChain.of, ((1, 3), (2, 4))),
+    "WindowError": (WindowError, ("message",)),
+    "betti": (betti, (_I, 0, DEFAULT_CAPS)),
+    "betti_table": (betti_table, (_I, 0, DEFAULT_CAPS)),
+    "buchberger": (buchberger, ([_F, _G], DEFAULT_CAPS)),
+    "closed_form_colon": (closed_form_colon, (_S, _W, _M)),
+    "closed_form_product_colon": (closed_form_product_colon, (_S, _CHAIN, diagonal_monomial(_S, (1, 2)), 0)),
+    "conjecture_check": (conjecture_check, (_S, _CHAIN, 32003, DEFAULT_CAPS)),
+    "diagonal_ideal": (diagonal_ideal, (_S, Window(1, 3))),
+    "diagonal_monomial": (diagonal_monomial, (_S, (1, 3))),
+    "enumerate_diagonals": (enumerate_diagonals, (_S, Window(1, 3))),
+    "initial_ideal": (initial_ideal, ([_F, _G],)),
+    "is_groebner_basis": (is_groebner_basis, ([_F, _G],)),
+    "is_prime": (is_prime, (7,)),
+    "iter_sorted_chains": (iter_sorted_chains, (_S, 2)),
+    "iter_windows": (iter_windows, (_S,)),
+    "load_caps_file": (load_caps_file, (os.devnull,)),
+    "make_field": (make_field, (7,)),
+    "mapping_cone_betti": (mapping_cone_betti, (_I, 0)),
+    "minimal_generators": (minimal_generators, (_S, [_M, _N])),
+    "minor": (minor, (_S, (1, 3), _QQ, DEFAULT_CAPS)),
+    "natural_window_generators": (
+        natural_window_generators, (_S, WindowChain.of((1, 3)), _QQ, DEFAULT_CAPS)
+    ),
+    "parse_caps_text": (parse_caps_text, ("max_spairs = 9",)),
+    "parse_ideal": (parse_ideal, (_S, "<x[1,1]*x[2,3]>")),
+    "parse_monomial": (parse_monomial, (_S, "x[1,1]^2")),
+    "quotient_chain": (quotient_chain, (_I,)),
+    "redistribute": (redistribute, (_S, _CHAIN, [_M, _N])),
+    "reduce": (reduce, (_F, [_G])),
+    "run_paper_replay": (run_paper_replay, ()),
+    "s_polynomial": (s_polynomial, (_F, _G)),
+    "selection_of": (selection_of, (diagonal_monomial(_S, (1, 3)),)),
+    "verify_product_colons": (verify_product_colons, (_S, _CHAIN, DEFAULT_CAPS)),
+    "window_product_ideal": (window_product_ideal, (_S, (Window(1, 3), Window(2, 4)))),
+}
+for _field in (_QQ, _GF):
+    _kind = type(_field).__name__
+    for _method, _args in (
+        ("normalize", (3,)), ("invert", (3,)), ("is_zero", (3,)), ("neg", (3,)),
+        ("add", (3, 4)), ("sub", (3, 4)), ("mul", (3, 4)),
+    ):
+        ENTRIES[f"{_kind}.{_method}"] = (getattr(_field, _method), _args)
+WINDOW_ENTRIES = (
+    "minor", "diagonal_monomial", "selection_of", "enumerate_diagonals", "diagonal_ideal",
+    "window_product_ideal", "iter_windows", "iter_sorted_chains", "GridMonomial",
+    "natural_window_generators",
+)
+BAD_ARGUMENTS = pytest.mark.parametrize(
+    "bad", [3, "x", None, 2.5, [None]], ids=["int", "str", "none", "float", "list"]
+)
+_OPERATORS = {"__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__lt__", "__le__", "__gt__", "__ge__"}
+
+
+def _public_callables() -> list:
+    """Every callable export and every public method and operator of an
+    exported class other than an exception, as ENTRIES names them."""
+    names = []
+    for name in diagideal.__all__:
+        obj = getattr(diagideal, name)
+        if not callable(obj):
+            continue
+        names.append(name)
+        if isinstance(obj, type) and not issubclass(obj, Exception):
+            names += [
+                f"{name}.{attr}"
+                for attr in vars(obj)
+                if (attr in _OPERATORS or not attr.startswith("_")) and callable(getattr(obj, attr))
+            ]
+    return names
+
+
+def drain(result):
+    """The result, with a generator run to its end."""
+    return list(result) if isinstance(result, GeneratorType) else result
+
+
+def swapped(name: str, position: int, bad):
+    """ENTRIES[name]'s call with argument position swapped for bad."""
+    func, args = ENTRIES[name]
+    return drain(func(*args[:position], bad, *args[position + 1 :]))
+
+
+@BAD_ARGUMENTS
+@pytest.mark.parametrize(
+    "name, position",
+    [
+        (name, position)
+        for name in _public_callables()
+        if name not in WINDOW_ENTRIES
+        for position in (range(len(ENTRIES[name][1])) if name in ENTRIES else [None])
+    ],
+)
+def test_public_entries_type_every_argument(name, position, bad):
+    # Each argument of each public callable in turn is swapped for a value
+    # of another type.  The call, its generator run to the end, gives an
+    # answer of the sample answer's type or raises a DiagIdealError, and
+    # nothing else.  An export or method without a sample row fails here.
+    assert name in ENTRIES, f"no sample arguments for {name}"
+    func, args = ENTRIES[name]
+    want = type(drain(func(*args)))
+    try:
+        answer = swapped(name, position, bad)
+    except DiagIdealError:
+        return
+    assert type(answer) is want, (name, position, bad, answer)
+
+
+def test_shape_mismatch_is_raised_only_in_the_operand_check():
+    # Every type-and-grid check of a public entry goes through
+    # errors._require, the one place that raises ShapeMismatchError.
+    found = []
+    for path in sorted(Path(diagideal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.exc)}
+                if "ShapeMismatchError" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1 and found[0].startswith("errors.py:")
 
 
 def test_no_assert_statements_in_the_package():
@@ -211,3 +461,23 @@ def test_cold_colon_and_groebner_checks_build_no_monomial():
     assert any(record for _, _, _, record in naturals)
     assert windows._minor_product.cache_info().currsize
     assert calls == []
+
+
+def test_the_grid_check_names_both_grids():
+    # One message for every public entry: the operand's grid, then the grid
+    # it should lie on, with no monomial or ideal written out.
+    small, large = GridShape(2, 3), GridShape(2, 4)
+    m = GridMonomial.variable(small, 1, 1)
+    f = Polynomial.constant(small, _QQ, 1)
+    calls = {
+        "monomial": [lambda: _M * m, lambda: _I.contains(m), lambda: _F.times_term(m, 1)],
+        "generator": [lambda: MonomialIdeal(large, [m]), lambda: initial_ideal([_F, f])],
+        "monomial ideal": [lambda: _I + MonomialIdeal(small, [m])],
+        "polynomial": [lambda: _F + f],
+        "diagonal": [lambda: closed_form_colon(large, _W, diagonal_monomial(small, (1, 3)))],
+    }
+    for what, entries in calls.items():
+        for call in entries:
+            with pytest.raises(ShapeMismatchError) as info:
+                call()
+            assert str(info.value) == f"{what} on the 2x3 grid, not 2x4"

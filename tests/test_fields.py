@@ -6,8 +6,11 @@ import pytest
 
 from diagideal.errors import DomainError
 from diagideal.fields import PrimeField, RationalField, is_prime, make_field
+from diagideal.groebner import conjecture_check
 from diagideal.monomials import GridMonomial, GridShape
 from diagideal.polynomials import Polynomial
+from diagideal.resolution import betti
+from diagideal.windows import Window, WindowChain, diagonal_ideal
 
 
 def test_is_prime_small():
@@ -128,3 +131,34 @@ def test_invert_takes_ints_and_fractions(char):
         assert field.mul(field.normalize(value), inverse) == field.one
     with pytest.raises(DomainError):
         field.invert(Fraction(0))
+
+
+@pytest.mark.parametrize("char", [0.0, Fraction(0)], ids=["float", "fraction"])
+def test_make_field_takes_only_an_integer_characteristic(char):
+    # 0.0 == 0 and Fraction(0) == 0, yet neither names a field: the
+    # rationals are not reported as characteristic 0.0.
+    shape = GridShape(2, 4)
+    with pytest.raises(DomainError, match="not a characteristic"):
+        make_field(char)
+    with pytest.raises(DomainError):
+        betti(diagonal_ideal(shape, Window(1, 4)), char)
+    with pytest.raises(DomainError):
+        conjecture_check(shape, WindowChain.of((1, 4)), characteristic=char)
+
+
+def test_per_operation_methods_take_and_return_field_elements():
+    QQ, GF = make_field(0), make_field(7)
+    assert QQ.add(1, 2) == 3 and type(QQ.add(1, 2)) is Fraction
+    assert GF.neg(Fraction(1, 2)) == 3  # 1/2 is 4 mod 7
+    assert GF.mul(Fraction(1, 2), 2) == 1 and GF.sub(2, 5) == 4
+    assert QQ.is_zero(Fraction(0)) and not GF.is_zero(Fraction(1, 2))
+    for call in (
+        lambda: QQ.mul("ab", 2),
+        lambda: GF.mul(2.5, 2),
+        lambda: GF.add("3", 1),
+        lambda: QQ.neg(None),
+        lambda: GF.is_zero("0"),
+        lambda: GF.sub(1, Fraction(1, 7)),
+    ):
+        with pytest.raises(DomainError):
+            call()

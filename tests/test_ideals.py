@@ -294,17 +294,19 @@ def test_loops_behind_a_boundary_skip_shape_checks(monkeypatch):
     small = GridShape(2, 5)
     two_windows = window_product_ideal(small, WindowChain.of((1, 4), (2, 5)).windows)
     checks, colons = [], []
-    real_check, real_colon = GridMonomial._check_shape, GridMonomial.colon
+    real_check, real_colon = monomials._require, GridMonomial.colon
 
-    def counting_check(self, other):
-        checks.append(other)
-        return real_check(self, other)
+    def counting_check(value, kind, what, shape=None):
+        # Only the GridMonomial operators' operand checks are counted.
+        if kind is GridMonomial:
+            checks.append(value)
+        return real_check(value, kind, what, shape)
 
     def counting_colon(self, other):
         colons.append(other)
         return real_colon(self, other)
 
-    monkeypatch.setattr(GridMonomial, "_check_shape", counting_check)
+    monkeypatch.setattr(monomials, "_require", counting_check)
     monkeypatch.setattr(GridMonomial, "colon", counting_colon)
     colon = minimal_generators(shape, candidates)
     assert product.contains(multidegree) and not product.contains(f)

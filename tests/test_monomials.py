@@ -58,6 +58,32 @@ def test_constructors_reject_a_non_shape(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GridMonomial.variable(GridShape(2, 3), 1, 2.5),
+        lambda: GridMonomial.variable(GridShape(2, 3), 1, "x"),
+        lambda: GridMonomial.variable(GridShape(2, 3), 1, [None]),
+        lambda: GridMonomial.variable(GridShape(2, 3), None, 1),
+        lambda: GridMonomial.from_exponents(GridShape(2, 3), [((1, 1), 1)]),
+        lambda: GridMonomial.from_exponents(GridShape(2, 3), {(1,): 1}),
+        lambda: GridMonomial.from_exponents(GridShape(2, 3), {1: 1}),
+        lambda: GridMonomial.from_exponents(GridShape(2, 3), {(1, 1.0): 1}),
+        lambda: GridMonomial.from_exponents(GridShape(2, 3), {(1, 1): 1.0}),
+        lambda: GridShape(2, 3).contains(1, "x"),
+    ],
+    ids=[
+        "variable-float", "variable-str", "variable-list", "variable-none-row",
+        "mapping-list", "key-short", "key-int", "key-float", "exponent-float", "contains-str",
+    ],
+)
+def test_variables_are_checked_before_use(call):
+    # The mapping, each (row, col) key and each exponent are checked before
+    # any is hashed, unpacked, compared or used as an index.
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_unit_and_variable():
     shape = GridShape(2, 2)
     one = GridMonomial.unit(shape)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 from math import comb
-from types import GeneratorType
 
 import pytest
 
@@ -36,6 +35,7 @@ from diagideal.windows import (
     selection_of,
     window_product_ideal,
 )
+from test_api import BAD_ARGUMENTS, ENTRIES, WINDOW_ENTRIES, swapped
 
 QQ = make_field(0)
 
@@ -348,48 +348,23 @@ def test_window_entries_raise_domain_error_for_wrong_types(call):
         call()
 
 
-def _drain(result):
-    """The result, with a generator run to its end."""
-    return list(result) if isinstance(result, GeneratorType) else result
-
-
-# Valid sample arguments of each typed windows entry.
-_ENTRIES = {
-    "minor": (minor, (_S, (1, 3), QQ, DEFAULT_CAPS)),
-    "diagonal_monomial": (diagonal_monomial, (_S, (1, 3))),
-    "selection_of": (selection_of, (diagonal_monomial(_S, (1, 3)),)),
-    "enumerate_diagonals": (enumerate_diagonals, (_S, Window(1, 3))),
-    "diagonal_ideal": (diagonal_ideal, (_S, Window(1, 3))),
-    "window_product_ideal": (window_product_ideal, (_S, (Window(1, 3), Window(2, 4)))),
-    "iter_windows": (iter_windows, (_S,)),
-    "iter_sorted_chains": (iter_sorted_chains, (_S, 2)),
-    "GridMonomial": (GridMonomial, (_S, (1, 0, 0, 0, 0, 0, 1, 0))),
-    "natural_window_generators": (
-        natural_window_generators, (_S, WindowChain.of((1, 3)), QQ, DEFAULT_CAPS)
-    ),
-}
-
-
 # [None] is unhashable, so it must be rejected before any cache hashes it.
-@pytest.mark.parametrize(
-    "bad", [3, "x", None, 2.5, [None]], ids=["int", "str", "none", "float", "list"]
-)
+@BAD_ARGUMENTS
 @pytest.mark.parametrize(
     "name, position",
-    [(name, position) for name, (_, args) in _ENTRIES.items() for position in range(len(args))],
+    [(name, position) for name in WINDOW_ENTRIES for position in range(len(ENTRIES[name][1]))],
 )
 def test_window_entries_type_every_argument(name, position, bad):
-    # Each argument in turn is swapped for a value of another type; the
-    # call, its generator run to the end, raises DomainError.  A swap of
-    # the sample's own type is a valid argument and gives an answer.
-    func, args = _ENTRIES[name]
-    sample = args[position]
-    args = args[:position] + (bad,) + args[position + 1 :]
-    if type(bad) is type(sample):
-        _drain(func(*args))
+    # The windows.py rows of test_api.py's package-wide table, held to more
+    # than its contract: each argument in turn is swapped for a value of
+    # another type, and the call, its generator run to the end, raises
+    # DomainError.  A swap of the sample's own type is a valid argument and
+    # gives an answer.
+    if type(bad) is type(ENTRIES[name][1][position]):
+        swapped(name, position, bad)
     else:
         with pytest.raises(DomainError):
-            _drain(func(*args))
+            swapped(name, position, bad)
 
 
 def _grids(max_rows: int, max_cols: int):
