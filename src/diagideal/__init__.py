@@ -49,7 +49,6 @@ from .resolution import (
     mapping_cone_betti,
 )
 from .windows import (
-    ColumnSelection,
     Window,
     WindowChain,
     diagonal_ideal,
@@ -108,7 +107,6 @@ __all__ = [
     "betti",
     "betti_table",
     "mapping_cone_betti",
-    "ColumnSelection",
     "Window",
     "WindowChain",
     "diagonal_ideal",

@@ -11,11 +11,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 
 
 @dataclass(frozen=True)
 class Caps:
+    """Every cap is a positive int; ``DomainError`` otherwise."""
+
     max_minor_rows: int = 6
     max_product_gens: int = 5000
     max_oracle_gens: int = 12
@@ -25,6 +27,12 @@ class Caps:
     max_conjecture_rows: int = 3
     max_conjecture_cols: int = 6
     max_conjecture_factors: int = 2
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, int) and value >= 1):
+                raise DomainError(f"cap {f.name} must be a positive integer, got {value!r}")
 
 
 DEFAULT_CAPS = Caps()
@@ -52,10 +60,10 @@ def parse_caps_text(text: str) -> Caps:
             values[key] = int(val)
         except ValueError:
             raise FormatError(f"caps line {lineno}: {key} needs an integer, got {val!r}") from None
-    for key, num in values.items():
-        if num < 1:
-            raise FormatError(f"cap {key} must be positive, got {num}")
-    return replace(DEFAULT_CAPS, **values)
+    try:
+        return replace(DEFAULT_CAPS, **values)
+    except DomainError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def load_caps_file(path: str) -> Caps:

@@ -72,7 +72,7 @@ from .monomials import (
     _lookup_divisor,
     _undivided,
 )
-from .polynomials import Polynomial, _add_multiple, _division_row
+from .polynomials import Polynomial, _add_multiple, _division_row, _polynomial
 from .quotients import _linear_quotients
 from .windows import (
     WindowChain,
@@ -157,7 +157,7 @@ def _reduce(keys, coeffs, basis: _Basis, used: set | None = None) -> Polynomial:
             if used is not None:
                 used.add(i)
             keys, coeffs = _add_multiple(keys, coeffs, c, key - leads[i], rows[i], shape, p)
-    return Polynomial(shape, basis.field, reversed(rest_keys), reversed(rest_coeffs))
+    return _polynomial(shape, basis.field, reversed(rest_keys), reversed(rest_coeffs))
 
 
 def _s_pair(basis: _Basis, i: int, j: int):
@@ -204,7 +204,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero or g.is_zero:
         raise DomainError("S-polynomial of the zero polynomial is undefined")
     f._check_compatible(g)
-    return Polynomial(f.shape, f.field, *_s_pair(_Basis(f.shape, f.field, (f, g)), 0, 1))
+    return _polynomial(f.shape, f.field, *_s_pair(_Basis(f.shape, f.field, (f, g)), 0, 1))
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,7 @@ def _reduce_basis(shape, field, basis) -> tuple:
     reduced = []
     for g in minimal:
         tail = _reduce(g.keys[:-1], g.coeffs[:-1], divisors)
-        g = Polynomial(shape, field, tail.keys + g.keys[-1:], tail.coeffs + g.coeffs[-1:])
+        g = _polynomial(shape, field, tail.keys + g.keys[-1:], tail.coeffs + g.coeffs[-1:])
         reduced.append(g.monic())
     reduced.sort(key=lambda g: g.keys[-1], reverse=True)
     return tuple(reduced)

@@ -31,7 +31,8 @@ for the lot), ``_degree`` (the byte sum, no exponent tuple), ``_by_degree``
 ``_variables`` (the keys that are single variables, by a bit test rather
 than a degree), ``_variable_mask`` (one AND tests divisibility by any of a
 set of variables), ``_variable_key`` (the key of x[i,j], so that other
-modules build diagonals, gaps and minor terms as sums of keys) and
+modules build diagonals, gaps and minor terms as sums of keys), ``_is_key``
+(does an int pack an exponent vector of the grid) and
 ``_key_text`` (a key's ``x[i,j]^e`` text, which ``str`` of a monomial
 returns, so reports render keys with no monomial built).
 The public operators check their operand's type and grid with the package's
@@ -312,6 +313,12 @@ def _variable_key(shape: GridShape, i: int, j: int) -> int:
     """The key of x[i,j], 1-based, for (i, j) known to lie on the grid:
     one byte set to 1, (i - 1) * cols + j - 1 bytes below the top."""
     return 1 << 8 * (shape.variable_count - (i - 1) * shape.cols - j)
+
+
+def _is_key(key, shape: GridShape) -> bool:
+    """Is key an int that packs an exponent vector of the grid: nonnegative,
+    within its bytes, and no guard bit set?"""
+    return isinstance(key, int) and 0 <= key < 1 << 8 * shape.variable_count and not key & shape._guard
 
 
 def _key_text(shape: GridShape, key: int) -> str:

@@ -19,14 +19,17 @@ natural products are cached with theirs.  ``from_terms`` sums repeated
 terms in plain ``+`` too; the field is called only to normalize input and
 to invert.  ``from_terms``, ``times_term`` and the binary operators check
 each operand's type and grid with ``errors._require``, the package's one
-operand check; the operators then check that the fields agree.
+operand check; the operators then check that the fields agree.  The
+public constructor checks its keys and coefficients; every library
+construction goes through the unchecked ``_polynomial``, so no merge or
+division loop pays for those checks.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, _require
 from .fields import PrimeField, RationalField
-from .monomials import GridMonomial, GridShape, _from_key, _key_text, _lcm_all, _product
+from .monomials import GridMonomial, GridShape, _from_key, _is_key, _key_text, _lcm_all, _product
 
 
 def _row(shape: GridShape, keys, coeffs) -> tuple:
@@ -85,20 +88,44 @@ def _add_multiple(keys, coeffs, c, q: int, row, shape: GridShape, p: int):
     return merged_keys, merged_coeffs
 
 
+def _polynomial(shape: GridShape, field, keys, coeffs) -> "Polynomial":
+    """The polynomial of ascending keys and nonzero normalized coeffs,
+    unchecked: the one builder of every library construction."""
+    poly = object.__new__(Polynomial)
+    poly.shape = shape
+    poly.field = field
+    poly.keys = tuple(keys)
+    poly.coeffs = tuple(coeffs)
+    return poly
+
+
 class Polynomial:
     """Immutable polynomial: its terms' packed ``keys`` and ``coeffs``, ascending."""
 
     __slots__ = ("shape", "field", "keys", "coeffs")
 
     def __init__(self, shape: GridShape, field, keys=(), coeffs=()):
-        """Unchecked: ascending keys and nonzero coeffs; ``from_terms`` checks.
-        Only keys or coeffs that are not iterable raise ``DomainError``."""
-        self.shape = shape
-        self.field = field
+        """The polynomial with strictly ascending keys on the grid and as
+        many coefficients, each a nonzero normalized element of the field;
+        ``DomainError`` otherwise."""
+        _require(shape, GridShape, "grid shape")
+        _require(field, (RationalField, PrimeField), "coefficient field")
         try:
-            self.keys, self.coeffs = tuple(keys), tuple(coeffs)
+            keys, coeffs = tuple(keys), tuple(coeffs)
         except TypeError:
             raise DomainError(f"keys and coeffs must be iterable, got {keys!r} and {coeffs!r}") from None
+        if len(keys) != len(coeffs):
+            raise DomainError(f"{len(keys)} keys but {len(coeffs)} coefficients")
+        for k in keys:
+            if not _is_key(k, shape):
+                raise DomainError(f"not a key of the {shape.rows}x{shape.cols} grid: {k!r}")
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise DomainError(f"keys must strictly ascend, got {keys!r}")
+        for c in coeffs:
+            n = field.normalize(c)
+            if not n or type(n) is not type(c) or n != c:
+                raise DomainError(f"not a nonzero normalized element of {field!r}: {c!r}")
+        self.shape, self.field, self.keys, self.coeffs = shape, field, keys, coeffs
 
     @classmethod
     def zero(cls, shape: GridShape, field) -> "Polynomial":
@@ -128,7 +155,7 @@ class Polynomial:
             else:
                 acc.pop(mono.key, None)
         keys = sorted(acc)
-        return cls(shape, field, keys, [acc[k] for k in keys])
+        return _polynomial(shape, field, keys, [acc[k] for k in keys])
 
     @classmethod
     def constant(cls, shape: GridShape, field, value) -> "Polynomial":
@@ -177,14 +204,14 @@ class Polynomial:
         shape, field = self.shape, self.field
         row = _row(shape, other.keys, other.coeffs)
         keys, coeffs = _add_multiple(self.keys, self.coeffs, c, q, row, shape, field.characteristic)
-        return Polynomial(shape, field, keys, coeffs)
+        return _polynomial(shape, field, keys, coeffs)
 
     # The merge reduces c * coeff mod p, so plain 1 and -1 serve as c.
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(1, 0, other)
 
     def __neg__(self) -> "Polynomial":
-        zero = Polynomial(self.shape, self.field)
+        zero = _polynomial(self.shape, self.field, (), ())
         return zero._plus(-1, 0, self)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -193,7 +220,7 @@ class Polynomial:
     def times_term(self, mono: GridMonomial, coeff) -> "Polynomial":
         """Multiply by a single term; descending order is preserved."""
         _require(mono, GridMonomial, "monomial", self.shape)
-        zero = Polynomial(self.shape, self.field)
+        zero = _polynomial(self.shape, self.field, (), ())
         return zero._plus(self.field.normalize(coeff), mono.key, self)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -219,13 +246,13 @@ class Polynomial:
             if c:
                 keys.append(k)
                 coeffs.append(c)
-        return Polynomial(shape, self.field, keys, coeffs)
+        return _polynomial(shape, self.field, keys, coeffs)
 
     def monic(self) -> "Polynomial":
         if self.is_zero or self.coeffs[-1] == 1:
             return self
         inv = self.field.invert(self.leading_coefficient)
-        return Polynomial(self.shape, self.field)._plus(inv, 0, self)
+        return _polynomial(self.shape, self.field, (), ())._plus(inv, 0, self)
 
     # -- identity / text ----------------------------------------------------
 

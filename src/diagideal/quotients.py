@@ -13,10 +13,10 @@ sentinel gap floor; for a sorted chain the same variables join the product
 R of the remaining windows' diagonal ideals.  The diagonals and their gap
 keys come from ``windows._window_table``, one cached table per window
 built from column tuples, so no step builds a ``GridMonomial``; the public
-closed forms check their diagonal argument where it enters and read the
-same table.  R's keys are minimal and the gaps are distinct variables, so
-the closed ideal's minimal generators are the gaps and the keys of R that
-no gap divides (``_join``, one mask AND each, no minimalization).
+closed forms look their diagonal argument up by key in the same table.
+R's keys are minimal and the gaps are distinct variables, so the closed
+ideal's minimal generators are the gaps and the keys of R that no gap
+divides (``_join``, one mask AND each, no minimalization).
 
 ``_colon_steps`` walks a window's diagonal keys beside the closed form and
 decides each step by the colon's definition (``_is_colon``): every k : f
@@ -28,7 +28,8 @@ so each distinct colon is scanned against R once per chain.  Equal ideals
 have one minimal generating set, so a step that passes reports the closed
 ideal as its brute colon; only a step that fails builds and minimalizes
 ``_brute_colon``'s.  The circle redistribution rebalances a factor per
-window by sorting column positions row by row.
+window by sorting column positions row by row, and checks its output on
+keys against the window tables.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .monomials import (
     _colons,
     _colons_and_variables,
     _from_key,
+    _key_text,
     _products,
     _radical,
     _undivided,
@@ -53,9 +55,10 @@ from .monomials import (
 from .windows import (
     Window,
     WindowChain,
+    _columns,
+    _diagonal_key,
     _window_table,
     diagonal_ideal,
-    diagonal_monomial,
     selection_of,
     window_product_ideal,
 )
@@ -201,16 +204,17 @@ def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> Mono
     """Closed form of (<earlier diagonals> : f) inside one window.
 
     Generated by the gap variables of f; the zero ideal when f is the
-    window's top diagonal monomial.
+    window's top diagonal monomial.  f is looked up by its key in the
+    window's table, so a monomial that is not one of its diagonals is a
+    ``DomainError``.
     """
     _require(window, Window, "window")
     window.check_against(shape)
-    selection = selection_of(f) if isinstance(f, GridMonomial) else None
-    if selection is None:
-        raise DomainError(f"{f} is not a diagonal monomial")
     _require(f, GridMonomial, "diagonal", shape)
-    selection.check_against(shape, window)
-    return _join(shape, (), _window_table(shape, window).gaps[f.key])
+    gaps = _window_table(shape, window).gaps.get(f.key)
+    if gaps is None:
+        raise DomainError(f"{f} is not a diagonal monomial of window {window}")
+    return _join(shape, (), gaps)
 
 
 def closed_form_product_colon(
@@ -227,6 +231,7 @@ def closed_form_product_colon(
     if len(chain) < 2:
         raise DomainError("product colon closed form needs at least two windows")
     chain.check_against(shape)
+    _require(f, GridMonomial, "diagonal", shape)
     first = chain.windows[0]
     table = _window_table(shape, first)
     diagonals = tuple(table.diagonals)
@@ -234,7 +239,7 @@ def closed_form_product_colon(
         raise DomainError(
             f"prefix index {prefix_index} out of range for window {first}"
         )
-    if _from_key(shape, diagonals[prefix_index]) != f:
+    if diagonals[prefix_index] != f.key:
         raise DomainError(
             f"{f} is not diagonal #{prefix_index} of window {first}"
         )
@@ -248,6 +253,7 @@ def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
 
     The output monomials multiply to the same product, are again diagonal
     monomials, and the j-th lands in the j-th window of the sorted chain.
+    Both guarantees are checked on keys before any output is built.
     """
     _require(chain, WindowChain, "window chain")
     chain.check_against(shape)
@@ -259,31 +265,25 @@ def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
         raise DomainError(f"{len(factors)} factors for {len(chain)} windows")
     selections = []
     for window, g in zip(chain.windows, factors):
-        selection = selection_of(g) if isinstance(g, GridMonomial) else None
-        if selection is None:
+        cols = selection_of(_require(g, GridMonomial, "diagonal", shape))
+        if cols is None:
             raise DomainError(f"{g!r} is not a diagonal monomial")
-        selection.check_against(shape, window)
-        selections.append(selection)
-    rows = [sorted(sel.cols[i] for sel in selections) for i in range(shape.rows)]
+        selections.append(_columns(shape, cols, window))
+    rows = [sorted(cols[i] for cols in selections) for i in range(shape.rows)]
     outputs = [
-        diagonal_monomial(shape, tuple(row[j] for row in rows))
-        for j in range(len(chain))
+        _diagonal_key(shape, tuple(row[j] for row in rows)) for j in range(len(chain))
     ]
 
-    # Unconditional guarantees of the construction.
-    product = GridMonomial.unit(shape)
-    for g in factors:
-        product = product * g
-    check = GridMonomial.unit(shape)
-    for h in outputs:
-        check = check * h
-    if check != product:
-        raise EngineError(f"redistribution changed the product {product} to {check}")
+    # Unconditional guarantees of the construction: a product of monomials
+    # is the sum of their keys.
+    if sum(outputs) != sum(g.key for g in factors):
+        raise EngineError(f"redistribution changed the product of {factors}")
     for window, h in zip(chain.windows, outputs):
-        sel = selection_of(h)
-        if sel is None or not (window.first <= sel.cols[0] and sel.cols[-1] <= window.last):
-            raise EngineError(f"redistributed factor {h} is not a diagonal of window {window}")
-    return outputs
+        if h not in _window_table(shape, window).diagonals:
+            raise EngineError(
+                f"redistributed factor {_key_text(shape, h)} is not a diagonal of window {window}"
+            )
+    return [_from_key(shape, h) for h in outputs]
 
 
 def verify_product_colons(

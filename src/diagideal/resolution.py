@@ -39,10 +39,19 @@ class BettiTable:
     __slots__ = ("characteristic", "cells")
 
     def __init__(self, characteristic: int, entries):
-        self.characteristic = characteristic
+        """DomainError unless characteristic is an int and entries a dict of
+        (int, int) keys and int values; zero values are dropped."""
+        self.characteristic = _require(characteristic, int, "characteristic")
         entries = _require(entries, dict, "{(i, j): beta} dict")
-        cleaned = {key: int(v) for key, v in entries.items() if v}
-        self.cells = tuple(sorted((i, j, beta) for (i, j), beta in cleaned.items()))
+        for key, beta in entries.items():
+            if not (
+                isinstance(key, tuple)
+                and len(key) == 2
+                and all(isinstance(x, int) for x in key)
+                and isinstance(beta, int)
+            ):
+                raise DomainError(f"not an (int, int): int Betti entry: {key!r}: {beta!r}")
+        self.cells = tuple(sorted((i, j, beta) for (i, j), beta in entries.items() if beta))
 
     def beta(self, i: int, j: int) -> int:
         if not (isinstance(i, int) and isinstance(j, int)):

@@ -11,7 +11,9 @@ tuples: one cached table per window, ``_window_table``, holds each
 diagonal's key with its columns, each diagonal's gap keys and the diagonal
 ideal, and the colon steps of ``quotients`` read it.  ``GridMonomial``s
 are built only for the public entries that return them
-(``diagonal_monomial``, ``enumerate_diagonals``).
+(``diagonal_monomial``, ``enumerate_diagonals``).  A diagonal is its column
+tuple or its key, and every column tuple a caller passes is checked once,
+by ``_columns``.
 
 The natural generators of a window chain, one product of maximal minors per
 column multiset, come from the other cache, ``_minor_product``, keyed by
@@ -44,7 +46,7 @@ from .errors import (
 from .fields import PrimeField, RationalField
 from .ideals import MonomialIdeal
 from .monomials import GridMonomial, GridShape, _from_key, _variable_key
-from .polynomials import Polynomial, _division_row
+from .polynomials import Polynomial, _division_row, _polynomial
 
 
 @dataclass(frozen=True)
@@ -129,72 +131,42 @@ class WindowChain:
         return ":".join(f"{w.first},{w.last}" for w in self.windows)
 
 
-@dataclass(frozen=True)
-class ColumnSelection:
-    """Strictly increasing 1-based column positions, one per row."""
+def _columns(shape: GridShape, cols, window: Window | None = None) -> tuple:
+    """cols as a tuple after the one check of a column tuple: one column per
+    row of the grid, strictly increasing, on the grid and, given a window,
+    inside it.
 
-    cols: tuple
-
-    def __post_init__(self):
-        if type(self.cols) is not tuple:
-            try:
-                object.__setattr__(self, "cols", tuple(self.cols))
-            except TypeError:
-                raise SelectionError(f"not a sequence of columns: {self.cols!r}") from None
-        if not self.cols:
-            raise SelectionError("empty column selection")
-        for c in self.cols:
-            if not isinstance(c, int):
-                raise SelectionError(f"columns must be integers, got {self.cols}")
-        for a, b in zip(self.cols, self.cols[1:]):
-            if a >= b:
-                raise SelectionError(f"columns must strictly increase, got {self.cols}")
-        if self.cols[0] < 1:
-            raise SelectionError(f"columns must be >= 1, got {self.cols}")
-
-    def check_against(self, shape: GridShape, window: Window | None = None):
-        _require(shape, GridShape, "grid shape")
-        if window is not None:
-            _require(window, Window, "window")
-        if len(self.cols) != shape.rows:
-            raise SelectionError(
-                f"selection {self.cols} needs exactly {shape.rows} columns"
-            )
-        if self.cols[-1] > shape.cols:
-            raise SelectionError(f"selection {self.cols} exceeds {shape.cols} columns")
-        if window is not None and not (window.first <= self.cols[0] and self.cols[-1] <= window.last):
-            raise SelectionError(f"selection {self.cols} outside window {window}")
-
-    def __str__(self):
-        return "(" + ",".join(str(c) for c in self.cols) + ")"
-
-
-def _selection(cols) -> ColumnSelection:
-    """cols as a ColumnSelection; DomainError unless it is one or an
-    iterable of integer columns."""
-    if isinstance(cols, ColumnSelection):
-        return cols
+    DomainError unless cols is an iterable of integers; SelectionError for
+    the wrong count, columns that do not strictly increase, or a column off
+    the grid or outside the window.
+    """
+    _require(shape, GridShape, "grid shape")
+    if window is not None:
+        _require(window, Window, "window")
     try:
         columns = tuple(cols)
     except TypeError:
         columns = (None,)
-    for c in columns:
-        if not isinstance(c, int):
-            raise DomainError(f"columns must be an iterable of integers, got {cols!r}")
-    return ColumnSelection(columns)
+    if not all(isinstance(c, int) for c in columns):
+        raise DomainError(f"columns must be an iterable of integers, got {cols!r}")
+    if len(columns) != shape.rows:
+        raise SelectionError(f"selection {columns} needs exactly {shape.rows} columns")
+    if any(a >= b for a, b in zip(columns, columns[1:])):
+        raise SelectionError(f"columns must strictly increase, got {columns}")
+    if not 1 <= columns[0] <= columns[-1] <= shape.cols:
+        raise SelectionError(f"selection {columns} is off the {shape.cols} columns of the grid")
+    if window is not None and not window.first <= columns[0] <= columns[-1] <= window.last:
+        raise SelectionError(f"selection {columns} outside window {window}")
+    return columns
 
 
 def diagonal_monomial(shape: GridShape, cols) -> GridMonomial:
     """The monomial taking column cols[i-1] in row i."""
-    selection = _selection(cols)
-    selection.check_against(shape)
-    return GridMonomial.from_exponents(
-        shape, {(i, c): 1 for i, c in enumerate(selection.cols, start=1)}
-    )
+    return _from_key(shape, _diagonal_key(shape, _columns(shape, cols)))
 
 
-def selection_of(monomial: GridMonomial) -> ColumnSelection | None:
-    """Recover the column selection of a diagonal monomial, else None."""
+def selection_of(monomial: GridMonomial) -> tuple | None:
+    """The column tuple of a diagonal monomial, else None."""
     _require(monomial, GridMonomial, "grid monomial")
     support = monomial.support()
     cols = tuple(j for _, j in support)
@@ -203,7 +175,7 @@ def selection_of(monomial: GridMonomial) -> ColumnSelection | None:
         and [i for i, _ in support] == list(range(1, monomial.shape.rows + 1))
         and all(a < b for a, b in zip(cols, cols[1:]))
     ):
-        return ColumnSelection(cols)
+        return cols
     return None
 
 
@@ -295,10 +267,9 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
     """
     _require(caps, Caps, "Caps")
     _require(field, (RationalField, PrimeField), "field")
-    selection = _selection(cols)
-    selection.check_against(shape)
+    cols = _columns(shape, cols)
     _check_minor_rows(shape, caps)
-    return _minor_product(shape, (tuple(selection.cols),), field)[0]
+    return _minor_product(shape, (cols,), field)[0]
 
 
 def _check_minor_rows(shape: GridShape, caps: Caps) -> None:
@@ -353,10 +324,10 @@ def _minor_product(shape: GridShape, multiset: tuple, field) -> tuple:
         keys = sorted(terms)
         if keys[-1] != _diagonal_key(shape, cols):
             raise EngineError(
-                f"minor on columns {ColumnSelection(cols)} is not led by its diagonal: "
+                f"minor on columns {cols} is not led by its diagonal: "
                 "the monomial order is broken"
             )
-        product = Polynomial(shape, field, keys, [terms[k] for k in keys])
+        product = _polynomial(shape, field, keys, [terms[k] for k in keys])
     return product, _division_row(product), {}
 
 

@@ -18,7 +18,6 @@ from diagideal import (
     BettiTable,
     Caps,
     ChainOrderError,
-    ColumnSelection,
     DiagIdealError,
     DomainError,
     EngineError,
@@ -76,7 +75,6 @@ PUBLIC_API = [
     "BettiTable",
     "Caps",
     "ChainOrderError",
-    "ColumnSelection",
     "DEFAULT_CAPS",
     "DiagIdealError",
     "DomainError",
@@ -161,8 +159,6 @@ ENTRIES = {
     "BettiTable.totals": (_B.totals, ()),
     "Caps": (Caps, (6, 5000, 12, 4096, 1 << 20, 200_000, 3, 6, 2)),
     "ChainOrderError": (ChainOrderError, ("message",)),
-    "ColumnSelection": (ColumnSelection, ((1, 3),)),
-    "ColumnSelection.check_against": (ColumnSelection((1, 3)).check_against, (_S, _W)),
     "DiagIdealError": (DiagIdealError, ("message",)),
     "DomainError": (DomainError, ("message",)),
     "EngineError": (EngineError, ("message",)),
@@ -437,7 +433,11 @@ def test_ideals_and_polynomials_hold_keys():
 def test_cold_colon_and_groebner_checks_build_no_monomial():
     # With every cache emptied, the diagonals, gap tables, diagonal ideals,
     # minors and products are built on packed keys: a cold product colon
-    # check and a cold initial-ideal check build no GridMonomial.
+    # check, both closed forms and a cold initial-ideal check build no
+    # GridMonomial, and redistribute builds only the one it returns per
+    # window.
+    shape, chain = GridShape(3, 6), WindowChain.of((1, 4), (2, 6))
+    f, g = enumerate_diagonals(shape, chain.windows[0])[1], diagonal_monomial(shape, (2, 4, 6))
     for cached in (windows._window_table, windows._minor_product):
         cached.cache_clear()
     built = {_from_key.__code__, GridMonomial.__init__.__code__}
@@ -449,10 +449,17 @@ def test_cold_colon_and_groebner_checks_build_no_monomial():
 
     sys.setprofile(profile)
     try:
-        entries = verify_product_colons(GridShape(3, 6), WindowChain.of((1, 4), (2, 6)))
+        entries = verify_product_colons(shape, chain)
+        closed = closed_form_colon(shape, chain.windows[0], f)
+        product = closed_form_product_colon(shape, chain, f, 1)
         verdict = conjecture_check(GridShape(2, 5), WindowChain.of((1, 4), (2, 5)))
+        before = len(calls)
+        outputs = redistribute(shape, chain, [f, g])
     finally:
         sys.setprofile(None)
+    assert len(outputs) == len(chain) and calls[before:] == ["_from_key"] * len(chain)
+    del calls[before:]
+    assert str(closed) == "<x[3,3]>" and product == entries[1]["closed"]
     assert len(entries) == 4 and all(entry["equal"] for entry in entries)
     assert verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
     naturals = groebner._natural_products(

@@ -8,7 +8,7 @@ import pytest
 from diagideal import checks
 from diagideal.caps import Caps, parse_caps_text
 from diagideal.cli import EXIT_BROKEN_PIPE, main
-from diagideal.errors import FormatError
+from diagideal.errors import DomainError, FormatError
 from diagideal.replay import run_paper_replay
 
 
@@ -573,6 +573,16 @@ def test_parse_caps_text_types():
     for bad in ("format = json\n", "char = 0\n", "seed = 5\n"):
         with pytest.raises(FormatError):
             parse_caps_text(bad)
+
+
+def test_caps_must_be_positive_integers():
+    # The constructor checks every field; a caps file gives its error as a
+    # FormatError.
+    for bad in (0, -3, "x", None, 2.5):
+        with pytest.raises(DomainError):
+            Caps(max_spairs=bad)
+    with pytest.raises(FormatError, match="max_spairs must be a positive integer, got 0"):
+        parse_caps_text("max_spairs = 0\n")
 
 
 def test_seed_flag_is_gone(capsys):

@@ -13,7 +13,7 @@ import pytest
 
 import diagideal.groebner as groebner
 import diagideal.windows as windows
-from diagideal.caps import DEFAULT_CAPS
+from diagideal.caps import DEFAULT_CAPS, Caps
 from diagideal.checks import conjecture_scan, iter_shapes
 from diagideal.errors import (
     DiagIdealError,
@@ -854,12 +854,13 @@ _P = minor(_S, (1, 2), _F)
         lambda: conjecture_check(_S, "x"),
         lambda: conjecture_check(_S, _CHAIN, caps=3),
         lambda: conjecture_check(None, _CHAIN),
+        lambda: conjecture_check(_S, _CHAIN, 32003, Caps(max_conjecture_rows=None)),
     ],
     ids=[
         "buchberger-int", "buchberger-list", "buchberger-caps", "reduce-f", "reduce-basis",
         "reduce-element", "s-poly-int", "s-poly-string", "posthoc-list", "posthoc-int",
         "initial-list", "naturals-chain", "naturals-caps", "naturals-shape", "check-chain",
-        "check-caps", "check-shape",
+        "check-caps", "check-shape", "check-caps-none-field",
     ],
 )
 def test_public_entries_raise_domain_error_for_wrong_types(call):

@@ -145,12 +145,26 @@ _P = Polynomial.from_terms(_SHAPE, _F, [(_X11, 1)])
         lambda: Polynomial.from_terms(_SHAPE, make_field(0), [(_X11, 1)]).times_term(_X11, None),
         lambda: Polynomial.from_terms(_SHAPE, _F, [3]),
         lambda: Polynomial.from_terms(_SHAPE, _F, [(GridMonomial.unit(_SHAPE),)]),
+        lambda: Polynomial(_SHAPE, make_field(0), "x", (1,)),
+        lambda: Polynomial(_SHAPE, _F, (1 << 16,), (1,)),
+        lambda: Polynomial(_SHAPE, _F, (128,), (1,)),
+        lambda: Polynomial(_SHAPE, _F, (-1,), (1,)),
+        lambda: Polynomial(_SHAPE, _F, (256, 1), (1, 1)),
+        lambda: Polynomial(_SHAPE, _F, (1, 256), (1,)),
+        lambda: Polynomial(_SHAPE, _F, (1,), (0,)),
+        lambda: Polynomial(_SHAPE, _F, (1,), (7,)),
+        lambda: Polynomial(_SHAPE, make_field(0), (1,), (1,)),
+        lambda: Polynomial(3, _F, (1,), (1,)),
+        lambda: Polynomial(_SHAPE, 7, (1,), (1,)),
     ],
     ids=[
         "add", "mul", "sub", "times-term", "zero", "zero-no-field", "constant", "from-terms",
         "float-coefficient", "terms-not-iterable", "float-constant", "string-constant",
         "string-coefficient", "none-coefficient", "none-coefficient-char-0",
-        "term-not-a-pair", "term-without-coefficient",
+        "term-not-a-pair", "term-without-coefficient", "string-keys", "key-off-the-grid",
+        "key-with-guard-bit", "negative-key", "descending-keys", "fewer-coefficients",
+        "zero-coefficient", "unreduced-coefficient", "int-coefficient-char-0", "int-shape",
+        "int-field",
     ],
 )
 def test_wrong_type_arguments_raise_domain_error(call):

@@ -97,7 +97,7 @@ def _gap_variables(shape, window, f):
     the column before the window flooring row 1."""
     variables = []
     prev = window.first - 1
-    for i, c in enumerate(selection_of(f).cols, start=1):
+    for i, c in enumerate(selection_of(f), start=1):
         variables += [GridMonomial.variable(shape, i, b) for b in range(prev + 1, c)]
         prev = c
     return MonomialIdeal(shape, variables)
@@ -538,7 +538,7 @@ def test_redistribute_raises_on_construction_fault(monkeypatch, outputs):
     ]
     built = iter(outputs)
     monkeypatch.setattr(
-        quotients, "diagonal_monomial", lambda shape, cols: parse_monomial(shape, next(built))
+        quotients, "_diagonal_key", lambda shape, cols: parse_monomial(shape, next(built)).key
     )
     with pytest.raises(EngineError):
         redistribute(shape, chain, factors)

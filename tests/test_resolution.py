@@ -10,7 +10,7 @@ import pytest
 
 import diagideal
 from diagideal import checks, cli, groebner, resolution
-from diagideal.caps import DEFAULT_CAPS
+from diagideal.caps import DEFAULT_CAPS, Caps
 from diagideal.errors import DomainError, ResourceLimitError
 from diagideal.fields import PrimeField, RationalField, make_field
 from diagideal.ideals import MonomialIdeal, parse_ideal
@@ -358,8 +358,15 @@ _IDEAL = window_product_ideal(GridShape(2, 4), (Window(1, 3), Window(2, 4)))
         lambda: mapping_cone_betti("x"),
         lambda: betti(_IDEAL, "x"),
         lambda: betti(_IDEAL, caps=3),
+        lambda: betti_table(_IDEAL, 0, Caps(max_oracle_gens="x")),
+        lambda: BettiTable(0, {(0, 2): "x"}),
+        lambda: BettiTable(0, {3: 1}),
+        lambda: BettiTable("0", {(0, 2): 1}),
     ],
-    ids=["betti", "betti-table", "betti-table-caps", "cone", "betti-char", "betti-caps"],
+    ids=[
+        "betti", "betti-table", "betti-table-caps", "cone", "betti-char", "betti-caps",
+        "betti-table-caps-string-field", "table-string-value", "table-int-key", "table-string-char",
+    ],
 )
 def test_betti_entries_raise_domain_error_for_wrong_types(call):
     with pytest.raises(DomainError):

@@ -23,7 +23,6 @@ from diagideal.ideals import MonomialIdeal
 from diagideal.monomials import GridMonomial, GridShape
 from diagideal.polynomials import Polynomial
 from diagideal.windows import (
-    ColumnSelection,
     Window,
     WindowChain,
     diagonal_ideal,
@@ -77,25 +76,32 @@ def test_chain_str():
     assert str(chain) == "1,3:2,4"
 
 
+# The column-taking entries of this module, each called as (shape, cols).
+_BUILDERS = (diagonal_monomial, lambda shape, cols: minor(shape, cols, QQ))
+
+
 def test_column_selection():
-    sel = ColumnSelection((2, 4, 5))
-    sel.check_against(GridShape(3, 6))
-    sel.check_against(GridShape(3, 6), window=Window(2, 6))
+    # The one check of a column tuple, windows._columns, behind both
+    # column-taking entries, and given a window.
+    shape = GridShape(3, 6)
+    for build in _BUILDERS:
+        assert build(shape, (2, 4, 5)) == build(shape, [2, 4, 5])
+        with pytest.raises(SelectionError):
+            build(shape, (2, 2, 5))
+        with pytest.raises(SelectionError):
+            build(GridShape(2, 6), (0, 1))
+        with pytest.raises(SelectionError):
+            build(GridShape(2, 6), (2, 4, 5))  # wrong number of columns
+        with pytest.raises(SelectionError):
+            build(shape, (2, 4, 7))  # past the last column
+    assert windows._columns(shape, [2, 4, 5], Window(2, 6)) == (2, 4, 5)
     with pytest.raises(SelectionError):
-        ColumnSelection((2, 2, 5))
-    with pytest.raises(SelectionError):
-        ColumnSelection((0, 1))
-    with pytest.raises(SelectionError):
-        sel.check_against(GridShape(2, 6))  # wrong number of columns
-    with pytest.raises(SelectionError):
-        sel.check_against(GridShape(3, 6), window=Window(3, 6))  # col 2 outside
+        windows._columns(shape, (2, 4, 5), Window(3, 6))  # col 2 outside
 
 
 def test_columns_and_chains_are_stored_as_tuples():
     # A list argument is stored as a tuple, so the value hashes and equals
     # the one built from a tuple.
-    assert ColumnSelection([2, 4, 5]).cols == (2, 4, 5)
-    assert ColumnSelection([2, 4, 5]) == ColumnSelection((2, 4, 5))
     w = Window(1, 3)
     assert WindowChain([w]).windows == (w,)
     assert WindowChain([w]) == WindowChain((w,))
@@ -121,16 +127,16 @@ def test_chain_of_keeps_the_window_error_for_a_non_integer_bound():
     "cols", [(1.5, 2), (1, "x"), (None,), 3], ids=["float", "str", "none", "int"]
 )
 def test_column_selection_rejects_non_integer_columns(cols):
-    with pytest.raises(SelectionError):
-        ColumnSelection(cols)
+    for build in _BUILDERS:
+        with pytest.raises(DomainError):
+            build(GridShape(2, 4), cols)
 
 
 def test_diagonal_monomial_and_back():
     shape = GridShape(3, 8)
     mono = diagonal_monomial(shape, (2, 4, 5))
     assert str(mono) == "x[1,2]*x[2,4]*x[3,5]"
-    sel = selection_of(mono)
-    assert sel is not None and sel.cols == (2, 4, 5)
+    assert selection_of(mono) == (2, 4, 5)
     # non-diagonal monomials give None
     assert selection_of(mono * mono) is None
 
@@ -148,7 +154,7 @@ def test_enumerate_diagonals_count_and_order():
 def test_diagonal_ideal_is_window_restricted():
     shape = GridShape(2, 5)
     ideal = diagonal_ideal(shape, Window(2, 4))
-    cols = {sel for g in ideal.gens for sel in selection_of(g).cols}
+    cols = {c for g in ideal.gens for c in selection_of(g)}
     assert cols <= {2, 3, 4}
     assert len(ideal.gens) == comb(3, 2)
 
@@ -329,8 +335,8 @@ _S = GridShape(2, 4)
         lambda: window_product_ideal(_S, [[1, 3]]),
         lambda: minor(_S, (1, 3), []),
         lambda: natural_window_generators(_S, WindowChain.of((1, 3)), []),
-        lambda: ColumnSelection((1, 2)).check_against(_S, 3),
-        lambda: ColumnSelection((1, 2)).check_against(_S, (1, 3)),
+        lambda: windows._columns(_S, (1, 2), 3),
+        lambda: windows._columns(_S, (1, 2), (1, 3)),
         lambda: WindowChain.of(3),
         lambda: WindowChain.of((1,)),
         lambda: WindowChain.of((1, 3), (2, 3, 4)),
@@ -385,7 +391,7 @@ def test_window_keys_match_the_checked_monomials():
             gaps = table.gaps
             for m in monomials:
                 want, prev = [], window.first - 1
-                for i, c in enumerate(selection_of(m).cols, start=1):
+                for i, c in enumerate(selection_of(m), start=1):
                     want += [GridMonomial.variable(shape, i, b).key for b in range(prev + 1, c)]
                     prev = c
                 assert gaps[m.key] == tuple(want), (shape, window, m)
