@@ -14,6 +14,7 @@ from .errors import (
     DomainError,
     EngineError,
     FormatError,
+    OperandTypeError,
     ResourceLimitError,
     SelectionError,
     ShapeMismatchError,
@@ -73,6 +74,7 @@ __all__ = [
     "DomainError",
     "EngineError",
     "FormatError",
+    "OperandTypeError",
     "ResourceLimitError",
     "SelectionError",
     "ShapeMismatchError",

@@ -25,12 +25,19 @@ class DomainError(DiagIdealError):
     """Input lies outside an operation's domain."""
 
 
+class OperandTypeError(DomainError, TypeError):
+    """An operand of a public entry has the wrong type.  A ``DomainError``
+    like every input outside an operation's domain, and a ``TypeError`` as
+    Python's own operations raise for a wrong type."""
+
+
 def _require(value, kind, what: str, shape=None):
-    """value, after the operand check of a public entry: DomainError unless
-    it is a kind, then, given a grid shape, ShapeMismatchError unless it lies
-    on that grid.  The grid message names both grids and builds no repr."""
+    """value, after the operand check of a public entry: OperandTypeError
+    unless it is a kind, then, given a grid shape, ShapeMismatchError unless
+    it lies on that grid.  The grid message names both grids and builds no
+    repr."""
     if not isinstance(value, kind):
-        raise DomainError(f"not a {what}: {value!r}")
+        raise OperandTypeError(f"not a {what}: {value!r}")
     if shape is not None and value.shape is not shape and value.shape != shape:
         on = value.shape
         raise ShapeMismatchError(f"{what} on the {on.rows}x{on.cols} grid, not {shape.rows}x{shape.cols}")

@@ -23,8 +23,10 @@ divisors of one degree, by the key and its quotients by each variable),
 one loop), ``_lcm``, ``_colon`` and ``_colons`` (one key's colon of every
 key in a list that misses a skip mask, in one loop),
 ``_colons_and_variables`` (the colons, and in the same loop the
-single-variable ones with their first indices), ``_radical`` (the
-squarefree key of a key's support), ``_product`` (with its overflow check),
+single-variable ones with their first indices), ``_row_minima`` (the
+variable at the smallest occupied column of each row, one row slice
+each), ``_radical`` (the squarefree key of a key's support), ``_product``
+(with its overflow check),
 ``_products`` (every product of two key lists, with one overflow check
 for the lot), ``_degree`` (the byte sum, no exponent tuple), ``_by_degree``
 (keys grouped by degree, by one modulo where the degrees are small),
@@ -227,6 +229,29 @@ def _colons_and_variables(keys, f: int, shape: GridShape):
             firsts[c] = len(colons)
         colons.append(c)
     return colons, firsts
+
+
+def _row_minima(keys, shape: GridShape) -> list:
+    """For each key, the key of the product over the rows of x[i,j], j the
+    smallest column at which the key has a positive exponent in row i;
+    a row the key misses adds nothing.
+
+    A row is a run of cols bytes with its smallest column in the most
+    significant byte, so that column's variable is the low bit of the byte
+    holding the slice's top set bit.
+    """
+    width = 8 * shape.cols
+    mask = (1 << width) - 1
+    shifts = range(0, width * shape.rows, width)
+    minima = []
+    for k in keys:
+        d = 0
+        for s in shifts:
+            top = ((k >> s) & mask).bit_length()
+            if top:
+                d += 1 << (s + ((top - 1) & -8))
+        minima.append(d)
+    return minima
 
 
 def _radical(key: int, shape: GridShape) -> int:

@@ -21,15 +21,32 @@ divides (``_join``, one mask AND each, no minimalization).
 ``_colon_steps`` walks a window's diagonal keys beside the closed form and
 decides each step by the colon's definition (``_is_colon``): every k : f
 lies in the closed ideal, and g * f in the divided ideal for every closed
-generator g.  A colon that no free variable of the closed ideal (one that
+generator g.  The forward half is certified once per chain for the product
+keys by the row-minimum split.  Split a product key as k = d' * r', where
+d' takes, in each row, the smallest column at which k has a positive
+exponent (``monomials._row_minima``).  When d' is a diagonal of the first
+window and r' a key of R, then k : f lies in <R> + <gaps of f> for every
+diagonal f of that window.  If k meets a gap variable of f, that variable
+survives in k : f.  Otherwise take the rows in turn.  In row 1, k's
+columns are at least the window's first and avoid [first, f_1), so
+d'_1 >= f_1.  In row i, d'_i > d'_{i-1} >= f_{i-1}, and d'_i is not in
+(f_{i-1}, f_i), so d'_i >= f_i.  So x[i,f_i] divides k only where
+f_i = d'_i; gcd(k, f) divides d', r' divides k : f, and k : f lies in <R>.
+Each gap variable of f is the colon of an earlier diagonal by f (the
+single-window closed form), and the prefix diagonals are always scanned,
+so a step whose forward check passes has every gap variable in its closed
+ideal, and the lemma covers its split keys.  Only the keys that do not
+split are scanned at each step, with the prefix diagonals; a sorted chain
+leaves none.  A colon that no free variable of the closed ideal (one that
 does not divide f) divides lies in it exactly when a closed variable
 dividing f divides it, or it lies in <R>.  <R> is the same at every step,
 so each distinct colon is scanned against R once per chain.  Equal ideals
 have one minimal generating set, so a step that passes reports the closed
 ideal as its brute colon; only a step that fails builds and minimalizes
-``_brute_colon``'s.  The circle redistribution rebalances a factor per
-window by sorting column positions row by row, and checks its output on
-keys against the window tables.
+``_brute_colon``'s.  The window products are formed key by key with the
+generator cap checked as each partial product grows.  The circle
+redistribution rebalances a factor per window by sorting column positions
+row by row, and checks its output on keys against the window tables.
 """
 
 from __future__ import annotations
@@ -48,6 +65,7 @@ from .monomials import (
     _key_text,
     _products,
     _radical,
+    _row_minima,
     _undivided,
     _variable_mask,
     _variables,
@@ -58,7 +76,6 @@ from .windows import (
     _columns,
     _diagonal_key,
     _window_table,
-    diagonal_ideal,
     selection_of,
     window_product_ideal,
 )
@@ -132,24 +149,30 @@ def _join(shape: GridShape, rest_keys, gaps) -> MonomialIdeal:
 
 
 def _is_colon(
-    shape: GridShape, closed: MonomialIdeal, f: int, prefix, keys, members, rest_keys, inside
+    shape: GridShape, closed: MonomialIdeal, f: int, prefix, keys, unsplit, members, rest_keys, inside
 ) -> bool:
-    """Is closed the colon (<prefix, keys> : f)?  members is the set of all
-    keys of prefix and keys.  rest_keys must satisfy <closed> = <rest_keys>
-    + <variables of closed>: a caller with no rest passes closed's keys
-    that are not variables.  inside holds keys already found in
-    <rest_keys>; a caller may share it between calls with the same
-    rest_keys.
+    """Is closed the colon (<prefix, keys> : f)?  unsplit holds the keys of
+    keys whose forward colon the caller has not certified; all of keys is
+    the definitional check.  members is the set of all keys of prefix and
+    keys.  rest_keys must satisfy <closed> = <rest_keys> + <variables of
+    closed>: a caller with no rest passes closed's keys that are not
+    variables.  inside holds keys already found in <rest_keys>; a caller
+    may share it between calls with the same rest_keys.
 
     By the definition of a colon, the two are equal exactly when
-    - forward: k : f lies in closed for every k of prefix and keys.  A
+    - forward: k : f lies in closed for every k of prefix and keys.  A key
+      of keys outside unsplit is certified: it splits as d' * r', d' its
+      row minima and a diagonal of f's window, r' a key of rest_keys, so
+      k : f lies in <rest_keys> + <gaps of f> (the lemma of
+      ``_colon_steps``), and a prefix that passes puts every gap of f in
+      closed.  So the colon loop reads prefix and unsplit.  A
       variable of closed that does not divide f (a free variable) divides
-      k : f exactly when it divides k, so the colon loop skips the keys
-      that meet the free variables.  A colon c it keeps avoids them, so c
-      lies in closed exactly when a variable of closed that divides f
-      divides c (one mask AND) or c lies in <rest_keys>.  That membership
-      does not depend on f, so each distinct c is scanned once against
-      rest_keys and kept in inside; nothing about closed itself is kept;
+      k : f exactly when it divides k, so the loop skips the keys that
+      meet the free variables.  A colon c it keeps avoids them, so c lies
+      in closed exactly when a variable of closed that divides f divides c
+      (one mask AND) or c lies in <rest_keys>.  That membership does not
+      depend on f, so each distinct c is scanned once against rest_keys
+      and kept in inside; nothing about closed itself is kept;
     - reverse: g * f lies in <prefix, keys> for every generator g of
       closed: looked up in members, then scanned against prefix, then keys.
     """
@@ -159,7 +182,7 @@ def _is_colon(
     free = _variable_mask([v for v in variables if not v & support])
     bound = _variable_mask([v for v in variables if v & support])
     colons = set(_colons(prefix, f, shape, free))
-    colons.update(_colons(keys, f, shape, free))
+    colons.update(_colons(unsplit, f, shape, free))
     # One set difference, which walks the smaller side, then the bound
     # mask where a variable of closed divides f.
     pending = colons - inside
@@ -174,24 +197,45 @@ def _is_colon(
     return not _undivided(_undivided(products, prefix, shape), keys, shape)
 
 
+def _unsplit(shape: GridShape, table, keys, rest_keys) -> list:
+    """The keys of keys that the row-minimum split leaves uncertified: those
+    whose row minima d' (``_row_minima``) are not a diagonal of the table's
+    window, or whose cofactor k / d' is not a key of rest_keys."""
+    diagonals = table.diagonals
+    rest = set(rest_keys)
+    return [k for k, d in zip(keys, _row_minima(keys, shape)) if d not in diagonals or k - d not in rest]
+
+
 def _colon_steps(shape: GridShape, window: Window, keys=(), rest_keys=()):
     """For each diagonal f_u of the window, in order, yield (u, brute, closed).
 
-    closed joins rest_keys to the gap keys of f_u (``_join``); brute is
-    (<keys, f_0..f_{u-1}> : f_u).  When ``_is_colon`` finds the two equal,
-    brute is closed itself, since equal ideals have one minimal generating
-    set; otherwise it is ``_brute_colon``'s.  The steps share one set of
-    colons known to lie in <rest_keys>.  With no keys and no rest this is
-    the single-window closed form, otherwise the product one.
+    closed joins rest_keys, the keys of R, to the gap keys of f_u
+    (``_join``); brute is (<keys, f_0..f_{u-1}> : f_u).  When ``_is_colon``
+    finds the two equal, brute is closed itself, since equal ideals have
+    one minimal generating set; otherwise it is ``_brute_colon``'s.
+
+    The forward half is certified once per chain.  A key k = d' * r' whose
+    row minima d' are a diagonal of the window and whose cofactor r' is a
+    key of R has k : f in <R> + <gaps of f> for every diagonal f: either k
+    meets a gap variable of f, which survives in k : f, or row by row
+    d'_i >= f_i (row 1 from the window's first column, row i from
+    d'_i > d'_{i-1} >= f_{i-1}), so gcd(k, f) divides d' and r' divides
+    k : f.  The prefix diagonals, always scanned, put every gap variable of
+    f in a closed ideal that passes.  So each step scans only the prefix
+    and the keys that do not split (``_unsplit``); a sorted chain's product
+    leaves none.  The steps share one set of colons known to lie in <R>.
+    With no keys and no rest this is the single-window closed form,
+    otherwise the product one.
     """
     table = _window_table(shape, window)
     keys = list(keys)
+    unsplit = _unsplit(shape, table, keys, rest_keys)
     members = set(keys)
     inside = set()
     prefix = []
     for u, f in enumerate(table.diagonals):
         closed = _join(shape, rest_keys, table.gaps[f])
-        if _is_colon(shape, closed, f, prefix, keys, members, rest_keys, inside):
+        if _is_colon(shape, closed, f, prefix, keys, unsplit, members, rest_keys, inside):
             brute = closed
         else:
             brute = _brute_colon(shape, prefix + keys, f)
@@ -286,6 +330,29 @@ def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
     return [_from_key(shape, h) for h in outputs]
 
 
+def _product_keys(shape: GridShape, chain: WindowChain, windows, cap: int, keys=(0,)) -> list:
+    """The keys of <keys> times the windows' diagonal ideals, descending.
+
+    The products are counted as each partial product forms, one diagonal
+    of the next window at a time, and ``ResourceLimitError`` names the
+    count at the first that passes cap.  Diagonal ideals are generated in
+    one degree, so distinct products are the minimal generators, and a
+    partial product of the chain has at most as many as the whole.
+    """
+    for window in windows:
+        products = set()
+        for d in _window_table(shape, window).diagonals:
+            products.update(_products(keys, (d,), shape))
+            if len(products) > cap:
+                raise ResourceLimitError(
+                    f"window product reached {len(products)} generators, cap is {cap}",
+                    snapshot={"chain": str(chain), "gens": len(products)},
+                )
+        keys = list(products)
+    keys.sort(reverse=True)
+    return keys
+
+
 def verify_product_colons(
     shape: GridShape, chain: WindowChain, caps: Caps = DEFAULT_CAPS
 ) -> list:
@@ -296,22 +363,19 @@ def verify_product_colons(
     form of ``closed_form_product_colon``: the remaining windows' product
     joined with the gap variables of diagonal u.  Both come from
     ``_colon_steps``.  Returns one entry per u with both ideals and the
-    equality verdict.
+    equality verdict.  ``ResourceLimitError`` as soon as a partial product
+    passes ``caps.max_product_gens``.
     """
     _require(chain, WindowChain, "window chain")
     _require(caps, Caps, "Caps")
     if len(chain) < 2:
         raise DomainError("product colon verification needs at least two windows")
     chain.check_against(shape)
-    first = chain.windows[0]
-    rest = window_product_ideal(shape, chain.windows[1:])
-    full = diagonal_ideal(shape, first) * rest
-    if len(full) > caps.max_product_gens:
-        raise ResourceLimitError(
-            f"window product has {len(full)} generators, cap is {caps.max_product_gens}",
-            snapshot={"chain": str(chain), "gens": len(full)},
-        )
+    first, others = chain.windows[0], chain.windows[1:]
+    cap = caps.max_product_gens
+    rest_keys = _product_keys(shape, chain, others, cap)
+    keys = _product_keys(shape, chain, (first,), cap, rest_keys)
     return [
         {"u": u, "brute": brute, "closed": closed, "equal": brute == closed}
-        for u, brute, closed in _colon_steps(shape, first, full.keys, rest.keys)
+        for u, brute, closed in _colon_steps(shape, first, keys, rest_keys)
     ]

@@ -12,6 +12,7 @@ from types import GeneratorType
 import pytest
 
 import diagideal
+import diagideal.errors as errors
 import diagideal.groebner as groebner
 import diagideal.windows as windows
 from diagideal import (
@@ -23,6 +24,7 @@ from diagideal import (
     EngineError,
     FormatError,
     GroebnerBasis,
+    OperandTypeError,
     PrimeField,
     QuotientChain,
     RationalField,
@@ -84,6 +86,7 @@ PUBLIC_API = [
     "GridShape",
     "GroebnerBasis",
     "MonomialIdeal",
+    "OperandTypeError",
     "Polynomial",
     "PrimeField",
     "QuotientChain",
@@ -163,6 +166,7 @@ ENTRIES = {
     "DomainError": (DomainError, ("message",)),
     "EngineError": (EngineError, ("message",)),
     "FormatError": (FormatError, ("message",)),
+    "OperandTypeError": (OperandTypeError, ("message",)),
     "GridMonomial": (GridMonomial, (_S, (1, 0, 0, 0, 0, 0, 1, 0))),
     "GridMonomial.__ge__": (_M.__ge__, (_N,)),
     "GridMonomial.__gt__": (_M.__gt__, (_N,)),
@@ -308,15 +312,29 @@ def test_public_entries_type_every_argument(name, position, bad):
     # Each argument of each public callable in turn is swapped for a value
     # of another type.  The call, its generator run to the end, gives an
     # answer of the sample answer's type or raises a DiagIdealError, and
-    # nothing else.  An export or method without a sample row fails here.
+    # nothing else.  A wrong type that the operand check sees raises an
+    # error that is a TypeError as well, no other raise is one, and no
+    # handler turns the operand check's raise into another class.  An
+    # export or method without a sample row fails here.
     assert name in ENTRIES, f"no sample arguments for {name}"
     func, args = ENTRIES[name]
     want = type(drain(func(*args)))
     try:
         answer = swapped(name, position, bad)
-    except DiagIdealError:
+    except DiagIdealError as err:
+        assert isinstance(err, TypeError) is _raised_by_the_type_check(err), (name, position, bad, err)
+        assert not isinstance(err.__context__, OperandTypeError), (name, position, bad, err)
         return
     assert type(answer) is want, (name, position, bad, answer)
+
+
+def _raised_by_the_type_check(err) -> bool:
+    """Was err raised by ``errors._require`` for an operand of the wrong
+    type, rather than of the wrong grid?"""
+    tb = err.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code is errors._require.__code__ and not isinstance(err, ShapeMismatchError)
 
 
 def test_shape_mismatch_is_raised_only_in_the_operand_check():

@@ -17,6 +17,7 @@ from diagideal.monomials import (
     _key_text,
     _lcm_all,
     _radical,
+    _row_minima,
     _variable_mask,
     _variables,
     parse_monomial,
@@ -253,6 +254,47 @@ def test_radical_is_the_squarefree_support():
     for shape, exps in cases:
         radical = GridMonomial(shape, tuple(min(e, 1) for e in exps)).key
         assert _radical(GridMonomial(shape, exps).key, shape) == radical, exps
+
+
+def test_row_minima_take_the_first_occupied_column_of_each_row():
+    # Random exponent tuples with empty rows, single entries and exponents
+    # up to 127, on one-row and four-row grids among others: each row adds
+    # x[i,j] for its smallest column j with a positive exponent, or nothing.
+    rng = random.Random(34)
+    picks = (0, 0, 0, 1, 2, 64, 126, MAX_EXPONENT)
+    shapes = [GridShape(1, n) for n in (1, 2, 7, 16)] + [GridShape(4, n) for n in (4, 9, 16)]
+    shapes += [GridShape(2, 5), GridShape(3, 8)]
+    checked = 0
+    for shape in shapes:
+        m, n = shape.rows, shape.cols
+        dense = [(0,) * shape.variable_count, (MAX_EXPONENT,) * shape.variable_count]
+        for _ in range(60):
+            rows = []
+            for _ in range(m):
+                kind = rng.random()
+                if kind < 0.2:
+                    row = [0] * n
+                elif kind < 0.4:
+                    row = [0] * n
+                    row[rng.randrange(n)] = rng.choice(picks[3:])
+                else:
+                    row = [rng.choice(picks) for _ in range(n)]
+                rows += row
+            dense.append(tuple(rows))
+        expected = []
+        for exps in dense:
+            mapping = {}
+            for i in range(m):
+                row = exps[i * n : (i + 1) * n]
+                firsts = [j for j, e in enumerate(row, start=1) if e]
+                if firsts:
+                    mapping[(i + 1, firsts[0])] = 1
+            expected.append(GridMonomial.from_exponents(shape, mapping).key)
+        keys = [GridMonomial(shape, e).key for e in dense]
+        assert _row_minima(keys, shape) == expected, shape
+        checked += len(keys)
+    assert _row_minima([], GridShape(2, 3)) == []
+    assert checked == 62 * len(shapes)
 
 
 def test_lcm_all_is_the_bytewise_max():

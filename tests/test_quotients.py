@@ -9,7 +9,7 @@ import pytest
 import diagideal.ideals as ideals
 import diagideal.quotients as quotients
 from diagideal.caps import DEFAULT_CAPS
-from diagideal.checks import iter_shapes, product_chain_report, single_window_report
+from diagideal.checks import iter_shapes, product_chain_report, sample_product_chains, single_window_report
 from diagideal.errors import (
     DomainError,
     EngineError,
@@ -202,6 +202,113 @@ def test_colon_steps_build_no_closed_ideal_by_minimalization(monkeypatch):
     assert calls  # the last nested product has steps that differ
 
 
+def _recorded_steps(monkeypatch, shape, window, keys, rest_keys, scan_all=False):
+    """``_colon_steps`` with the ``_is_colon`` verdict of each step.  With
+    scan_all every product key is treated as unsplit: the definitional
+    forward scan, the oracle of the row-minimum split."""
+    verdicts = []
+    real = quotients._is_colon
+
+    def recorded(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quotients, "_is_colon", recorded)
+        if scan_all:
+            patch.setattr(quotients, "_unsplit", lambda shape_, table, keys, rest_keys: list(keys))
+        steps = list(quotients._colon_steps(shape, window, keys, rest_keys))
+    return verdicts, steps
+
+
+def _split_agrees_with_the_forward_scan(monkeypatch, cases):
+    """The number of steps of the sorted chains in cases, after checking
+    that every product key splits and that each step's verdict and
+    reported ideals are the definitional scan's."""
+    checked = 0
+    for shape, chain in cases:
+        windows = chain.windows
+        keys = window_product_ideal(shape, windows).keys
+        rest_keys = window_product_ideal(shape, windows[1:]).keys
+        table = quotients._window_table(shape, windows[0])
+        assert quotients._unsplit(shape, table, keys, rest_keys) == [], (shape, chain)
+        certified = _recorded_steps(monkeypatch, shape, windows[0], keys, rest_keys)
+        oracle = _recorded_steps(monkeypatch, shape, windows[0], keys, rest_keys, scan_all=True)
+        assert certified == oracle, (shape, chain)
+        assert all(certified[0]), (shape, chain)
+        checked += len(certified[0])
+    return checked
+
+
+def test_row_minimum_split_agrees_with_the_forward_scan_on_two_windows(monkeypatch):
+    cases = [(shape, chain) for shape in iter_shapes(3, 8) for chain in iter_sorted_chains(shape, 2)]
+    assert len(cases) == 1806
+    assert _split_agrees_with_the_forward_scan(monkeypatch, cases) > 9000
+
+
+def test_row_minimum_split_agrees_with_the_forward_scan_on_three_windows(monkeypatch):
+    # The whole pool that sample_product_chains draws three-window chains from.
+    cases = sample_product_chains(3, 10**6, seed=0)
+    assert len(cases) == 10114
+    assert _split_agrees_with_the_forward_scan(monkeypatch, cases) > 40000
+
+
+# Out-of-order products, the replay's negative controls among them: their
+# keys do not all split.
+OUT_OF_ORDER = NESTED + [
+    (GridShape(3, 9), (Window(3, 7), Window(1, 5))),
+    (GridShape(2, 5), (Window(2, 5), Window(1, 4))),
+    (GridShape(3, 7), (Window(2, 7), Window(1, 6), Window(3, 5))),
+]
+
+
+def test_unsplit_keys_are_scanned_at_every_step(monkeypatch):
+    unsplit = unequal = 0
+    for shape, windows in OUT_OF_ORDER:
+        keys = window_product_ideal(shape, windows).keys
+        rest_keys = window_product_ideal(shape, windows[1:]).keys
+        table = quotients._window_table(shape, windows[0])
+        unsplit += len(quotients._unsplit(shape, table, keys, rest_keys))
+        verdicts, steps = _recorded_steps(monkeypatch, shape, windows[0], keys, rest_keys)
+        diagonals = list(table.diagonals)
+        for (u, brute, closed), verdict in zip(steps, verdicts, strict=True):
+            exact = quotients._brute_colon(shape, diagonals[:u] + list(keys), diagonals[u])
+            assert verdict == (exact == closed), (shape, windows, u)
+            assert brute == exact
+            unequal += not verdict
+        oracle = _recorded_steps(monkeypatch, shape, windows[0], keys, rest_keys, scan_all=True)
+        assert (verdicts, steps) == oracle
+    assert unsplit > 100 and unequal > 10
+
+
+def test_sorted_product_steps_colon_only_the_prefix_diagonals(monkeypatch):
+    # The row-minimum split certifies every product key of a sorted chain
+    # once, so no step passes a product key to _colons: only the diagonals
+    # before it.  An out-of-order product's unsplit keys still go through.
+    cases = [(SHAPE_3x8, chain.windows, True) for chain in HEAVY_3x8[:2]]
+    cases += [(GridShape(3, 7), (Window(1, 5), Window(2, 6), Window(3, 7)), True), (*NESTED[0], False)]
+    for shape, windows, in_order in cases:
+        table = quotients._window_table(shape, windows[0])
+        keys = window_product_ideal(shape, windows).keys
+        rest_keys = window_product_ideal(shape, windows[1:]).keys
+        passed = []
+        real = quotients._colons
+
+        def counted(keys_, f, shape_, skip=0):
+            passed.extend(keys_)
+            return real(keys_, f, shape_, skip)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quotients, "_colons", counted)
+            steps = list(quotients._colon_steps(shape, windows[0], keys, rest_keys))
+        assert all(f in table.diagonals for f in passed) is in_order, (shape, windows)
+        assert bool(set(keys).intersection(passed)) is not in_order, (shape, windows)
+        if in_order:
+            diagonals = len(table.diagonals)
+            assert len(passed) == diagonals * (diagonals - 1) // 2
+            assert all(brute == closed for _, brute, closed in steps)
+
+
 def _patched_gaps(monkeypatch, shape, window, changes):
     """Make ``_window_table`` give changes[u](gaps) as the gaps of each
     diagonal u of the window in changes."""
@@ -331,7 +438,7 @@ def test_is_colon_decides_equality_with_the_brute_colon():
         ]
         for candidate in candidates:
             closed = MonomialIdeal._from_keys(shape, candidate)
-            decided = quotients._is_colon(shape, closed, f, prefix, keys, set(ideal), *_no_rest(closed))
+            decided = quotients._is_colon(shape, closed, f, prefix, keys, keys, set(ideal), *_no_rest(closed))
             assert decided == (closed == colon), (shape, ideal, split, f, candidate)
             verdicts[decided] += 1
     assert min(verdicts.values()) > 1000
@@ -347,14 +454,14 @@ def test_is_colon_sees_a_variable_that_divides_f():
     just_x = MonomialIdeal._from_keys(shape, [x])
     # <x^2, x*y> : x = <x, y>, and (x*y) : x = y lies outside <x>.
     for prefix, keys in (([x2], [xy]), ([], [x2, xy]), ([x2, xy], [])):
-        assert not quotients._is_colon(shape, just_x, x, prefix, keys, {x2, xy}, *_no_rest(just_x))
+        assert not quotients._is_colon(shape, just_x, x, prefix, keys, keys, {x2, xy}, *_no_rest(just_x))
     both = quotients._brute_colon(shape, [x2, xy], x)
     assert str(both) == "<x[1,1], x[1,2]>"
-    assert quotients._is_colon(shape, both, x, [x2], [xy], {x2, xy}, *_no_rest(both))
+    assert quotients._is_colon(shape, both, x, [x2], [xy], [xy], {x2, xy}, *_no_rest(both))
     # <x^2, x^3*y> : x = <x>, and (x^3*y) : x = x^2*y is a multiple of x.
     assert quotients._brute_colon(shape, [x2, x3y], x) == just_x
     for prefix, keys in (([x2], [x3y]), ([], [x2, x3y]), ([x2, x3y], [])):
-        assert quotients._is_colon(shape, just_x, x, prefix, keys, {x2, x3y}, *_no_rest(just_x))
+        assert quotients._is_colon(shape, just_x, x, prefix, keys, keys, {x2, x3y}, *_no_rest(just_x))
 
 
 def test_is_colon_shares_only_what_lies_in_the_rest():
@@ -373,9 +480,9 @@ def test_is_colon_shares_only_what_lies_in_the_rest():
     second = MonomialIdeal._from_keys(shape, [y2])
     assert quotients._brute_colon(shape, [xy, y3], y) != second
     inside = set()
-    assert quotients._is_colon(shape, first, x, [x2, xy2], [], {x2, xy2}, rest, inside)
-    assert not quotients._is_colon(shape, second, y, [xy], [y3], {xy, y3}, rest, inside)
-    assert not quotients._is_colon(shape, second, y, [xy], [y3], {xy, y3}, rest, set())
+    assert quotients._is_colon(shape, first, x, [x2, xy2], [], [], {x2, xy2}, rest, inside)
+    assert not quotients._is_colon(shape, second, y, [xy], [y3], [y3], {xy, y3}, rest, inside)
+    assert not quotients._is_colon(shape, second, y, [xy], [y3], [y3], {xy, y3}, rest, set())
 
 
 def test_quotient_chain_principal_and_zero():
@@ -456,14 +563,46 @@ def test_verify_product_colons_closed_form_is_the_public_one():
 
 
 def test_verify_product_colons_cap():
+    # The cap is checked as each partial product forms: the product of the
+    # windows after the first (here the 6 diagonals of (2,5)) passes a cap
+    # of 5 before the full product is formed.
     shape = GridShape(2, 5)
     chain = WindowChain.of((1, 4), (2, 5))
     gens = len(window_product_ideal(shape, chain.windows))
-    with pytest.raises(ResourceLimitError, match=f"has {gens} generators, cap is {gens - 1}") as info:
-        verify_product_colons(shape, chain, replace(DEFAULT_CAPS, max_product_gens=gens - 1))
-    assert info.value.snapshot == {"chain": "1,4:2,5", "gens": gens}
+    for cap, reached in ((gens - 1, gens), (5, 6)):
+        with pytest.raises(ResourceLimitError, match=f"reached {reached} generators, cap is {cap}$") as info:
+            verify_product_colons(shape, chain, replace(DEFAULT_CAPS, max_product_gens=cap))
+        assert info.value.snapshot == {"chain": "1,4:2,5", "gens": reached}
     entries = verify_product_colons(shape, chain, replace(DEFAULT_CAPS, max_product_gens=gens))
     assert len(entries) == 6
+
+
+@pytest.mark.parametrize(
+    "shape, chain",
+    [
+        (GridShape(4, 16), WindowChain.of((1, 16), (1, 16))),
+        (GridShape(3, 12), WindowChain.of((1, 12), (1, 12), (1, 12))),
+    ],
+)
+def test_verify_product_colons_stops_at_the_cap(monkeypatch, shape, chain):
+    # 866,320 and 572,572 generators: the raise comes while the first
+    # partial product past the cap forms, one diagonal of its window at a
+    # time, so at most one window's diagonals of products past it.
+    cap = DEFAULT_CAPS.max_product_gens
+    formed = []
+    real = quotients._products
+
+    def counted(lefts, rights, shape_):
+        products = real(lefts, rights, shape_)
+        formed.append(len(products))
+        return products
+
+    monkeypatch.setattr(quotients, "_products", counted)
+    with pytest.raises(ResourceLimitError) as info:
+        verify_product_colons(shape, chain)
+    reached = info.value.snapshot["gens"]
+    assert cap < reached <= cap + formed[-1]
+    assert sum(formed) < 3 * cap
 
 
 def test_redistribute_single_factor_is_identity():
