@@ -11,12 +11,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, _require
 
 
 @dataclass(frozen=True)
 class Caps:
-    """Every cap is a positive int; ``DomainError`` otherwise."""
+    """Every cap is a positive int: ``OperandTypeError`` for another type,
+    ``DomainError`` for an int below 1."""
 
     max_minor_rows: int = 6
     max_product_gens: int = 5000
@@ -31,7 +32,7 @@ class Caps:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, int) and value >= 1):
+            if _require(value, int, f"cap {f.name}") < 1:
                 raise DomainError(f"cap {f.name} must be a positive integer, got {value!r}")
 
 

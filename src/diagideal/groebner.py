@@ -30,7 +30,10 @@ of the natural generators are the diagonal product J, and J has linear
 quotients in its canonical order, so its first syzygies come from one pair
 per (j, x in V_j) (Herzog and Takayama, Manuscripta Math. 2002).  The pairs
 are read off ``quotients._linear_quotients``, the V_j walk the mapping cone
-also reads.  Once those S-polynomials reduce to zero the kept generators are
+also reads.  J's generators are distinct and of one degree, so a product of
+more than ``quotients._SHADOW_WALK_KEYS`` generators takes the shadow walk,
+near-linear in them, and a smaller one the pair walk over every colon.
+Once those S-polynomials reduce to zero the kept generators are
 a Groebner basis (Moller, Mora and Traverso, ISSAC 1992), and their leads
 are J, so the initial ideal is J: a certified verdict is true on both
 counts by proof and is read off the certificate, whose ``spairs`` is the
@@ -417,7 +420,9 @@ def _certificate(naturals, product: MonomialIdeal, caps: Caps):
     them; a row of None is built.
 
     The product's V_j walk (``quotients._linear_quotients``) records, per
-    generator m_j, each single-variable colon m_k : m_j with its first k.
+    generator m_j, each single-variable colon m_k : m_j with its first k:
+    by the shadow walk above ``quotients._SHADOW_WALK_KEYS`` generators,
+    whose keys are distinct and of one degree, by the pair walk below.
     When the product has linear quotients, its first syzygies are generated
     by the pairs (k, j) so recorded (Herzog and Takayama, Manuscripta Math.
     2002).  Then the kept set G is a Groebner basis once each of those

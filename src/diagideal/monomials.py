@@ -23,7 +23,9 @@ divisors of one degree, by the key and its quotients by each variable),
 one loop), ``_lcm``, ``_colon`` and ``_colons`` (one key's colon of every
 key in a list that misses a skip mask, in one loop),
 ``_colons_and_variables`` (the colons, and in the same loop the
-single-variable ones with their first indices), ``_row_minima`` (the
+single-variable ones with their first indices), ``_exponents`` (a key's
+support variables with their exponents, read off the set bits of its
+radical), ``_row_minima`` (the
 variable at the smallest occupied column of each row, one row slice
 each), ``_radical`` (the squarefree key of a key's support), ``_product``
 (with its overflow check),
@@ -63,8 +65,8 @@ class GridShape:
     cols: int
 
     def __post_init__(self):
-        if not (isinstance(self.rows, int) and isinstance(self.cols, int)):
-            raise DomainError("grid dimensions must be integers")
+        _require(self.rows, int, "grid row count")
+        _require(self.cols, int, "grid column count")
         if not 1 <= self.rows <= self.cols:
             raise DomainError(
                 f"grid shape needs 1 <= rows <= cols, got {self.rows}x{self.cols}"
@@ -229,6 +231,20 @@ def _colons_and_variables(keys, f: int, shape: GridShape):
             firsts[c] = len(colons)
         colons.append(c)
     return colons, firsts
+
+
+def _exponents(key: int, shape: GridShape) -> dict:
+    """The support of a key with its exponents: {variable key: exponent},
+    in ascending variable key.  The set bits of ``_radical`` are the
+    variables, each the low bit of the byte that holds its exponent."""
+    guard = shape._guard
+    support = (((key | guard) - (guard >> 7)) & guard) >> 7
+    exponents = {}
+    while support:
+        x = support & -support
+        support ^= x
+        exponents[x] = (key >> (x.bit_length() - 1)) & MAX_EXPONENT
+    return exponents
 
 
 def _row_minima(keys, shape: GridShape) -> list:
@@ -403,7 +419,7 @@ class GridMonomial:
             i, j = pair
             if not shape.contains(i, j):
                 raise DomainError(f"variable x[{i},{j}] outside {shape.rows}x{shape.cols} grid")
-            if not isinstance(e, int) or e <= 0:
+            if _require(e, int, f"power of x[{i},{j}]") <= 0:
                 raise DomainError(f"exponent of x[{i},{j}] must be a positive integer")
             exps[(i - 1) * shape.cols + (j - 1)] += e
         return cls(shape, tuple(exps))

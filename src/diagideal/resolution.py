@@ -15,7 +15,11 @@ When a generator order has linear quotients, the mapping cone gives the same
 table combinatorially: the generator whose colon has d variables contributes
 binomial(d, i) to the i-th Betti number, one degree step up per i.  The d come
 from the V_j walk (``quotients._linear_quotients``), and the count is the same
-over every field.
+over every field.  The walk takes its shadow kernel on more than
+``quotients._SHADOW_WALK_KEYS`` distinct generators of one degree, as a
+window product has, and its pair kernel otherwise: on fewer generators,
+so on every ideal within the homology oracle's default 12-generator cap,
+and on mixed degrees.
 
 ``betti`` is the one path from an ideal to its table: the cone when the walk
 finds linear quotients, the homology oracle (``betti_table``) otherwise.

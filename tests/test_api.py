@@ -258,6 +258,11 @@ for _field in (_QQ, _GF):
         ("add", (3, 4)), ("sub", (3, 4)), ("mul", (3, 4)),
     ):
         ENTRIES[f"{_kind}.{_method}"] = (getattr(_field, _method), _args)
+# Entries that check every argument's type with errors._require: a swap for
+# a value of another type than the sample argument's raises a TypeError.
+TYPE_CHECKED = {"Caps", "GridShape", "GridMonomial.from_exponents"} | {
+    name for name in ENTRIES if name.startswith(("RationalField.", "PrimeField."))
+}
 WINDOW_ENTRIES = (
     "minor", "diagonal_monomial", "selection_of", "enumerate_diagonals", "diagonal_ideal",
     "window_product_ideal", "iter_windows", "iter_sorted_chains", "GridMonomial",
@@ -314,17 +319,21 @@ def test_public_entries_type_every_argument(name, position, bad):
     # answer of the sample answer's type or raises a DiagIdealError, and
     # nothing else.  A wrong type that the operand check sees raises an
     # error that is a TypeError as well, no other raise is one, and no
-    # handler turns the operand check's raise into another class.  An
+    # handler turns the operand check's raise into another class.  In a
+    # TYPE_CHECKED entry a swap of another type is always a TypeError.  An
     # export or method without a sample row fails here.
     assert name in ENTRIES, f"no sample arguments for {name}"
     func, args = ENTRIES[name]
     want = type(drain(func(*args)))
+    typed = name in TYPE_CHECKED and type(bad) is not type(args[position])
     try:
         answer = swapped(name, position, bad)
     except DiagIdealError as err:
         assert isinstance(err, TypeError) is _raised_by_the_type_check(err), (name, position, bad, err)
         assert not isinstance(err.__context__, OperandTypeError), (name, position, bad, err)
+        assert isinstance(err, TypeError) or not typed, (name, position, bad, err)
         return
+    assert not typed, (name, position, bad, answer)
     assert type(answer) is want, (name, position, bad, answer)
 
 

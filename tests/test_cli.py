@@ -577,10 +577,11 @@ def test_parse_caps_text_types():
 
 def test_caps_must_be_positive_integers():
     # The constructor checks every field; a caps file gives its error as a
-    # FormatError.
+    # FormatError.  A wrong type is a TypeError too, an int below 1 not.
     for bad in (0, -3, "x", None, 2.5):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             Caps(max_spairs=bad)
+        assert isinstance(info.value, TypeError) is (type(bad) is not int)
     with pytest.raises(FormatError, match="max_spairs must be a positive integer, got 0"):
         parse_caps_text("max_spairs = 0\n")
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from diagideal.errors import DomainError
-from diagideal.fields import PrimeField, RationalField, is_prime, make_field
+from diagideal.errors import DomainError, OperandTypeError
+from diagideal.fields import _MR_BASES, _MR_PREFIXES, PrimeField, RationalField, is_prime, make_field
 from diagideal.groebner import conjecture_check
 from diagideal.monomials import GridMonomial, GridShape
 from diagideal.polynomials import Polynomial
@@ -24,6 +25,57 @@ def test_is_prime_larger():
     assert is_prime((1 << 61) - 1)
     assert not is_prime(32001)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_is_prime_matches_a_sieve():
+    # Below 2,047 one base decides, then two, then three: a sieve to 10^5
+    # covers the first three prefixes.
+    limit = 100_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Does odd n pass the Miller-Rabin round of base a?"""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# The least strong pseudoprime to each prefix of the bases, factored.
+STRONG_PSEUDOPRIMES = {
+    2_047: (23, 89),
+    1_373_653: (829, 1657),
+    25_326_001: (2251, 11251),
+    3_215_031_751: (151, 751, 28351),
+    2_152_302_898_747: (6763, 10627, 29947),
+    3_474_749_660_383: (1303, 16927, 157543),
+    341_550_071_728_321: (10670053, 32010157),
+    3_825_123_056_546_413_051: (149491, 747451, 34233211),
+}
+
+
+@pytest.mark.parametrize("bound, t", _MR_PREFIXES)
+def test_each_base_prefix_stops_at_its_least_strong_pseudoprime(bound, t):
+    # Each bound is composite and passes every round of its prefix, so the
+    # prefix alone would call it prime; is_prime, which takes a longer
+    # prefix from the bound on, reads it composite.
+    assert prod(STRONG_PSEUDOPRIMES[bound]) == bound
+    assert all(_strong_probable_prime(bound, a) for a in _MR_BASES[:t])
+    assert not is_prime(bound)
+    assert sorted(STRONG_PSEUDOPRIMES) == [bound for bound, _ in _MR_PREFIXES]
 
 
 @pytest.mark.parametrize("n", ["x", None, 2.5], ids=["string", "none", "float"])
@@ -119,7 +171,7 @@ def test_normalize_and_invert_take_only_ints_and_fractions(char, value):
     # read as 2 in GF(7), where 5/2 is 6.
     field = make_field(char)
     for method in (field.normalize, field.invert):
-        with pytest.raises(DomainError, match="must be an int or a Fraction"):
+        with pytest.raises(OperandTypeError, match=r"not a field coefficient \(int or Fraction\)"):
             method(value)
 
 

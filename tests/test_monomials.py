@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from diagideal.errors import DomainError, FormatError, ShapeMismatchError
+from diagideal.errors import DomainError, FormatError, OperandTypeError, ShapeMismatchError
 from diagideal.ideals import parse_ideal
 from diagideal.monomials import (
     MAX_EXPONENT,
@@ -83,6 +83,26 @@ def test_variables_are_checked_before_use(call):
     # any is hashed, unpacked, compared or used as an index.
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize(
+    "bad", ["x", None, 2.5, [None], 1.0], ids=["str", "none", "float", "list", "whole-float"]
+)
+def test_wrong_type_exponents_are_type_errors(bad):
+    # Exponents go through the operand check, so a wrong type is an
+    # OperandTypeError: a DomainError and a TypeError.  An int or a grid
+    # dimension outside the domain stays a plain DomainError.
+    shape = GridShape(2, 3)
+    with pytest.raises(OperandTypeError, match=r"not a power of x\[1,1\]"):
+        GridMonomial.from_exponents(shape, {(1, 1): bad})
+    for call in (
+        lambda: GridShape(0, 3),
+        lambda: GridShape(3, 2),
+        lambda: GridMonomial.from_exponents(shape, {(1, 1): 0}),
+    ):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert not isinstance(info.value, TypeError)
 
 
 def test_unit_and_variable():

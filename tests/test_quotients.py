@@ -709,3 +709,95 @@ _TOP = enumerate_diagonals(_S, Window(1, 4))[0]
 def test_public_entries_raise_domain_error_for_wrong_types(call):
     with pytest.raises(DomainError):
         call()
+
+
+def _entries(walk):
+    """A walk with each V_j's insertion order, for dict-for-dict equality."""
+    return None if walk is None else [list(firsts.items()) for firsts in walk]
+
+
+def test_shadow_walk_matches_the_pair_walk():
+    # Both kernels, called directly and so below the size gate too, give
+    # the same walk, keys, first k and insertion order, on every one- and
+    # two-window product up to 3x7 in its canonical order and in a seeded
+    # shuffle.  Every canonical order has linear quotients; at least half
+    # of the shuffles lack them.
+    products = shuffled_lacking = 0
+    for shape in [GridShape(r, c) for r in range(1, 4) for c in range(r, 8)]:
+        for length in (1, 2):
+            for chain in iter_sorted_chains(shape, length):
+                keys = list(window_product_ideal(shape, chain.windows).keys)
+                walk = quotients._pair_walk(keys, shape)
+                assert walk is not None, (shape, chain)
+                assert _entries(quotients._shadow_walk(keys, shape)) == _entries(walk), (shape, chain)
+                random.Random(f"{shape}/{chain}").shuffle(keys)
+                walk = quotients._pair_walk(keys, shape)
+                assert _entries(quotients._shadow_walk(keys, shape)) == _entries(walk), (shape, chain)
+                products += 1
+                shuffled_lacking += walk is None
+    assert products == 1085
+    assert 2 * shuffled_lacking >= products, f"{shuffled_lacking} of {products} shuffles lack linear quotients"
+
+
+def test_the_walk_takes_the_shadow_kernel_only_above_the_gate(monkeypatch):
+    # Distinct keys of one degree take the shadow walk above the gate, and
+    # the pair walk at or below it.
+    calls = []
+
+    def counted(kernel):
+        real = getattr(quotients, kernel)
+
+        def walk(keys, shape):
+            calls.append(kernel)
+            return real(keys, shape)
+
+        monkeypatch.setattr(quotients, kernel, walk)
+
+    counted("_pair_walk")
+    counted("_shadow_walk")
+    shape = GridShape(3, 7)
+    keys = window_product_ideal(shape, [Window(1, 6), Window(2, 7)]).keys
+    assert len(keys) > quotients._SHADOW_WALK_KEYS
+    assert quotients._linear_quotients(keys, shape) is not None
+    assert quotients._linear_quotients(keys[: quotients._SHADOW_WALK_KEYS], shape) is not None
+    assert calls == ["_shadow_walk", "_pair_walk"]
+
+
+def test_repeated_and_mixed_degree_keys_take_the_pair_walk():
+    # Above the gate, repeated keys and keys of mixed degree give the pair
+    # walk's answer.  A repeated key's colon is 1, so the order lacks linear
+    # quotients.  Mixed degree breaks the shadow lemma: x[1,1] is every
+    # later key's colon by it, but no shadow of a product key is 1.
+    shape = GridShape(3, 7)
+    product = window_product_ideal(shape, [Window(2, 6), Window(2, 7)])
+    keys = list(product.keys)
+    assert len(keys) > quotients._SHADOW_WALK_KEYS
+    assert quotients._linear_quotients(keys + keys[5:6], shape) is None
+    x11 = GridMonomial.variable(shape, 1, 1).key
+    mixed = [x11] + keys
+    walk = quotients._pair_walk(mixed, shape)
+    assert walk is not None and all(x11 in firsts for firsts in walk[1:])
+    assert _entries(quotients._linear_quotients(mixed, shape)) == _entries(walk)
+    assert _entries(quotients._shadow_walk(mixed, shape)) != _entries(walk)
+    lacking = keys + [x11]
+    assert quotients._pair_walk(lacking, shape) is None
+    assert quotients._linear_quotients(lacking, shape) is None
+
+
+def test_walks_agree_on_a_large_product():
+    shape = GridShape(3, 8)
+    keys = window_product_ideal(shape, [Window(1, 8), Window(1, 8)]).keys
+    assert len(keys) == 1176
+    walk = quotients._linear_quotients(keys, shape)
+    assert walk is not None
+    assert _entries(walk) == _entries(quotients._pair_walk(keys, shape))
+
+
+def test_the_walk_finishes_on_a_three_window_product_of_3x9():
+    # 15,969 generators: the pair walk forms some 127 million colons here.
+    shape = GridShape(3, 9)
+    keys = window_product_ideal(shape, [Window(1, 7), Window(2, 8), Window(3, 9)]).keys
+    assert len(keys) == 15969
+    walk = quotients._linear_quotients(keys, shape)
+    assert walk is not None and walk[0] == {}
+    assert all(firsts for firsts in walk[1:])
