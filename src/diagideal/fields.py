@@ -132,7 +132,8 @@ class PrimeField:
     """GF(p) for a prime p below 2**62."""
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not 2 <= p < (1 << 62):
+        _require(p, int, "prime field characteristic")
+        if not 2 <= p < (1 << 62):
             raise DomainError(f"prime field characteristic must be in [2, 2^62), got {p!r}")
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")

@@ -5,11 +5,16 @@ ideal's squarefree divisor complexes: for each candidate multidegree b (an lcm
 of a generator subset) the complex holds the squarefree monomials s with b/s
 in the ideal, and beta_{i,b} is the rank of reduced homology in dimension i-1
 over the chosen field.  Multidegrees are packed keys and faces squarefree
-keys; a monomial is built only to name b in the face-cap error.  Ranks come
-from exact Gaussian elimination on sparse boundary matrices, in plain ``-``
-and ``*`` with one ``% p`` per entry at characteristic p, and pivots
-inverted by ``field.invert``: Fractions at char 0, residues at char p; no
-floating point, no probabilistic shortcuts.
+keys; a monomial is built only to name b in the face-cap error.  The two
+lowest boundary ranks come from connectivity, over every field: the
+augmentation has rank 1 on a complex with a vertex, and the edge map is a
+graph's incidence matrix, of rank #vertices - #components (Biggs, *Algebraic
+Graph Theory*, Prop. 4.3), counted by a union-find over the edges.  Ranks
+from dimension 2 up come from exact Gaussian elimination on sparse boundary
+matrices, in plain ``-`` and ``*`` with one ``% p`` per entry at
+characteristic p, and pivots inverted by ``field.invert``: Fractions at char
+0, residues at char p; no floating point, no probabilistic shortcuts.  A
+complex of dimension at most 1 runs no elimination.
 
 When a generator order has linear quotients, the mapping cone gives the same
 table combinatorially: the generator whose colon has d variables contributes
@@ -58,8 +63,8 @@ class BettiTable:
         self.cells = tuple(sorted((i, j, beta) for (i, j), beta in entries.items() if beta))
 
     def beta(self, i: int, j: int) -> int:
-        if not (isinstance(i, int) and isinstance(j, int)):
-            raise DomainError(f"Betti indices must be integers, got ({i!r}, {j!r})")
+        _require(i, int, "Betti index")
+        _require(j, int, "Betti index")
         for ci, cj, beta in self.cells:
             if (ci, cj) == (i, j):
                 return beta
@@ -148,21 +153,48 @@ def _divisor_complex(ideal: MonomialIdeal, b: int, caps: Caps = DEFAULT_CAPS):
 
 
 def _reduced_homology(ideal: MonomialIdeal, b: int, field, caps: Caps = DEFAULT_CAPS) -> dict:
-    """Reduced homology ranks per dimension of the divisor complex at b."""
+    """Reduced homology ranks per dimension of the divisor complex at b.
+
+    The complex {empty face} of a minimal generator has H_{-1} = 1.  On a
+    complex with n vertices, e edges and c components, rank d_0 = 1 and
+    rank d_1 = n - c over every field, so H_{-1} = 0, H_0 = c - 1 and
+    H_1 = e - (n - c) - rank d_2; only the boundaries from dimension 2 up
+    are built and eliminated.
+    """
     by_dim = _divisor_complex(ideal, b, caps)
     if by_dim is None:
         return {}
-    ranks = {
-        d: _rank_of_columns(_boundary_columns(by_dim[d - 1], by_dim[d]), field)
-        for d in by_dim
-        if d - 1 in by_dim
-    }
+    ranks = {0: 1, 1: _forest_rank(by_dim.get(1, ()))} if 0 in by_dim else {}
+    for d in by_dim:
+        if d >= 2:
+            ranks[d] = _rank_of_columns(_boundary_columns(by_dim[d - 1], by_dim[d]), field)
     homology = {}
     for d in sorted(by_dim):
         h = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if h:
             homology[d] = h
     return homology
+
+
+def _forest_rank(edges) -> int:
+    """Rank of a graph's edge boundary over every field: #vertices minus
+    #components, the number of edges a spanning forest keeps.
+
+    A union-find over the edges' vertex bits, ``e & -e`` and ``e & (e - 1)``;
+    an edge joining two roots merges them.
+    """
+    parent = {}
+    rank = 0
+    for edge in edges:
+        u, v = edge & -edge, edge & (edge - 1)
+        while u in parent:
+            u = parent[u]
+        while v in parent:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            rank += 1
+    return rank
 
 
 def _rank_of_columns(columns, field) -> int:
@@ -214,8 +246,6 @@ def _boundary_columns(lower_masks, upper_masks):
             col[index[mask ^ low]] = sign
             sign = -sign
             sub ^= low
-        if not col:  # a vertex maps to the empty face (augmentation)
-            col[index[0]] = 1
         columns.append(col)
     return columns
 

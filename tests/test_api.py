@@ -260,7 +260,9 @@ for _field in (_QQ, _GF):
         ENTRIES[f"{_kind}.{_method}"] = (getattr(_field, _method), _args)
 # Entries that check every argument's type with errors._require: a swap for
 # a value of another type than the sample argument's raises a TypeError.
-TYPE_CHECKED = {"Caps", "GridShape", "GridMonomial.from_exponents"} | {
+TYPE_CHECKED = {
+    "Caps", "GridShape", "GridMonomial.from_exponents", "BettiTable.beta", "PrimeField"
+} | {
     name for name in ENTRIES if name.startswith(("RationalField.", "PrimeField."))
 }
 WINDOW_ENTRIES = (

@@ -14,10 +14,13 @@ from diagideal.caps import DEFAULT_CAPS, Caps
 from diagideal.errors import DomainError, ResourceLimitError
 from diagideal.fields import PrimeField, RationalField, make_field
 from diagideal.ideals import MonomialIdeal, parse_ideal
-from diagideal.monomials import GridShape, parse_monomial
+from diagideal.monomials import GridMonomial, GridShape, parse_monomial
 from diagideal.resolution import (
     BettiTable,
+    _boundary_columns,
+    _candidate_multidegrees,
     _divisor_complex,
+    _forest_rank,
     _rank_of_columns,
     _reduced_homology,
     betti,
@@ -28,6 +31,7 @@ from diagideal.windows import (
     Window,
     WindowChain,
     diagonal_ideal,
+    iter_sorted_chains,
     iter_windows,
     window_product_ideal,
 )
@@ -277,8 +281,6 @@ def test_euler_characteristic_consistency():
         diagonal_ideal(GridShape(2, 5), Window(1, 4)),
         parse_ideal(GridShape(1, 4), "<x[1,1]*x[1,2], x[1,2]*x[1,3], x[1,3]*x[1,4]>"),
     ]
-    from diagideal.resolution import _candidate_multidegrees
-
     field = make_field(0)
     for ideal in ideals:
         for b in _candidate_multidegrees(ideal, DEFAULT_CAPS):
@@ -453,3 +455,152 @@ def test_homology_oracle_calls_no_per_operation_field_method(monkeypatch):
     for p, table in tables.items():
         assert betti_table(_IDEAL, p) == table
         assert table.same_entries(mapping_cone_betti(_IDEAL, p))
+
+
+def _all_elimination_homology(ideal, b: int, field) -> dict:
+    """Reduced homology of the divisor complex at b with every boundary
+    built and eliminated, the augmentation and the edge map included."""
+    by_dim = _divisor_complex(ideal, b)
+    if by_dim is None:
+        return {}
+    ranks = {
+        d: _rank_of_columns(_boundary_columns(by_dim[d - 1], by_dim[d]), field)
+        for d in by_dim
+        if d - 1 in by_dim
+    }
+    homology = {}
+    for d in sorted(by_dim):
+        h = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        if h:
+            homology[d] = h
+    return homology
+
+
+def _random_facets(rng, n: int) -> list:
+    """A few random vertex sets of {0..n-1} as bit masks, most of them
+    small, so that complexes fall apart and keep isolated vertices."""
+    return [
+        sum(1 << v for v in range(n) if rng.random() < 0.35) for _ in range(rng.randint(1, 5))
+    ]
+
+
+def _closure(facets) -> dict:
+    """The faces of the complex the facet masks generate, per dimension."""
+    faces = set()
+    for facet in facets:
+        sub = facet
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & facet
+    by_dim = {}
+    for face in sorted(faces):
+        by_dim.setdefault(face.bit_count() - 1, []).append(face)
+    return by_dim
+
+
+def _components(vertices, edges) -> int:
+    """Connected components of a graph by depth-first search."""
+    seen, count = set(), 0
+    for start in vertices:
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack += [e ^ u for e in edges if e & u]
+    return count
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_low_boundary_ranks_are_connectivity(p):
+    # Oracle pair: the augmentation and the edge map eliminated as matrices
+    # against their ranks from connectivity, 1 and n - c over every field.
+    rng = random.Random(f"connectivity/{p}")
+    field = make_field(p)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        by_dim = _closure(_random_facets(rng, n))
+        vertices, edges = by_dim.get(0, []), by_dim.get(1, [])
+        c = _components(vertices, edges)
+        augmentation = _rank_of_columns(_boundary_columns(by_dim[-1], vertices), field)
+        assert augmentation == min(1, len(vertices))
+        edge_map = _rank_of_columns(_boundary_columns(vertices, edges), field)
+        assert edge_map == _forest_rank(edges) == len(vertices) - c
+        kinds.add("empty" if not vertices else "disconnected" if c > 1 else "connected")
+        if any(not any(e & v for e in edges) for v in vertices) and len(vertices) > 1:
+            kinds.add("isolated vertex")
+    assert kinds == {"empty", "disconnected", "connected", "isolated vertex"}
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_reduced_homology_matches_elimination_on_random_complexes(p):
+    # A complex with facets F_1..F_k on n vertices is the divisor complex at
+    # x_1..x_n of the ideal generated by the complements of the F_i.
+    rng = random.Random(f"complexes/{p}")
+    field = make_field(p)
+    top = set()
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        facets = {f for f in _random_facets(rng, n) if f != (1 << n) - 1}
+        shape = GridShape(1, n)
+        gens = [GridMonomial(shape, tuple(0 if f >> v & 1 else 1 for v in range(n))) for f in facets]
+        ideal = MonomialIdeal(shape, gens)
+        b = GridMonomial(shape, (1,) * n).key
+        homology = _reduced_homology(ideal, b, field)
+        assert homology == _all_elimination_homology(ideal, b, field)
+        top.add(max(homology, default=None))
+    assert {-1, 0, 1} <= top
+
+
+def _criterion_5_products():
+    for shape in checks.iter_shapes(3, 6):
+        for length in (1, 2):
+            for chain in iter_sorted_chains(shape, length):
+                product = window_product_ideal(shape, chain.windows)
+                if len(product) <= DEFAULT_CAPS.max_oracle_gens:
+                    yield product
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_reduced_homology_matches_elimination_on_criterion_5_products(p):
+    field = make_field(p)
+    products = complexes = 0
+    for product in _criterion_5_products():
+        products += 1
+        for b in _candidate_multidegrees(product, DEFAULT_CAPS):
+            want = _all_elimination_homology(product, b, field)
+            assert _reduced_homology(product, b, field) == want, (product, b)
+            complexes += 1
+    assert products == 422 and complexes > products
+
+
+def test_betti_table_eliminates_only_from_dimension_2_up(monkeypatch):
+    built, ranked = [], []
+    boundary, rank = resolution._boundary_columns, resolution._rank_of_columns
+
+    def recording_boundary(lower, upper):
+        built.append(upper[0].bit_count() - 1)
+        return boundary(lower, upper)
+
+    def recording_rank(columns, field):
+        ranked.append(len(columns))
+        return rank(columns, field)
+
+    monkeypatch.setattr(resolution, "_boundary_columns", recording_boundary)
+    monkeypatch.setattr(resolution, "_rank_of_columns", recording_rank)
+    for char in (0, 32003):
+        assert betti_table(_IDEAL, char).same_entries(mapping_cone_betti(_IDEAL, char))
+    assert built and min(built) >= 2 and len(ranked) == len(built)
+    # A complex of dimension at most 1 runs no elimination: every divisor
+    # complex of this path ideal is a graph.
+    built.clear()
+    ranked.clear()
+    path = parse_ideal(GridShape(1, 4), "<x[1,1]*x[1,2], x[1,2]*x[1,3], x[1,3]*x[1,4]>")
+    assert betti_table(path).totals() == {0: 3, 1: 2}
+    assert built == [] and ranked == []
