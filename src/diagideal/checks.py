@@ -13,10 +13,11 @@ from math import comb, prod
 from typing import Iterator
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _require
 from .groebner import conjecture_check
+from .ideals import MonomialIdeal
 from .monomials import GridShape, _key_text
-from .quotients import _colon_steps, verify_product_colons
+from .quotients import _colon_steps, _product_keys, verify_product_colons
 from .replay import NEGATIVE_CONTROLS, replay_colon_mismatch
 from .resolution import _cone, betti_table
 from .windows import (
@@ -25,7 +26,6 @@ from .windows import (
     _report_header,
     iter_sorted_chains,
     iter_windows,
-    window_product_ideal,
 )
 
 # Desk-scale sweep bounds: every window on grids this size gets checked.
@@ -37,6 +37,8 @@ SAMPLE_GEN_BOUND = 1200
 
 
 def iter_shapes(max_rows: int, max_cols: int) -> Iterator[GridShape]:
+    _require(max_rows, int, "row bound")
+    _require(max_cols, int, "column bound")
     for rows in range(1, max_rows + 1):
         for cols in range(rows, max_cols + 1):
             yield GridShape(rows, cols)
@@ -65,6 +67,7 @@ def _rendered_step(u: int, brute, closed, equal: bool, texts: dict) -> dict:
 def single_window_report(shape: GridShape, window: Window) -> dict:
     """Diff the brute-force colon chain of one window ideal against the
     gap-variable closed form, step by step from the second diagonal."""
+    _require(window, Window, "window").check_against(shape)
     entries = []
     texts = {}
     all_equal = certificate = True
@@ -115,6 +118,8 @@ def sweep_product_chains(
     max_cols: int = SWEEP_MAX_COLS,
     caps: Caps = DEFAULT_CAPS,
 ) -> Iterator[dict]:
+    _require(length, int, "chain length")
+    _require(caps, Caps, "Caps")
     for shape in iter_shapes(max_rows, max_cols):
         for chain in iter_sorted_chains(shape, length):
             yield product_chain_report(shape, chain, caps=caps)
@@ -128,6 +133,11 @@ def sample_product_chains(
     max_cols: int = SWEEP_MAX_COLS,
 ) -> list[tuple[GridShape, WindowChain]]:
     """Seeded sample of sorted chains whose product stays desk-sized."""
+    _require(length, int, "chain length")
+    _require(count, int, "sample count")
+    _require(seed, int, "seed")
+    if count < 0:
+        raise DomainError(f"sample count must be >= 0, got {count}")
     pool = [
         (shape, chain)
         for shape in iter_shapes(max_rows, max_cols)
@@ -148,8 +158,13 @@ def theorem_report(
 ) -> dict:
     """Check the product ideal resolves linearly: regularity from the
     homology oracle must equal (number of windows) * rows, and the cone
-    count must agree whenever the canonical order has linear quotients."""
-    product = window_product_ideal(shape, chain.windows)
+    count must agree whenever the canonical order has linear quotients.
+    The product is counted as it forms, as in ``verify_product_colons``:
+    ``ResourceLimitError`` at the first partial product past
+    ``caps.max_product_gens``, before any of it reaches the oracle."""
+    _require(chain, WindowChain, "window chain").check_against(shape)
+    keys = _product_keys(shape, chain, chain.windows, _require(caps, Caps, "Caps").max_product_gens)
+    product = MonomialIdeal._of_minimal(shape, tuple(keys))
     expected = len(chain.windows) * shape.rows
     report = {
         "check": "linear-resolution",
@@ -188,6 +203,9 @@ def conjecture_scan(
     """Run the initial-ideal comparison over every sorted chain within
     bounds, in enumeration order.  Resource blowups are recorded per
     instance and the scan moves on."""
+    _require(max_factors, int, "factor bound")
+    _require(characteristic, int, "characteristic")
+    _require(caps, Caps, "Caps")
     for shape in iter_shapes(max_rows, max_cols):
         for length in range(1, max_factors + 1):
             for chain in iter_sorted_chains(shape, length):
@@ -234,6 +252,13 @@ def verify_reports(
 ) -> Iterator[dict]:
     """Reports for one `verify` target: on the shape with the window or chain
     the target reads, or, given no shape, on a default desk-scale set."""
+    if _require(target, str, "verify target") not in ("lemma1", "lemma2", "theorem", "remarks", "all"):
+        raise DomainError(f"unknown verify target: {target!r}")
+    _require(shape, (GridShape, type(None)), "grid shape")
+    _require(window, (Window, type(None)), "window")
+    _require(chain, (WindowChain, type(None)), "window chain")
+    _require(caps, Caps, "Caps")
+    _require(characteristic, int, "characteristic")
     if target in ("lemma1", "all"):
         yield from [single_window_report(shape, window)] if shape else sweep_single_windows()
     if target in ("lemma2", "all"):

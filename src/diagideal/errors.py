@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the operand checks of
+its public entries: ``_require`` for one value, ``_items`` for an
+iterable, the only code that raises ``OperandTypeError``."""
 
 
 class DiagIdealError(Exception):
@@ -37,11 +39,23 @@ def _require(value, kind, what: str, shape=None):
     it lies on that grid.  The grid message names both grids and builds no
     repr."""
     if not isinstance(value, kind):
-        raise OperandTypeError(f"not a {what}: {value!r}")
+        raise OperandTypeError(f"not {'an' if what[0] in 'aeiou' else 'a'} {what}: {value!r}")
     if shape is not None and value.shape is not shape and value.shape != shape:
         on = value.shape
         raise ShapeMismatchError(f"{what} on the {on.rows}x{on.cols} grid, not {shape.rows}x{shape.cols}")
     return value
+
+
+def _items(value, kind, what: str, shape=None) -> tuple:
+    """value as a tuple, after the operand check of an iterable at a public
+    entry: OperandTypeError unless it is an iterable, then each item checked
+    by ``_require`` against kind and, given one, the grid shape, all before
+    the caller's count or range checks.  what names one item."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise OperandTypeError(f"not an iterable of {what}s: {value!r}") from None
+    return tuple(_require(item, kind, what, shape) for item in items)
 
 
 class FormatError(DiagIdealError):

@@ -62,7 +62,7 @@ from heapq import heappop, heappush
 from itertools import combinations, product as iter_product
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, EngineError, ResourceLimitError, _require
+from .errors import DomainError, EngineError, ResourceLimitError, _items, _require
 from .fields import PrimeField, RationalField, make_field
 from .ideals import MonomialIdeal
 from .monomials import (
@@ -175,17 +175,6 @@ def _s_pair(basis: _Basis, i: int, j: int):
     return _add_multiple(keys, coeffs, 1, lcm - lead_j, basis.rows[j], shape, p)
 
 
-def _polynomials(polys) -> list:
-    """polys as a list; DomainError unless an iterable of polynomials."""
-    try:
-        polys = list(polys)
-    except TypeError:
-        raise DomainError(f"not an iterable of polynomials: {polys!r}") from None
-    for g in polys:
-        _require(g, Polynomial, "polynomial")
-    return polys
-
-
 def reduce(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the basis list, which must share f's grid
     and field.
@@ -193,7 +182,7 @@ def reduce(f: Polynomial, basis) -> Polynomial:
     No remainder term is divisible by any basis leading monomial.
     """
     _require(f, Polynomial, "polynomial")
-    basis = _polynomials(basis)
+    basis = _items(basis, Polynomial, "polynomial")
     for g in basis:
         f._check_compatible(g)
     divisors = _Basis(f.shape, f.field, [g for g in basis if not g.is_zero])
@@ -231,7 +220,7 @@ def buchberger(generators, caps: Caps = DEFAULT_CAPS) -> GroebnerBasis:
     ``caps.max_spairs`` S-polynomial reductions would be needed.
     """
     _require(caps, Caps, "Caps")
-    gens = [g for g in _polynomials(generators) if not g.is_zero]
+    gens = [g for g in _items(generators, Polynomial, "polynomial") if not g.is_zero]
     if not gens:
         raise DomainError("no nonzero generators")
     shape = gens[0].shape
@@ -352,7 +341,7 @@ def is_groebner_basis(basis) -> bool:
     zero, so the check stays exact; reducing it anyway could pass the
     exponent bound on a basis whose own exponents stay far below it.
     """
-    polys = [g for g in _polynomials(basis) if not g.is_zero]
+    polys = [g for g in _items(basis, Polynomial, "polynomial") if not g.is_zero]
     if not polys:
         return True
     for g in polys:
@@ -371,7 +360,7 @@ def is_groebner_basis(basis) -> bool:
 def initial_ideal(basis) -> MonomialIdeal:
     """Ideal of leading monomials of the given basis: nonzero polynomials
     on one grid."""
-    polys = _polynomials(basis)
+    polys = _items(basis, Polynomial, "polynomial")
     if not polys:
         raise DomainError("initial ideal of an empty basis is undefined")
     if not all(polys):

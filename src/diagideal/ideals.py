@@ -21,7 +21,7 @@ Products and colons build their candidates as keys (``_products``,
 
 from __future__ import annotations
 
-from .errors import DomainError, FormatError, _require
+from .errors import FormatError, _items, _require
 from .monomials import (
     GridMonomial,
     GridShape,
@@ -77,12 +77,8 @@ class MonomialIdeal:
     def __init__(self, shape: GridShape, gens):
         """The ideal the monomials gens generate, each checked to lie on shape."""
         _require(shape, GridShape, "grid shape")
-        try:
-            gens = iter(gens)
-        except TypeError:
-            raise DomainError(f"generators must be iterable, got {gens!r}") from None
         self.shape = shape
-        self.keys = _minimal_keys(shape, [_require(g, GridMonomial, "generator", shape).key for g in gens])
+        self.keys = _minimal_keys(shape, [g.key for g in _items(gens, GridMonomial, "generator", shape)])
 
     @classmethod
     def _from_keys(cls, shape: GridShape, keys) -> "MonomialIdeal":

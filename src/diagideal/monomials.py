@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce, total_ordering
 from operator import or_
 
-from .errors import DomainError, FormatError, _require
+from .errors import DomainError, FormatError, _items, _require
 
 MAX_EXPONENT = 127
 
@@ -382,17 +382,13 @@ class GridMonomial:
 
     def __init__(self, shape: GridShape, exps: tuple):
         _require(shape, GridShape, "grid shape")
-        try:
-            # Through a tuple, since bytes(3) would be three zero bytes.
-            packed = bytes(tuple(exps))
-        except (TypeError, ValueError):
-            packed = None
-        if packed is None or (packed and max(packed) > MAX_EXPONENT):
+        exps = _items(exps, int, "exponent")
+        if not all(0 <= e <= MAX_EXPONENT for e in exps):
             raise DomainError(f"exponents must be integers in 0..{MAX_EXPONENT}, got {exps!r}")
-        if len(packed) != shape.variable_count:
+        if len(exps) != shape.variable_count:
             raise DomainError("exponent tuple has wrong length for shape")
         self.shape = shape
-        self.key = int.from_bytes(packed, "big")
+        self.key = int.from_bytes(bytes(exps), "big")
 
     # -- constructors -------------------------------------------------
 

@@ -27,7 +27,9 @@ division loop pays for those checks.
 
 from __future__ import annotations
 
-from .errors import DomainError, _require
+from fractions import Fraction
+
+from .errors import DomainError, _items, _require
 from .fields import PrimeField, RationalField
 from .monomials import GridMonomial, GridShape, _from_key, _is_key, _key_text, _lcm_all, _product
 
@@ -106,14 +108,12 @@ class Polynomial:
 
     def __init__(self, shape: GridShape, field, keys=(), coeffs=()):
         """The polynomial with strictly ascending keys on the grid and as
-        many coefficients, each a nonzero normalized element of the field;
-        ``DomainError`` otherwise."""
+        many coefficients, each a nonzero normalized element of the field:
+        ``OperandTypeError`` for a key that is not an int or a coefficient
+        that is not an int or a Fraction, then ``DomainError`` otherwise."""
         _require(shape, GridShape, "grid shape")
         _require(field, (RationalField, PrimeField), "coefficient field")
-        try:
-            keys, coeffs = tuple(keys), tuple(coeffs)
-        except TypeError:
-            raise DomainError(f"keys and coeffs must be iterable, got {keys!r} and {coeffs!r}") from None
+        keys, coeffs = _items(keys, int, "key"), _items(coeffs, (int, Fraction), "coefficient")
         if len(keys) != len(coeffs):
             raise DomainError(f"{len(keys)} keys but {len(coeffs)} coefficients")
         for k in keys:
@@ -135,17 +135,12 @@ class Polynomial:
     def from_terms(cls, shape: GridShape, field, pairs) -> "Polynomial":
         _require(shape, GridShape, "grid shape")
         _require(field, (RationalField, PrimeField), "coefficient field")
-        try:
-            pairs = iter(pairs)
-        except TypeError:
-            raise DomainError(f"terms must be iterable, got {pairs!r}") from None
         p = field.characteristic
         acc = {}
-        for pair in pairs:
-            try:
-                mono, coeff = pair
-            except (TypeError, ValueError):
-                raise DomainError(f"a term must be a (monomial, coefficient) pair, got {pair!r}") from None
+        for pair in _items(pairs, (tuple, list), "(monomial, coefficient) pair"):
+            if len(pair) != 2:
+                raise DomainError(f"a term must be a (monomial, coefficient) pair, got {pair!r}")
+            mono, coeff = pair
             _require(mono, GridMonomial, "monomial", shape)
             c = acc.get(mono.key, 0) + field.normalize(coeff)
             if p:

@@ -69,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, EngineError, ResourceLimitError, _require
+from .errors import DomainError, EngineError, ResourceLimitError, _items, _require
 from .ideals import MonomialIdeal
 from .monomials import (
     GridMonomial,
@@ -411,15 +411,12 @@ def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
     """
     _require(chain, WindowChain, "window chain")
     chain.check_against(shape)
-    try:
-        factors = list(factors)
-    except TypeError:
-        raise DomainError(f"factors must be iterable, got {factors!r}") from None
+    factors = _items(factors, GridMonomial, "diagonal", shape)
     if len(factors) != len(chain):
         raise DomainError(f"{len(factors)} factors for {len(chain)} windows")
     selections = []
     for window, g in zip(chain.windows, factors):
-        cols = selection_of(_require(g, GridMonomial, "diagonal", shape))
+        cols = selection_of(g)
         if cols is None:
             raise DomainError(f"{g!r} is not a diagonal monomial")
         selections.append(_columns(shape, cols, window))

@@ -41,6 +41,7 @@ from .errors import (
     ResourceLimitError,
     SelectionError,
     WindowError,
+    _items,
     _require,
 )
 from .fields import PrimeField, RationalField
@@ -136,19 +137,14 @@ def _columns(shape: GridShape, cols, window: Window | None = None) -> tuple:
     row of the grid, strictly increasing, on the grid and, given a window,
     inside it.
 
-    DomainError unless cols is an iterable of integers; SelectionError for
-    the wrong count, columns that do not strictly increase, or a column off
-    the grid or outside the window.
+    OperandTypeError unless cols is an iterable of integers; SelectionError
+    for the wrong count, columns that do not strictly increase, or a column
+    off the grid or outside the window.
     """
     _require(shape, GridShape, "grid shape")
     if window is not None:
         _require(window, Window, "window")
-    try:
-        columns = tuple(cols)
-    except TypeError:
-        columns = (None,)
-    if not all(isinstance(c, int) for c in columns):
-        raise DomainError(f"columns must be an iterable of integers, got {cols!r}")
+    columns = _items(cols, int, "column")
     if len(columns) != shape.rows:
         raise SelectionError(f"selection {columns} needs exactly {shape.rows} columns")
     if any(a >= b for a, b in zip(columns, columns[1:])):
@@ -246,15 +242,13 @@ def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
 
 def window_product_ideal(shape: GridShape, windows) -> MonomialIdeal:
     """Product of the diagonal ideals of the given windows (unit if empty)."""
-    try:
-        windows = tuple(windows)
-    except TypeError:
-        raise DomainError(f"not an iterable of windows: {windows!r}") from None
+    _require(shape, GridShape, "grid shape")
+    windows = _items(windows, Window, "window")
     if not windows:
         return MonomialIdeal.unit(shape)
-    result = diagonal_ideal(shape, windows[0])
+    result = _window_table(shape, windows[0]).ideal
     for w in windows[1:]:
-        result = result * diagonal_ideal(shape, w)
+        result = result * _window_table(shape, w).ideal
     return result
 
 

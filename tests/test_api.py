@@ -12,6 +12,7 @@ from types import GeneratorType
 import pytest
 
 import diagideal
+import diagideal.checks as checks
 import diagideal.errors as errors
 import diagideal.groebner as groebner
 import diagideal.windows as windows
@@ -150,7 +151,8 @@ _F, _G = minor(_S, (1, 3), _QQ), minor(_S, (2, 4), _QQ)
 _B = betti(_I)
 
 # Valid sample arguments of every public callable: each export of
-# diagideal.__all__ and each public method and operator of its classes.
+# diagideal.__all__, each public method and operator of its classes, and
+# each public function of checks, the reports behind the command line.
 # A method is bound to a sample receiver, which is never swapped.  The
 # windows.py rows keep their own test,
 # test_windows.py::test_window_entries_type_every_argument.
@@ -220,6 +222,16 @@ ENTRIES = {
     "betti": (betti, (_I, 0, DEFAULT_CAPS)),
     "betti_table": (betti_table, (_I, 0, DEFAULT_CAPS)),
     "buchberger": (buchberger, ([_F, _G], DEFAULT_CAPS)),
+    "checks.conjecture_scan": (checks.conjecture_scan, (1, 3, 1, 32003, DEFAULT_CAPS)),
+    "checks.iter_shapes": (checks.iter_shapes, (2, 4)),
+    "checks.product_chain_report": (checks.product_chain_report, (_S, _CHAIN, DEFAULT_CAPS)),
+    "checks.remarks_report": (checks.remarks_report, ()),
+    "checks.sample_product_chains": (checks.sample_product_chains, (2, 2, 0, 1, 3)),
+    "checks.single_window_report": (checks.single_window_report, (_S, _W)),
+    "checks.sweep_product_chains": (checks.sweep_product_chains, (2, 1, 3, DEFAULT_CAPS)),
+    "checks.sweep_single_windows": (checks.sweep_single_windows, (1, 3)),
+    "checks.theorem_report": (checks.theorem_report, (_S, _CHAIN, DEFAULT_CAPS, 0)),
+    "checks.verify_reports": (checks.verify_reports, ("theorem", None, None, None, DEFAULT_CAPS, 0)),
     "closed_form_colon": (closed_form_colon, (_S, _W, _M)),
     "closed_form_product_colon": (closed_form_product_colon, (_S, _CHAIN, diagonal_monomial(_S, (1, 2)), 0)),
     "conjecture_check": (conjecture_check, (_S, _CHAIN, 32003, DEFAULT_CAPS)),
@@ -258,12 +270,19 @@ for _field in (_QQ, _GF):
         ("add", (3, 4)), ("sub", (3, 4)), ("mul", (3, 4)),
     ):
         ENTRIES[f"{_kind}.{_method}"] = (getattr(_field, _method), _args)
-# Entries that check every argument's type with errors._require: a swap for
-# a value of another type than the sample argument's raises a TypeError.
-TYPE_CHECKED = {
-    "Caps", "GridShape", "GridMonomial.from_exponents", "BettiTable.beta", "PrimeField"
+# Every entry answers a swap for a value of another type than the sample
+# argument's with a TypeError, but these: the window and chain
+# constructors and the text and caps parsers keep their own error classes
+# (WindowError, ChainOrderError, FormatError) by design, the result
+# records GroebnerBasis and QuotientChain hold what they are given, and an
+# exception takes any message, as Python's own do.
+EXEMPT = {
+    "Window", "WindowChain", "WindowChain.of",
+    "load_caps_file", "parse_caps_text", "parse_ideal", "parse_monomial",
+    "GroebnerBasis", "QuotientChain",
 } | {
-    name for name in ENTRIES if name.startswith(("RationalField.", "PrimeField."))
+    name for name in diagideal.__all__
+    if isinstance(getattr(diagideal, name), type) and issubclass(getattr(diagideal, name), Exception)
 }
 WINDOW_ENTRIES = (
     "minor", "diagonal_monomial", "selection_of", "enumerate_diagonals", "diagonal_ideal",
@@ -294,6 +313,15 @@ def _public_callables() -> list:
     return names
 
 
+def _checks_functions() -> list:
+    """Every public function of checks, as ENTRIES names them."""
+    return [
+        f"checks.{name}"
+        for name, obj in vars(checks).items()
+        if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", None) == checks.__name__
+    ]
+
+
 def drain(result):
     """The result, with a generator run to its end."""
     return list(result) if isinstance(result, GeneratorType) else result
@@ -310,7 +338,7 @@ def swapped(name: str, position: int, bad):
     "name, position",
     [
         (name, position)
-        for name in _public_callables()
+        for name in _public_callables() + _checks_functions()
         if name not in WINDOW_ENTRIES
         for position in (range(len(ENTRIES[name][1])) if name in ENTRIES else [None])
     ],
@@ -321,13 +349,13 @@ def test_public_entries_type_every_argument(name, position, bad):
     # answer of the sample answer's type or raises a DiagIdealError, and
     # nothing else.  A wrong type that the operand check sees raises an
     # error that is a TypeError as well, no other raise is one, and no
-    # handler turns the operand check's raise into another class.  In a
-    # TYPE_CHECKED entry a swap of another type is always a TypeError.  An
-    # export or method without a sample row fails here.
+    # handler turns the operand check's raise into another class.  Outside
+    # EXEMPT a swap of another type is always a TypeError.  An export, a
+    # method or a function of checks without a sample row fails here.
     assert name in ENTRIES, f"no sample arguments for {name}"
     func, args = ENTRIES[name]
     want = type(drain(func(*args)))
-    typed = name in TYPE_CHECKED and type(bad) is not type(args[position])
+    typed = name not in EXEMPT and type(bad) is not type(args[position])
     try:
         answer = swapped(name, position, bad)
     except DiagIdealError as err:
@@ -339,13 +367,45 @@ def test_public_entries_type_every_argument(name, position, bad):
     assert type(answer) is want, (name, position, bad, answer)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(checks.sweep_product_chains("x", 0, 0)),
+        lambda: list(checks.sweep_product_chains(2, 1, 1, "caps")),
+        lambda: checks.sample_product_chains("x", 2, 0, 0, 0),
+        lambda: list(checks.conjecture_scan(1, 1, 1, "x")),
+        lambda: list(checks.conjecture_scan(1, 1, 1, 0, "caps")),
+    ],
+    ids=["sweep-length", "sweep-caps", "sample-length", "scan-char", "scan-caps"],
+)
+def test_checks_functions_type_their_arguments_before_any_instance(call):
+    # A sweep over a range with no chains still refuses an argument of the
+    # wrong type, rather than answering with an empty sweep.
+    with pytest.raises(OperandTypeError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: checks.sample_product_chains(2, -1, 0), lambda: list(checks.verify_reports("lemma3"))],
+    ids=["negative-sample-count", "unknown-target"],
+)
+def test_checks_functions_refuse_values_outside_their_domain(call):
+    # A value of the right type outside a checks function's domain is a plain
+    # DomainError, not a leaked ValueError or an empty answer.
+    with pytest.raises(DomainError) as info:
+        call()
+    assert not isinstance(info.value, TypeError)
+
+
 def _raised_by_the_type_check(err) -> bool:
-    """Was err raised by ``errors._require`` for an operand of the wrong
-    type, rather than of the wrong grid?"""
+    """Was err raised by ``errors._require`` or ``errors._items`` for an
+    operand of the wrong type, rather than of the wrong grid?"""
     tb = err.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
-    return tb.tb_frame.f_code is errors._require.__code__ and not isinstance(err, ShapeMismatchError)
+    codes = (errors._require.__code__, errors._items.__code__)
+    return tb.tb_frame.f_code in codes and not isinstance(err, ShapeMismatchError)
 
 
 def test_shape_mismatch_is_raised_only_in_the_operand_check():
@@ -360,6 +420,30 @@ def test_shape_mismatch_is_raised_only_in_the_operand_check():
                 if "ShapeMismatchError" in names:
                     found.append(f"{path.name}:{node.lineno}")
     assert len(found) == 1 and found[0].startswith("errors.py:")
+
+
+def test_type_errors_are_caught_only_in_the_operand_check():
+    # Every iterable check of a public entry goes through errors._items, the
+    # one handler of a TypeError: no except clause elsewhere names it or
+    # catches it unnamed.  WindowChain's constructor keeps its own, since
+    # it raises ChainOrderError by design.
+    found, kept = [], []
+    for path in sorted(Path(diagideal.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "WindowChain":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                        exempt |= {id(n) for n in ast.walk(item)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type or ast.Pass())}
+                if node.type is None or names & {"TypeError", "Exception", "BaseException"}:
+                    (kept if id(node) in exempt else found).append(f"{path.name}:{node.lineno}")
+    assert found == [] and len(kept) == 1 and kept[0].startswith("windows.py:")
 
 
 def test_no_assert_statements_in_the_package():

@@ -640,6 +640,22 @@ def test_verify_cap_hit_reports_snapshot(tmp_path, capsys):
     assert record["snapshot"] == {"generators": 4}
 
 
+def test_theorem_stops_at_the_product_cap(capsys):
+    # The 4x16 product of two full windows has 866,320 generators; it is
+    # counted as it forms and refused at the first partial product past
+    # max_product_gens (5000), long before the oracle's cap reads it.
+    code, out = run_cli(
+        capsys, "verify", "--target", "theorem", "--rows", "4", "--cols", "16",
+        "--chain", "1,16:1,16", "--format", "json",
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "window product reached 5454 generators, cap is 5000",
+        "ok": False,
+        "snapshot": {"chain": "1,16:1,16", "gens": 5454},
+    }
+
+
 def test_minor_rows_cap_reaches_groebner_and_conjecture_scan(tmp_path, capsys):
     config = tmp_path / "caps.txt"
     config.write_text("max_minor_rows = 1\n")

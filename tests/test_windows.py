@@ -13,6 +13,7 @@ from diagideal.errors import (
     DiagIdealError,
     DomainError,
     EngineError,
+    OperandTypeError,
     ResourceLimitError,
     SelectionError,
     WindowError,
@@ -364,12 +365,12 @@ def test_window_entries_type_every_argument(name, position, bad):
     # The windows.py rows of test_api.py's package-wide table, held to more
     # than its contract: each argument in turn is swapped for a value of
     # another type, and the call, its generator run to the end, raises
-    # DomainError.  A swap of the sample's own type is a valid argument and
-    # gives an answer.
+    # OperandTypeError, a DomainError and a TypeError.  A swap of the
+    # sample's own type is a valid argument and gives an answer.
     if type(bad) is type(ENTRIES[name][1][position]):
         swapped(name, position, bad)
     else:
-        with pytest.raises(DomainError):
+        with pytest.raises(OperandTypeError):
             swapped(name, position, bad)
 
 
