@@ -3,7 +3,9 @@
 Every cap is configuration, not a constant: the CLI accepts a key-value caps
 file and the library functions accept a ``Caps`` instance.  A caps file sets
 caps only; every key must name a ``Caps`` field.  Exceeding a cap raises
-``ResourceLimitError`` instead of producing a partial answer.
+``ResourceLimitError`` instead of producing a partial answer.  Each cap is
+checked by the library code that does the capped work, so a caller of the
+library meets the same limits as the CLI, which checks none itself.
 """
 
 from __future__ import annotations

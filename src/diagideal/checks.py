@@ -13,17 +13,17 @@ from math import comb, prod
 from typing import Iterator
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import DomainError, ResourceLimitError, _require
+from .errors import DomainError, ResourceLimitError, _items, _require
 from .groebner import conjecture_check
-from .ideals import MonomialIdeal
 from .monomials import GridShape, _key_text
-from .quotients import _colon_steps, _product_keys, verify_product_colons
+from .quotients import _colon_steps, verify_product_colons
 from .replay import NEGATIVE_CONTROLS, replay_colon_mismatch
 from .resolution import _cone, betti_table
 from .windows import (
     Window,
     WindowChain,
     _report_header,
+    _window_product,
     iter_sorted_chains,
     iter_windows,
 )
@@ -163,8 +163,7 @@ def theorem_report(
     ``ResourceLimitError`` at the first partial product past
     ``caps.max_product_gens``, before any of it reaches the oracle."""
     _require(chain, WindowChain, "window chain").check_against(shape)
-    keys = _product_keys(shape, chain, chain.windows, _require(caps, Caps, "Caps").max_product_gens)
-    product = MonomialIdeal._of_minimal(shape, tuple(keys))
+    product = _window_product(shape, chain.windows, _require(caps, Caps, "Caps").max_product_gens, chain)
     expected = len(chain.windows) * shape.rows
     report = {
         "check": "linear-resolution",
@@ -202,10 +201,19 @@ def conjecture_scan(
 ) -> Iterator[dict]:
     """Run the initial-ideal comparison over every sorted chain within
     bounds, in enumeration order.  Resource blowups are recorded per
-    instance and the scan moves on."""
-    _require(max_factors, int, "factor bound")
+    instance and the scan moves on.
+
+    The bounds are checked before the first chain: their types, then
+    ``DomainError`` for one below 1, then ``ResourceLimitError`` for one
+    above its conjecture cap (rows, columns, factors)."""
+    bounds = _items((max_rows, max_cols, max_factors), int, "scan bound")
     _require(characteristic, int, "characteristic")
     _require(caps, Caps, "Caps")
+    limits = (caps.max_conjecture_rows, caps.max_conjecture_cols, caps.max_conjecture_factors)
+    if min(bounds) < 1:
+        raise DomainError(f"scan bounds {bounds} must be at least 1")
+    if any(value > limit for value, limit in zip(bounds, limits)):
+        raise ResourceLimitError(f"scan bounds {bounds} exceed caps {limits}")
     for shape in iter_shapes(max_rows, max_cols):
         for length in range(1, max_factors + 1):
             for chain in iter_sorted_chains(shape, length):
@@ -251,7 +259,8 @@ def verify_reports(
     characteristic: int = 0,
 ) -> Iterator[dict]:
     """Reports for one `verify` target: on the shape with the window or chain
-    the target reads, or, given no shape, on a default desk-scale set."""
+    the target reads, or, given no shape, on a default desk-scale set.  A
+    window or chain without a shape is a ``DomainError``."""
     if _require(target, str, "verify target") not in ("lemma1", "lemma2", "theorem", "remarks", "all"):
         raise DomainError(f"unknown verify target: {target!r}")
     _require(shape, (GridShape, type(None)), "grid shape")
@@ -259,6 +268,8 @@ def verify_reports(
     _require(chain, (WindowChain, type(None)), "window chain")
     _require(caps, Caps, "Caps")
     _require(characteristic, int, "characteristic")
+    if shape is None and (window is not None or chain is not None):
+        raise DomainError("a window or chain needs a grid shape")
     if target in ("lemma1", "all"):
         yield from [single_window_report(shape, window)] if shape else sweep_single_windows()
     if target in ("lemma2", "all"):

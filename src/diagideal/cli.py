@@ -40,9 +40,9 @@ from .windows import (
     Window,
     WindowChain,
     _report_header,
+    _window_product,
     diagonal_ideal,
     enumerate_diagonals,
-    window_product_ideal,
 )
 
 EXIT_PASS = 0
@@ -129,7 +129,7 @@ def _chain_windows(args: argparse.Namespace) -> list[Window]:
     return windows
 
 
-def _ideal_argument(args: argparse.Namespace, shape: GridShape) -> MonomialIdeal:
+def _ideal_argument(config: RunConfig, args: argparse.Namespace, shape: GridShape) -> MonomialIdeal:
     given = [
         name
         for name in ("window", "chain", "gens", "gens_file")
@@ -142,7 +142,7 @@ def _ideal_argument(args: argparse.Namespace, shape: GridShape) -> MonomialIdeal
     if args.window is not None:
         return diagonal_ideal(shape, _parse_window(args.window))
     if args.chain is not None:
-        return window_product_ideal(shape, _chain_windows(args))
+        return _window_product(shape, _chain_windows(args), config.caps.max_product_gens, args.chain)
     if args.gens is not None:
         return parse_ideal(shape, args.gens)
     try:
@@ -169,7 +169,8 @@ def cmd_diagonals(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_ideal_product(config: RunConfig, args: argparse.Namespace) -> int:
     shape = _shape(args)
     windows = _chain_windows(args)
-    gens = [_key_text(shape, k) for k in window_product_ideal(shape, windows).keys]
+    product = _window_product(shape, windows, config.caps.max_product_gens, args.chain)
+    gens = [_key_text(shape, k) for k in product.keys]
     emit(config, {**_report_header(shape, windows), "generators": gens}, gens)
     return EXIT_PASS
 
@@ -186,7 +187,7 @@ def cmd_colon(config: RunConfig, args: argparse.Namespace) -> int:
     f = diagonals[u]
     keys = [d.key for d in diagonals[:u]]
     if len(windows) > 1:
-        keys += window_product_ideal(shape, windows).keys
+        keys += _window_product(shape, windows, config.caps.max_product_gens, args.chain).keys
     brute = _brute_colon(shape, keys, f.key)
     record: dict[str, Any] = {**_report_header(shape, windows), "u": u, "brute": str(brute)}
     try:
@@ -214,7 +215,7 @@ def _betti_for(config: RunConfig, args: argparse.Namespace, ideal: MonomialIdeal
 
 
 def cmd_betti(config: RunConfig, args: argparse.Namespace) -> int:
-    table = _betti_for(config, args, _ideal_argument(args, _shape(args)))
+    table = _betti_for(config, args, _ideal_argument(config, args, _shape(args)))
     record = table.to_json_obj()
     lines = [f"beta[{row['i']},{row['j']}] = {row['beta']}" for row in record["rows"]]
     emit(config, record, lines + [f"reg = {table.regularity}"])
@@ -222,7 +223,7 @@ def cmd_betti(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_reg(config: RunConfig, args: argparse.Namespace) -> int:
-    ideal = _ideal_argument(args, _shape(args))
+    ideal = _ideal_argument(config, args, _shape(args))
     table = _betti_for(config, args, ideal)
     degree = ideal.single_generation_degree()
     linear = None if degree is None else table.regularity == degree
@@ -261,10 +262,6 @@ def cmd_conjecture_scan(config: RunConfig, args: argparse.Namespace) -> int:
     limits = (caps.max_conjecture_rows, caps.max_conjecture_cols, caps.max_conjecture_factors)
     given = (args.max_rows, args.max_cols, args.max_factors)
     bounds = tuple(limit if value is None else value for value, limit in zip(given, limits))
-    if min(bounds) < 1:
-        raise DiagIdealError(f"scan bounds {bounds} must be at least 1")
-    if any(value > limit for value, limit in zip(bounds, limits)):
-        raise ResourceLimitError(f"scan bounds {bounds} exceed caps {limits}")
     for verdict in checks.conjecture_scan(*bounds, characteristic=args.char, caps=caps):
         lines = None  # a skipped verdict prints its SKIP summary
         if not verdict.get("skipped"):

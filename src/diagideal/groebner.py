@@ -82,7 +82,7 @@ from .windows import (
     _check_minor_rows,
     _minor_product,
     _report_header,
-    window_product_ideal,
+    _window_product,
 )
 
 
@@ -489,7 +489,9 @@ def conjecture_check(
     whose leading monomial escapes the diagonal product.  A chain the
     certificate decides has both answers true by proof, with the
     certificate's pair count; only the Buchberger fallback builds the
-    initial ideal and compares it.
+    initial ideal and compares it.  The diagonal product is formed first,
+    under ``caps.max_product_gens``, so that cap stops a check before any
+    natural product is formed.
     """
     _require(chain, WindowChain, "window chain")
     _require(caps, Caps, "Caps")
@@ -508,8 +510,8 @@ def conjecture_check(
         )
     field = make_field(characteristic)
     start = time.perf_counter()
+    diagonal_product = _window_product(shape, chain.windows, caps.max_product_gens, chain)
     naturals = _natural_products(shape, chain, field, caps)
-    diagonal_product = window_product_ideal(shape, chain.windows)
     spairs = _certificate(naturals, diagonal_product, caps)
     equal = covered = True
     if spairs is None:

@@ -58,10 +58,11 @@ dividing f divides it, or it lies in <R>.  <R> is the same at every step,
 so each distinct colon is scanned against R once per chain.  Equal ideals
 have one minimal generating set, so a step that passes reports the closed
 ideal as its brute colon; only a step that fails builds and minimalizes
-``_brute_colon``'s.  The window products are formed key by key with the
-generator cap checked as each partial product grows.  The circle
-redistribution rebalances a factor per window by sorting column positions
-row by row, and checks its output on keys against the window tables.
+``_brute_colon``'s.  The window products come from
+``windows._window_product``, with the generator cap checked as each
+partial product grows.  The circle redistribution rebalances a factor per
+window by sorting column positions row by row, and checks its output on
+keys against the window tables.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, EngineError, ResourceLimitError, _items, _require
+from .errors import DomainError, EngineError, _items, _require
 from .ideals import MonomialIdeal
 from .monomials import (
     GridMonomial,
@@ -92,6 +93,7 @@ from .windows import (
     WindowChain,
     _columns,
     _diagonal_key,
+    _window_product,
     _window_table,
     selection_of,
     window_product_ideal,
@@ -437,29 +439,6 @@ def redistribute(shape: GridShape, chain: WindowChain, factors) -> list:
     return [_from_key(shape, h) for h in outputs]
 
 
-def _product_keys(shape: GridShape, chain: WindowChain, windows, cap: int, keys=(0,)) -> list:
-    """The keys of <keys> times the windows' diagonal ideals, descending.
-
-    The products are counted as each partial product forms, one diagonal
-    of the next window at a time, and ``ResourceLimitError`` names the
-    count at the first that passes cap.  Diagonal ideals are generated in
-    one degree, so distinct products are the minimal generators, and a
-    partial product of the chain has at most as many as the whole.
-    """
-    for window in windows:
-        products = set()
-        for d in _window_table(shape, window).diagonals:
-            products.update(_products(keys, (d,), shape))
-            if len(products) > cap:
-                raise ResourceLimitError(
-                    f"window product reached {len(products)} generators, cap is {cap}",
-                    snapshot={"chain": str(chain), "gens": len(products)},
-                )
-        keys = list(products)
-    keys.sort(reverse=True)
-    return keys
-
-
 def verify_product_colons(
     shape: GridShape, chain: WindowChain, caps: Caps = DEFAULT_CAPS
 ) -> list:
@@ -478,11 +457,9 @@ def verify_product_colons(
     if len(chain) < 2:
         raise DomainError("product colon verification needs at least two windows")
     chain.check_against(shape)
-    first, others = chain.windows[0], chain.windows[1:]
-    cap = caps.max_product_gens
-    rest_keys = _product_keys(shape, chain, others, cap)
-    keys = _product_keys(shape, chain, (first,), cap, rest_keys)
+    rest = _window_product(shape, chain.windows[1:], caps.max_product_gens, chain)
+    product = _window_product(shape, chain.windows[:1], caps.max_product_gens, chain, rest.keys)
     return [
         {"u": u, "brute": brute, "closed": closed, "equal": brute == closed}
-        for u, brute, closed in _colon_steps(shape, first, keys, rest_keys)
+        for u, brute, closed in _colon_steps(shape, chain.windows[0], product.keys, rest.keys)
     ]

@@ -13,7 +13,8 @@ ideal, and the colon steps of ``quotients`` read it.  ``GridMonomial``s
 are built only for the public entries that return them
 (``diagonal_monomial``, ``enumerate_diagonals``).  A diagonal is its column
 tuple or its key, and every column tuple a caller passes is checked once,
-by ``_columns``.
+by ``_columns``.  Every window product, capped or not, is formed from the
+tables by one builder, ``_window_product``.
 
 The natural generators of a window chain, one product of maximal minors per
 column multiset, come from the other cache, ``_minor_product``, keyed by
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .fields import PrimeField, RationalField
 from .ideals import MonomialIdeal
-from .monomials import GridMonomial, GridShape, _from_key, _variable_key
+from .monomials import GridMonomial, GridShape, _from_key, _products, _variable_key
 from .polynomials import Polynomial, _division_row, _polynomial
 
 
@@ -241,15 +242,48 @@ def diagonal_ideal(shape: GridShape, window: Window) -> MonomialIdeal:
 
 
 def window_product_ideal(shape: GridShape, windows) -> MonomialIdeal:
-    """Product of the diagonal ideals of the given windows (unit if empty)."""
+    """Product of the diagonal ideals of the given windows (unit if empty),
+    formed by ``_window_product`` with no cap."""
     _require(shape, GridShape, "grid shape")
-    windows = _items(windows, Window, "window")
-    if not windows:
-        return MonomialIdeal.unit(shape)
-    result = _window_table(shape, windows[0]).ideal
-    for w in windows[1:]:
-        result = result * _window_table(shape, w).ideal
-    return result
+    return _window_product(shape, _items(windows, Window, "window"))
+
+
+def _window_product(shape: GridShape, windows, cap=None, chain=None, keys=None) -> MonomialIdeal:
+    """<keys> times the diagonal ideals of windows, a sequence of windows
+    checked against the grid by their tables: the one builder of a window
+    product.  With no keys the product starts from the first window's
+    diagonal keys, already distinct and descending, or is the unit ideal
+    when there is no window.
+
+    Each further window is multiplied in one diagonal at a time.  Diagonal
+    ideals are generated in one degree, so the distinct products are the
+    minimal generators and nothing is minimalized; a partial product of a
+    chain has at most as many as the whole.  Given a cap, the products are
+    counted as they form, and ``ResourceLimitError`` names the count at the
+    first that passes it, with ``str(chain)``, the caller's name for the
+    product, in its snapshot.
+    """
+    if keys is None:
+        keys = list(_window_table(shape, windows[0]).diagonals) if windows else [0]
+        windows = windows[1:]
+        if cap is not None and len(keys) > cap:
+            # One diagonal at a time, the count passes the cap at cap + 1.
+            raise _past_cap(chain, cap + 1, cap)
+    for window in windows:
+        products = set()
+        for d in _window_table(shape, window).diagonals:
+            products.update(_products(keys, (d,), shape))
+            if cap is not None and len(products) > cap:
+                raise _past_cap(chain, len(products), cap)
+        keys = list(products)
+    return MonomialIdeal._of_minimal(shape, tuple(sorted(keys, reverse=True)))
+
+
+def _past_cap(chain, gens: int, cap: int) -> ResourceLimitError:
+    """The cap error of a window product that reached gens generators;
+    chain is the caller's name for the product."""
+    message = f"window product reached {gens} generators, cap is {cap}"
+    return ResourceLimitError(message, snapshot={"chain": str(chain), "gens": gens})
 
 
 def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomial:

@@ -656,6 +656,35 @@ def test_theorem_stops_at_the_product_cap(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("ideal-product",),
+        ("colon", "--step", "1"),
+        ("betti",),
+        ("reg",),
+        ("verify", "--target", "lemma2"),
+        ("verify", "--target", "theorem"),
+    ],
+    ids=["ideal-product", "colon", "betti", "reg", "verify-lemma2", "verify-theorem"],
+)
+def test_every_window_product_stops_at_the_product_cap(command, tmp_path, capsys):
+    # Each command that forms a window product counts it against
+    # max_product_gens: the first window's second diagonal passes a cap of 1.
+    config = tmp_path / "caps.txt"
+    config.write_text("max_product_gens = 1\n")
+    code, out = run_cli(
+        capsys, *command, "--rows", "2", "--cols", "4", "--chain", "1,3:2,4",
+        "--format", "json", "--caps", str(config),
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "window product reached 2 generators, cap is 1",
+        "ok": False,
+        "snapshot": {"chain": "1,3:2,4", "gens": 2},
+    }
+
+
 def test_minor_rows_cap_reaches_groebner_and_conjecture_scan(tmp_path, capsys):
     config = tmp_path / "caps.txt"
     config.write_text("max_minor_rows = 1\n")

@@ -8,6 +8,7 @@ import pytest
 
 import diagideal.ideals as ideals
 import diagideal.quotients as quotients
+import diagideal.windows as windows
 from diagideal.caps import DEFAULT_CAPS
 from diagideal.checks import iter_shapes, product_chain_report, sample_product_chains, single_window_report
 from diagideal.errors import (
@@ -590,14 +591,14 @@ def test_verify_product_colons_stops_at_the_cap(monkeypatch, shape, chain):
     # time, so at most one window's diagonals of products past it.
     cap = DEFAULT_CAPS.max_product_gens
     formed = []
-    real = quotients._products
+    real = windows._products
 
     def counted(lefts, rights, shape_):
         products = real(lefts, rights, shape_)
         formed.append(len(products))
         return products
 
-    monkeypatch.setattr(quotients, "_products", counted)
+    monkeypatch.setattr(windows, "_products", counted)
     with pytest.raises(ResourceLimitError) as info:
         verify_product_colons(shape, chain)
     reached = info.value.snapshot["gens"]

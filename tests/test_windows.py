@@ -174,6 +174,35 @@ def test_window_product_ideal_of_no_window_or_one():
         assert window_product_ideal(shape, [window]) == diagonal_ideal(shape, window)
 
 
+def _product_by_multiplication(shape, windows_):
+    """The oracle: the diagonal ideals multiplied by ``MonomialIdeal.__mul__``,
+    which minimalizes every partial product."""
+    product = MonomialIdeal.unit(shape)
+    for window in windows_:
+        product = product * diagonal_ideal(shape, window)
+    return product
+
+
+def test_window_product_matches_ideal_multiplication():
+    # Every sorted chain of one to three windows up to 3x6, every ordered
+    # pair of windows on 2x5 and 3x6, unsorted and nested ones among them,
+    # and the empty list, which gives the unit ideal.
+    cases = [(shape, ()) for shape in (GridShape(1, 1), GridShape(3, 6))]
+    for rows in range(1, 4):
+        for cols in range(rows, 7):
+            shape = GridShape(rows, cols)
+            for length in (1, 2, 3):
+                cases += [(shape, chain.windows) for chain in iter_sorted_chains(shape, length)]
+    for shape in (GridShape(2, 5), GridShape(3, 6)):
+        ws = list(iter_windows(shape))
+        cases += [(shape, (a, b)) for a in ws for b in ws]
+    assert len(cases) == 2 + 2219 + 2 * 10**2
+    for shape, windows_ in cases:
+        product = window_product_ideal(shape, windows_)
+        assert product.keys == _product_by_multiplication(shape, windows_).keys, (shape, windows_)
+    assert window_product_ideal(GridShape(3, 6), ()).is_unit
+
+
 def laplace_det(entries):
     """Independent determinant oracle: first-row cofactor expansion over
     any ring whose elements support +, -, *."""
