@@ -113,7 +113,7 @@ def test_criterion_5_linear_resolution_by_homology():
                 checked += 1
                 if not report["linear"] or report["cone_agrees"] is False:
                     failures.append(report)
-    ok = checked > 0 and not failures
+    ok = checked == 422 and not failures
     _finish(
         5, "homology-oracle regularity equals windows*rows with a linear "
         "resolution on every small product, cone counts agreeing",

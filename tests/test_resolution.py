@@ -323,15 +323,13 @@ def test_single_windows_have_eagon_northcott_betti_numbers():
     assert windows == 534
     # A window's ideal is the m x w generic matrix's up to renaming the
     # variables, so the homology oracle checks one window per (m, w), the
-    # last one listed.  One-row windows wider than 8 are Koszul complexes
-    # that take the oracle seconds each, so they are left to the cone.
-    checked = 0
+    # last one listed, up to its 12-generator cap.  The one-row windows of
+    # width 9 and 10 are Koszul complexes with the largest boundaries here
+    # (252 rows by 210 columns at width 10).
     for (m, w), (ideal, numbers) in classes.items():
-        if m > 1 or w <= 8:
-            for char in (0, 2):
-                assert betti_table(ideal, characteristic=char) == BettiTable(char, numbers), (m, w)
-            checked += 1
-    assert checked == 16
+        for char in (0, 2):
+            assert betti_table(ideal, characteristic=char) == BettiTable(char, numbers), (m, w)
+    assert len(classes) == 18
 
 
 @pytest.mark.parametrize(
@@ -578,6 +576,34 @@ def test_reduced_homology_matches_elimination_on_criterion_5_products(p):
             assert _reduced_homology(product, b, field) == want, (product, b)
             complexes += 1
     assert products == 422 and complexes > products
+
+
+def _criterion_5_boundaries() -> dict:
+    """Every distinct boundary from dimension 2 up of the criterion-5
+    products' divisor complexes, as a tuple of sorted columns, with its
+    number of rows."""
+    boundaries = {}
+    for product in _criterion_5_products():
+        for b in _candidate_multidegrees(product, DEFAULT_CAPS):
+            by_dim = _divisor_complex(product, b) or {}
+            for d in by_dim:
+                if d >= 2:
+                    columns = _boundary_columns(by_dim[d - 1], by_dim[d])
+                    key = tuple(tuple(sorted(col.items())) for col in columns)
+                    boundaries[key] = len(by_dim[d - 1])
+    return boundaries
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_rank_kernel_matches_dense_elimination_on_criterion_5_boundaries(p):
+    # Oracle pair on real inputs: the sparse kernel against the dense
+    # eliminator on every boundary the homology oracle eliminates there.
+    field = make_field(p)
+    boundaries = _criterion_5_boundaries()
+    for key, nrows in boundaries.items():
+        columns = [dict(col) for col in key]
+        assert _rank_of_columns(columns, field) == _dense_rank(columns, nrows, p), key
+    assert len(boundaries) == 123
 
 
 def test_betti_table_eliminates_only_from_dimension_2_up(monkeypatch):
