@@ -199,7 +199,7 @@ def cmd_colon(config: RunConfig, args: argparse.Namespace) -> int:
     if len(windows) == 1:
         closed = closed_form_colon(shape, windows[0], f)
     else:
-        closed = closed_form_product_colon(shape, chain, f, u)
+        closed = closed_form_product_colon(shape, chain, f, u, config.caps)
     record["closed"] = str(closed)
     record["equal"] = brute == closed
     emit(config, record)

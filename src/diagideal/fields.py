@@ -10,9 +10,12 @@ Those two take only an ``int`` or a ``Fraction`` and raise
 ``OperandTypeError`` (a ``DomainError`` and a ``TypeError``) for anything
 else, a string or a float included; every coefficient enters through them.
 The per-operation methods ``add``, ``sub``, ``mul``, ``neg`` and
-``is_zero`` stay for the public API and for the traced benchmark, which
-counts them; no library loop calls them.  They normalize their operands
-first, so they take what ``normalize`` takes and return field elements.
+``is_zero``, with ``zero``, ``one``, equality and hashing, are defined
+once, on the private base ``_Field``; each field class adds only its
+``normalize``, ``invert`` and ``repr``.  The operations stay for the public
+API and for the traced benchmark, which counts them on each field class;
+no library loop calls them.  They normalize their operands and their
+result, so they take what ``normalize`` takes and return field elements.
 
 ``is_prime`` is Miller-Rabin with the fewest of the first twelve prime
 bases that is proven exact below n: the bound of each prefix is the least
@@ -80,7 +83,42 @@ def _element(value) -> None:
     _require(value, (int, Fraction), "field coefficient (int or Fraction)")
 
 
-class RationalField:
+class _Field:
+    """The operations both fields share.  Each normalizes its operands and
+    its result through the subclass's ``normalize``; two fields are equal
+    when they are of one class and one characteristic."""
+
+    @property
+    def zero(self):
+        return self.normalize(0)
+
+    @property
+    def one(self):
+        return self.normalize(1)
+
+    def add(self, a, b):
+        return self.normalize(self.normalize(a) + self.normalize(b))
+
+    def sub(self, a, b):
+        return self.normalize(self.normalize(a) - self.normalize(b))
+
+    def mul(self, a, b):
+        return self.normalize(self.normalize(a) * self.normalize(b))
+
+    def neg(self, a):
+        return self.normalize(-self.normalize(a))
+
+    def is_zero(self, a) -> bool:
+        return self.normalize(a) == 0
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.characteristic == self.characteristic
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.characteristic))
+
+
+class RationalField(_Field):
     """The rationals with arbitrary-precision Fraction arithmetic."""
 
     characteristic = 0
@@ -89,46 +127,17 @@ class RationalField:
         _element(value)
         return Fraction(value)
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return self.normalize(a) + self.normalize(b)
-
-    def sub(self, a, b):
-        return self.normalize(a) - self.normalize(b)
-
-    def mul(self, a, b):
-        return self.normalize(a) * self.normalize(b)
-
-    def neg(self, a):
-        return -self.normalize(a)
-
     def invert(self, a):
         a = self.normalize(a)
         if a == 0:
             raise DomainError("division by zero")
         return 1 / a
 
-    def is_zero(self, a) -> bool:
-        return self.normalize(a) == 0
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
     def __repr__(self):
         return "QQ"
 
 
-class PrimeField:
+class PrimeField(_Field):
     """GF(p) for a prime p below 2**62."""
 
     def __init__(self, p: int):
@@ -137,11 +146,7 @@ class PrimeField:
             raise DomainError(f"prime field characteristic must be in [2, 2^62), got {p!r}")
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
+        self.p = self.characteristic = p
 
     def normalize(self, value) -> int:
         """An integer or Fraction a/b as a residue: a * b^-1 mod p."""
@@ -153,40 +158,11 @@ class PrimeField:
             return value.numerator * pow(den, -1, self.p) % self.p
         return value % self.p
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.p
-
-    def add(self, a, b):
-        return (self.normalize(a) + self.normalize(b)) % self.p
-
-    def sub(self, a, b):
-        return (self.normalize(a) - self.normalize(b)) % self.p
-
-    def mul(self, a, b):
-        return self.normalize(a) * self.normalize(b) % self.p
-
-    def neg(self, a):
-        return -self.normalize(a) % self.p
-
     def invert(self, a):
         a = self.normalize(a)
         if a == 0:
             raise DomainError("division by zero")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return self.normalize(a) == 0
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -63,7 +63,7 @@ from itertools import combinations, product as iter_product
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError, _items, _require
-from .fields import PrimeField, RationalField, make_field
+from .fields import _Field, make_field
 from .ideals import MonomialIdeal
 from .monomials import (
     GridShape,
@@ -81,6 +81,7 @@ from .windows import (
     WindowChain,
     _check_minor_rows,
     _minor_product,
+    _past_cap,
     _report_header,
     _window_product,
 )
@@ -379,13 +380,14 @@ def natural_window_generators(
     irreducibles, so by unique factorization two products agree up to a
     scalar exactly when their multisets of column sets agree.  A combination
     whose multiset came earlier is skipped before it is multiplied.  The
-    arguments are type-checked, and the rows cap of ``minor`` checked once
-    per chain, before the products are read from ``windows._minor_product``'s
-    process-wide cache.
+    arguments are type-checked, the rows cap of ``minor`` checked once per
+    chain and the multisets counted against ``caps.max_product_gens``
+    (``ResourceLimitError`` at the first past it) before the products are
+    read from ``windows._minor_product``'s process-wide cache.
     """
     _require(chain, WindowChain, "window chain")
     _require(caps, Caps, "Caps")
-    _require(field, (RationalField, PrimeField), "field")
+    _require(field, _Field, "field")
     chain.check_against(shape)
     return [poly for _, poly, _, _ in _natural_products(shape, chain, field, caps)]
 
@@ -394,10 +396,16 @@ def _natural_products(shape: GridShape, chain: WindowChain, field, caps: Caps) -
     """``natural_window_generators`` on checked arguments, as (multiset,
     product, row, reductions): the multiset is the sorted tuple of column
     sets that names the product, and the row and the reductions are its
-    cache entry's (``windows._minor_product``)."""
+    cache entry's (``windows._minor_product``).  The distinct multisets,
+    one product each, are counted against ``caps.max_product_gens`` before
+    any product is read."""
     _check_minor_rows(shape, caps)
     per_window = [combinations(range(w.first, w.last + 1), shape.rows) for w in chain.windows]
-    multisets = dict.fromkeys(tuple(sorted(combo)) for combo in iter_product(*per_window))
+    multisets = {}
+    for combo in iter_product(*per_window):
+        multisets[tuple(sorted(combo))] = None
+        if len(multisets) > caps.max_product_gens:
+            raise _past_cap(chain, len(multisets), caps.max_product_gens)
     return [(m, *_minor_product(shape, m, field)) for m in multisets]
 
 

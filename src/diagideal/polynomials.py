@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, _items, _require
-from .fields import PrimeField, RationalField
+from .fields import _Field
 from .monomials import GridMonomial, GridShape, _from_key, _is_key, _key_text, _lcm_all, _product
 
 
@@ -112,7 +112,7 @@ class Polynomial:
         ``OperandTypeError`` for a key that is not an int or a coefficient
         that is not an int or a Fraction, then ``DomainError`` otherwise."""
         _require(shape, GridShape, "grid shape")
-        _require(field, (RationalField, PrimeField), "coefficient field")
+        _require(field, _Field, "coefficient field")
         keys, coeffs = _items(keys, int, "key"), _items(coeffs, (int, Fraction), "coefficient")
         if len(keys) != len(coeffs):
             raise DomainError(f"{len(keys)} keys but {len(coeffs)} coefficients")
@@ -134,7 +134,7 @@ class Polynomial:
     @classmethod
     def from_terms(cls, shape: GridShape, field, pairs) -> "Polynomial":
         _require(shape, GridShape, "grid shape")
-        _require(field, (RationalField, PrimeField), "coefficient field")
+        _require(field, _Field, "coefficient field")
         p = field.characteristic
         acc = {}
         for pair in _items(pairs, (tuple, list), "(monomial, coefficient) pair"):

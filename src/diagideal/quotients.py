@@ -96,7 +96,6 @@ from .windows import (
     _window_product,
     _window_table,
     selection_of,
-    window_product_ideal,
 )
 
 
@@ -374,16 +373,19 @@ def closed_form_colon(shape: GridShape, window: Window, f: GridMonomial) -> Mono
 
 
 def closed_form_product_colon(
-    shape: GridShape, chain: WindowChain, f: GridMonomial, prefix_index: int
+    shape: GridShape, chain: WindowChain, f: GridMonomial, prefix_index: int, caps: Caps = DEFAULT_CAPS
 ) -> MonomialIdeal:
     """Closed form of (<product of all windows, f_1..f_u> : f_{u+1}).
 
     The remaining windows' product joins the gap variables of f, whose gap
     floor is taken from the first window.  Requires at least two windows and
     f equal to the first window's diagonal at position prefix_index.
+    ``ResourceLimitError`` as soon as the remaining windows' product passes
+    ``caps.max_product_gens``.
     """
     _require(chain, WindowChain, "window chain")
     _require(prefix_index, int, "diagonal index")
+    _require(caps, Caps, "Caps")
     if len(chain) < 2:
         raise DomainError("product colon closed form needs at least two windows")
     chain.check_against(shape)
@@ -399,7 +401,7 @@ def closed_form_product_colon(
         raise DomainError(
             f"{f} is not diagonal #{prefix_index} of window {first}"
         )
-    rest = window_product_ideal(shape, chain.windows[1:])
+    rest = _window_product(shape, chain.windows[1:], caps.max_product_gens, chain)
     return _join(shape, rest.keys, table.gaps[f.key])
 
 

@@ -21,8 +21,15 @@ from importlib import resources
 from .errors import FormatError
 from .ideals import parse_ideal
 from .monomials import GridShape, parse_monomial
-from .quotients import _brute_colon, quotient_chain, redistribute
-from .windows import Window, WindowChain, diagonal_ideal, enumerate_diagonals, window_product_ideal
+from .quotients import _brute_colon, _join, quotient_chain, redistribute
+from .windows import (
+    Window,
+    WindowChain,
+    _window_table,
+    diagonal_ideal,
+    enumerate_diagonals,
+    window_product_ideal,
+)
 
 # Out-of-order window products whose colon must differ from the closed form.
 NEGATIVE_CONTROLS = ("colon_mismatch_3x9.txt", "colon_mismatch_3x8.txt")
@@ -137,6 +144,11 @@ def replay_product() -> list[dict]:
 
 
 def replay_colon_mismatch(name: str) -> list[dict]:
+    """A negative control: the out-of-order product's brute colon by
+    ``colon_by``, diagonal number cutoff of the first window, differs from
+    ``claimed``, which must be that step's closed form, the later windows'
+    product joined to the gaps of ``colon_by``.  ``FormatError`` when
+    ``colon_by`` is not that diagonal."""
     case = load_case(name)
     (shape,), windows, (colon_by,), (claimed,), (expect,) = _required(
         name, case, "shape", "window", "colon_by", "claimed", "expect"
@@ -148,13 +160,17 @@ def replay_colon_mismatch(name: str) -> list[dict]:
         cutoff = diagonals.index(case["prefix_through"][0]) + 1
     else:
         cutoff = case.get("prefix", [0])[0]
+    if not 0 <= cutoff < len(diagonals) or diagonals[cutoff] != colon_by:
+        raise FormatError(f"{name}: colon_by is not diagonal {cutoff} of window {windows[0]}")
+    rest = window_product_ideal(shape, windows[1:])
+    closed = _join(shape, rest.keys, _window_table(shape, windows[0]).gaps[colon_by.key])
     keys = list(window_product_ideal(shape, windows).keys)
     keys += [d.key for d in diagonals[:cutoff]]
     brute = _brute_colon(shape, keys, colon_by.key)
     return [
         _record(
             f"{name.removesuffix('.txt')} stays unequal",
-            brute != claimed,
+            brute != claimed and claimed == closed,
             f"anything other than {claimed}",
             str(brute),
         )

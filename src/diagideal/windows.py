@@ -45,7 +45,7 @@ from .errors import (
     _items,
     _require,
 )
-from .fields import PrimeField, RationalField
+from .fields import _Field
 from .ideals import MonomialIdeal
 from .monomials import GridMonomial, GridShape, _from_key, _products, _variable_key
 from .polynomials import Polynomial, _division_row, _polynomial
@@ -294,7 +294,7 @@ def minor(shape: GridShape, cols, field, caps: Caps = DEFAULT_CAPS) -> Polynomia
     process, by ``_minor_product``, and the immutable result shared.
     """
     _require(caps, Caps, "Caps")
-    _require(field, (RationalField, PrimeField), "field")
+    _require(field, _Field, "field")
     cols = _columns(shape, cols)
     _check_minor_rows(shape, caps)
     return _minor_product(shape, (cols,), field)[0]

@@ -233,7 +233,9 @@ ENTRIES = {
     "checks.theorem_report": (checks.theorem_report, (_S, _CHAIN, DEFAULT_CAPS, 0)),
     "checks.verify_reports": (checks.verify_reports, ("theorem", None, None, None, DEFAULT_CAPS, 0)),
     "closed_form_colon": (closed_form_colon, (_S, _W, _M)),
-    "closed_form_product_colon": (closed_form_product_colon, (_S, _CHAIN, diagonal_monomial(_S, (1, 2)), 0)),
+    "closed_form_product_colon": (
+        closed_form_product_colon, (_S, _CHAIN, diagonal_monomial(_S, (1, 2)), 0, DEFAULT_CAPS)
+    ),
     "conjecture_check": (conjecture_check, (_S, _CHAIN, 32003, DEFAULT_CAPS)),
     "diagonal_ideal": (diagonal_ideal, (_S, Window(1, 3))),
     "diagonal_monomial": (diagonal_monomial, (_S, (1, 3))),
@@ -297,7 +299,9 @@ _OPERATORS = {"__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__lt__
 
 def _public_callables() -> list:
     """Every callable export and every public method and operator of an
-    exported class other than an exception, as ENTRIES names them."""
+    exported class other than an exception, as ENTRIES names them.  A
+    method inherited from a package base class, such as a field operation
+    defined on ``fields._Field``, is listed under each exported class."""
     names = []
     for name in diagideal.__all__:
         obj = getattr(diagideal, name)
@@ -305,12 +309,23 @@ def _public_callables() -> list:
             continue
         names.append(name)
         if isinstance(obj, type) and not issubclass(obj, Exception):
+            package = [cls for cls in obj.__mro__ if cls.__module__.startswith("diagideal.")]
+            attrs = dict.fromkeys(attr for cls in package for attr in vars(cls))
             names += [
                 f"{name}.{attr}"
-                for attr in vars(obj)
+                for attr in attrs
                 if (attr in _OPERATORS or not attr.startswith("_")) and callable(getattr(obj, attr))
             ]
     return names
+
+
+def test_every_sample_row_is_collected():
+    # A sample row that no listing names would never be swapped: every
+    # field method row, inherited ones included, is collected.
+    collected = set(_public_callables() + _checks_functions())
+    assert set(ENTRIES) <= collected, sorted(set(ENTRIES) - collected)
+    fields = {name for name in ENTRIES if name.split(".")[0] in ("RationalField", "PrimeField")}
+    assert len(fields) == 2 + 2 * 7 and fields <= collected
 
 
 def _checks_functions() -> list:

@@ -665,12 +665,14 @@ def test_theorem_stops_at_the_product_cap(capsys):
         ("reg",),
         ("verify", "--target", "lemma2"),
         ("verify", "--target", "theorem"),
+        ("groebner",),
     ],
-    ids=["ideal-product", "colon", "betti", "reg", "verify-lemma2", "verify-theorem"],
+    ids=["ideal-product", "colon", "betti", "reg", "verify-lemma2", "verify-theorem", "groebner"],
 )
 def test_every_window_product_stops_at_the_product_cap(command, tmp_path, capsys):
-    # Each command that forms a window product counts it against
-    # max_product_gens: the first window's second diagonal passes a cap of 1.
+    # Each command that forms a window product, or the natural products of
+    # its minors, counts it against max_product_gens: the second generator
+    # passes a cap of 1.
     config = tmp_path / "caps.txt"
     config.write_text("max_product_gens = 1\n")
     code, out = run_cli(

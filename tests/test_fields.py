@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from diagideal.errors import DomainError, OperandTypeError
-from diagideal.fields import _MR_BASES, _MR_PREFIXES, PrimeField, RationalField, is_prime, make_field
+from diagideal.fields import _MR_BASES, _MR_PREFIXES, PrimeField, RationalField, _Field, is_prime, make_field
 from diagideal.groebner import conjecture_check
 from diagideal.monomials import GridMonomial, GridShape
 from diagideal.polynomials import Polynomial
@@ -214,3 +214,18 @@ def test_per_operation_methods_take_and_return_field_elements():
     ):
         with pytest.raises(DomainError):
             call()
+
+
+def test_field_classes_share_one_body():
+    # The operations, zero, one, equality and hashing are defined once, on
+    # _Field; each field class keeps only what differs between the fields.
+    def methods(cls):
+        return {name for name, value in vars(cls).items() if callable(value) or isinstance(value, property)}
+
+    shared = {"zero", "one", "add", "sub", "mul", "neg", "is_zero", "__eq__", "__hash__"}
+    assert methods(_Field) == shared
+    assert methods(RationalField) == {"normalize", "invert", "__repr__"}
+    assert methods(PrimeField) == {"__init__", "normalize", "invert", "__repr__"}
+    assert vars(PrimeField(7))["characteristic"] == 7 and RationalField.characteristic == 0
+    assert make_field(0).zero == 0 and type(make_field(0).one) is Fraction and make_field(2).one == 1
+    assert RationalField() != PrimeField(7) and PrimeField(7) != 7

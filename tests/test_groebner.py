@@ -209,6 +209,24 @@ def test_minor_rows_cap_reaches_the_minor_expansion():
     assert conjecture_check(shape, chain, caps=replace(DEFAULT_CAPS, max_minor_rows=3))["ini_equals_J"]
 
 
+def test_product_cap_reaches_the_natural_products():
+    # 3x8 (1,8)(1,8) has 1,596 column multisets, one natural product each.
+    # Under a cap of 100 they are counted to 101 before any product is
+    # read; conjecture_check, its grid cap raised to 3x8, stops first on
+    # the diagonal product, at 111.
+    shape, chain = GridShape(3, 8), WindowChain.of((1, 8), (1, 8))
+    caps = replace(DEFAULT_CAPS, max_product_gens=100, max_conjecture_cols=8)
+    windows._minor_product.cache_clear()
+    with pytest.raises(ResourceLimitError, match="reached 101 generators, cap is 100$") as info:
+        natural_window_generators(shape, chain, GF, caps)
+    assert info.value.snapshot == {"chain": "1,8:1,8", "gens": 101}
+    cached = windows._minor_product.cache_info()
+    assert cached.hits == cached.misses == 0
+    with pytest.raises(ResourceLimitError) as info:
+        conjecture_check(shape, chain, caps=caps)
+    assert info.value.snapshot == {"chain": "1,8:1,8", "gens": 111}
+
+
 @pytest.mark.parametrize("rows, cols, expected", [(2, 4, 8), (3, 5, 15), (3, 6, 45)])
 def test_pair_update_reduces_one_pair_per_first_syzygy(rows, cols, expected):
     # The maximal minors are already a Groebner basis and their leads have

@@ -10,7 +10,13 @@ import diagideal.ideals as ideals
 import diagideal.quotients as quotients
 import diagideal.windows as windows
 from diagideal.caps import DEFAULT_CAPS
-from diagideal.checks import iter_shapes, product_chain_report, sample_product_chains, single_window_report
+from diagideal.checks import (
+    iter_shapes,
+    product_chain_report,
+    sample_product_chains,
+    single_window_report,
+    theorem_report,
+)
 from diagideal.errors import (
     DomainError,
     EngineError,
@@ -18,6 +24,8 @@ from diagideal.errors import (
     SelectionError,
     ShapeMismatchError,
 )
+from diagideal.fields import make_field
+from diagideal.groebner import conjecture_check, natural_window_generators
 from diagideal.ideals import MonomialIdeal, parse_ideal
 from diagideal.monomials import GridMonomial, GridShape, _divides, _variables, parse_monomial
 from diagideal.quotients import (
@@ -31,6 +39,7 @@ from diagideal.windows import (
     Window,
     WindowChain,
     diagonal_ideal,
+    diagonal_monomial,
     enumerate_diagonals,
     iter_sorted_chains,
     iter_windows,
@@ -563,6 +572,9 @@ def test_verify_product_colons_closed_form_is_the_public_one():
     assert steps > 1000
 
 
+_CAP_SHAPE = GridShape(2, 4)
+
+
 def test_verify_product_colons_cap():
     # The cap is checked as each partial product forms: the product of the
     # windows after the first (here the 6 diagonals of (2,5)) passes a cap
@@ -576,6 +588,33 @@ def test_verify_product_colons_cap():
         assert info.value.snapshot == {"chain": "1,4:2,5", "gens": reached}
     entries = verify_product_colons(shape, chain, replace(DEFAULT_CAPS, max_product_gens=gens))
     assert len(entries) == 6
+    f = enumerate_diagonals(shape, chain.windows[0])[0]
+    with pytest.raises(ResourceLimitError, match="reached 6 generators, cap is 5$"):
+        closed_form_product_colon(shape, chain, f, 0, replace(DEFAULT_CAPS, max_product_gens=5))
+    assert closed_form_product_colon(shape, chain, f, 0, replace(DEFAULT_CAPS, max_product_gens=6))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda chain, caps: verify_product_colons(_CAP_SHAPE, chain, caps),
+        lambda chain, caps: closed_form_product_colon(
+            _CAP_SHAPE, chain, diagonal_monomial(_CAP_SHAPE, (1, 2)), 0, caps
+        ),
+        lambda chain, caps: product_chain_report(_CAP_SHAPE, chain, caps),
+        lambda chain, caps: theorem_report(_CAP_SHAPE, chain, caps),
+        lambda chain, caps: natural_window_generators(_CAP_SHAPE, chain, make_field(0), caps),
+        lambda chain, caps: conjecture_check(_CAP_SHAPE, chain, caps=caps),
+    ],
+    ids=["verify", "closed-form", "chain-report", "theorem", "naturals", "conjecture"],
+)
+def test_every_library_product_stops_at_a_cap_of_one(check):
+    # Each library entry that forms a window product, or the natural
+    # products of its minors, counts it against max_product_gens: the
+    # second generator passes a cap of 1.
+    with pytest.raises(ResourceLimitError, match="reached 2 generators, cap is 1$") as info:
+        check(WindowChain.of((1, 3), (2, 4)), replace(DEFAULT_CAPS, max_product_gens=1))
+    assert info.value.snapshot == {"chain": "1,3:2,4", "gens": 2}
 
 
 @pytest.mark.parametrize(

@@ -129,3 +129,32 @@ def test_load_case_rejects_a_malformed_value(text, monkeypatch):
     monkeypatch.setattr(replay, "golden_text", lambda n: text if n == "product_1x3.txt" else real(n))
     with pytest.raises(FormatError, match="product_1x3.txt: bad"):
         replay_product()
+
+
+@pytest.mark.parametrize(
+    "name, field, broken",
+    [
+        ("colon_mismatch_3x9.txt", "colon_by", "colon_by x[1,3]*x[2,4]*x[3,6]"),
+        ("colon_mismatch_3x8.txt", "colon_by", "colon_by x[1,4]*x[2,5]*x[3,8]"),
+        ("colon_mismatch_3x9.txt", "claimed", "claimed <x[1,1]*x[2,2]*x[3,3]>"),
+        ("colon_mismatch_3x8.txt", "claimed", "claimed <x[1,2], x[1,3], x[2,5]>"),
+    ],
+    ids=["3x9-colon-by", "3x8-colon-by", "3x9-claimed", "3x8-claimed"],
+)
+def test_colon_mismatch_checks_its_own_golden_fields(name, field, broken, monkeypatch):
+    # colon_by must be diagonal number cutoff of the first window, and
+    # claimed that step's closed form: a colon_by off by one diagonal is a
+    # FormatError, and a claimed ideal that is not the closed form fails
+    # the record, though the brute colon still differs from it.
+    real = replay.golden_text
+    text = "\n".join(
+        broken if line.startswith(field + " ") else line for line in real(name).splitlines()
+    )
+    assert text != real(name)
+    monkeypatch.setattr(replay, "golden_text", lambda n: text if n == name else real(n))
+    if field == "colon_by":
+        with pytest.raises(FormatError, match="colon_by is not diagonal"):
+            replay_colon_mismatch(name)
+    else:
+        (record,) = replay_colon_mismatch(name)
+        assert not record["ok"]
