@@ -27,9 +27,7 @@ class Caps:
     max_lcm_candidates: int = 4096
     max_koszul_faces: int = 1 << 20
     max_spairs: int = 200_000
-    max_conjecture_rows: int = 3
-    max_conjecture_cols: int = 6
-    max_conjecture_factors: int = 2
+    max_natural_terms: int = 2_000_000
 
     def __post_init__(self):
         for f in fields(self):

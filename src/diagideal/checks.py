@@ -204,16 +204,13 @@ def conjecture_scan(
     instance and the scan moves on.
 
     The bounds are checked before the first chain: their types, then
-    ``DomainError`` for one below 1, then ``ResourceLimitError`` for one
-    above its conjecture cap (rows, columns, factors)."""
+    ``DomainError`` for one below 1.  The work of each chain is bounded by
+    the caps ``conjecture_check`` reads, not by the bounds."""
     bounds = _items((max_rows, max_cols, max_factors), int, "scan bound")
     _require(characteristic, int, "characteristic")
     _require(caps, Caps, "Caps")
-    limits = (caps.max_conjecture_rows, caps.max_conjecture_cols, caps.max_conjecture_factors)
     if min(bounds) < 1:
         raise DomainError(f"scan bounds {bounds} must be at least 1")
-    if any(value > limit for value, limit in zip(bounds, limits)):
-        raise ResourceLimitError(f"scan bounds {bounds} exceed caps {limits}")
     for shape in iter_shapes(max_rows, max_cols):
         for length in range(1, max_factors + 1):
             for chain in iter_sorted_chains(shape, length):

@@ -258,11 +258,8 @@ def cmd_groebner(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_conjecture_scan(config: RunConfig, args: argparse.Namespace) -> int:
-    caps = config.caps
-    limits = (caps.max_conjecture_rows, caps.max_conjecture_cols, caps.max_conjecture_factors)
-    given = (args.max_rows, args.max_cols, args.max_factors)
-    bounds = tuple(limit if value is None else value for value, limit in zip(given, limits))
-    for verdict in checks.conjecture_scan(*bounds, characteristic=args.char, caps=caps):
+    bounds = (args.max_rows, args.max_cols, args.max_factors)
+    for verdict in checks.conjecture_scan(*bounds, characteristic=args.char, caps=config.caps):
         lines = None  # a skipped verdict prints its SKIP summary
         if not verdict.get("skipped"):
             holds = verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
@@ -370,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", type=int, default=32003, help="default 32003")
     p = command("conjecture-scan", cmd_conjecture_scan, [],
                 "compare initial ideals of minor products over many chains")
-    p.add_argument("--max-rows", type=int)
-    p.add_argument("--max-cols", type=int)
-    p.add_argument("--max-factors", type=int)
+    p.add_argument("--max-rows", type=int, default=3, help="default 3")
+    p.add_argument("--max-cols", type=int, default=6, help="default 6")
+    p.add_argument("--max-factors", type=int, default=2, help="default 2")
     p.add_argument("--char", type=int, default=32003, help="default 32003")
     p = command("verify", cmd_verify, [], "run a verification target")
     p.add_argument("--target", required=True, choices=tuple(_VERIFY_INSTANCE))

@@ -44,14 +44,15 @@ that path builds the initial ideal and compares it with J, gives false
 verdicts their witness and reports Gebauer-Moller's pair count.
 
 The natural products are read from ``windows._minor_product``'s
-process-wide cache, with their division rows, once ``minor``'s rows cap
-has been checked for the chain.  Chains share most of their S-pairs and
-duplicate-lead products, so each distinct one is reduced once while its
-product stays cached.  A reduction to zero is recorded on the cache entry
-of the product it reduced, keyed by the column multiset that names the
-pair's other product (None for a duplicate), with the multisets of the
-divisors it used; a later chain whose kept generators include those
-divisors takes it as reduced.  A record leaves the cache with its product.
+process-wide cache, with their division rows, once ``minor``'s rows cap,
+the product cap and the term cap have been checked for the chain.  Chains
+share most of their S-pairs and duplicate-lead products, so each distinct
+one is reduced once while its product stays cached.  A reduction to zero
+is recorded on the cache entry of the product it reduced, keyed by the
+column multiset that names the pair's other product (None for a
+duplicate), with the multisets of the divisors it used; a later chain
+whose kept generators include those divisors takes it as reduced.  A
+record leaves the cache with its product.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, product as iter_product
+from math import factorial
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, EngineError, ResourceLimitError, _items, _require
@@ -381,9 +383,10 @@ def natural_window_generators(
     scalar exactly when their multisets of column sets agree.  A combination
     whose multiset came earlier is skipped before it is multiplied.  The
     arguments are type-checked, the rows cap of ``minor`` checked once per
-    chain and the multisets counted against ``caps.max_product_gens``
-    (``ResourceLimitError`` at the first past it) before the products are
-    read from ``windows._minor_product``'s process-wide cache.
+    chain, the multisets counted against ``caps.max_product_gens``
+    (``ResourceLimitError`` at the first past it) and their terms bounded
+    against ``caps.max_natural_terms`` before the products are read from
+    ``windows._minor_product``'s process-wide cache.
     """
     _require(chain, WindowChain, "window chain")
     _require(caps, Caps, "Caps")
@@ -397,8 +400,10 @@ def _natural_products(shape: GridShape, chain: WindowChain, field, caps: Caps) -
     product, row, reductions): the multiset is the sorted tuple of column
     sets that names the product, and the row and the reductions are its
     cache entry's (``windows._minor_product``).  The distinct multisets,
-    one product each, are counted against ``caps.max_product_gens`` before
-    any product is read."""
+    one product each, are counted against ``caps.max_product_gens``, and
+    their terms bounded against ``caps.max_natural_terms``, before any
+    product is read: a product of s maximal minors of m rows has at most
+    (m!)^s terms."""
     _check_minor_rows(shape, caps)
     per_window = [combinations(range(w.first, w.last + 1), shape.rows) for w in chain.windows]
     multisets = {}
@@ -406,6 +411,12 @@ def _natural_products(shape: GridShape, chain: WindowChain, field, caps: Caps) -
         multisets[tuple(sorted(combo))] = None
         if len(multisets) > caps.max_product_gens:
             raise _past_cap(chain, len(multisets), caps.max_product_gens)
+    terms = len(multisets) * factorial(shape.rows) ** len(chain)
+    if terms > caps.max_natural_terms:
+        raise ResourceLimitError(
+            f"natural products bound at {terms} terms, cap is {caps.max_natural_terms}",
+            snapshot={"chain": str(chain), "terms": terms},
+        )
     return [(m, *_minor_product(shape, m, field)) for m in multisets]
 
 
@@ -498,24 +509,12 @@ def conjecture_check(
     certificate decides has both answers true by proof, with the
     certificate's pair count; only the Buchberger fallback builds the
     initial ideal and compares it.  The diagonal product is formed first,
-    under ``caps.max_product_gens``, so that cap stops a check before any
-    natural product is formed.
+    under ``caps.max_product_gens``, and the natural products are bounded
+    under ``caps.max_natural_terms`` before any forms.
     """
     _require(chain, WindowChain, "window chain")
     _require(caps, Caps, "Caps")
     chain.check_against(shape)
-    if shape.rows > caps.max_conjecture_rows or shape.cols > caps.max_conjecture_cols:
-        raise ResourceLimitError(
-            f"conjecture check capped at {caps.max_conjecture_rows}x"
-            f"{caps.max_conjecture_cols}, got {shape.rows}x{shape.cols}",
-            snapshot={"shape": [shape.rows, shape.cols]},
-        )
-    if len(chain) > caps.max_conjecture_factors:
-        raise ResourceLimitError(
-            f"conjecture check capped at {caps.max_conjecture_factors} factors, "
-            f"got {len(chain)}",
-            snapshot={"factors": len(chain)},
-        )
     field = make_field(characteristic)
     start = time.perf_counter()
     diagonal_product = _window_product(shape, chain.windows, caps.max_product_gens, chain)

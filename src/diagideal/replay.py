@@ -148,7 +148,8 @@ def replay_colon_mismatch(name: str) -> list[dict]:
     ``colon_by``, diagonal number cutoff of the first window, differs from
     ``claimed``, which must be that step's closed form, the later windows'
     product joined to the gaps of ``colon_by``.  ``FormatError`` when
-    ``colon_by`` is not that diagonal."""
+    ``prefix_through`` is not a diagonal of the first window or
+    ``colon_by`` is not diagonal number cutoff."""
     case = load_case(name)
     (shape,), windows, (colon_by,), (claimed,), (expect,) = _required(
         name, case, "shape", "window", "colon_by", "claimed", "expect"
@@ -157,7 +158,11 @@ def replay_colon_mismatch(name: str) -> list[dict]:
         raise FormatError(f"{name}: expect must be 'unequal', got {expect!r}")
     diagonals = enumerate_diagonals(shape, windows[0])
     if "prefix_through" in case:
-        cutoff = diagonals.index(case["prefix_through"][0]) + 1
+        try:
+            cutoff = diagonals.index(case["prefix_through"][0]) + 1
+        except ValueError:
+            message = f"{name}: prefix_through is not a diagonal of window {windows[0]}"
+            raise FormatError(message) from None
     else:
         cutoff = case.get("prefix", [0])[0]
     if not 0 <= cutoff < len(diagonals) or diagonals[cutoff] != colon_by:

@@ -162,7 +162,7 @@ ENTRIES = {
     "BettiTable.same_entries": (_B.same_entries, (_B,)),
     "BettiTable.to_json_obj": (_B.to_json_obj, ()),
     "BettiTable.totals": (_B.totals, ()),
-    "Caps": (Caps, (6, 5000, 12, 4096, 1 << 20, 200_000, 3, 6, 2)),
+    "Caps": (Caps, (6, 5000, 12, 4096, 1 << 20, 200_000, 2_000_000)),
     "ChainOrderError": (ChainOrderError, ("message",)),
     "DiagIdealError": (DiagIdealError, ("message",)),
     "DomainError": (DomainError, ("message",)),
@@ -401,26 +401,24 @@ def test_checks_functions_type_their_arguments_before_any_instance(call):
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call",
     [
-        (lambda: checks.sample_product_chains(2, -1, 0), DomainError),
-        (lambda: list(checks.verify_reports("lemma3")), DomainError),
-        (lambda: list(checks.verify_reports("lemma2", chain=WindowChain.of((1, 3), (2, 4)))), DomainError),
-        (lambda: list(checks.verify_reports("lemma1", window=Window(1, 3))), DomainError),
-        (lambda: list(checks.conjecture_scan(0, 6, 2)), DomainError),
-        (lambda: list(checks.conjecture_scan(3, 6, 6)), ResourceLimitError),
+        lambda: checks.sample_product_chains(2, -1, 0),
+        lambda: list(checks.verify_reports("lemma3")),
+        lambda: list(checks.verify_reports("lemma2", chain=WindowChain.of((1, 3), (2, 4)))),
+        lambda: list(checks.verify_reports("lemma1", window=Window(1, 3))),
+        lambda: list(checks.conjecture_scan(0, 6, 2)),
     ],
     ids=[
         "negative-sample-count", "unknown-target", "chain-without-shape",
-        "window-without-shape", "scan-below-one", "scan-above-caps",
+        "window-without-shape", "scan-below-one",
     ],
 )
-def test_checks_functions_refuse_values_outside_their_domain(call, error):
+def test_checks_functions_refuse_values_outside_their_domain(call):
     # A value of the right type outside a checks function's domain is a plain
     # DomainError, not a leaked ValueError, an empty answer or an ignored
-    # argument; scan bounds past the conjecture caps are refused before the
-    # first chain (58,721 records at default caps when they were not).
-    with pytest.raises(error) as info:
+    # argument.
+    with pytest.raises(DomainError) as info:
         call()
     assert not isinstance(info.value, TypeError)
 

@@ -5,9 +5,9 @@ from dataclasses import fields
 
 import pytest
 
-from diagideal import checks
+from diagideal import checks, cli, windows
 from diagideal.caps import Caps, parse_caps_text
-from diagideal.cli import EXIT_BROKEN_PIPE, main
+from diagideal.cli import EXIT_BROKEN_PIPE, build_parser, main
 from diagideal.errors import DomainError, FormatError
 from diagideal.replay import run_paper_replay
 
@@ -98,6 +98,21 @@ def test_colon_step_agrees(capsys):
     payload = json.loads(out)
     assert payload["equal"] is True
     assert payload["brute"] == "<x[2,3]>"
+
+
+@pytest.mark.parametrize("chain", ["1,6:2,8", "1,5:1,5", "2,6:3,8:4,8"])
+def test_colon_sorted_chain_agrees_with_the_product_closed_form(chain, capsys, monkeypatch):
+    # A sorted chain of several windows takes closed_form_product_colon.
+    calls = []
+    real = cli.closed_form_product_colon
+    monkeypatch.setattr(cli, "closed_form_product_colon", lambda *a: calls.append(1) or real(*a))
+    code, out = run_cli(
+        capsys,
+        "colon", "--rows", "3", "--cols", "8", "--chain", chain, "--step", "1", "--format", "json",
+    )
+    assert code == 0 and calls == [1]
+    payload = json.loads(out)
+    assert payload["equal"] is True and payload["closed"] == payload["brute"]
 
 
 def test_colon_force_brute_skips_closed_form(capsys):
@@ -265,13 +280,39 @@ def test_conjecture_scan_text(capsys):
     assert lines and all(line.startswith("true") for line in lines)
 
 
-def test_conjecture_scan_bounds_capped(capsys):
-    code, _ = run_cli(
+def test_conjecture_scan_bounds_are_not_caps(capsys):
+    # A bound only sets the range scanned: rows past three reach the 4x4
+    # grid, whose chains answer true, and the caps bound each chain's work.
+    code, out = run_cli(
         capsys,
         "conjecture-scan", "--max-rows", "9", "--max-cols", "4",
-        "--max-factors", "1",
+        "--max-factors", "1", "--format", "json",
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [4, 4] in [r["shape"] for r in records]
+    assert all(r["ini_equals_J"] and r["natural_gens_are_GB"] for r in records)
+
+
+def test_conjecture_scan_bounds_default_to_3x6_and_two_factors():
+    args = build_parser().parse_args(["conjecture-scan"])
+    assert (args.max_rows, args.max_cols, args.max_factors) == (3, 6, 2)
+
+
+def test_natural_term_cap_stops_groebner_before_any_product(capsys):
+    # 5x8 (1,8)(1,8) has 1,596 natural products of up to (5!)^2 terms each,
+    # past the default cap, which is checked before any product forms.
+    before = windows._minor_product.cache_info()
+    code, out = run_cli(
+        capsys, "groebner", "--rows", "5", "--cols", "8", "--chain", "1,8:1,8", "--format", "json",
     )
     assert code == 2
+    assert json.loads(out) == {
+        "error": "natural products bound at 22982400 terms, cap is 2000000",
+        "ok": False,
+        "snapshot": {"chain": "1,8:1,8", "terms": 22982400},
+    }
+    assert windows._minor_product.cache_info() == before
 
 
 def test_verify_remarks(capsys):
@@ -517,23 +558,18 @@ def test_conjecture_scan_rejects_a_bound_below_one(bound, capsys):
 
 
 def test_caps_file_sets_limits(tmp_path, capsys):
+    # 2x3 (1,3) bounds its three natural products at 3 * 2! = 6 terms and
+    # 2x4 (1,4) its six at 12, past the configured cap of 6.
     config = tmp_path / "caps.txt"
-    config.write_text("max_conjecture_cols = 3\n")
-    code, out = run_cli(
-        capsys,
-        "conjecture-scan", "--max-rows", "1", "--max-cols", "4",
-        "--max-factors", "1", "--caps", str(config),
-    )
-    # cols bound 4 now exceeds the configured cap 3
+    config.write_text("max_natural_terms = 6\n")
+    flags = ("--rows", "2", "--format", "json", "--caps", str(config))
+    code, out = run_cli(capsys, "groebner", "--cols", "3", "--chain", "1,3", *flags)
+    assert code == 0 and json.loads(out)["generators"] == 3
+    code, out = run_cli(capsys, "groebner", "--cols", "4", "--chain", "1,4", *flags)
     assert code == 2
-    code, out = run_cli(
-        capsys,
-        "conjecture-scan", "--max-rows", "1", "--max-cols", "3",
-        "--max-factors", "1", "--caps", str(config), "--format", "json",
-    )
-    assert code == 0
-    for line in out.splitlines():
-        json.loads(line)
+    record = json.loads(out)
+    assert record["error"] == "natural products bound at 12 terms, cap is 6"
+    assert record["snapshot"] == {"chain": "1,4", "terms": 12}
 
 
 @pytest.mark.parametrize(
@@ -720,15 +756,7 @@ _CAP_RUNS = {
     "max_lcm_candidates": _HOMOLOGY_RUN,
     "max_koszul_faces": _HOMOLOGY_RUN,
     "max_spairs": ("groebner", "--rows", "2", "--cols", "4", "--chain", "1,4"),
-    "max_conjecture_rows": (
-        "conjecture-scan", "--max-rows", "2", "--max-cols", "2", "--max-factors", "1",
-    ),
-    "max_conjecture_cols": (
-        "conjecture-scan", "--max-rows", "1", "--max-cols", "2", "--max-factors", "1",
-    ),
-    "max_conjecture_factors": (
-        "conjecture-scan", "--max-rows", "1", "--max-cols", "2", "--max-factors", "2",
-    ),
+    "max_natural_terms": ("groebner", "--rows", "2", "--cols", "3", "--chain", "1,3"),
 }
 
 
@@ -844,15 +872,13 @@ def test_broken_pipe_stays_quiet():
     assert "Traceback" not in err
 
 
-def test_three_factor_scan_is_true_and_repeats_byte_for_byte(tmp_path, capsys):
+def test_three_factor_scan_is_true_and_repeats_byte_for_byte(capsys):
     # Every three-factor chain up to 2x4 keeps in(P) = J with the natural
     # generators as basis; the second scan in the process reads its
     # products from the cache and must print the same records.
-    config = tmp_path / "caps.txt"
-    config.write_text("max_conjecture_factors = 3\n")
     argv = (
         "conjecture-scan", "--max-rows", "2", "--max-cols", "4", "--max-factors", "3",
-        "--caps", str(config), "--format", "json",
+        "--format", "json",
     )
     runs = []
     for _ in range(2):

@@ -212,10 +212,9 @@ def test_minor_rows_cap_reaches_the_minor_expansion():
 def test_product_cap_reaches_the_natural_products():
     # 3x8 (1,8)(1,8) has 1,596 column multisets, one natural product each.
     # Under a cap of 100 they are counted to 101 before any product is
-    # read; conjecture_check, its grid cap raised to 3x8, stops first on
-    # the diagonal product, at 111.
+    # read; conjecture_check stops first on the diagonal product, at 111.
     shape, chain = GridShape(3, 8), WindowChain.of((1, 8), (1, 8))
-    caps = replace(DEFAULT_CAPS, max_product_gens=100, max_conjecture_cols=8)
+    caps = replace(DEFAULT_CAPS, max_product_gens=100)
     windows._minor_product.cache_clear()
     with pytest.raises(ResourceLimitError, match="reached 101 generators, cap is 100$") as info:
         natural_window_generators(shape, chain, GF, caps)
@@ -225,6 +224,29 @@ def test_product_cap_reaches_the_natural_products():
     with pytest.raises(ResourceLimitError) as info:
         conjecture_check(shape, chain, caps=caps)
     assert info.value.snapshot == {"chain": "1,8:1,8", "gens": 111}
+
+
+def test_term_cap_stops_the_natural_products_before_any_forms():
+    # 5x8 (1,8)(1,8) has 1,596 column multisets, each a product of two
+    # 5-row minors of at most (5!)^2 terms: 22,982,400 in all, past the
+    # default cap.  Both entries stop before any product is read.
+    shape, chain = GridShape(5, 8), WindowChain.of((1, 8), (1, 8))
+    before = windows._minor_product.cache_info()
+    for call in (
+        lambda: natural_window_generators(shape, chain, GF),
+        lambda: conjecture_check(shape, chain),
+    ):
+        with pytest.raises(ResourceLimitError) as info:
+            call()
+        assert str(info.value) == "natural products bound at 22982400 terms, cap is 2000000"
+        assert info.value.snapshot == {"chain": "1,8:1,8", "terms": 22982400}
+    assert windows._minor_product.cache_info() == before
+    # The bound is exact at the cap: 2x3 (1,3) has three products of 2! terms.
+    small = GridShape(2, 3), WindowChain.of((1, 3))
+    six = replace(DEFAULT_CAPS, max_natural_terms=6)
+    assert len(natural_window_generators(*small, GF, six)) == 3
+    with pytest.raises(ResourceLimitError, match="bound at 6 terms, cap is 5$"):
+        conjecture_check(*small, caps=replace(DEFAULT_CAPS, max_natural_terms=5))
 
 
 @pytest.mark.parametrize("rows, cols, expected", [(2, 4, 8), (3, 5, 15), (3, 6, 45)])
@@ -469,6 +491,25 @@ def test_conjecture_check_falls_back_when_the_certificate_fails(monkeypatch):
         assert list(pair[0]) == list(pair[1])
 
 
+def test_certificate_refuses_more_pairs_than_the_spair_cap(monkeypatch):
+    # 1x4 (1,4) has six certificate pairs, one per pair of variables; under
+    # a cap of 5 the certificate cannot decide, and the Buchberger fallback,
+    # whose leads are coprime, reduces none and gives the true verdict.
+    shape, chain = GridShape(1, 4), WindowChain.of((1, 4))
+    caps = replace(DEFAULT_CAPS, max_spairs=5)
+    naturals = groebner._natural_products(shape, chain, GF, caps)
+    product = window_product_ideal(shape, chain.windows)
+    assert groebner._certificate(naturals, product, DEFAULT_CAPS) == 6
+    assert groebner._certificate(naturals, product, caps) is None
+    fallbacks = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda *a: fallbacks.append(1) or real(*a))
+    verdict = conjecture_check(shape, chain, caps=caps)
+    assert fallbacks == [1]
+    assert verdict["ini_equals_J"] and verdict["natural_gens_are_GB"]
+    assert verdict["spairs"] == 0
+
+
 def test_certified_scan_reads_no_minor_and_builds_no_initial_ideal(monkeypatch):
     # Certified verdicts are read off the certificate: no natural product
     # goes through minor, and no initial ideal is built.
@@ -499,7 +540,6 @@ def test_each_natural_product_is_multiplied_once(monkeypatch):
     # Across a scan every column multiset, and the prefix multisets that
     # three-factor products are built on, is multiplied once; a second scan
     # in the same process multiplies nothing and gives the same verdicts.
-    caps = replace(DEFAULT_CAPS, max_conjecture_factors=3)
     multiplied = []
     real_mul = Polynomial.__mul__
 
@@ -509,7 +549,7 @@ def test_each_natural_product_is_multiplied_once(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     windows._minor_product.cache_clear()
-    first = list(conjecture_scan(2, 4, 3, caps=caps))
+    first = list(conjecture_scan(2, 4, 3))
     minors = {
         (shape, cols)
         for shape in iter_shapes(2, 4)
@@ -529,7 +569,7 @@ def test_each_natural_product_is_multiplied_once(monkeypatch):
     info = windows._minor_product.cache_info()
     assert info.misses == info.currsize == len(minors) + len(expected)
     assert len(multiplied) == len(expected)
-    second = list(conjecture_scan(2, 4, 3, caps=caps))
+    second = list(conjecture_scan(2, 4, 3))
     assert len(multiplied) == len(expected)
     assert windows._minor_product.cache_info().misses == info.misses
     for verdict in first + second:
@@ -872,7 +912,7 @@ _P = minor(_S, (1, 2), _F)
         lambda: conjecture_check(_S, "x"),
         lambda: conjecture_check(_S, _CHAIN, caps=3),
         lambda: conjecture_check(None, _CHAIN),
-        lambda: conjecture_check(_S, _CHAIN, 32003, Caps(max_conjecture_rows=None)),
+        lambda: conjecture_check(_S, _CHAIN, 32003, Caps(max_natural_terms=None)),
     ],
     ids=[
         "buchberger-int", "buchberger-list", "buchberger-caps", "reduce-f", "reduce-basis",

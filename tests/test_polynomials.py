@@ -119,6 +119,27 @@ def test_times_term_overflow_names_the_first_overflowing_term():
     assert str(err.value) == "x[1,3] * x[1,3]^127 has an exponent above 127"
 
 
+def test_product_overflow_names_the_first_overflowing_term_pair():
+    # The left terms ascend, and each one's pairs are checked only when its
+    # product with the right's bytewise max passes 127: x[1,2] passes with
+    # every right term, and x[1,1]^100 overflows with x[1,1]^28, not with
+    # x[1,2]^3, which comes first.
+    shape = GridShape(1, 2)
+    field = make_field(7)
+    x11_100, x11_28, x12_3 = (
+        GridMonomial.from_exponents(shape, {cell: e})
+        for cell, e in (((1, 1), 100), ((1, 1), 28), ((1, 2), 3))
+    )
+    f = Polynomial.from_terms(shape, field, [(x11_100, 1), (GridMonomial.variable(shape, 1, 2), 1)])
+    g = Polynomial.from_terms(shape, field, [(x11_28, 1), (x12_3, 1)])
+    with pytest.raises(DomainError) as err:
+        f * g
+    assert str(err.value) == "x[1,1]^100 * x[1,1]^28 has an exponent above 127"
+    with pytest.raises(DomainError) as err:
+        g * f
+    assert str(err.value) == "x[1,1]^28 * x[1,1]^100 has an exponent above 127"
+
+
 _SHAPE = GridShape(1, 2)
 _F = make_field(7)
 _X11 = GridMonomial.variable(_SHAPE, 1, 1)

@@ -536,6 +536,23 @@ def test_low_boundary_ranks_are_connectivity(p):
     assert kinds == {"empty", "disconnected", "connected", "isolated vertex"}
 
 
+@pytest.mark.parametrize("p", [0, 32003])
+def test_forest_rank_does_not_depend_on_edge_order(p):
+    # Out of ascending mask order an edge's higher vertex may already hang
+    # below another root, and the union-find climbs from it too: the
+    # triangle's edges in descending order join 2-4, then 1-4, then find
+    # 1-2 closes a cycle only by climbing from vertex 2.
+    field = make_field(p)
+    assert _forest_rank([0b110, 0b101, 0b011]) == 2
+    rng = random.Random(f"forest-order/{p}")
+    for _ in range(200):
+        by_dim = _closure(_random_facets(rng, rng.randint(2, 8)))
+        vertices, edges = by_dim.get(0, []), by_dim.get(1, [])
+        rank = _rank_of_columns(_boundary_columns(vertices, edges), field)
+        for order in (edges[::-1], rng.sample(edges, len(edges))):
+            assert _forest_rank(order) == rank
+
+
 @pytest.mark.parametrize("p", [0, 2, 3, 32003])
 def test_reduced_homology_matches_elimination_on_random_complexes(p):
     # A complex with facets F_1..F_k on n vertices is the divisor complex at
